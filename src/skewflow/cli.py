@@ -148,8 +148,7 @@ class RunConfig:
     input: Path
     output_dir: Path
     tolerances: dict = dc_field(default_factory=lambda: {
-        "rank_tol": 1e-8, "skew_tol": 1e-10,
-        "gs_tol": 1e-5, "solver_tol": 1e-12,
+        "rank_tol": 1e-8, "skew_tol": 1e-10, "gs_tol": 1e-5,
     })
     evolution: dict = dc_field(default_factory=lambda: {
         "method": "cayley", "dt": 1e-3, "horizon": 2.0, "sample_stride": 1,
@@ -157,6 +156,17 @@ class RunConfig:
     seed: int = 0
     theta: float = 1.0
     t0: float = 0.5
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    """value as a float array; CliError unless it is numeric and finite."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise CliError(f"{name} must be numeric")
+    if not np.isfinite(a).all():
+        raise CliError(f"{name} must be an array of finite numbers")
+    return a
 
 
 def parse_operator_descriptor(path: Path) -> RestrictedOperator:
@@ -177,6 +187,9 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
                        f"{exc.msg}")
     if not isinstance(raw, dict) or "operator" not in raw:
         raise CliError('descriptor must be an object with an "operator" entry')
+    for key in ("operator", "space", "domain"):
+        if key in raw and not isinstance(raw[key], dict):
+            raise CliError(f'descriptor entry "{key}" must be an object')
     opdesc = raw["operator"]
     kind = opdesc.get("kind")
 
@@ -204,28 +217,23 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
             raise CliError(f"bad transport descriptor: {exc}")
 
     if kind == "matrix":
-        data = opdesc.get("data")
-        try:
-            M = np.asarray(data, dtype=float)
-        except (TypeError, ValueError):
-            raise CliError("operator.data must be a numeric row-major matrix")
+        M = _finite_array(opdesc.get("data"), "operator.data")
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise CliError(f"operator.data must be square, got {M.shape}")
         n = M.shape[0]
         space_cfg = raw.get("space", {})
         if "weights" in space_cfg:
-            w = np.asarray(space_cfg["weights"], dtype=float)
+            w = _finite_array(space_cfg["weights"], "space.weights")
             if w.shape != (n,):
                 raise CliError(f"space.weights must have length {n}")
-            space = Space(dim=n, weights=w)
         else:
-            space = Space.euclidean(n)
+            w = np.ones(n)
         dom_cfg = raw.get("domain", {"mode": "full"})
         mode = dom_cfg.get("mode", "full")
         if mode == "full":
             domain = None
         elif mode == "columns":
-            cols = np.asarray(dom_cfg.get("columns"), dtype=float)
+            cols = _finite_array(dom_cfg.get("columns"), "domain.columns")
             if cols.ndim != 2 or cols.shape[1] != n:
                 raise CliError("domain.columns must be basis vectors of "
                                f"length {n} (one per row)")
@@ -233,7 +241,8 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
         else:
             raise CliError(f"unknown domain.mode {mode!r}")
         try:
-            return RestrictedOperator(space=space, action=M, domain=domain,
+            return RestrictedOperator(space=Space(dim=n, weights=w), action=M,
+                                      domain=domain,
                                       label=raw.get("label", "matrix"))
         except ValueError as exc:
             raise CliError(f"bad matrix descriptor: {exc}")

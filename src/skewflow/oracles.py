@@ -14,10 +14,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .operators import RestrictedOperator
 from .spaces import Space
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule on an odd number of equally spaced nodes."""
+    if x.size < 3 or x.size % 2 == 0:
+        raise ValueError("composite Simpson needs an odd node count >= 3")
+    h = (x[-1] - x[0]) / (x.size - 1)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                            + 2.0 * y[2:-1:2].sum()))
 
 
 def gaussian_profile(x, center: float = 0.5, sigma: float = 0.15):
@@ -185,8 +193,9 @@ class HalflineCase:
         generalized solution, and against any smooth compactly supported v
         the whole space-time identity telescopes down to
         integral e^{x} (v(x) + v'(x)) dx = 0. This evaluates that integral
-        with composite Simpson on a dense grid and returns the largest
-        relative residual over a default family of bumps.
+        with composite Simpson on a dense grid of n_nodes (odd) nodes and
+        returns the largest relative residual over a default family of
+        bumps.
         """
         if self.side != "left":
             raise ValueError("the exponential witness lives on the left case")
@@ -197,8 +206,8 @@ class HalflineCase:
         for (a, b) in bumps:
             v, dv = _bump(a, b)
             integrand = np.exp(xs) * (v(xs) + dv(xs))
-            scale = simpson(np.exp(xs) * (np.abs(v(xs)) + np.abs(dv(xs))), x=xs)
-            resid = abs(simpson(integrand, x=xs)) / scale
+            scale = _simpson(np.exp(xs) * (np.abs(v(xs)) + np.abs(dv(xs))), xs)
+            resid = abs(_simpson(integrand, xs)) / scale
             worst = max(worst, resid)
         return worst
 

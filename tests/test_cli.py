@@ -95,6 +95,19 @@ def test_parse_transport_descriptor_resolves_stream_path(tmp_path):
     {"operator": {"kind": "matrix", "data": [[1.0, 2.0]]}},
     {"operator": {"kind": "minimal_derivative", "n": 2}},
     {"nothing": True},
+    {"operator": [1, 2]},
+    {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+     "space": [1.0, 1.0]},
+    {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+     "domain": "full"},
+    {"operator": {"kind": "matrix", "data": [[0.0, float("nan")],
+                                             [-1.0, 0.0]]}},
+    {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+     "space": {"weights": [1.0, float("inf")]}},
+    {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+     "space": {"weights": [1.0, -1.0]}},
+    {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+     "domain": {"mode": "columns", "columns": [[1.0, float("nan")]]}},
 ])
 def test_parse_rejects_malformed_descriptors(tmp_path, payload):
     from skewflow.cli import CliError
@@ -243,6 +256,23 @@ def test_bad_json_is_a_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"operator": [1, 2]},
+    {"operator": {"kind": "matrix", "data": [[0.0, float("nan")],
+                                             [-1.0, 0.0]]}},
+])
+def test_bad_descriptor_is_a_usage_error_without_report(tmp_path, capsys,
+                                                        payload):
+    p = write_descriptor(tmp_path / "bad.json", payload)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", p, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_command_is_a_usage_error(capsys):

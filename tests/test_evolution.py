@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from skewflow.evolution import (
+    _ROW_BLOCK,
     Trajectory,
     adjoint_generator,
     adjoint_trajectory,
@@ -23,6 +26,62 @@ def wrapped_generator(n=64, theta=1.0):
     gen = adjoint_generator(seam_extension(op, theta))
     u0 = gaussian_profile(op.meta["grid"])
     return op, gen, u0 / op.space.norm(u0)
+
+
+def weighted_ring(n, seed):
+    """W^{-1} K for a periodic antisymmetric K and random Gram weights W:
+    skew in the weighted metric, not in the Euclidean one."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n)
+    j = np.arange(n)
+    K = np.zeros((n, n))
+    K[j, (j + 1) % n] = rng.uniform(0.5, 1.5, n)
+    K -= K.T
+    return RestrictedOperator(space=Space(dim=n, weights=w),
+                              action=K / w[:, None], domain=None)
+
+
+def odd_skew(n, seed):
+    """A random antisymmetric matrix of odd size: it has a zero eigenvalue,
+    so its real Schur form has a 1x1 block."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return RestrictedOperator(space=Space.euclidean(n), action=a - a.T,
+                              domain=None)
+
+
+def reference_exact(gen, u0, times):
+    """The per-time formula e^{tS} = Z R(t) Z^T in the weighted coordinates,
+    with R(t) assembled block by block from the real Schur form."""
+    sw = np.sqrt(gen.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    T, Z = sla.schur(S, output="real")
+    n = S.shape[0]
+    rows = []
+    for t in times:
+        R = np.eye(n)
+        i = 0
+        while i < n:
+            if i + 1 < n and abs(T[i + 1, i]) > 0.0:
+                ct, st = np.cos(T[i, i + 1] * t), np.sin(T[i, i + 1] * t)
+                R[i:i + 2, i:i + 2] = [[ct, st], [-st, ct]]
+                i += 2
+            else:
+                i += 1
+        rows.append((Z @ R @ Z.T @ (sw * u0)) / sw)
+    return np.array(rows)
+
+
+def reference_cayley(gen, u0, dt, nsteps):
+    """The dense Cayley loop through scipy's lu_solve."""
+    B = gen.dense_action()
+    lu = sla.lu_factor(np.eye(gen.dim) - (dt / 2.0) * B)
+    half = (dt / 2.0) * B
+    u, rows = np.asarray(u0, dtype=float), [u0]
+    for _ in range(nsteps):
+        u = sla.lu_solve(lu, u + half @ u)
+        rows.append(u)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +128,37 @@ def test_exact_flow_keeps_norm_for_skew_generators():
     _, gen, u0 = wrapped_generator()
     traj = evolve_exact(gen, u0, [0.1, 1.0, 10.0])
     np.testing.assert_allclose(traj.norms(), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0])
+def test_exact_skew_path_matches_the_per_time_formula(theta):
+    _, gen, u0 = wrapped_generator(n=256, theta=theta)
+    traj = evolve_exact(gen, u0, np.linspace(0.0, 2.0, 41))
+    assert traj.stepper_meta["schur_rotation"] is True
+    ref = reference_exact(gen, u0, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("gen", [weighted_ring(48, seed=3),
+                                 odd_skew(33, seed=4)],
+                         ids=["weighted", "odd"])
+def test_exact_skew_path_covers_weights_and_zero_modes(gen):
+    u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    traj = evolve_exact(gen, u0, np.linspace(0.0, 3.0, 25))
+    assert traj.stepper_meta["schur_rotation"] is True
+    ref = reference_exact(gen, u0, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-13
+
+
+def test_exact_skew_path_sorts_dedups_and_spans_row_blocks():
+    _, gen, u0 = wrapped_generator(n=32)
+    grid = np.linspace(0.0, 4.0, 2 * _ROW_BLOCK + 7)
+    times = np.random.default_rng(6).permutation(
+        np.concatenate([grid, grid[::5]]))
+    traj = evolve_exact(gen, u0, times)
+    np.testing.assert_array_equal(traj.times, grid)
+    ref = reference_exact(gen, u0, grid)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-13
 
 
 def test_exact_flow_handles_nonskew_by_expm():
@@ -127,6 +217,36 @@ def test_cayley_validates_inputs():
     op = minimal_derivative_operator(16)
     with pytest.raises(ValueError, match="extend the operator first"):
         evolve_cayley(op, u0, 0.1, 10)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.3])
+def test_dense_cayley_is_bit_identical_to_lu_solve_loop(theta):
+    op = minimal_derivative_operator(64)
+    ext = seam_extension(op, theta)
+    gen = (adjoint_generator(ext) if theta == 1.0 else
+           RestrictedOperator(space=ext.space, action=-ext.dense_action(),
+                              domain=None))
+    u0 = gaussian_profile(op.meta["grid"])
+    traj = evolve_cayley(gen, u0, 1e-2, 300)
+    assert np.array_equal(traj.states, reference_cayley(gen, u0, 1e-2, 300))
+
+
+def test_cayley_rejects_non_finite_input_and_singular_steps():
+    _, gen, u0 = wrapped_generator(n=16)
+    bad = u0.copy()
+    bad[3] = np.nan
+    sparse = RestrictedOperator(space=gen.space,
+                                action=sp.csr_matrix(gen.dense_action()),
+                                domain=None)
+    for g in (gen, sparse):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evolve_cayley(g, bad, 0.1, 5)
+    # E - dt/2 B = diag(0, 0.75) is exactly singular for dt = 0.5
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=np.diag([4.0, 1.0]), domain=None)
+    with pytest.warns(sla.LinAlgWarning), \
+            pytest.raises(ValueError, match="finite"):
+        evolve_cayley(b, np.ones(2), 0.5, 1)
 
 
 def test_cayley_contracts_for_dissipative_generators():

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewflow.operators import deficiency
 from skewflow.oracles import (
+    _bump,
+    _simpson,
     gaussian_profile,
     halfline_case,
     interval_shift_semigroup,
@@ -159,6 +161,23 @@ def test_left_witness_weak_identity_is_tiny():
     left = halfline_case("left")
     res = left.weak_identity_residual()
     assert res < 1e-8
+
+
+def test_simpson_rule_is_exact_on_cubics_and_matches_scipy():
+    from scipy.integrate import simpson
+
+    x = np.linspace(-1.0, 2.0, 7)
+    cubic = 2.0 * x**3 - x**2 + 3.0 * x - 5.0
+    # integral of the cubic over [-1, 2]: 7.5 - 3 + 4.5 - 15
+    assert _simpson(cubic, x) == pytest.approx(-6.0, rel=1e-14)
+    # the default grid of HalflineCase.weak_identity_residual, with its
+    # normalising integrand (the residual integrand itself cancels to 0)
+    xs = np.linspace(-12.0, 0.0, 9601)
+    v, dv = _bump(-6.0, -2.0)
+    for y in (np.exp(xs), np.exp(xs) * (np.abs(v(xs)) + np.abs(dv(xs)))):
+        assert _simpson(y, xs) == pytest.approx(simpson(y, x=xs), rel=1e-14)
+    with pytest.raises(ValueError, match="odd"):
+        _simpson(np.ones(8), np.linspace(0.0, 1.0, 8))
 
 
 def test_right_case_has_no_weak_identity():
