@@ -26,8 +26,8 @@ _cap_threads()
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,10 @@ from .weak import (
 
 class CliError(Exception):
     """Usage or input-format problem (exit code 1)."""
+
+
+# skewness and restriction defects above this fail a check
+_SKEW_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +146,6 @@ def write_residuals_csv(out_dir: Path, report) -> Path:
 # descriptor ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    command: str
-    input: Path
-    output_dir: Path
-    tolerances: dict = dc_field(default_factory=lambda: {
-        "rank_tol": 1e-8, "skew_tol": 1e-10, "gs_tol": 1e-5,
-    })
-    evolution: dict = dc_field(default_factory=lambda: {
-        "method": "cayley", "dt": 1e-3, "horizon": 2.0, "sample_stride": 1,
-    })
-    seed: int = 0
-    theta: float = 1.0
-    t0: float = 0.5
-
-
 def _finite_array(value, name: str) -> np.ndarray:
     """value as a float array; CliError unless it is numeric and finite."""
     try:
@@ -190,6 +178,9 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
     for key in ("operator", "space", "domain"):
         if key in raw and not isinstance(raw[key], dict):
             raise CliError(f'descriptor entry "{key}" must be an object')
+    label = raw.get("label", "matrix")
+    if not isinstance(label, str):
+        raise CliError('descriptor entry "label" must be a string')
     opdesc = raw["operator"]
     kind = opdesc.get("kind")
 
@@ -243,7 +234,7 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
         try:
             return RestrictedOperator(space=Space(dim=n, weights=w), action=M,
                                       domain=domain,
-                                      label=raw.get("label", "matrix"))
+                                      label=label)
         except ValueError as exc:
             raise CliError(f"bad matrix descriptor: {exc}")
 
@@ -283,11 +274,17 @@ def _forward_generator(op: RestrictedOperator) -> RestrictedOperator:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
-    skew = check_skew_symmetry(op, tol=cfg.tolerances["skew_tol"])
-    dd = deficiency(op, rank_tol=cfg.tolerances["rank_tol"])
-    rng = np.random.default_rng(cfg.seed)
+def _steps(args) -> tuple[float, int]:
+    """The step count nearest --horizon / --dt and the step that lands on
+    --horizon exactly."""
+    nsteps = max(1, int(round(args.horizon / args.dt)))
+    return args.horizon / nsteps, nsteps
+
+
+def cmd_analyze(args, op) -> tuple[int, dict]:
+    skew = check_skew_symmetry(op, tol=_SKEW_TOL)
+    dd = deficiency(op, rank_tol=args.rank_tol)
+    rng = np.random.default_rng(args.seed)
     M = op.dense_action()
     U = op.domain_basis()
     iso = 0.0
@@ -312,20 +309,19 @@ def cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if payload["pass"] else 2), payload
 
 
-def cmd_extend(cfg: RunConfig) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
-    theta = cfg.theta
+def cmd_extend(args, op) -> tuple[int, dict]:
+    theta = args.theta
     if "seam" in op.meta:
         ext = seam_extension(op, theta)
         route = "seam"
     else:
-        ext = extend(op, theta, rank_tol=cfg.tolerances["rank_tol"])
+        ext = extend(op, theta, rank_tol=args.rank_tol)
         route = "scalar-coupling"
-    skew = check_skew_symmetry(ext, tol=cfg.tolerances["skew_tol"])
+    skew = check_skew_symmetry(ext, tol=_SKEW_TOL)
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
     neg = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
                              domain=None, label=f"-({ext.label})")
-    mdiss = check_m_dissipative(neg, tol=1e-12, seed=cfg.seed)
+    mdiss = check_m_dissipative(neg, tol=1e-12, seed=args.seed)
     payload = {
         "command": "extend",
         "label": ext.label,
@@ -338,34 +334,29 @@ def cmd_extend(cfg: RunConfig) -> tuple[int, dict]:
                                    "pass": mdiss.passed},
     }
     if ext.is_full_domain and not op.is_full_domain:
-        V, leak = extension_coupling(op, ext,
-                                     rank_tol=cfg.tolerances["rank_tol"])
+        V, leak = extension_coupling(op, ext, rank_tol=args.rank_tol)
         payload["coupling_matrix"] = V
         payload["coupling_subspace_defect"] = leak
-    ok = (rdef <= cfg.tolerances["skew_tol"]
+    ok = (rdef <= _SKEW_TOL
           and (skew.passed if abs(abs(theta) - 1.0) < 1e-12 else mdiss.passed))
     payload["pass"] = bool(ok)
     return (0 if ok else 2), payload
 
 
-def cmd_evolve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
+def cmd_evolve(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         raise CliError("evolve needs a full-domain generator — "
                        "extend the operator first")
-    u0 = _default_u0(op, cfg.seed)
-    dt = cfg.evolution["dt"]
-    horizon = cfg.evolution["horizon"]
-    if cfg.evolution["method"] == "exact":
-        times = np.linspace(0.0, horizon, 65)
+    u0 = _default_u0(op, args.seed)
+    if args.method == "exact":
+        times = np.linspace(0.0, args.horizon, 65)
         traj = evolve_exact(op, u0, times)
     else:
-        nsteps = max(1, int(round(horizon / dt)))
-        traj = evolve_cayley(op, u0, horizon / nsteps, nsteps)
+        traj = evolve_cayley(op, u0, *_steps(args))
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     growth = float(np.max(norms) / norms[0])
-    write_trajectory_csv(out_dir, traj)
+    write_trajectory_csv(args.out, traj)
     payload = {
         "command": "evolve",
         "label": op.label,
@@ -383,23 +374,19 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return 0, payload
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
+def cmd_verify(args, op) -> tuple[int, dict]:
     gen = _forward_generator(op)
-    u0 = _default_u0(op, cfg.seed)
-    dt = cfg.evolution["dt"]
-    horizon = cfg.evolution["horizon"]
-    nsteps = max(1, int(round(horizon / dt)))
-    traj = evolve_cayley(gen, u0, horizon / nsteps, nsteps)
-    rep = gs_residual(traj, u0, op, tol=cfg.tolerances["gs_tol"],
-                      seed=cfg.seed)
-    write_residuals_csv(out_dir, rep)
+    u0 = _default_u0(op, args.seed)
+    dt, nsteps = _steps(args)
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    rep = gs_residual(traj, u0, op, tol=args.gs_tol, seed=args.seed)
+    write_residuals_csv(args.out, rep)
     payload = {
         "command": "verify",
         "label": op.label,
         "generator": gen.label,
-        "dt": float(horizon / nsteps),
-        "horizon": float(horizon),
+        "dt": float(dt),
+        "horizon": float(args.horizon),
         "max_residual": rep.max_residual,
         "quadrature_error_estimate": rep.quadrature_error_estimate,
         "tol": rep.tol,
@@ -409,33 +396,29 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return (0 if rep.passed else 2), payload
 
 
-def cmd_witness(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
+def cmd_witness(args, op) -> tuple[int, dict]:
     try:
-        wit = witness_nonuniqueness(op, tol=cfg.tolerances["rank_tol"])
+        wit = witness_nonuniqueness(op, tol=args.rank_tol)
     except ValueError as exc:
         payload = {"command": "witness", "label": op.label,
                    "unique": True, "message": str(exc), "pass": False}
         return 2, payload
     gen = _forward_generator(op)
-    dt = cfg.evolution["dt"]
-    horizon = cfg.evolution["horizon"]
-    nsteps = max(1, int(round(horizon / dt)))
-    times = (horizon / nsteps) * np.arange(nsteps + 1)
+    dt, nsteps = _steps(args)
+    times = dt * np.arange(nsteps + 1)
 
     wit_traj = wit.trajectory(times)
-    semi_traj = evolve_cayley(gen, wit.u0, horizon / nsteps, nsteps)
-    rep_w = gs_residual(wit_traj, wit.u0, op, tol=cfg.tolerances["gs_tol"],
-                        seed=cfg.seed)
-    rep_s = gs_residual(semi_traj, wit.u0, op, tol=cfg.tolerances["gs_tol"],
-                        seed=cfg.seed)
-    t_probe = min(1.0, horizon)
+    semi_traj = evolve_cayley(gen, wit.u0, dt, nsteps)
+    rep_w = gs_residual(wit_traj, wit.u0, op, tol=args.gs_tol, seed=args.seed)
+    rep_s = gs_residual(semi_traj, wit.u0, op, tol=args.gs_tol,
+                        seed=args.seed)
+    t_probe = min(1.0, args.horizon)
     d_at_1 = float(op.space.norm(wit_traj.sample(t_probe)
                                  - semi_traj.sample(t_probe)))
-    spl = splice(wit, gen, cfg.t0)
-    spl_traj = spl.trajectory(times, dt=horizon / nsteps)
+    spl = splice(wit, gen, args.t0)
+    spl_traj = spl.trajectory(times, dt=dt)
     d_splice = float(op.space.norm(spl_traj.final - wit_traj.final))
-    write_trajectory_csv(out_dir, wit_traj)
+    write_trajectory_csv(args.out, wit_traj)
     ok = rep_w.passed and rep_s.passed
     payload = {
         "command": "witness",
@@ -443,28 +426,27 @@ def cmd_witness(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "unique": False,
         "witness_residual": rep_w.max_residual,
         "semigroup_residual": rep_s.max_residual,
-        "tol": cfg.tolerances["gs_tol"],
+        "tol": args.gs_tol,
         "distance_at_t1": d_at_1,
-        "splice_t0": cfg.t0,
+        "splice_t0": args.t0,
         "splice_distance_at_horizon": d_splice,
         "pass": bool(ok),
     }
     return (0 if ok else 2), payload
 
 
-def cmd_multiplicity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
+def cmd_multiplicity(args, op) -> tuple[int, dict]:
     try:
-        demo = semigroup_multiplicity_demo(op, horizon=cfg.evolution["horizon"],
-                                           dt=cfg.evolution["dt"])
+        demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
+                                           dt=args.dt)
     except ValueError as exc:
         payload = {"command": "multiplicity", "label": op.label,
                    "message": str(exc), "pass": False}
         return 2, payload
-    rep_p = gs_residual(demo.traj_plus, demo.u0, op,
-                        tol=cfg.tolerances["gs_tol"], seed=cfg.seed)
-    rep_m = gs_residual(demo.traj_minus, demo.u0, op,
-                        tol=cfg.tolerances["gs_tol"], seed=cfg.seed)
+    rep_p = gs_residual(demo.traj_plus, demo.u0, op, tol=args.gs_tol,
+                        seed=args.seed)
+    rep_m = gs_residual(demo.traj_minus, demo.u0, op, tol=args.gs_tol,
+                        seed=args.seed)
     ok = demo.separation >= 0.1 and rep_p.passed and rep_m.passed
     payload = {
         "command": "multiplicity",
@@ -473,36 +455,33 @@ def cmd_multiplicity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "separation": demo.separation,
         "residual_plus": rep_p.max_residual,
         "residual_minus": rep_m.max_residual,
-        "tol": cfg.tolerances["gs_tol"],
+        "tol": args.gs_tol,
         "pass": bool(ok),
     }
     return (0 if ok else 2), payload
 
 
-def cmd_transport_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    op = parse_operator_descriptor(cfg.input)
+def cmd_transport_run(args, op) -> tuple[int, dict]:
     if op.meta.get("kind") != "transport":
         raise CliError("transport-run expects an operator of kind transport")
     if not op.is_full_domain:
         raise CliError("transport-run drives the periodic_full mode")
     gen = adjoint_generator(op)
-    u0 = _default_u0(op, cfg.seed)
-    dt = cfg.evolution["dt"]
-    horizon = cfg.evolution["horizon"]
-    nsteps = max(1, int(round(horizon / dt)))
-    traj = evolve_cayley(gen, u0, horizon / nsteps, nsteps)
+    u0 = _default_u0(op, args.seed)
+    dt, nsteps = _steps(args)
+    traj = evolve_cayley(gen, u0, dt, nsteps)
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     area = op.space.weights[0]
     mass = area * traj.states.sum(axis=1)
     mass_drift = float(np.max(np.abs(mass - mass[0])))
-    write_trajectory_csv(out_dir, traj)
+    write_trajectory_csv(args.out, traj)
     ok = drift <= 1e-8 and mass_drift <= 1e-8 * max(1.0, abs(float(mass[0])))
     payload = {
         "command": "transport-run",
         "label": op.label,
-        "dt": float(horizon / nsteps),
-        "horizon": float(horizon),
+        "dt": float(dt),
+        "horizon": float(args.horizon),
         "nsteps": nsteps,
         "energy_drift": drift,
         "mass_drift": mass_drift,
@@ -511,7 +490,7 @@ def cmd_transport_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     return (0 if ok else 2), payload
 
 
-def cmd_oracle_check(cfg: RunConfig) -> tuple[int, dict]:
+def cmd_oracle_check(args, op) -> tuple[int, dict]:
     checks = {}
     # twisted shifts: closed-form values at one full wrap
     n = 64
@@ -531,14 +510,14 @@ def cmd_oracle_check(cfg: RunConfig) -> tuple[int, dict]:
     # defect-direction angles against the exponentials
     angles = {}
     for m in (32, 64, 128):
-        op = minimal_derivative_operator(m)
-        dd = deficiency(op, rank_tol=cfg.tolerances["rank_tol"])
-        grid = op.meta["grid"]
+        model = minimal_derivative_operator(m)
+        dd = deficiency(model, rank_tol=args.rank_tol)
+        grid = model.meta["grid"]
         angles[str(m)] = {
             "n_minus_vs_exp": subspace_angle(dd.n_minus_basis[:, 0],
-                                             np.exp(grid), op.space),
+                                             np.exp(grid), model.space),
             "n_plus_vs_exp_neg": subspace_angle(dd.n_plus_basis[:, 0],
-                                                np.exp(-grid), op.space),
+                                                np.exp(-grid), model.space),
         }
     checks["defect_angles"] = angles
     a32 = max(angles["32"]["n_minus_vs_exp"], angles["32"]["n_plus_vs_exp_neg"])
@@ -560,42 +539,79 @@ def cmd_oracle_check(cfg: RunConfig) -> tuple[int, dict]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return x
+
+
+# argparse spec of every flag a command can take
+_FLAGS = {
+    "--input": dict(required=True, type=Path,
+                    help="operator descriptor (JSON)"),
+    "--out": dict(required=True, type=Path,
+                  help="output directory for report.json and CSVs"),
+    "--seed": dict(type=int, default=0),
+    "--rank-tol": dict(type=_positive_float, default=1e-8),
+    "--gs-tol": dict(type=_positive_float, default=1e-5),
+    "--dt": dict(type=_positive_float, default=1e-3),
+    "--horizon": dict(type=_positive_float, default=2.0),
+    "--method": dict(choices=("exact", "cayley"), default="cayley"),
+    "--theta": dict(type=_finite_float, required=True,
+                    help="coupling parameter in [-1, 1]"),
+    "--t0": dict(type=_finite_float, default=0.5,
+                 help="splice time for the spliced witness"),
+}
+
+# command -> (handler, help, the flags it reads besides --input/--out/--seed)
+COMMANDS = {
+    "analyze": (cmd_analyze, "skewness, defect dimensions, isometry probe",
+                ("--rank-tol",)),
+    "extend": (cmd_extend, "build and check a coupled extension (--theta)",
+               ("--theta", "--rank-tol")),
+    "evolve": (cmd_evolve, "time-step a full-domain generator",
+               ("--dt", "--horizon", "--method")),
+    "verify": (cmd_verify, "weak-identity residuals of the forward flow",
+               ("--dt", "--horizon", "--gs-tol")),
+    "witness": (cmd_witness,
+                "exponential witness vs contractive flow (--t0 splice)",
+                ("--dt", "--horizon", "--gs-tol", "--rank-tol", "--t0")),
+    "multiplicity": (cmd_multiplicity,
+                     "two maximal couplings from the same initial data",
+                     ("--dt", "--horizon", "--gs-tol")),
+    "transport-run": (cmd_transport_run,
+                      "conservation run for a transport operator",
+                      ("--dt", "--horizon")),
+    "oracle-check": (cmd_oracle_check,
+                     "closed-form self-checks (no operator needed)",
+                     ("--rank-tol",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="skewflow",
         description=__doc__.splitlines()[0] if __doc__ else None,
     )
     sub = p.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": "skewness, defect dimensions, isometry probe",
-        "extend": "build and check a coupled extension (--theta)",
-        "evolve": "time-step a full-domain generator",
-        "verify": "weak-identity residuals of the forward flow",
-        "witness": "exponential witness vs contractive flow (--t0 splice)",
-        "multiplicity": "two maximal couplings from the same initial data",
-        "transport-run": "conservation run for a transport operator",
-        "oracle-check": "closed-form self-checks (no operator needed)",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, own) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        common = ("--out", "--seed")
         if name != "oracle-check":
-            sp.add_argument("--input", required=True, type=Path,
-                            help="operator descriptor (JSON)")
-        sp.add_argument("--out", required=True, type=Path,
-                        help="output directory for report.json and CSVs")
-        sp.add_argument("--rank-tol", type=float, default=1e-8)
-        sp.add_argument("--gs-tol", type=float, default=1e-5)
-        sp.add_argument("--dt", type=float, default=1e-3)
-        sp.add_argument("--horizon", type=float, default=2.0)
-        sp.add_argument("--method", choices=("exact", "cayley"),
-                        default="cayley")
-        sp.add_argument("--seed", type=int, default=0)
-        if name == "extend":
-            sp.add_argument("--theta", type=float, required=True,
-                            help="coupling parameter in [-1, 1]")
-        if name == "witness":
-            sp.add_argument("--t0", type=float, default=0.5,
-                            help="splice time for the spliced witness")
+            common = ("--input",) + common
+        for flag in common + own:
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
@@ -608,67 +624,27 @@ def main(argv=None) -> int:
         # verification failures, so remap
         return 0 if exc.code in (0, None) else 1
 
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", Path(".")),
-        output_dir=args.out,
-        seed=args.seed,
-        theta=getattr(args, "theta", 1.0),
-        t0=getattr(args, "t0", 0.5),
-    )
-    cfg.tolerances["rank_tol"] = args.rank_tol
-    cfg.tolerances["gs_tol"] = args.gs_tol
-    cfg.evolution["dt"] = args.dt
-    cfg.evolution["horizon"] = args.horizon
-    cfg.evolution["method"] = args.method
-    if args.dt <= 0 or args.horizon <= 0:
-        print("error: --dt and --horizon must be positive", file=sys.stderr)
-        return 1
-    for key, value in cfg.tolerances.items():
-        if value <= 0:
-            print(f"error: tolerance {key} must be positive", file=sys.stderr)
-            return 1
-
-    out_dir = cfg.output_dir
+    handler = COMMANDS[args.command][0]
     try:
-        if cfg.command == "analyze":
-            code, payload = cmd_analyze(cfg)
-        elif cfg.command == "extend":
-            code, payload = cmd_extend(cfg)
-        elif cfg.command == "evolve":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            code, payload = cmd_evolve(cfg, out_dir)
-        elif cfg.command == "verify":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            code, payload = cmd_verify(cfg, out_dir)
-        elif cfg.command == "witness":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            code, payload = cmd_witness(cfg, out_dir)
-        elif cfg.command == "multiplicity":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            code, payload = cmd_multiplicity(cfg, out_dir)
-        elif cfg.command == "transport-run":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            code, payload = cmd_transport_run(cfg, out_dir)
-        elif cfg.command == "oracle-check":
-            code, payload = cmd_oracle_check(cfg)
-        else:  # pragma: no cover - argparse already rejects
-            raise CliError(f"unknown command {cfg.command!r}")
+        op = (parse_operator_descriptor(args.input)
+              if "input" in args else None)
+        args.out.mkdir(parents=True, exist_ok=True)
+        code, payload = handler(args, op)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # verification-level failure surfaced as an exception
-        payload = {"command": cfg.command, "error": str(exc), "pass": False}
-        write_report(out_dir, payload)
-        print(f"{cfg.command}: fail — {exc}", file=sys.stderr)
+        payload = {"command": args.command, "error": str(exc), "pass": False}
+        write_report(args.out, payload)
+        print(f"{args.command}: fail — {exc}", file=sys.stderr)
         return 2
 
-    payload["seed"] = cfg.seed
-    write_report(out_dir, payload)
+    payload["seed"] = args.seed
+    write_report(args.out, payload)
     status = "pass" if payload.get("pass", code == 0) else "fail"
     extra = payload.get("message", "")
-    line = f"{cfg.command}: {status}"
+    line = f"{args.command}: {status}"
     if extra:
         line += f" — {extra}"
     print(line)

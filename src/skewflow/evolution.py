@@ -146,7 +146,7 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     one factorization plus one GEMM per block of sample times. Anything
     else falls back to the scaled-and-squared dense exponential, one per
     sample time. Desk scale only: dimensions above a few thousand are
-    rejected.
+    rejected, and so is a non-finite u0 (ValueError).
     """
     _require_full_domain(gen)
     n = gen.dim
@@ -165,7 +165,7 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     scale = max(1.0, float(np.max(np.abs(S))))
     is_skew = float(np.max(np.abs(S + S.T))) <= 1e-12 * scale
 
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray_chkfinite(u0, dtype=float)
     v0 = sw * u0
     states = np.empty((ts.size, n))
     if is_skew:
@@ -177,6 +177,39 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     return Trajectory(times=ts, states=states, space=gen.space,
                       stepper_meta={"method": "exact",
                                     "schur_rotation": bool(is_skew)})
+
+
+def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
+                  nsteps: int):
+    """Yield the nsteps trapezoidal iterates of u, one new array per step.
+
+    E - dt/2 B is factorized once (SuperLU for sparse actions, dense LU
+    otherwise); a dense step is one matrix-vector product and one LAPACK
+    getrs, and raises ValueError on a nonzero info or the first state
+    that leaves the finite numbers (singular E - dt/2 B).
+    """
+    n = gen.dim
+    if sp.issparse(gen.action):
+        B = gen.action.tocsc()
+        lhs = (sp.identity(n, format="csc") - (dt / 2.0) * B)
+        lu = spla.splu(lhs)
+        half = (dt / 2.0) * B
+        for _ in range(nsteps):
+            u = lu.solve(u + half @ u)
+            yield u
+    else:
+        B = gen.dense_action()
+        lhs = np.eye(n) - (dt / 2.0) * B
+        lu, piv = sla.lu_factor(lhs)
+        half = (dt / 2.0) * B
+        for k in range(1, nsteps + 1):
+            u, info = dgetrs(lu, piv, u + half @ u, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"getrs: illegal value in argument {-info}")
+            if not np.isfinite(u).all():
+                raise ValueError(f"Cayley step {k} left the finite numbers "
+                                 "(is E - dt/2 B singular?)")
+            yield u
 
 
 def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
@@ -193,33 +226,11 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     _require_full_domain(gen)
     if dt <= 0 or nsteps < 1:
         raise ValueError("need dt > 0 and nsteps >= 1")
-    n = gen.dim
     u = np.asarray_chkfinite(u0, dtype=float)
-    states = np.empty((nsteps + 1, n))
+    states = np.empty((nsteps + 1, gen.dim))
     states[0] = u
-
-    if sp.issparse(gen.action):
-        B = gen.action.tocsc()
-        lhs = (sp.identity(n, format="csc") - (dt / 2.0) * B)
-        lu = spla.splu(lhs)
-        half = (dt / 2.0) * B
-        for k in range(1, nsteps + 1):
-            u = lu.solve(u + half @ u)
-            states[k] = u
-    else:
-        B = gen.dense_action()
-        lhs = np.eye(n) - (dt / 2.0) * B
-        lu, piv = sla.lu_factor(lhs)
-        half = (dt / 2.0) * B
-        for k in range(1, nsteps + 1):
-            u, info = dgetrs(lu, piv, u + half @ u, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"getrs: illegal value in argument {-info}")
-            if not np.isfinite(u).all():
-                raise ValueError(f"Cayley step {k} left the finite numbers "
-                                 "(is E - dt/2 B singular?)")
-            states[k] = u
-
+    for k, state in enumerate(_cayley_steps(gen, u, dt, nsteps), start=1):
+        states[k] = state
     return Trajectory(times=dt * np.arange(nsteps + 1), states=states,
                       space=gen.space,
                       stepper_meta={"method": "cayley", "dt": float(dt)})

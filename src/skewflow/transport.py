@@ -16,9 +16,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .evolution import adjoint_generator
+from .evolution import _cayley_steps, adjoint_generator
 from .operators import RestrictedOperator
 from .spaces import Space
 
@@ -244,18 +243,10 @@ def rotation_benchmark(n: int, dt: float, sigma: float = 0.12,
     nsteps = max(1, int(round(horizon / dt)))
     dt_eff = horizon / nsteps
 
-    B = gen.action.tocsc()
-    m = grid.ncells
-    lhs = sp.identity(m, format="csc") - (dt_eff / 2.0) * B
-    lu = spla.splu(lhs)
-    half = (dt_eff / 2.0) * B
-
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
-    u = u0.copy()
     drift = 0.0
-    for _ in range(nsteps):
-        u = lu.solve(u + half @ u)
+    for u in _cayley_steps(gen, u0, dt_eff, nsteps):
         drift = max(drift, abs(float(np.sqrt(area * np.dot(u, u))) - norm0))
     final_error = float(np.sqrt(area * np.dot(u - u0, u - u0))) / norm0
     return {

@@ -108,6 +108,8 @@ def test_parse_transport_descriptor_resolves_stream_path(tmp_path):
      "space": {"weights": [1.0, -1.0]}},
     {"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
      "domain": {"mode": "columns", "columns": [[1.0, float("nan")]]}},
+    *({"operator": {"kind": "matrix", "data": [[0.0, 1.0], [-1.0, 0.0]]},
+       "label": label} for label in (5, [1], {"a": 1}, None)),
 ])
 def test_parse_rejects_malformed_descriptors(tmp_path, payload):
     from skewflow.cli import CliError
@@ -283,3 +285,26 @@ def test_negative_dt_is_a_usage_error(tmp_path, minimal_desc):
     code = main(["verify", "--input", minimal_desc,
                  "--out", str(tmp_path / "out"), "--dt", "-1.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--horizon", "inf"],
+    ["verify", "--gs-tol", "nan"],
+    ["verify", "--dt", "nan"],
+    ["analyze", "--rank-tol", "nan"],
+    ["witness", "--t0", "nan"],
+    ["extend", "--theta", "nan"],
+    ["evolve", "--horizon", "two"],
+    # flags a command does not read are not accepted
+    ["analyze", "--method", "exact"],
+    ["multiplicity", "--rank-tol", "0.5"],
+    ["verify", "--method", "exact"],
+], ids=" ".join)
+def test_bad_flag_values_are_usage_errors(tmp_path, minimal_desc, capsys,
+                                          argv):
+    out = tmp_path / "out"
+    code = main([*argv, "--input", minimal_desc, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()

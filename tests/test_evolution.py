@@ -171,6 +171,16 @@ def test_exact_flow_handles_nonskew_by_expm():
     assert traj.stepper_meta["schur_rotation"] is False
 
 
+@pytest.mark.parametrize("action", [[[0.0, -1.0], [1.0, 0.0]],
+                                    [[-1.0, 0.0], [0.0, -2.0]]],
+                         ids=["schur", "expm"])
+def test_exact_flow_rejects_non_finite_initial_data(action):
+    b = RestrictedOperator(space=Space.euclidean(2), action=np.array(action),
+                           domain=None)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        evolve_exact(b, [np.nan, 1.0], [1.0])
+
+
 def test_exact_flow_requires_full_domain():
     op = minimal_derivative_operator(16)
     with pytest.raises(ValueError, match="extend the operator first"):
