@@ -69,6 +69,8 @@ class CliError(Exception):
 
 # skewness and restriction defects above this fail a check
 _SKEW_TOL = 1e-10
+# most floats one stored trajectory may hold: (steps + 1) x dim, 256 MiB
+_MAX_STATE_FLOATS = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +276,15 @@ def _forward_generator(op: RestrictedOperator) -> RestrictedOperator:
 # commands
 # ---------------------------------------------------------------------------
 
-def _steps(args) -> tuple[float, int]:
+def _steps(args, dim: int) -> tuple[float, int]:
     """The step count nearest --horizon / --dt and the step that lands on
-    --horizon exactly."""
-    nsteps = max(1, int(round(args.horizon / args.dt)))
+    --horizon exactly. A run whose stored states would exceed
+    _MAX_STATE_FLOATS is a usage error, raised before anything is built."""
+    ratio = args.horizon / args.dt
+    if (ratio + 1.0) * dim > _MAX_STATE_FLOATS:
+        raise CliError(f"--horizon / --dt = {ratio:.3g} steps of a "
+                       f"{dim}-vector exceeds {_MAX_STATE_FLOATS} stored floats")
+    nsteps = max(1, int(round(ratio)))
     return args.horizon / nsteps, nsteps
 
 
@@ -286,10 +293,9 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
     dd = deficiency(op, rank_tol=args.rank_tol)
     rng = np.random.default_rng(args.seed)
     M = op.dense_action()
-    U = op.domain_basis()
     iso = 0.0
     for _ in range(32):
-        u = U @ rng.standard_normal(U.shape[1])
+        u = op.domain_vector(rng.standard_normal(op.domain_dim))
         mu = M @ u
         iso = max(iso, abs(op.space.norm(u + mu) - op.space.norm(u - mu))
                   / op.space.norm(u))
@@ -333,7 +339,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
         "m_dissipative_negative": {"form_max": mdiss.form_max,
                                    "pass": mdiss.passed},
     }
-    if ext.is_full_domain and not op.is_full_domain:
+    if not op.is_full_domain:
         V, leak = extension_coupling(op, ext, rank_tol=args.rank_tol)
         payload["coupling_matrix"] = V
         payload["coupling_subspace_defect"] = leak
@@ -352,7 +358,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
         times = np.linspace(0.0, args.horizon, 65)
         traj = evolve_exact(op, u0, times)
     else:
-        traj = evolve_cayley(op, u0, *_steps(args))
+        traj = evolve_cayley(op, u0, *_steps(args, op.dim))
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     growth = float(np.max(norms) / norms[0])
@@ -375,9 +381,9 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 
 
 def cmd_verify(args, op) -> tuple[int, dict]:
+    dt, nsteps = _steps(args, op.dim)
     gen = _forward_generator(op)
     u0 = _default_u0(op, args.seed)
-    dt, nsteps = _steps(args)
     traj = evolve_cayley(gen, u0, dt, nsteps)
     rep = gs_residual(traj, u0, op, tol=args.gs_tol, seed=args.seed)
     write_residuals_csv(args.out, rep)
@@ -397,6 +403,7 @@ def cmd_verify(args, op) -> tuple[int, dict]:
 
 
 def cmd_witness(args, op) -> tuple[int, dict]:
+    dt, nsteps = _steps(args, op.dim)
     try:
         wit = witness_nonuniqueness(op, tol=args.rank_tol)
     except ValueError as exc:
@@ -404,7 +411,6 @@ def cmd_witness(args, op) -> tuple[int, dict]:
                    "unique": True, "message": str(exc), "pass": False}
         return 2, payload
     gen = _forward_generator(op)
-    dt, nsteps = _steps(args)
     times = dt * np.arange(nsteps + 1)
 
     wit_traj = wit.trajectory(times)
@@ -436,6 +442,7 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 
 
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
+    _steps(args, op.dim)  # the demo steps by --dt itself; this bounds it
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
                                            dt=args.dt)
@@ -466,9 +473,9 @@ def cmd_transport_run(args, op) -> tuple[int, dict]:
         raise CliError("transport-run expects an operator of kind transport")
     if not op.is_full_domain:
         raise CliError("transport-run drives the periodic_full mode")
+    dt, nsteps = _steps(args, op.dim)
     gen = adjoint_generator(op)
     u0 = _default_u0(op, args.seed)
-    dt, nsteps = _steps(args)
     traj = evolve_cayley(gen, u0, dt, nsteps)
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])

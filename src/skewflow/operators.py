@@ -16,12 +16,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import (
-    Space,
-    complement_basis,
-    orthonormalize,
-    project_onto,
-)
+from .spaces import Space, complement_basis, orthonormalize, project_onto
 
 
 def _dense(action) -> np.ndarray:
@@ -83,6 +78,12 @@ class RestrictedOperator:
             return self.domain
         return np.diag(1.0 / np.sqrt(self.space.weights))
 
+    def domain_vector(self, coords: np.ndarray) -> np.ndarray:
+        """domain_basis() @ coords, without forming the basis if full."""
+        if self.domain is not None:
+            return self.domain @ coords
+        return coords * (1.0 / np.sqrt(self.space.weights))
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.action @ u
 
@@ -90,8 +91,7 @@ class RestrictedOperator:
         return _dense(self.action)
 
     def random_domain_vector(self, rng: np.random.Generator) -> np.ndarray:
-        U = self.domain_basis()
-        u = U @ rng.standard_normal(U.shape[1])
+        u = self.domain_vector(rng.standard_normal(self.domain_dim))
         return u / self.space.norm(u)
 
 
@@ -316,9 +316,13 @@ def extend(op: RestrictedOperator,
     tol), acts on each added direction as prescribed by the coupling, and
     is skew exactly when the coupling is inner (singular values all 1);
     strict contractions yield operators whose negative is dissipative.
-    Raises when the added directions fail to enlarge the domain
-    ("extension domain not dense") — for some models particular couplings
-    are genuinely degenerate and no extension exists along them.
+    The result is always a full-domain operator: the old domain and the
+    d_plus added directions must make up the whole space, and a defect
+    pair with more directions than that (E + M not injective on the
+    domain) raises ValueError. Also raises when the added directions fail
+    to enlarge the domain ("extension domain not dense") — for some
+    models particular couplings are genuinely degenerate and no extension
+    exists along them.
     """
     if not isinstance(plan, ExtensionPlan):
         plan = ExtensionPlan(coupling=plan)
@@ -332,49 +336,33 @@ def extend(op: RestrictedOperator,
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
 
     U = op.domain_basis()
-    M = op.dense_action()
+    MU = op.dense_action() @ U
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    W_new = Np + Nm @ V
-    C_new = Np - Nm @ V
-    S = np.hstack([U, W_new])
+    S = np.hstack([U, Np + Nm @ V])
+    if S.shape[1] != op.dim:
+        raise ValueError(
+            f"defect pair ({d_p}, {d_m}) gives {S.shape[1]} domain directions "
+            f"in dimension {op.dim}; E + M is not injective on the domain"
+        )
 
     sv = np.linalg.svd(op.space.sqrt_scale(S), compute_uv=False)
-    if sv.size and sv[-1] <= 1e-10 * sv[0]:
+    if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
 
-    targets = np.hstack([M @ U, C_new])
-    n = op.dim
-    if S.shape[1] == n:
-        A_new = np.linalg.solve(S.T, targets.T).T
-        new_domain = None
-    else:
-        R = complement_basis(S, op.space, rank_tol=rank_tol)
-        S_full = np.hstack([S, R])
-        T_full = np.hstack([targets, np.zeros((n, R.shape[1]))])
-        A_new = np.linalg.solve(S_full.T, T_full.T).T
-        new_domain = S
-
-    rdef = 0.0
-    AU = A_new @ U
-    MU = M @ U
-    for j in range(U.shape[1]):
-        rdef = max(rdef, op.space.norm(AU[:, j] - MU[:, j]))
+    targets = np.hstack([MU, Np - Nm @ V])
+    ext = RestrictedOperator(
+        space=op.space,
+        action=np.linalg.solve(S.T, targets.T).T,
+        label=f"extend({op.label})" if op.label else "extend",
+        meta={"coupling": V, "base_label": op.label},
+    )
+    rdef = restriction_defect(ext, op)
     if rdef > max(tol, 1e-10) * (1.0 + float(np.max(np.abs(MU)))):
         raise ArithmeticError(
             f"assembled extension failed its restriction check ({rdef:.3e})"
         )
-
-    return RestrictedOperator(
-        space=op.space,
-        action=A_new,
-        domain=new_domain,
-        label=f"extend({op.label})" if op.label else "extend",
-        meta={
-            "coupling": V,
-            "restriction_defect": rdef,
-            "base_label": op.label,
-        },
-    )
+    ext.meta["restriction_defect"] = rdef
+    return ext
 
 
 def extension_coupling(op: RestrictedOperator,
@@ -394,18 +382,11 @@ def extension_coupling(op: RestrictedOperator,
     dd = deficiency(op, rank_tol=rank_tol)
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
     A = ext.dense_action()
-    n = op.dim
-    V = np.zeros((dd.d_minus, dd.d_plus))
-    defect = 0.0
-    EpA = np.eye(n) + A
-    for i in range(dd.d_plus):
-        g = np.linalg.solve(EpA, Np[:, i])
-        y = g - A @ g
-        coords = Nm.T @ op.space.gram_apply(y)
-        V[:, i] = coords
-        leak = y - Nm @ coords
-        defect = max(defect, op.space.norm(leak))
-    return V, defect
+    G = np.linalg.solve(np.eye(op.dim) + A, Np)
+    Y = G - A @ G
+    V = Nm.T @ (op.space.weights[:, None] * Y)
+    leak = op.space.norms(Y - Nm @ V)
+    return V, float(np.max(leak, initial=0.0))
 
 
 def seam_extension(op: RestrictedOperator, theta: float) -> RestrictedOperator:
@@ -513,8 +494,7 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
     if op.space.dim != n:
         raise ValueError("generator and operator live on different spaces")
     probes = rng.standard_normal((n, n_probe))
-    probes /= np.sqrt(np.einsum("ij,ij->j", probes * gen.space.weights[:, None],
-                                probes))[None, :]
+    probes /= gen.space.norms(probes)
     U = op.domain_basis()
     B = gen.dense_action()
     MU = op.dense_action() @ U
@@ -529,5 +509,4 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:
     """Largest W-norm of (A_ext - M) applied to op's domain basis columns."""
     U = op.domain_basis()
-    D = ext.apply(U) - op.apply(U)
-    return max(op.space.norm(D[:, j]) for j in range(U.shape[1]))
+    return float(np.max(op.space.norms(ext.apply(U) - op.apply(U))))

@@ -49,6 +49,11 @@ class Space:
         u = np.asarray(u, dtype=float)
         return float(np.sqrt(np.dot(u * self.weights, u)))
 
+    def norms(self, columns) -> np.ndarray:
+        """W-norm of each column of an (dim x k) array."""
+        a = np.asarray(columns, dtype=float)
+        return np.sqrt(np.einsum("ij,i,ij->j", a, self.weights, a))
+
     def gram_apply(self, u):
         """Return W u (useful for assembling adjoints and projections)."""
         return np.asarray(u, dtype=float) * self.weights
@@ -68,12 +73,14 @@ class Space:
 
 def orthonormalize(columns, space: Space, tol: float = 1e-10,
                    return_coeffs: bool = False):
-    """First-come pivoted modified Gram-Schmidt in the space's metric.
+    """First-come pivoted block Gram-Schmidt (CGS2) in the space's metric.
 
     Input columns are visited in order; a column whose residual after
     projection is <= tol * its original norm is dropped (first-come
-    pivoting: earlier columns always win). Two projection passes keep
-    the result orthonormal to ~1e-14 even for badly scaled inputs.
+    pivoting: earlier columns always win). Each column is projected
+    against the whole basis built so far in one block product, twice,
+    which keeps the result orthonormal to ~1e-14 even for badly scaled
+    inputs (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
 
     With return_coeffs=True also returns C with Q = columns @ C, so the
     same linear combinations can be replayed against a second family
@@ -83,30 +90,30 @@ def orthonormalize(columns, space: Space, tol: float = 1e-10,
     if X.ndim != 2:
         raise ValueError("expected a 2-d array of columns")
     n, m = X.shape
-    qs: list[np.ndarray] = []
-    cs: list[np.ndarray] = []
+    w = space.weights
+    Q = np.empty((n, m))
+    C = np.zeros((m, m))
+    k = 0
     for j in range(m):
         v = X[:, j].copy()
-        c = np.zeros(m)
-        c[j] = 1.0
         nrm0 = space.norm(v)
         if nrm0 == 0.0:
             continue
+        c = np.zeros(m)
+        c[j] = 1.0
         for _ in range(2):  # re-orthogonalization pass
-            for q, cq in zip(qs, cs):
-                r = space.inner(q, v)
-                v -= r * q
-                c -= r * cq
+            r = Q[:, :k].T @ (w * v)
+            v -= Q[:, :k] @ r
+            c -= C[:, :k] @ r
         nrm = space.norm(v)
         if nrm <= tol * nrm0:
             continue
-        qs.append(v / nrm)
-        cs.append(c / nrm)
-    Q = np.column_stack(qs) if qs else np.zeros((n, 0))
+        Q[:, k] = v / nrm
+        C[:, k] = c / nrm
+        k += 1
     if return_coeffs:
-        C = np.column_stack(cs) if cs else np.zeros((m, 0))
-        return Q, C
-    return Q
+        return Q[:, :k], C[:, :k]
+    return Q[:, :k]
 
 
 def rank_from_singular_values(s: np.ndarray, rank_tol: float) -> int:
@@ -129,13 +136,7 @@ def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
         X = X.reshape(space.dim, 0)
     if X.shape[0] != space.dim:
         raise ValueError("column length does not match space dimension")
-    B = space.sqrt_scale(X)
-    if B.shape[1] == 0:
-        N = space.unsqrt_scale(np.eye(space.dim))
-        if return_info:
-            return N, {"rank": 0, "singular_values": np.zeros(0)}
-        return N
-    U, s, _ = np.linalg.svd(B, full_matrices=True)
+    U, s, _ = np.linalg.svd(space.sqrt_scale(X), full_matrices=True)
     r = rank_from_singular_values(s, rank_tol)
     N = space.unsqrt_scale(U[:, r:])
     if return_info:

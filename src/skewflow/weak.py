@@ -109,18 +109,17 @@ def default_family(op: RestrictedOperator, horizon: float,
     """Half smooth low-frequency domain combinations, half seeded random
     ones, all unit W-norm. Smooth vectors keep the graph norms moderate;
     the random half guards against accidental orthogonality to the flow."""
-    U = op.domain_basis()
-    m = U.shape[1]
+    m = op.domain_dim
     rng = np.random.default_rng(seed)
     cols = []
     labels = []
     n_smooth = max(1, n_spatial // 2)
     idx = np.arange(1, m + 1) / (m + 1)
     for k in range(n_smooth):
-        cols.append(U @ np.sin(np.pi * (k + 1) * idx))
+        cols.append(op.domain_vector(np.sin(np.pi * (k + 1) * idx)))
         labels.append(f"sine{k + 1}")
     for k in range(n_spatial - n_smooth):
-        cols.append(U @ rng.standard_normal(m))
+        cols.append(op.domain_vector(rng.standard_normal(m)))
         labels.append(f"rand{k}")
     V = np.column_stack(cols)
     for j in range(V.shape[1]):

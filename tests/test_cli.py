@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,3 +309,39 @@ def test_bad_flag_values_are_usage_errors(tmp_path, minimal_desc, capsys,
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("horizon, dt", [("1e308", "1e-10"), ("1e9", "1e-3")],
+                         ids=["ratio-overflows", "ratio-finite"])
+@pytest.mark.parametrize("command", ["evolve", "verify", "witness",
+                                     "multiplicity", "transport-run"])
+def test_huge_step_counts_are_usage_errors(tmp_path, minimal_desc,
+                                           rotation_desc, capsys, command,
+                                           horizon, dt):
+    # 1e12 steps of even a 2-vector would not fit in memory; the guard must
+    # refuse before any trajectory is allocated
+    if command == "evolve":
+        desc = rotation_desc
+    elif command == "transport-run":
+        cells = lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        write_stream_file(tmp_path / "psi.csv", cells, Grid2D(nx=8, ny=8))
+        desc = write_descriptor(tmp_path / "t.json", {
+            "operator": {"kind": "transport", "stream": "psi.csv"}})
+    else:
+        desc = minimal_desc
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--input", desc, "--out", str(out),
+                     "--horizon", horizon, "--dt", dt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "stored floats" in lines[0]
+    assert captured.out == ""
+    assert not (out / "report.json").exists()
+    assert peak < 16 * 2**20

@@ -228,6 +228,36 @@ def test_coupling_roundtrip_reproduces_the_seam_matrix():
     assert np.max(np.abs(rebuilt.dense_action() - ext.dense_action())) < 1e-10
 
 
+def test_extension_coupling_matches_a_per_column_solve():
+    # one solve for all n_plus columns must reproduce one solve per column
+    op = minimal_derivative_operator(32)
+    dd = deficiency(op)
+    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
+    for ext in (seam_extension(op, 1.0), seam_extension(op, 0.5),
+                extend(op, ExtensionPlan(coupling=np.array([[0.3, -0.2],
+                                                            [0.1, 0.6]])))):
+        A = ext.dense_action()
+        V_ref = np.zeros((dd.d_minus, dd.d_plus))
+        leak_ref = 0.0
+        for i in range(dd.d_plus):
+            g = np.linalg.solve(np.eye(op.dim) + A, Np[:, i])
+            y = g - A @ g
+            V_ref[:, i] = Nm.T @ op.space.gram_apply(y)
+            leak_ref = max(leak_ref, op.space.norm(y - Nm @ V_ref[:, i]))
+        V, leak = extension_coupling(op, ext)
+        np.testing.assert_allclose(V, V_ref, rtol=0.0, atol=1e-13)
+        assert abs(leak - leak_ref) < 1e-13
+
+
+def test_extend_rejects_an_overcomplete_defect_pair():
+    # -E is not skew: E + M vanishes on the domain, so d_plus = 3 exceeds
+    # the codimension 1 and the coupled directions over-fill the space
+    op = RestrictedOperator(Space.euclidean(3), -np.eye(3),
+                            domain=np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match=r"defect pair \(3, 1\)"):
+        extend(op, np.zeros((1, 3)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=-0.95, max_value=0.95),
        st.integers(min_value=0, max_value=2**31))

@@ -75,6 +75,61 @@ def test_orthonormalize_is_weighted_orthonormal(n, seed):
     assert np.max(np.abs(gram - np.eye(q.shape[1]))) < 1e-9
 
 
+def reference_mgs(columns, space, tol=1e-10):
+    """Column-by-column modified Gram-Schmidt with two passes: the loop
+    the block CGS2 in orthonormalize replaced, kept as its reference.
+    Returns Q and the indices of the kept input columns."""
+    X = np.asarray(columns, dtype=float)
+    qs, kept = [], []
+    for j in range(X.shape[1]):
+        v = X[:, j].copy()
+        nrm0 = space.norm(v)
+        if nrm0 == 0.0:
+            continue
+        for _ in range(2):
+            for q in qs:
+                v -= space.inner(q, v) * q
+        nrm = space.norm(v)
+        if nrm <= tol * nrm0:
+            continue
+        qs.append(v / nrm)
+        kept.append(j)
+    return np.column_stack(qs), kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=12),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=2**31))
+def test_block_gram_schmidt_matches_the_reference_mgs(n, n_dep, seed):
+    rng = np.random.default_rng(seed)
+    s = Space(dim=n, weights=rng.uniform(0.2, 2.0, size=n))
+    n_ind = max(1, n // 2)
+    indep = rng.standard_normal((n, n_ind)) * 10.0 ** rng.uniform(-3, 3, n_ind)
+    # dependent columns (integer combinations of the independent ones seen
+    # so far, sometimes all-zero) injected at random positions after the
+    # first; first-come pivoting must drop exactly those
+    is_dep = rng.permutation([False] * (n_ind - 1) + [True] * n_dep)
+    cols, k = [indep[:, 0]], 1
+    for dep in is_dep:
+        if dep:
+            cols.append(indep[:, :k] @ rng.integers(-2, 3, k).astype(float))
+        else:
+            cols.append(indep[:, k])
+            k += 1
+    X = np.column_stack(cols)
+    expected = [0] + [i + 1 for i, dep in enumerate(is_dep) if not dep]
+
+    Q_ref, kept = reference_mgs(X, s)
+    Q, C = orthonormalize(X, s, return_coeffs=True)
+    assert kept == expected
+    # column k of C is supported up to the input column it was built from
+    assert [int(np.flatnonzero(c)[-1]) for c in C.T] == kept
+    assert Q.shape == Q_ref.shape
+    assert np.max(np.abs(Q - Q_ref)) < 1e-12
+    assert np.max(np.abs(X @ C - Q)) < 1e-12
+
+
 def test_complement_basis_dimensions_and_orthogonality():
     s = Space.uniform(9, 1.0 / 9)
     rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,11 @@ from skewflow.evolution import Trajectory, adjoint_generator, evolve_cayley
 from skewflow.operators import RestrictedOperator, extend, seam_extension
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
 from skewflow.spaces import Space
+from skewflow.transport import (
+    Grid2D,
+    build_transport_operator,
+    field_from_stream,
+)
 from skewflow.weak import (
     compare_solutions,
     default_family,
@@ -80,6 +87,23 @@ def test_residual_flags_wrong_dynamics():
     rep = gs_residual(wrong, u0, op)
     assert not rep.passed
     assert rep.max_residual > 1e-2
+
+
+def test_default_family_never_forms_a_dense_full_domain_basis():
+    # 64^2 periodic transport: a dense n x n basis would be 128 MiB, the
+    # six 4096-vectors of the family are 192 KiB
+    g = Grid2D(nx=64, ny=64)
+    op = build_transport_operator(field_from_stream(
+        g, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)))
+    tracemalloc.start()
+    try:
+        fam = default_family(op, horizon=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.spatial.shape == (op.dim, 6)
+    assert peak < 4 * 2**20
+    np.testing.assert_allclose(op.space.norms(fam.spatial), 1.0, rtol=1e-12)
 
 
 def test_residual_requires_vanishing_profile():
