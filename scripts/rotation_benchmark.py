@@ -19,16 +19,13 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=2000,
                     help="time steps per revolution at the first size; "
                     "doubles with each refinement")
-    ap.add_argument("--sigma", type=float, default=0.12)
-    ap.add_argument("--offset", type=float, default=0.15)
     args = ap.parse_args(argv)
 
     print(f"{'n':>5} {'steps':>7} {'final error':>12} {'drift':>10} {'ratio':>7}")
     prev = None
     steps = args.steps
     for n in args.n:
-        res = rotation_benchmark(n, 2.0 * np.pi / steps,
-                                 sigma=args.sigma, offset=args.offset)
+        res = rotation_benchmark(n, 2.0 * np.pi / steps)
         ratio = "" if prev is None else f"{prev / res['final_error']:.2f}"
         print(f"{n:>5} {res['steps']:>7} {res['final_error']:>12.5f} "
               f"{res['energy_drift']:>10.1e} {ratio:>7}")

@@ -48,7 +48,6 @@ _EXPORTS = {
     "witness_nonuniqueness": "weak",
     "splice": "weak",
     "semigroup_multiplicity_demo": "weak",
-    "compare_solutions": "weak",
     "Grid2D": "transport",
     "field_from_stream": "transport",
     "build_transport_operator": "transport",

@@ -2,11 +2,11 @@
 analyses and demos, emit machine-readable reports.
 
 Every command reads one JSON operator descriptor, writes report.json (plus
-trajectory.csv / residuals.csv where a time series or residual matrix is
-produced) into --out, and exits 0 when all requested checks passed, 2 on
-a verification failure, 1 on usage or format errors. Reports are written
-with sorted keys and fixed 17-significant-digit floats so identical
-(descriptor, options, seed) runs are byte-identical.
+trajectory.csv / separation.csv / residuals.csv where a time series or
+residual matrix is produced) into --out, and exits 0 when all requested
+checks passed, 2 on a verification failure, 1 on usage or format errors.
+Reports are written with sorted keys and fixed 17-significant-digit
+floats so identical (descriptor, options, seed) runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -118,21 +118,27 @@ def write_report(out_dir: Path, payload: dict) -> Path:
     return path
 
 
-def write_trajectory_csv(out_dir: Path, traj, max_rows: int = 512) -> Path:
-    stride = max(1, traj.times.size // max_rows)
-    idx = np.arange(0, traj.times.size, stride)
-    if idx[-1] != traj.times.size - 1:
-        idx = np.append(idx, traj.times.size - 1)
-    norms = traj.norms()[idx]
-    rows = np.column_stack([traj.times[idx], norms, traj.states[idx]])
-    path = out_dir / "trajectory.csv"
-    ncomp = traj.states.shape[1]
-    header = "t,norm," + ",".join(f"c{j}" for j in range(ncomp))
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """One header line, then each row's floats at 17 significant digits."""
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(format(v, ".17g") for v in row) + "\n")
     return path
+
+
+def write_trajectory_csv(out_dir: Path, traj) -> Path:
+    """Time, norm and state of every (size // 512)-th sample (every one
+    for short runs) plus the last: at most 1023 rows."""
+    stride = max(1, traj.times.size // 512)
+    idx = np.arange(0, traj.times.size, stride)
+    if idx[-1] != traj.times.size - 1:
+        idx = np.append(idx, traj.times.size - 1)
+    norms = traj.norms()[idx]
+    rows = np.column_stack([traj.times[idx], norms, traj.states[idx]])
+    ncomp = traj.states.shape[1]
+    header = "t,norm," + ",".join(f"c{j}" for j in range(ncomp))
+    return _write_csv(out_dir / "trajectory.csv", header, rows)
 
 
 def write_residuals_csv(out_dir: Path, report) -> Path:
@@ -291,14 +297,12 @@ def _steps(args, dim: int) -> tuple[float, int]:
 def cmd_analyze(args, op) -> tuple[int, dict]:
     skew = check_skew_symmetry(op, tol=_SKEW_TOL)
     dd = deficiency(op, rank_tol=args.rank_tol)
+    # 32 seeded domain probes u: | |u + Mu| - |u - Mu| | / |u|
     rng = np.random.default_rng(args.seed)
-    M = op.dense_action()
-    iso = 0.0
-    for _ in range(32):
-        u = op.domain_vector(rng.standard_normal(op.domain_dim))
-        mu = M @ u
-        iso = max(iso, abs(op.space.norm(u + mu) - op.space.norm(u - mu))
-                  / op.space.norm(u))
+    U = op.domain_vector(rng.standard_normal((32, op.domain_dim)).T)
+    MU = op.dense_action() @ U
+    norms = op.space.norms
+    iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
     payload = {
         "command": "analyze",
         "label": op.label,
@@ -353,12 +357,12 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         raise CliError("evolve needs a full-domain generator — "
                        "extend the operator first")
+    dt, nsteps = _steps(args, op.dim)
     u0 = _default_u0(op, args.seed)
     if args.method == "exact":
-        times = np.linspace(0.0, args.horizon, 65)
-        traj = evolve_exact(op, u0, times)
+        traj = evolve_exact(op, u0, dt * np.arange(nsteps + 1))
     else:
-        traj = evolve_cayley(op, u0, *_steps(args, op.dim))
+        traj = evolve_cayley(op, u0, dt, nsteps)
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     growth = float(np.max(norms) / norms[0])
@@ -367,7 +371,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
         "command": "evolve",
         "label": op.label,
         "method": traj.stepper_meta["method"],
-        "dt": traj.stepper_meta.get("dt", 0.0),
+        "dt": dt,
         "horizon": float(traj.times[-1]),
         "nsteps": traj.nsteps,
         "norm_initial": float(norms[0]),
@@ -442,7 +446,7 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 
 
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
-    _steps(args, op.dim)  # the demo steps by --dt itself; this bounds it
+    _steps(args, op.dim)  # the demo takes the same steps; this bounds them
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
                                            dt=args.dt)
@@ -454,6 +458,8 @@ def cmd_multiplicity(args, op) -> tuple[int, dict]:
                         seed=args.seed)
     rep_m = gs_residual(demo.traj_minus, demo.u0, op, tol=args.gs_tol,
                         seed=args.seed)
+    _write_csv(args.out / "separation.csv", "t,separation",
+               np.column_stack([demo.traj_plus.times, demo.distances]))
     ok = demo.separation >= 0.1 and rep_p.passed and rep_m.passed
     payload = {
         "command": "multiplicity",

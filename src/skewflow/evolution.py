@@ -24,7 +24,6 @@ Cost model (n = dimension, T = number of sample times or steps):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,10 +69,6 @@ class Trajectory:
     @property
     def nsteps(self) -> int:
         return self.times.size - 1
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
 
     @property
     def final(self) -> np.ndarray:
@@ -247,9 +242,3 @@ def adjoint_generator(gen: RestrictedOperator) -> RestrictedOperator:
     return RestrictedOperator(space=gen.space, action=A, domain=None,
                               label=f"adjoint({gen.label})" if gen.label
                               else "adjoint", meta=dict(gen.meta))
-
-
-def adjoint_trajectory(gen: RestrictedOperator, u0, dt: float,
-                       nsteps: int) -> Trajectory:
-    """Cayley-step the adjoint flow u' = B* u (for duality experiments)."""
-    return evolve_cayley(adjoint_generator(gen), u0, dt, nsteps)

@@ -10,7 +10,7 @@ exponential witness identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +50,7 @@ def minimal_derivative_operator(n: int) -> RestrictedOperator:
         raise ValueError("n >= 8 required for a meaningful defect structure")
     h = 1.0 / n
     x = np.arange(n) * h
-    space = Space.uniform(n, h, label=f"wrapped-grid({n})")
+    space = Space.uniform(n, h)
     M = np.zeros((n, n))
     c = 1.0 / (2.0 * h)
     for j in range(n):
@@ -103,12 +103,6 @@ def interval_shift_semigroup(theta: float, t: float, u0_samples) -> np.ndarray:
     return (1.0 - frac) * shifted(k0) + frac * shifted(k0 + 1)
 
 
-def interval_shift_states(theta: float, times, u0_samples) -> np.ndarray:
-    """Stack interval_shift_semigroup over a time grid (rows are states)."""
-    return np.vstack([interval_shift_semigroup(theta, float(t), u0_samples)
-                      for t in np.asarray(times, dtype=float)])
-
-
 # ---------------------------------------------------------------------------
 # half-line cases (analytic only)
 # ---------------------------------------------------------------------------
@@ -157,7 +151,6 @@ class HalflineCase:
     d_minus: int
     defect: Callable[[np.ndarray], np.ndarray]
     witness: Optional[Callable[[np.ndarray], np.ndarray]]
-    notes: str = ""
 
     def evolve(self, t: float, f: Callable) -> Callable:
         """Minimal contractive flow: (T_t f)(x) = f(x + t).
@@ -185,25 +178,21 @@ class HalflineCase:
             return out
         return Tf
 
-    def weak_identity_residual(self, bumps=None, n_nodes: int = 9601,
-                               lower: float = -12.0) -> float:
+    def weak_identity_residual(self) -> float:
         """Quadrature check that the exponential witness kills the weak form.
 
         For the left case the witness u0 = sqrt(2) e^{x} makes u = e^t u0 a
         generalized solution, and against any smooth compactly supported v
         the whole space-time identity telescopes down to
         integral e^{x} (v(x) + v'(x)) dx = 0. This evaluates that integral
-        with composite Simpson on a dense grid of n_nodes (odd) nodes and
-        returns the largest relative residual over a default family of
-        bumps.
+        with composite Simpson on 9601 nodes of [-12, 0] and returns the
+        largest relative residual over three bumps.
         """
         if self.side != "left":
             raise ValueError("the exponential witness lives on the left case")
-        if bumps is None:
-            bumps = [(-4.0, -0.5), (-6.0, -2.0), (-9.0, -3.0)]
-        xs = np.linspace(lower, 0.0, n_nodes)
+        xs = np.linspace(-12.0, 0.0, 9601)
         worst = 0.0
-        for (a, b) in bumps:
+        for (a, b) in [(-4.0, -0.5), (-6.0, -2.0), (-9.0, -3.0)]:
             v, dv = _bump(a, b)
             integrand = np.exp(xs) * (v(xs) + dv(xs))
             scale = _simpson(np.exp(xs) * (np.abs(v(xs)) + np.abs(dv(xs))), xs)
@@ -220,8 +209,6 @@ def halfline_case(side: str) -> HalflineCase:
             d_minus=0,
             defect=lambda x: np.sqrt(2.0) * np.exp(-np.asarray(x, dtype=float)),
             witness=None,
-            notes=("no minus-side defect direction: the zero-filled shift is "
-                   "the only bounded forward solution"),
         )
     if side == "left":
         w = lambda x: np.sqrt(2.0) * np.exp(np.asarray(x, dtype=float))
@@ -231,8 +218,5 @@ def halfline_case(side: str) -> HalflineCase:
             d_minus=1,
             defect=w,
             witness=w,
-            notes=("sqrt(2) e^{x} is a unit-norm exponential witness: "
-                   "e^{t} times it solves the forward problem alongside the "
-                   "contractive shift, so bounded solutions are non-unique"),
         )
     raise ValueError("side must be 'right' or 'left'")

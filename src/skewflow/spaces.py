@@ -21,7 +21,6 @@ class Space:
 
     dim: int
     weights: np.ndarray = field(repr=False)
-    label: str = ""
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -32,13 +31,13 @@ class Space:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def euclidean(cls, dim: int, label: str = "") -> "Space":
-        return cls(dim=dim, weights=np.ones(dim), label=label)
+    def euclidean(cls, dim: int) -> "Space":
+        return cls(dim=dim, weights=np.ones(dim))
 
     @classmethod
-    def uniform(cls, dim: int, h: float, label: str = "") -> "Space":
+    def uniform(cls, dim: int, h: float) -> "Space":
         """Uniform quadrature weight h on every node (wrapped-grid rule)."""
-        return cls(dim=dim, weights=np.full(dim, float(h)), label=label)
+        return cls(dim=dim, weights=np.full(dim, float(h)))
 
     def inner(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
@@ -54,21 +53,12 @@ class Space:
         a = np.asarray(columns, dtype=float)
         return np.sqrt(np.einsum("ij,i,ij->j", a, self.weights, a))
 
-    def gram_apply(self, u):
-        """Return W u (useful for assembling adjoints and projections)."""
-        return np.asarray(u, dtype=float) * self.weights
-
     def sqrt_scale(self, columns):
         """Map a vector or a stack of columns into coordinates where the
         Gram is the identity."""
         a = np.asarray(columns, dtype=float)
         s = np.sqrt(self.weights)
         return s * a if a.ndim == 1 else s[:, None] * a
-
-    def unsqrt_scale(self, columns):
-        a = np.asarray(columns, dtype=float)
-        s = np.sqrt(self.weights)
-        return a / s if a.ndim == 1 else a / s[:, None]
 
 
 def orthonormalize(columns, space: Space, tol: float = 1e-10,
@@ -116,14 +106,6 @@ def orthonormalize(columns, space: Space, tol: float = 1e-10,
     return Q[:, :k]
 
 
-def rank_from_singular_values(s: np.ndarray, rank_tol: float) -> int:
-    """Numerical rank: singular values above rank_tol * s_max."""
-    s = np.asarray(s, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
-
-
 def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
                      return_info: bool = False):
     """Orthonormal basis (in the space metric) of span(columns)^perp.
@@ -137,8 +119,9 @@ def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
     if X.shape[0] != space.dim:
         raise ValueError("column length does not match space dimension")
     U, s, _ = np.linalg.svd(space.sqrt_scale(X), full_matrices=True)
-    r = rank_from_singular_values(s, rank_tol)
-    N = space.unsqrt_scale(U[:, r:])
+    # numerical rank: singular values above rank_tol * s_max
+    r = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
+    N = U[:, r:] / np.sqrt(space.weights)[:, None]
     if return_info:
         return N, {"rank": r, "singular_values": s}
     return N
@@ -151,12 +134,3 @@ def subspace_angle(u, v, space: Space) -> float:
         raise ValueError("angle with the zero vector is undefined")
     c = abs(space.inner(u, v)) / (nu * nv)
     return float(np.arccos(min(1.0, c)))
-
-
-def project_onto(columns, u, space: Space):
-    """Projection of u onto span(columns); columns assumed W-orthonormal."""
-    X = np.asarray(columns, dtype=float)
-    if X.size == 0:
-        return np.zeros_like(np.asarray(u, dtype=float))
-    coeff = X.T @ space.gram_apply(u)
-    return X @ coeff

@@ -18,10 +18,9 @@ dimensionless and compare across families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .evolution import Trajectory, evolve_cayley
 from .operators import (
@@ -235,7 +234,6 @@ class ExponentialWitness:
 
     u0: np.ndarray
     op: RestrictedOperator
-    basis: np.ndarray
 
     def sample(self, t):
         t = np.asarray(t, dtype=float)
@@ -262,8 +260,7 @@ def witness_nonuniqueness(op: RestrictedOperator,
             "forward problem unique: the minus defect space is trivial, "
             "so no exponential witness exists"
         )
-    u0 = dd.n_minus_basis[:, 0]
-    return ExponentialWitness(u0=u0, op=op, basis=dd.n_minus_basis)
+    return ExponentialWitness(u0=dd.n_minus_basis[:, 0], op=op)
 
 
 @dataclass
@@ -323,12 +320,12 @@ class MultiplicityDemo:
     traj_plus: Trajectory
     traj_minus: Trajectory
     separation: float
+    distances: np.ndarray
     u0: np.ndarray
     labels: tuple = ("theta=+1", "theta=-1")
 
 
 def semigroup_multiplicity_demo(op: RestrictedOperator,
-                                u0: Optional[np.ndarray] = None,
                                 horizon: float = 2.0,
                                 dt: float = 1e-3) -> MultiplicityDemo:
     """Run the two opposite maximal couplings from the same initial data.
@@ -336,10 +333,13 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
     Operators carrying seam metadata get the closed-form seam couplings
     (theta = +1 and theta = -1), whose flows are the twisted shifts;
     otherwise the generic scalar couplings +1 and -1 through the defect
-    pair are assembled. separation is the largest W-distance between the
-    two trajectories over the run, relative to the initial norm — any
-    clearly nonzero value exhibits two distinct contractive solutions of
-    the same forward problem.
+    pair are assembled. Both start from the unit-norm Gaussian on the
+    model grid (else the first domain basis vector) and take the
+    round(horizon / dt) steps that land on the horizon exactly.
+    distances is the W-distance between the two trajectories at each
+    stored time, relative to the initial norm, and separation its
+    largest value — any clearly nonzero value exhibits two distinct
+    contractive solutions of the same forward problem.
     """
     dd = deficiency(op)
     if dd.d_plus == 0 or dd.d_minus == 0:
@@ -354,15 +354,14 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
         ext_p = extend(op, +1.0)
         ext_m = extend(op, -1.0)
 
-    if u0 is None:
-        if "grid" in op.meta:
-            u0 = gaussian_profile(op.meta["grid"])
-        else:
-            u0 = op.domain_basis()[:, 0].copy()
-    u0 = np.asarray(u0, dtype=float)
+    if "grid" in op.meta:
+        u0 = gaussian_profile(op.meta["grid"])
+    else:
+        u0 = op.domain_basis()[:, 0]
     u0 = u0 / op.space.norm(u0)
 
     nsteps = max(1, int(round(horizon / dt)))
+    dt = horizon / nsteps
     gens = []
     for ext in (ext_p, ext_m):
         gens.append(RestrictedOperator(space=ext.space, action=-ext.dense_action(),
@@ -376,28 +375,5 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
     labels = (("theta=+1", "theta=-1") if "seam" in op.meta
               else ("coupling=+1", "coupling=-1"))
     return MultiplicityDemo(traj_plus=tp, traj_minus=tm,
-                            separation=float(np.max(dists)), u0=u0,
-                            labels=labels)
-
-
-@dataclass
-class ComparisonReport:
-    times: np.ndarray
-    distances: np.ndarray
-    max_distance: float
-
-
-def compare_solutions(a, b, times) -> ComparisonReport:
-    """W-norm distances between two sample-able solutions at given times.
-
-    Accepts trajectories or anything with .sample(times); states are
-    interpolated linearly where the grids do not line up."""
-    times = np.asarray(times, dtype=float)
-    sa = a.sample(times)
-    sb = b.sample(times)
-    space = a.space if hasattr(a, "space") else b.space
-    diff = np.atleast_2d(sa - sb)
-    w = space.weights
-    dists = np.sqrt(np.einsum("kj,j,kj->k", diff, w, diff))
-    return ComparisonReport(times=times, distances=dists,
-                            max_distance=float(np.max(dists)))
+                            separation=float(np.max(dists)), distances=dists,
+                            u0=u0, labels=labels)

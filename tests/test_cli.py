@@ -345,3 +345,26 @@ def test_huge_step_counts_are_usage_errors(tmp_path, minimal_desc,
     assert captured.out == ""
     assert not (out / "report.json").exists()
     assert peak < 16 * 2**20
+
+
+def test_multiplicity_writes_the_separation_series(tmp_path, minimal_desc):
+    out = tmp_path / "out"
+    main(["multiplicity", "--input", minimal_desc, "--out", str(out),
+          "--horizon", "1.0", "--dt", "0.3"])
+    header, *rows = (out / "separation.csv").read_text().splitlines()
+    assert header == "t,separation"
+    series = np.array([[float(v) for v in r.split(",")] for r in rows])
+    assert series.shape == (round(1.0 / 0.3) + 1, 2)
+    assert series[0, 0] == 0.0
+    assert series[-1, 0] == pytest.approx(1.0, rel=1e-15)
+    assert series[:, 1].max() == read_report(out)["separation"]
+
+
+def test_evolve_exact_samples_on_the_dt_grid(tmp_path, rotation_desc):
+    out = tmp_path / "out"
+    assert main(["evolve", "--input", rotation_desc, "--out", str(out),
+                 "--method", "exact", "--dt", "0.5", "--horizon", "1"]) == 0
+    rep = read_report(out)
+    assert (rep["dt"], rep["nsteps"], rep["horizon"]) == (0.5, 2, 1.0)
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.5, 1.0]

@@ -7,7 +7,6 @@ from skewflow.evolution import (
     _ROW_BLOCK,
     Trajectory,
     adjoint_generator,
-    adjoint_trajectory,
     evolve_cayley,
     evolve_exact,
 )
@@ -293,12 +292,3 @@ def test_adjoint_generator_uses_the_weights():
     # (W^{-1} B^T W)_{01} = w1/w0 * B_{10}
     assert adj[0, 1] == pytest.approx(4.0 * 0.5 / 1.0)
     assert adj[1, 0] == pytest.approx(1.0 / 4.0)
-
-
-def test_adjoint_trajectory_matches_manual_loop():
-    op = minimal_derivative_operator(16)
-    ext = seam_extension(op, 1.0)
-    u0 = gaussian_profile(op.meta["grid"])
-    a = adjoint_trajectory(ext, u0, 1e-2, 50)
-    b = evolve_cayley(adjoint_generator(ext), u0, 1e-2, 50)
-    np.testing.assert_allclose(a.states, b.states, atol=1e-13)

@@ -242,7 +242,7 @@ def test_extension_coupling_matches_a_per_column_solve():
         for i in range(dd.d_plus):
             g = np.linalg.solve(np.eye(op.dim) + A, Np[:, i])
             y = g - A @ g
-            V_ref[:, i] = Nm.T @ op.space.gram_apply(y)
+            V_ref[:, i] = Nm.T @ (op.space.weights * y)
             leak_ref = max(leak_ref, op.space.norm(y - Nm @ V_ref[:, i]))
         V, leak = extension_coupling(op, ext)
         np.testing.assert_allclose(V, V_ref, rtol=0.0, atol=1e-13)
@@ -319,3 +319,21 @@ def test_domain_basis_is_weight_orthonormal():
     U = op.domain_basis()
     gram = U.T @ (op.space.weights[:, None] * U)
     assert np.max(np.abs(gram - np.eye(op.domain_dim))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_domain_vector_accepts_a_block_of_coordinates(k):
+    # a full domain with non-uniform weights: one coordinate column per
+    # probe, including the square block k == dim
+    w = np.array([0.5, 2.0, 4.0])
+    full = RestrictedOperator(space=Space(dim=3, weights=w),
+                              action=np.zeros((3, 3)), domain=None)
+    restricted = minimal_derivative_operator(16)
+    rng = np.random.default_rng(k)
+    for op in (full, restricted):
+        C = rng.standard_normal((op.domain_dim, k))
+        np.testing.assert_array_equal(op.domain_vector(C),
+                                      op.domain_basis() @ C)
+        for j in range(k):
+            np.testing.assert_array_equal(op.domain_vector(C)[:, j],
+                                          op.domain_vector(C[:, j]))

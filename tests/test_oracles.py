@@ -9,7 +9,6 @@ from skewflow.oracles import (
     gaussian_profile,
     halfline_case,
     interval_shift_semigroup,
-    interval_shift_states,
     minimal_derivative_operator,
 )
 from skewflow.spaces import subspace_angle
@@ -110,15 +109,6 @@ def test_shift_preserves_sup_norm_bound(t, theta):
     u0 = gaussian_profile(np.arange(n) / n)
     got = interval_shift_semigroup(theta, float(t), u0)
     assert np.max(np.abs(got)) <= np.max(np.abs(u0)) + 1e-12
-
-
-def test_interval_shift_states_stacks_times():
-    n = 16
-    u0 = gaussian_profile(np.arange(n) / n)
-    states = interval_shift_states(1.0, [0.0, 0.5, 1.0], u0)
-    assert states.shape == (3, n)
-    np.testing.assert_allclose(states[0], u0)
-    np.testing.assert_allclose(states[2], u0, atol=1e-13)
 
 
 def test_shift_validates_arguments():

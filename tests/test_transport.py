@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,3 +195,30 @@ def test_stream_file_rejects_wrong_shape(tmp_path):
     g = Grid2D(nx=8, ny=8)
     with pytest.raises(ValueError):
         write_stream_file(tmp_path / "x.csv", np.zeros((3, 3)), g)
+
+
+def test_forward_flow_carries_data_against_the_face_velocity():
+    # psi = y gives the face velocity ax = dpsi/dy = 1; the forward flow
+    # (metric adjoint of the stencil) carries u0 to u0(x + t), so the blob
+    # moves towards smaller x
+    grid = Grid2D(32, 32)
+    fld = field_from_stream(grid, lambda x, y: y + 0.0 * x)
+    np.testing.assert_allclose(fld.ax, 1.0, rtol=1e-12)
+    op = build_transport_operator(fld)
+    u0 = gaussian_blob(grid, (0.65, 0.5), 0.1)
+    traj = evolve_cayley(adjoint_generator(op), u0, 0.25 / 64, 64)
+    x, _ = grid.cell_centers()
+    peak_x = lambda u: x[np.argmax(u.reshape(grid.nx, grid.ny).max(axis=1))]
+    assert peak_x(u0) == pytest.approx(0.65, abs=grid.hx)
+    assert peak_x(traj.final) == pytest.approx(0.40, abs=grid.hx)
+
+
+def test_rotation_script_prints_one_row_per_grid(capsys):
+    script = Path(__file__).parents[1] / "scripts" / "rotation_benchmark.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--n", "8", "16", "--steps", "64"]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split() == ["n", "steps", "final", "error", "drift", "ratio"]
+    assert [r.split()[:2] for r in rows] == [["8", "64"], ["16", "128"]]
+    for r in rows:
+        assert float(r.split()[3]) < 1e-10

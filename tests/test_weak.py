@@ -13,7 +13,6 @@ from skewflow.transport import (
     field_from_stream,
 )
 from skewflow.weak import (
-    compare_solutions,
     default_family,
     default_profiles,
     gs_residual,
@@ -235,6 +234,25 @@ def test_multiplicity_branches_both_solve_weakly():
         assert gs_residual(traj, demo.u0, op).passed
 
 
+def test_multiplicity_demo_lands_on_the_horizon():
+    # round(1.0 / 0.3) = 3 steps of 1/3, not of 0.3, so t ends at 1.0
+    op, _, _ = wrapped(32)
+    demo = semigroup_multiplicity_demo(op, horizon=1.0, dt=0.3)
+    for traj in (demo.traj_plus, demo.traj_minus):
+        assert traj.nsteps == 3
+        assert traj.times[-1] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_multiplicity_demo_returns_the_separation_series():
+    op, _, _ = wrapped(32)
+    demo = semigroup_multiplicity_demo(op, horizon=0.5, dt=1e-2)
+    diff = demo.traj_plus.states - demo.traj_minus.states
+    ref = [op.space.norm(d) for d in diff]
+    np.testing.assert_allclose(demo.distances, ref, rtol=1e-14, atol=0.0)
+    assert demo.distances[0] == 0.0
+    assert demo.separation == demo.distances.max()
+
+
 def test_multiplicity_demo_requires_defects():
     m = np.array([[0.0, -1.0], [1.0, 0.0]])
     op = RestrictedOperator(space=Space.euclidean(2), action=m, domain=None)
@@ -250,11 +268,3 @@ def test_multiplicity_generic_coupling_labels():
     # the +1 coupling is degenerate for this model, so the demo refuses
     with pytest.raises(ValueError, match="not dense"):
         semigroup_multiplicity_demo(op, horizon=1.0, dt=1e-2)
-
-
-def test_compare_solutions_reports_distances():
-    op, gen, u0 = wrapped(32)
-    a = evolve_cayley(gen, u0, 1e-2, 100)
-    b = evolve_cayley(gen, u0, 1e-2, 100)
-    rep = compare_solutions(a, b, np.linspace(0.0, 1.0, 11))
-    assert rep.max_distance < 1e-13
