@@ -153,18 +153,21 @@ def build_transport_operator(fld: StreamField,
                 "wrap faces disagree"
             )
 
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            k = grid.cell_index(i, j)
-            aL, aR = ax[i, j], ax[i + 1, j]
-            aB, aT = ay[i, j], ay[i, j + 1]
-            rows += [k, k, k, k, k]
-            cols += [grid.cell_index(i + 1, j), grid.cell_index(i - 1, j),
-                     grid.cell_index(i, j + 1), grid.cell_index(i, j - 1), k]
-            vals += [-aR / (2 * hx), +aL / (2 * hx),
+    # five entries per cell (east, west, north, south neighbour, then the
+    # cell itself), cells in row-major (i, j) order; on a 2-cell side the
+    # two neighbours coincide and sum_duplicates adds their entries
+    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    k = I * ny + J
+    cols = np.stack([((I + 1) % nx) * ny + J, ((I - 1) % nx) * ny + J,
+                     I * ny + (J + 1) % ny, I * ny + (J - 1) % ny, k],
+                    axis=-1).ravel()
+    rows = np.repeat(k.ravel(), 5)
+    aL, aR = ax[:-1, :], ax[1:, :]
+    aB, aT = ay[:, :-1], ay[:, 1:]
+    vals = np.stack([-aR / (2 * hx), +aL / (2 * hx),
                      -aT / (2 * hy), +aB / (2 * hy),
-                     (aL - aR) / (2 * hx) + (aB - aT) / (2 * hy)]
+                     (aL - aR) / (2 * hx) + (aB - aT) / (2 * hy)],
+                    axis=-1).ravel()
     A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells))
     A.sum_duplicates()
 
@@ -178,17 +181,14 @@ def build_transport_operator(fld: StreamField,
                                   label=f"transport({nx}x{ny},periodic)",
                                   meta=meta)
 
-    keep = []
-    for i in range(nx):
-        for j in range(ny):
-            ring_dist = min(i, nx - 1 - i, j, ny - 1 - j)
-            if ring_dist >= 2:
-                keep.append(grid.cell_index(i, j))
-    if not keep:
+    ring_dist = np.minimum(np.minimum(I, nx - 1 - I),
+                           np.minimum(J, ny - 1 - J))
+    keep = k[ring_dist >= 2]
+    if keep.size == 0:
         raise ValueError("grid too small: interior domain is empty")
-    D = np.zeros((grid.ncells, len(keep)))
-    D[keep, np.arange(len(keep))] = 1.0 / np.sqrt(area)
-    meta["interior_cells"] = np.asarray(keep, dtype=int)
+    D = np.zeros((grid.ncells, keep.size))
+    D[keep, np.arange(keep.size)] = 1.0 / np.sqrt(area)
+    meta["interior_cells"] = keep
     return RestrictedOperator(space=space, action=A, domain=D,
                               label=f"transport({nx}x{ny},interior)",
                               meta=meta)

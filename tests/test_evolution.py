@@ -13,6 +13,12 @@ from skewflow.evolution import (
 from skewflow.operators import RestrictedOperator, seam_extension
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
 from skewflow.spaces import Space
+from skewflow.transport import (
+    Grid2D,
+    build_transport_operator,
+    field_from_stream,
+    gaussian_blob,
+)
 
 
 def rotation():
@@ -170,6 +176,31 @@ def test_exact_flow_handles_nonskew_by_expm():
     assert traj.stepper_meta["schur_rotation"] is False
 
 
+@pytest.mark.parametrize("theta", [0.4, -0.9, 0.0])
+def test_exact_nonskew_path_matches_per_time_expm(theta):
+    # a dissipative seam flow sampled at shuffled, non-uniform times: the
+    # interval-by-interval expm_multiply against one expm per time
+    op = minimal_derivative_operator(33)
+    ext = seam_extension(op, theta)
+    gen = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
+                             domain=None)
+    u0 = gaussian_profile(op.meta["grid"])
+    u0 = u0 / op.space.norm(u0)
+    rng = np.random.default_rng(7)
+    times = np.concatenate([rng.uniform(0.0, 2.0, 40),
+                            [1e-6, 3.0, 3.0 + 1e-9]])
+    rng.shuffle(times)
+    traj = evolve_exact(gen, u0, times)
+    assert traj.stepper_meta["schur_rotation"] is False
+    sw = np.sqrt(op.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    ref = np.array([(sla.expm(t * S) @ (sw * u0)) / sw for t in traj.times])
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    norms = traj.norms()
+    assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
+    assert norms[-1] < 0.99 * norms[0]
+
+
 @pytest.mark.parametrize("action", [[[0.0, -1.0], [1.0, 0.0]],
                                     [[-1.0, 0.0], [0.0, -2.0]]],
                          ids=["schur", "expm"])
@@ -255,6 +286,41 @@ def test_cayley_rejects_non_finite_input_and_singular_steps():
                            action=np.diag([4.0, 1.0]), domain=None)
     with pytest.warns(sla.LinAlgWarning), \
             pytest.raises(ValueError, match="finite"):
+        evolve_cayley(b, np.ones(2), 0.5, 1)
+
+
+def test_sparse_cayley_matches_the_densified_stepper():
+    # the SuperLU path (minimum-degree ordering) against dense LU on the
+    # same seeded periodic stream: orderings differ only by rounding
+    g = Grid2D(16, 16)
+    rng = np.random.default_rng(3)
+    xn, yn = g.node_coords()
+    psi = sum(0.05 * rng.standard_normal()
+              * np.outer(np.sin(2 * np.pi * k * xn + rng.uniform(0, 6)),
+                         np.sin(2 * np.pi * l * yn + rng.uniform(0, 6)))
+              for k in (1, 2) for l in (1, 2))
+    gen = adjoint_generator(build_transport_operator(field_from_stream(g, psi)))
+    dense = RestrictedOperator(space=gen.space, action=gen.dense_action(),
+                               domain=None)
+    u0 = gaussian_blob(g, (0.4, 0.6), 0.1)
+    a = evolve_cayley(gen, u0, 2e-2, 200)
+    b = evolve_cayley(dense, u0, 2e-2, 200)
+    diff = np.sqrt(np.einsum("kj,j,kj->k", a.states - b.states,
+                             gen.space.weights, a.states - b.states))
+    assert np.max(diff / b.norms()) <= 1e-12
+    assert np.max(np.abs(a.norms() - a.norms()[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["singular", "nan"])
+def test_sparse_cayley_failures_are_value_errors(case):
+    # E - dt/2 B = diag(0, 0.75) for dt = 0.5; SuperLU itself raises
+    # RuntimeError for it, the dense path ValueError
+    action = np.diag([4.0, 1.0])
+    if case == "nan":
+        action[0, 1] = np.nan
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=sp.csr_matrix(action), domain=None)
+    with pytest.raises(ValueError, match="singular"):
         evolve_cayley(b, np.ones(2), 0.5, 1)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from skewflow.evolution import adjoint_generator, evolve_cayley
 from skewflow.operators import check_skew_symmetry, deficiency
@@ -24,6 +25,36 @@ CELLULAR = lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 def hat(x, y):
     # piecewise-linear stream with a kink along x = 0.5
     return np.minimum(x, 1.0 - x) * np.sin(2 * np.pi * y)
+
+
+def reference_stencil(fld):
+    """The per-cell assembly loop: five (row, col, value) entries per cell
+    in cell-major order, then the interior cells at ring distance >= 2."""
+    grid = fld.grid
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    rows, cols, vals = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            k = grid.cell_index(i, j)
+            aL, aR = fld.ax[i, j], fld.ax[i + 1, j]
+            aB, aT = fld.ay[i, j], fld.ay[i, j + 1]
+            rows += [k, k, k, k, k]
+            cols += [grid.cell_index(i + 1, j), grid.cell_index(i - 1, j),
+                     grid.cell_index(i, j + 1), grid.cell_index(i, j - 1), k]
+            vals += [-aR / (2 * hx), +aL / (2 * hx),
+                     -aT / (2 * hy), +aB / (2 * hy),
+                     (aL - aR) / (2 * hx) + (aB - aT) / (2 * hy)]
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells))
+    A.sum_duplicates()
+    keep = [grid.cell_index(i, j) for i in range(nx) for j in range(ny)
+            if min(i, nx - 1 - i, j, ny - 1 - j) >= 2]
+    return A, np.asarray(keep, dtype=int)
+
+
+def assert_same_csr(got, ref):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +146,31 @@ def test_interior_domain_codimension():
     assert op.codim == 64
     dd = deficiency(op)
     assert dd.d_plus == dd.d_minus  # balanced, as for every real skew pairing
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 4), (7, 5)])
+def test_vectorized_stencil_is_byte_equal_to_the_cell_loop(shape):
+    # lx != ly and a seeded periodic stream; on the 2-cell side both
+    # neighbours are the same cell and their entries are summed
+    g = Grid2D(*shape, lx=1.3, ly=0.7)
+    c = np.random.default_rng(sum(shape)).uniform(0.0, 2.0 * np.pi, 2)
+    fld = field_from_stream(
+        g, lambda x, y: (np.sin(2 * np.pi * x / 1.3 + c[0])
+                         * np.sin(2 * np.pi * y / 0.7 + c[1])))
+    ref, _ = reference_stencil(fld)
+    assert_same_csr(build_transport_operator(fld).action, ref)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (9, 8)])
+def test_vectorized_interior_build_matches_the_cell_loop(shape):
+    g = Grid2D(*shape)
+    psi = np.random.default_rng(shape[0]).standard_normal((g.nx + 1, g.ny + 1))
+    fld = field_from_stream(g, psi)
+    op = build_transport_operator(fld, mode="interior_domain")
+    ref, keep = reference_stencil(fld)
+    assert_same_csr(op.action, ref)
+    cells = op.meta["interior_cells"]
+    assert cells.dtype == keep.dtype and np.array_equal(cells, keep)
 
 
 def test_unknown_mode_is_rejected():
