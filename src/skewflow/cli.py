@@ -300,7 +300,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
     # 32 seeded domain probes u: | |u + Mu| - |u - Mu| | / |u|
     rng = np.random.default_rng(args.seed)
     U = op.domain_vector(rng.standard_normal((32, op.domain_dim)).T)
-    MU = op.dense_action() @ U
+    MU = op.apply(U)
     norms = op.space.norms
     iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
     payload = {

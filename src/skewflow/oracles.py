@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import RestrictedOperator
+from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
 
 
@@ -39,10 +39,11 @@ def minimal_derivative_operator(n: int) -> RestrictedOperator:
     Nodes x_j = j/n carry uniform weight h = 1/n; the action is the
     centered difference of -d/dx closed across the wrap seam, which is
     exactly skew for the uniform Gram. The domain is the grid functions
-    vanishing at the two nodes flanking the seam (x_0 and x_{n-1}), so the
-    domain codimension is 2 and both defect subspaces are 2-dimensional:
-    each contains a smooth direction converging to e^{x} (resp. e^{-x})
-    at O(h) plus a grid-scale parasite mode of the centered stencil. The
+    vanishing at the two nodes flanking the seam (x_0 and x_{n-1}), stored
+    as a PinnedDomain, so the domain codimension is 2 and both defect
+    subspaces are 2-dimensional: each contains a smooth direction
+    converging to e^{x} (resp. e^{-x}) at O(h) plus a grid-scale parasite
+    mode of the centered stencil. The
     seam metadata lets seam_extension rebuild the full wrapped matrix and
     its theta-twisted relatives in closed form.
     """
@@ -56,12 +57,10 @@ def minimal_derivative_operator(n: int) -> RestrictedOperator:
     for j in range(n):
         M[j, (j + 1) % n] = -c
         M[j, (j - 1) % n] = +c
-    D = np.zeros((n, n - 2))
-    D[1:-1, :] = np.eye(n - 2) / np.sqrt(h)
     return RestrictedOperator(
         space=space,
         action=M,
-        domain=D,
+        domain=PinnedDomain([0, n - 1]),
         label=f"minimal_derivative({n})",
         meta={
             "kind": "minimal_derivative",

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .evolution import _cayley_steps, adjoint_generator
-from .operators import RestrictedOperator
+from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
 
 
@@ -126,9 +126,9 @@ def build_transport_operator(fld: StreamField,
     domain: "periodic_full" wraps the box and uses the whole space (the
     wrap faces must then agree side to side, else the seam rows would
     break skewness and the build refuses); "interior_domain" restricts to
-    cells at distance >= 2 from the boundary ring of cells, giving a
-    properly restricted operator whose defect dimensions both equal the
-    number of excluded cells.
+    cells at distance >= 2 from the boundary ring of cells (a PinnedDomain
+    pinning the two outer rings), giving a properly restricted operator
+    whose defect dimensions both equal the number of excluded cells.
 
     Sign: the stencil approximates -a . grad, so the forward flow driven
     by its metric adjoint (+a . grad) carries u0 to u0(x + a t); data
@@ -186,10 +186,9 @@ def build_transport_operator(fld: StreamField,
     keep = k[ring_dist >= 2]
     if keep.size == 0:
         raise ValueError("grid too small: interior domain is empty")
-    D = np.zeros((grid.ncells, keep.size))
-    D[keep, np.arange(keep.size)] = 1.0 / np.sqrt(area)
     meta["interior_cells"] = keep
-    return RestrictedOperator(space=space, action=A, domain=D,
+    return RestrictedOperator(space=space, action=A,
+                              domain=PinnedDomain(k[ring_dist < 2]),
                               label=f"transport({nx}x{ny},interior)",
                               meta=meta)
 

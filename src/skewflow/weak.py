@@ -334,7 +334,7 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
     (theta = +1 and theta = -1), whose flows are the twisted shifts;
     otherwise the generic scalar couplings +1 and -1 through the defect
     pair are assembled. Both start from the unit-norm Gaussian on the
-    model grid (else the first domain basis vector) and take the
+    model's 1-D grid (else the first domain basis vector) and take the
     round(horizon / dt) steps that land on the horizon exactly.
     distances is the W-distance between the two trajectories at each
     stored time, relative to the initial norm, and separation its
@@ -354,10 +354,10 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
         ext_p = extend(op, +1.0)
         ext_m = extend(op, -1.0)
 
-    if "grid" in op.meta:
+    if isinstance(op.meta.get("grid"), np.ndarray):
         u0 = gaussian_profile(op.meta["grid"])
     else:
-        u0 = op.domain_basis()[:, 0]
+        u0 = op.domain_vector(np.eye(op.domain_dim, 1)[:, 0])
     u0 = u0 / op.space.norm(u0)
 
     nsteps = max(1, int(round(horizon / dt)))
