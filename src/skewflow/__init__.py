@@ -28,6 +28,7 @@ _EXPORTS = {
     "orthonormalize": "spaces",
     "subspace_angle": "spaces",
     "RestrictedOperator": "operators",
+    "PinnedDomain": "operators",
     "DeficiencyData": "operators",
     "deficiency": "operators",
     "cayley": "operators",

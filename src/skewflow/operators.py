@@ -276,9 +276,9 @@ def _shifted_lu(action):
     ordering on A^T + A and a diagonal pivot kept unless it is below
     1e-3 of its column. For W-skew M, E - M is a diagonal similarity of
     a matrix whose symmetric part is E, so elimination needs no row
-    exchanges, and the default threshold (1.0) would make them as soon
-    as entries of M exceed 1: on the 48^2 interior stencil that is
-    1.9M L+U nonzeros instead of 0.1M.
+    exchanges; the default threshold (1.0) makes them as soon as an
+    entry of M outgrows the unit diagonal, which on the 48^2 interior
+    stencil costs 1.9M L+U nonzeros instead of 0.1M.
     """
     n = action.shape[0]
     if sp.issparse(action):
@@ -320,8 +320,8 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
     Full or pinned domain (PinnedDomain) with a W-skew action M (the whole
     matrix, not only its domain part): von Neumann's characterization
-    gives both defect spaces from one LU factorization of E - M, one
-    solve per pin (see _pinned_defect_bases). The counts are exact —
+    gives both defect spaces from one LU factorization of E - M and two
+    solves per pin (see _pinned_defect_bases). The counts are exact —
     both equal the number of pins, zero on the full domain — so rank_tol
     has no meaning there (it is only recorded) and ill_conditioned is
     always false.
