@@ -43,9 +43,9 @@ def minimal_derivative_operator(n: int) -> RestrictedOperator:
     as a PinnedDomain, so the domain codimension is 2 and both defect
     subspaces are 2-dimensional: each contains a smooth direction
     converging to e^{x} (resp. e^{-x}) at O(h) plus a grid-scale parasite
-    mode of the centered stencil. The
-    seam metadata lets seam_extension rebuild the full wrapped matrix and
-    its theta-twisted relatives in closed form.
+    mode of the centered stencil. The seam metadata lets seam_extension
+    rebuild the full wrapped matrix and its theta-twisted relatives in
+    closed form.
     """
     if n < 8:
         raise ValueError("n >= 8 required for a meaningful defect structure")
