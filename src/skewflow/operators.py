@@ -71,9 +71,11 @@ class RestrictedOperator:
     label: str = ""
     meta: dict = field(default_factory=dict)
     # free coordinates of a full or pinned domain (None for columns)
-    _free: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _free: Optional[np.ndarray] = field(init=False, repr=False,
+                                        compare=False, default=None)
     # DeficiencyData per rank_tol, filled by deficiency()
-    _deficiency: dict = field(init=False, repr=False, default_factory=dict)
+    _deficiency: dict = field(init=False, repr=False, compare=False,
+                              default_factory=dict)
 
     def __post_init__(self):
         n = self.space.dim
