@@ -69,7 +69,8 @@ class CliError(Exception):
 
 # skewness and restriction defects above this fail a check
 _SKEW_TOL = 1e-10
-# most floats one stored trajectory may hold: (steps + 1) x dim, 256 MiB
+# most floats one stored trajectory ((steps + 1) x dim) or one dense
+# dim x dim action may hold: 256 MiB
 _MAX_STATE_FLOATS = 2 ** 25
 
 
@@ -294,6 +295,14 @@ def _steps(args, dim: int) -> tuple[float, int]:
     return args.horizon / nsteps, nsteps
 
 
+def _dense_size_guard(args, op: RestrictedOperator) -> None:
+    """Refuse a command that builds a dense dim x dim action of more than
+    _MAX_STATE_FLOATS floats, before anything is built."""
+    if op.dim ** 2 > _MAX_STATE_FLOATS:
+        raise CliError(f"{args.command} builds a dense {op.dim} x {op.dim} "
+                       f"action, more than {_MAX_STATE_FLOATS} floats")
+
+
 def cmd_analyze(args, op) -> tuple[int, dict]:
     skew = check_skew_symmetry(op, tol=_SKEW_TOL)
     dd = deficiency(op, rank_tol=args.rank_tol)
@@ -320,6 +329,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
 
 
 def cmd_extend(args, op) -> tuple[int, dict]:
+    _dense_size_guard(args, op)
     theta = args.theta
     if "seam" in op.meta:
         ext = seam_extension(op, theta)
@@ -385,6 +395,8 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 
 
 def cmd_verify(args, op) -> tuple[int, dict]:
+    if not op.is_full_domain:
+        _dense_size_guard(args, op)
     dt, nsteps = _steps(args, op.dim)
     gen = _forward_generator(op)
     u0 = _default_u0(op, args.seed)
@@ -407,6 +419,8 @@ def cmd_verify(args, op) -> tuple[int, dict]:
 
 
 def cmd_witness(args, op) -> tuple[int, dict]:
+    if not op.is_full_domain:
+        _dense_size_guard(args, op)
     dt, nsteps = _steps(args, op.dim)
     try:
         wit = witness_nonuniqueness(op, tol=args.rank_tol)
@@ -446,6 +460,8 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 
 
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
+    if not op.is_full_domain:
+        _dense_size_guard(args, op)
     _steps(args, op.dim)  # the demo takes the same steps; this bounds them
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,

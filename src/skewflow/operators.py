@@ -58,11 +58,15 @@ class RestrictedOperator:
     - an (dim x m) array of basis columns, which the constructor
       replaces with a W-orthonormal basis of the same span.
 
+    Every form is also a set of constraint columns L with domain =
+    {u : L^T u = 0} (constraint_columns()); the defect spaces and the
+    extensions are computed from those k = codim columns alone.
+
     The action may be dense or scipy sparse. meta carries model-specific
     data (grids, seam indices) that higher-level helpers can exploit;
-    nothing in this module requires any particular key. deficiency()
-    caches its result on the operator, so action and domain must not be
-    modified after construction.
+    nothing in this module requires any particular key. deficiency() and
+    constraint_columns() cache their results on the operator, so action
+    and domain must not be modified after construction.
     """
 
     space: Space
@@ -76,6 +80,9 @@ class RestrictedOperator:
     # DeficiencyData per rank_tol, filled by deficiency()
     _deficiency: dict = field(init=False, repr=False, compare=False,
                               default_factory=dict)
+    # constraint columns L, filled by constraint_columns()
+    _constraints: Optional[sp.csc_matrix] = field(init=False, repr=False,
+                                                  compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.dim
@@ -142,6 +149,15 @@ class RestrictedOperator:
         out[F] = (c.T * (1.0 / np.sqrt(self.space.weights[F]))).T
         return out
 
+    def constraint_columns(self) -> sp.csc_matrix:
+        """Sparse (dim x codim) columns L with domain = {u : L^T u = 0},
+        computed once: the unit columns e_p of the pins, no columns for the
+        full domain, and for explicit domain columns U an orthonormal
+        basis of ker(U^T) (the complete QR of U)."""
+        if self._constraints is None:
+            self._constraints = _constraint_columns(self)
+        return self._constraints
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.action @ u
 
@@ -151,6 +167,15 @@ class RestrictedOperator:
     def random_domain_vector(self, rng: np.random.Generator) -> np.ndarray:
         u = self.domain_vector(rng.standard_normal(self.domain_dim))
         return u / self.space.norm(u)
+
+
+def _constraint_columns(op: RestrictedOperator) -> sp.csc_matrix:
+    n, k = op.dim, op.codim
+    if op._free is None:
+        Q = np.linalg.qr(op.domain, mode="complete")[0]
+        return sp.csc_matrix(Q[:, n - k:])
+    pins = np.setdiff1d(np.arange(n), op._free)
+    return sp.csc_matrix((np.ones(k), (pins, np.arange(k))), shape=(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +295,62 @@ def _w_orthonormal(Z: np.ndarray, space: Space) -> np.ndarray:
     return np.linalg.qr(sw * Z)[0] / sw
 
 
+def sparse_shifted_lu(A) -> spla.SuperLU:
+    """SuperLU factorization of E - A for a sparse square A.
+
+    Symmetric mode: minimum-degree ordering on A^T + A (every sparse
+    action skewflow builds is structurally symmetric) and a diagonal pivot
+    kept unless it is below 1e-3 of its column. For W-skew A, or a
+    positive multiple of one, E - A is a diagonal similarity of a matrix
+    whose symmetric part is E, so elimination needs no row exchanges;
+    SuperLU's default threshold (1.0) makes them as soon as an entry of A
+    outgrows the unit diagonal, which destroys the ordering: on the 48^2
+    rotation stencil at dt = 2 it costs 2.28M L+U nonzeros instead of
+    107k. A non-finite entry, or a factorization that fails (E - A
+    singular), raises ValueError.
+    """
+    A = sp.csc_matrix(A)
+    if not np.isfinite(A.data).all():
+        raise ValueError("sparse action has non-finite entries "
+                         "(is the shifted matrix E - A singular?)")
+    try:
+        return spla.splu((sp.identity(A.shape[0], format="csc") - A).tocsc(),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ValueError(f"sparse LU failed: {exc} "
+                         "(is the shifted matrix E - A singular?)") from exc
+
+
 def _shifted_lu(action):
     """Factorize E - M once; returns solve(b, trans) for E - M (trans
-    False) and its transpose (trans True). Dense actions use LAPACK getrf.
-
-    Sparse actions use SuperLU in its symmetric mode: minimum-degree
-    ordering on A^T + A and a diagonal pivot kept unless it is below
-    1e-3 of its column. For W-skew M, E - M is a diagonal similarity of
-    a matrix whose symmetric part is E, so elimination needs no row
-    exchanges; the default threshold (1.0) makes them as soon as an
-    entry of M outgrows the unit diagonal, which on the 48^2 interior
-    stencil costs 1.9M L+U nonzeros instead of 0.1M.
-    """
-    n = action.shape[0]
+    False) and its transpose (trans True). Dense actions use LAPACK getrf,
+    sparse ones sparse_shifted_lu."""
     if sp.issparse(action):
-        lu = spla.splu((sp.identity(n, format="csc") - action).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                       options={"SymmetricMode": True})
+        lu = sparse_shifted_lu(action)
         return lambda b, trans: lu.solve(b, trans="T" if trans else "N")
-    lu = sla.lu_factor(np.eye(n) - action)
+    lu = sla.lu_factor(np.eye(action.shape[0]) - action)
     return lambda b, trans: sla.lu_solve(lu, b, trans=int(trans))
 
 
-def _pinned_defect_bases(op: RestrictedOperator, pins: np.ndarray):
-    """Both defect spaces of a pinned domain with W-skew action M.
+def _defect_bases(op: RestrictedOperator):
+    """Both defect spaces of the domain {u : L^T u = 0} (L the constraint
+    columns) under a W-skew action M.
 
-    A vector z is W-orthogonal to (E - M)u for every u vanishing on the
-    pins iff (E - M)^T W z is supported on the pins, so
-    N- = W^-1 (E - M)^-T e_P. Skewness gives (E + M)^T = W (E - M) W^-1,
-    hence N+ = (E - M)^-1 W^-1 e_P: both from one factorization. Since
-    |(E -+ M)u| >= |u|, both have exactly as many independent columns
-    as there are pins.
+    A vector z is W-orthogonal to (E - M)u for every domain vector u iff
+    (E - M)^T W z lies in span L, so N- = W^-1 (E - M)^-T L. Skewness
+    gives (E + M)^T W = W (E - M), hence N+ = (E - M)^-1 W^-1 L: both from
+    one factorization. Since |(E -+ M)u| >= |u|, both have exactly k =
+    codim independent columns; the full domain (k = 0) factorizes
+    nothing.
     """
-    n, k = op.dim, pins.size
+    L = op.constraint_columns().toarray()
+    if L.shape[1] == 0:
+        return L, L
     w = op.space.weights[:, None]
-    e_pins = np.zeros((n, k))
-    e_pins[pins, np.arange(k)] = 1.0
     solve = _shifted_lu(op.action)
-    n_plus = solve(e_pins / w, False)
-    n_minus = solve(e_pins, True) / w
+    n_plus = solve(L / w, False)
+    n_minus = solve(L, True) / w
     return (_w_orthonormal(n_plus, op.space),
             _w_orthonormal(n_minus, op.space))
 
@@ -320,20 +362,18 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     The result is computed once per (operator, rank_tol), cached on the
     operator and returned with read-only bases on later calls.
 
-    Full or pinned domain (PinnedDomain) with a W-skew action M (the whole
-    matrix, not only its domain part): von Neumann's characterization
-    gives both defect spaces from one LU factorization of E - M and two
-    solves per pin (see _pinned_defect_bases). The counts are exact —
-    both equal the number of pins, zero on the full domain — so rank_tol
-    has no meaning there (it is only recorded) and ill_conditioned is
-    always false.
+    Any domain with a W-skew action M (the whole matrix, not only its
+    domain part): von Neumann's characterization gives both defect spaces
+    from one LU factorization of E - M and two solves per constraint
+    column (see _defect_bases). The counts are exact — both equal the
+    codimension, zero on the full domain — so rank_tol has no meaning
+    there (it is only recorded) and ill_conditioned is always false.
 
-    Anything else (explicit domain columns, or an action that is not
-    W-skew) decides ranks from singular values of the domain images
-    (E -+ M)U relative to the largest one; the report is flagged
-    ill_conditioned when any singular value falls within a factor of 10
-    of the rank threshold on either side, i.e. when the counts could
-    plausibly move under a different tolerance.
+    An action that is not W-skew decides ranks from singular values of
+    the domain images (E -+ M)U relative to the largest one; the report
+    is flagged ill_conditioned when any singular value falls within a
+    factor of 10 of the rank threshold on either side, i.e. when the
+    counts could plausibly move under a different tolerance.
     """
     key = float(rank_tol)
     dd = op._deficiency.get(key)
@@ -344,11 +384,8 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
     flagged = False
-    if op._free is not None and _action_is_skew(op):
-        if op.is_full_domain:  # E -+ M are invertible: nothing is missing
-            Np = Nm = np.zeros((op.dim, 0))
-        else:
-            Np, Nm = _pinned_defect_bases(op, op.domain.pins)
+    if _action_is_skew(op):
+        Np, Nm = _defect_bases(op)
     else:
         U = op.domain_basis()
         MU = op.apply(U)
@@ -475,6 +512,17 @@ def extend(op: RestrictedOperator,
     to enlarge the domain ("extension domain not dense") — for some
     models particular couplings are genuinely degenerate and no extension
     exists along them.
+
+    With the constraint columns L of the domain (k = codim of them) and
+    the added directions Z = N+ + N- V with images T = N+ - N- V, the
+    action is the rank-k update A_ext = M + (T - M Z)(L^T Z)^-1 L^T: it
+    leaves M on {L^T u = 0} and sends Z to T. Only the k x k matrix L^T Z
+    is decomposed (its singular values decide density). Besides the dense
+    n x n output and its restriction check, the work is the product M Z,
+    the update R L^T (R = (T - M Z)(L^T Z)^-1) and O(nk^2) for the small
+    factors; on a pinned domain L has one nonzero per column, so with a
+    sparse action both products are O(nk) and the update touches only
+    the pinned columns.
     """
     if not isinstance(plan, ExtensionPlan):
         plan = ExtensionPlan(coupling=plan)
@@ -486,30 +534,30 @@ def extend(op: RestrictedOperator,
     smax = np.linalg.svd(V, compute_uv=False)[0] if V.size else 0.0
     if smax > 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
-
-    U = op.domain_basis()
-    MU = op.apply(U)
-    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    S = np.hstack([U, Np + Nm @ V])
-    if S.shape[1] != op.dim:
+    if d_p != op.codim:
         raise ValueError(
-            f"defect pair ({d_p}, {d_m}) gives {S.shape[1]} domain directions "
-            f"in dimension {op.dim}; E + M is not injective on the domain"
+            f"defect pair ({d_p}, {d_m}) gives {op.domain_dim + d_p} domain "
+            f"directions in dimension {op.dim}; E + M is not injective on "
+            "the domain"
         )
 
-    sv = np.linalg.svd(op.space.sqrt_scale(S), compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
+    Z, T = Np + Nm @ V, Np - Nm @ V
+    L = op.constraint_columns()
+    LZ = L.T @ Z
+    sv = np.linalg.svd(LZ, compute_uv=False)
+    if sv.size and sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
 
-    targets = np.hstack([MU, Np - Nm @ V])
+    R = np.linalg.solve(LZ.T, (T - op.apply(Z)).T).T
     ext = RestrictedOperator(
         space=op.space,
-        action=np.linalg.solve(S.T, targets.T).T,
+        action=op.dense_action() + R @ L.T,
         label=f"extend({op.label})" if op.label else "extend",
         meta={"coupling": V, "base_label": op.label},
     )
     rdef = restriction_defect(ext, op)
-    if rdef > 1e-10 * (1.0 + float(np.max(np.abs(MU)))):
+    if rdef > 1e-10 * (1.0 + _max_abs(_domain_columns(op, op.action))):
         raise ArithmeticError(
             f"assembled extension failed its restriction check ({rdef:.3e})"
         )
@@ -683,16 +731,19 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
                            passed=max_defect <= tol, tol=tol)
 
 
-def _columns(A, F: np.ndarray) -> np.ndarray:
-    return A.tocsc()[:, F].toarray() if sp.issparse(A) else A[:, F]
+def _domain_columns(op: RestrictedOperator, A) -> np.ndarray:
+    """A applied to op's W-orthonormal domain basis, as dense columns; on
+    a full or pinned domain the free columns of A scaled by 1/sqrt(w),
+    without forming the basis."""
+    F = op._free
+    if F is None:
+        return A @ op.domain
+    cols = A.tocsc()[:, F].toarray() if sp.issparse(A) else A[:, F]
+    return cols / np.sqrt(op.space.weights[F])
 
 
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:
     """Largest W-norm of (A_ext - M) applied to op's domain basis columns
     (on a full or pinned domain: to e_j / sqrt(w_j), j free)."""
-    F = op._free
-    if F is None:
-        U = op.domain_basis()
-        return float(np.max(op.space.norms(ext.apply(U) - op.apply(U))))
-    D = _columns(ext.action, F) - _columns(op.action, F)
-    return float(np.max(op.space.norms(D) / np.sqrt(op.space.weights[F])))
+    D = _domain_columns(op, ext.action) - _domain_columns(op, op.action)
+    return float(np.max(op.space.norms(D)))

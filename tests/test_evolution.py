@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from skewflow.evolution import (
     _ROW_BLOCK,
@@ -309,6 +310,31 @@ def test_sparse_cayley_matches_the_densified_stepper():
                              gen.space.weights, a.states - b.states))
     assert np.max(diff / b.norms()) <= 1e-12
     assert np.max(np.abs(a.norms() - a.norms()[0])) <= 1e-12
+
+
+def test_sparse_cayley_keeps_its_ordering_at_large_steps(monkeypatch):
+    # at dt = 2 entries of dt/2 B outgrow the unit diagonal of the 48^2
+    # rotation stencil; row exchanges would spoil the minimum-degree
+    # ordering (2.28M L+U nonzeros under SuperLU's default pivot
+    # threshold, against 107k when the diagonal pivots are kept)
+    fills = []
+    real = spla.splu
+
+    def splu(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", splu)
+    g = Grid2D(48, 48)
+    fld = field_from_stream(
+        g, lambda x, y: -0.5 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
+    gen = adjoint_generator(build_transport_operator(fld))
+    u0 = gaussian_blob(g, (0.65, 0.5), 0.12)
+    traj = evolve_cayley(gen, u0, 2.0, 3)
+    assert len(fills) == 1 and fills[0] < 200_000, fills
+    norms = traj.norms()
+    assert np.max(np.abs(norms - norms[0])) <= 1e-12 * norms[0]
 
 
 @pytest.mark.parametrize("case", ["singular", "nan"])

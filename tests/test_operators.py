@@ -258,7 +258,7 @@ def test_extend_rejects_an_overcomplete_defect_pair():
         extend(op, np.zeros((1, 3)))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.floats(min_value=-0.95, max_value=0.95),
        st.integers(min_value=0, max_value=2**31))
 def test_interior_couplings_never_grow_norms(v, seed):

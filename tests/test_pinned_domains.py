@@ -1,10 +1,14 @@
-"""Pinned (mask) domains, the one-factorization defect spaces, the
-per-operator deficiency cache and the densification guards.
+"""Pinned (mask) domains, constraint columns, the one-factorization
+defect spaces and the rank-k extension, the per-operator caches and the
+densification guards.
 
-The SVD reference below is the dense deficiency computation that full and
-pinned domains used before they had a mask: W-orthonormal complements of
-the domain images (E -+ M)U, decided by singular values. It stays here
-as the reference the one-LU path must reproduce.
+Two dense references stay here for the constraint-column paths to
+reproduce. svd_defect_spaces is the deficiency computation every domain
+kind used before: W-orthonormal complements of the domain images
+(E -+ M)U, decided by singular values. reference_extend is the extension
+solve extend used before: the whole domain basis U next to the added
+directions, checked for density by an n x n SVD and solved for all n
+columns.
 """
 import json
 import tracemalloc
@@ -19,6 +23,7 @@ from scipy.linalg import LinAlgWarning
 from skewflow import operators, weak
 from skewflow.cli import main
 from skewflow.operators import (
+    ExtensionPlan,
     PinnedDomain,
     RestrictedOperator,
     check_inclusion_in_adjoint,
@@ -43,13 +48,11 @@ from skewflow.weak import witness_nonuniqueness
 
 def svd_defect_spaces(op, rank_tol=1e-8):
     """(N+, N-) as W-orthonormal complements of (E + M)U and (E - M)U,
-    with U the dense basis e_j / sqrt(w_j) of the free coordinates and
-    the ranks cut at rank_tol times the largest singular value."""
-    w = op.space.weights
-    sw = np.sqrt(w)
-    free = np.setdiff1d(np.arange(op.dim), op.domain.pins)
-    U = np.zeros((op.dim, free.size))
-    U[free, np.arange(free.size)] = 1.0 / sw[free]
+    with U the dense domain basis (e_j / sqrt(w_j) for the free
+    coordinates of a pinned domain, the stored columns otherwise) and the
+    ranks cut at rank_tol times the largest singular value."""
+    sw = np.sqrt(op.space.weights)
+    U = op.domain_basis()
     MU = op.dense_action() @ U
 
     def complement(H):
@@ -58,6 +61,20 @@ def svd_defect_spaces(op, rank_tol=1e-8):
         return Q[:, r:] / sw[:, None]
 
     return complement(U + MU), complement(U - MU)
+
+
+def reference_extend(op, V):
+    """The dense extension solve: A_ext S = [M U, N+ - N- V] for
+    S = [U, N+ + N- V], with U the dense domain basis."""
+    dd = deficiency(op)
+    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
+    U = op.domain_basis()
+    S = np.hstack([U, Np + Nm @ V])
+    assert S.shape[1] == op.dim
+    sv = np.linalg.svd(op.space.sqrt_scale(S), compute_uv=False)
+    assert sv[-1] > 1e-10 * sv[0]
+    targets = np.hstack([op.dense_action() @ U, Np - Nm @ V])
+    return np.linalg.solve(S.T, targets.T).T
 
 
 def largest_angle_sine(A, B, space):
@@ -76,7 +93,7 @@ def dc_mode(N, space):
 def assert_matches_svd(op):
     dd = deficiency(op)
     ref_plus, ref_minus = svd_defect_spaces(op)
-    k = op.domain.pins.size
+    k = op.codim
     assert (dd.d_plus, dd.d_minus) == (k, k)
     assert (ref_plus.shape[1], ref_minus.shape[1]) == (k, k)
     assert not dd.ill_conditioned
@@ -100,6 +117,20 @@ def weighted_ring(weights, coeff):
     return K / weights[:, None]
 
 
+def coordinate_columns(n, pins):
+    """Unit columns of every coordinate except the pinned ones."""
+    return np.delete(np.eye(n), np.asarray(pins), axis=1)
+
+
+def explicit_domains(n, pins, rng):
+    """The coordinate subspace of the pins as explicit columns, the same
+    span in a rotated basis, and a Gaussian subspace of its dimension."""
+    C = coordinate_columns(n, pins)
+    Q = np.linalg.qr(rng.standard_normal((C.shape[1],) * 2))[0]
+    return {"coordinate": C, "rotated": C @ Q,
+            "random": rng.standard_normal(C.shape)}
+
+
 def interior_transport(m, psi=None):
     g = Grid2D(m, m)
     if psi is None:
@@ -117,15 +148,18 @@ def interior_transport(m, psi=None):
 @given(st.integers(min_value=6, max_value=40),
        st.integers(min_value=0, max_value=2**31), st.data())
 def test_weighted_rings_with_random_pins_match_the_svd_path(n, seed, data):
+    # the pins as a PinnedDomain and as the three explicit-column domains
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, n)
     coeff = rng.uniform(0.5, 1.5, n)
     k = data.draw(st.integers(min_value=1, max_value=max(1, n // 3)))
     pins = rng.choice(n, size=k, replace=False)
-    op = RestrictedOperator(space=Space(dim=n, weights=weights),
-                            action=weighted_ring(weights, coeff),
-                            domain=PinnedDomain(pins))
-    assert_matches_svd(op)
+    space = Space(dim=n, weights=weights)
+    action = weighted_ring(weights, coeff)
+    domains = [PinnedDomain(pins), *explicit_domains(n, pins, rng).values()]
+    for domain in domains:
+        assert_matches_svd(RestrictedOperator(space=space, action=action,
+                                              domain=domain))
 
 
 @pytest.mark.parametrize("n", [48, 128])
@@ -181,6 +215,64 @@ def test_a_full_skew_operator_has_no_defects_without_densifying(monkeypatch):
     dd = deficiency(op)
     assert (dd.d_plus, dd.d_minus) == (0, 0)
     assert dd.n_plus_basis.shape == (op.dim, 0)
+
+
+# ---------------------------------------------------------------------------
+# the rank-k extension against the dense solve
+# ---------------------------------------------------------------------------
+
+def weighted_explicit_operators():
+    rng = np.random.default_rng(11)
+    n = 24
+    w = rng.uniform(0.5, 1.5, n)
+    ring = weighted_ring(w, rng.uniform(0.5, 1.5, n))
+    for kind, cols in explicit_domains(n, [2, 9, 17], rng).items():
+        yield kind, RestrictedOperator(space=Space(dim=n, weights=w),
+                                       action=ring, domain=cols)
+
+
+def extension_cases():
+    for n in (48, 128):
+        yield f"wrapped {n}", minimal_derivative_operator(n)
+    for m in (8, 12):
+        yield f"interior {m}x{m}", interior_transport(m)
+    yield from weighted_explicit_operators()
+
+
+def couplings(k, rng):
+    """A scalar and a seeded matrix contraction (sigma_max 0.9)."""
+    A = rng.standard_normal((k, k))
+    return [0.5, 0.9 * A / np.linalg.norm(A, 2)]
+
+
+@pytest.mark.parametrize("name,op", list(extension_cases()),
+                         ids=[name for name, _ in extension_cases()])
+def test_extend_matches_the_dense_solve(name, op):
+    rng = np.random.default_rng(5)
+    for v in couplings(op.codim, rng):
+        ext = extend(op, v)
+        V = ExtensionPlan(coupling=v).matrix(op.codim, op.codim)
+        ref = reference_extend(op, V)
+        got = ext.dense_action()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert ext.meta["restriction_defect"] <= 1e-12
+
+
+def test_extend_forms_no_domain_basis(monkeypatch):
+    # no basis, and every SVD and dense solve is of a k x k matrix
+    ops = [minimal_derivative_operator(32), interior_transport(8),
+           *(op for _, op in weighted_explicit_operators())]
+    shapes = []
+    for name in ("svd", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, real=real, **kw:
+                            shapes.append(np.shape(a)) or real(a, *args, **kw))
+    monkeypatch.setattr(RestrictedOperator, "domain_basis", None)
+    for op in ops:
+        shapes.clear()
+        ext = extend(op, -0.3)
+        assert ext.is_full_domain and ext.meta["restriction_defect"] <= 1e-12
+        assert shapes and all(s == (op.codim, op.codim) for s in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +380,29 @@ def test_extend_then_coupling_factorizes_once(monkeypatch):
     assert calls == [1]
 
 
-def test_explicit_columns_run_their_svds_once(monkeypatch):
+def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
+    # a W-skew action on explicit columns takes the one-LU route: one
+    # factorization and one constraint-column QR serve deficiency, extend
+    # and extension_coupling, and the SVD route is never reached
     calls = []
-    real = operators.complement_basis
-    monkeypatch.setattr(operators, "complement_basis",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in ("_shifted_lu", "_constraint_columns"):
+        real = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    monkeypatch.setattr(operators, "complement_basis", None)
     w = np.linspace(0.5, 1.5, 10)
     op = RestrictedOperator(space=Space(dim=10, weights=w),
                             action=weighted_ring(w, np.ones(10)),
                             domain=np.eye(10)[:, 2:])
+    dd = deficiency(op)
+    assert (dd.d_plus, dd.d_minus) == (2, 2)
     ext = extend(op, -0.4)
-    extension_coupling(op, ext)
-    assert len(calls) == 2  # E + M and E - M, once
+    extend(op, 0.7)
+    V, leak = extension_coupling(op, ext)
+    np.testing.assert_allclose(V, -0.4 * np.eye(2), atol=1e-12)
+    assert leak < 1e-12
+    assert sorted(calls) == ["_constraint_columns", "_shifted_lu"]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +466,35 @@ def test_analyze_on_a_64_squared_periodic_stream_stays_small(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert (report["dim"], report["d_plus"], report["d_minus"]) == (4096, 0, 0)
     # one dense 4096 x 4096 matrix alone is 128 MiB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("command", ["extend", "verify", "witness",
+                                     "multiplicity"])
+def test_dense_commands_refuse_a_77_squared_interior_operator(
+        tmp_path, capsys, command):
+    # 77^2 = 5929 cells: one dense action would be 268 MiB
+    g = Grid2D(77, 77)
+    write_stream_file(tmp_path / "stream.csv",
+                      lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y)
+                      / np.pi, g)
+    desc = tmp_path / "interior.json"
+    desc.write_text(json.dumps({"operator": {"kind": "transport",
+                                             "stream": "stream.csv",
+                                             "mode": "interior_domain"}}))
+    flags = ["--theta", "0.5"] if command == "extend" else []
+    tracemalloc.start()
+    try:
+        code = main([command, "--input", str(desc),
+                     "--out", str(tmp_path / "out"), *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "5929 x 5929" in err[0]
+    assert not (tmp_path / "out" / "report.json").exists()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -62,7 +62,7 @@ def test_orthonormalize_returns_coefficients():
     assert np.allclose(cols @ c, q, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_orthonormalize_is_weighted_orthonormal(n, seed):
     rng = np.random.default_rng(seed)
@@ -96,7 +96,7 @@ def reference_mgs(columns, space, tol=1e-10):
     return np.column_stack(qs), kept
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(min_value=2, max_value=12),
        st.integers(min_value=0, max_value=6),
        st.integers(min_value=0, max_value=2**31))
