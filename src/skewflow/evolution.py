@@ -11,16 +11,22 @@ orthogonal) instead of a generic matrix exponential.
 
 Cost model (n = dimension, T = number of sample times or steps):
 
-- skew ``evolve_exact``: one real Schur factorization, O(n^3), then the
-  Schur coordinates of u0 are rotated for every sample time at once and
-  mapped back with one GEMM per block of ``_ROW_BLOCK`` times, O(T n^2)
-  in total, with temporaries that do not grow with T;
+- skew ``evolve_exact`` and skew dense ``evolve_cayley``: one real Schur
+  factorization, O(n^3), cached on the generator so that both share it;
+  then the Schur coordinates of u0 are rotated for every sample time (or
+  step count) at once and mapped back with one GEMM per block of
+  ``_ROW_BLOCK`` rows, O(T n^2) in total, with temporaries that do not
+  grow with T. The Cayley step has the generator's Schur vectors and
+  turns each plane of frequency b by 2 atan(b dt/2), so no step is solved
+  for and the norm does not drift with the step count;
 - non-skew ``evolve_exact``: one ``expm_multiply`` per sample interval,
   carrying the previous sample forward, O(T s n^2) with s the Taylor
   degree that ``expm_multiply`` picks for the interval (no dense
   exponential is formed);
-- dense ``evolve_cayley``: one LU factorization, O(n^3), then one
-  matrix-vector product and one LAPACK ``getrs`` per step, O(T n^2);
+- non-skew dense ``evolve_cayley``: the step matrix
+  (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
+  ``getrs`` against n columns, O(n^3), then one matrix-vector product
+  per step, O(T n^2);
 - sparse ``evolve_cayley``: one SuperLU factorization, then one sparse
   product and one triangular solve pair per step. The factorization
   (``operators.sparse_shifted_lu``) uses a minimum-degree ordering on
@@ -43,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrs
 
-from .operators import RestrictedOperator, sparse_shifted_lu
+from .operators import RestrictedOperator, _is_skew, sparse_shifted_lu
 
 _DENSE_EXP_LIMIT = 4096
 # sample times rotated and mapped back per GEMM in the skew exact path;
@@ -112,33 +118,57 @@ def _require_full_domain(gen: RestrictedOperator):
         )
 
 
-def _skew_schur_states(S: np.ndarray, v0: np.ndarray, ts: np.ndarray,
-                       out: np.ndarray) -> None:
-    """Write the rows e^{t S} v0 (t in ts) of antisymmetric S into out.
+def _identity_generator(gen: RestrictedOperator):
+    """(sqrt(w), S, is_skew) for a full-domain generator B: S = sqrt(W) B
+    sqrt(W)^-1 is B, dense, in coordinates where the Gram is the
+    identity, and is_skew is the W-skew test deficiency uses (S + S^T
+    vanishes to 1e-12 of max(1, max|S|))."""
+    sw = np.sqrt(gen.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    return sw, S, _is_skew(S)
 
-    S = Z T Z^T is factorized once. Each 2x2 block of T with frequency
-    b = T[i, i+1] turns the Schur coordinates c = Z^T v0 in the plane
-    (i, i+1) by the angle b t; 1x1 blocks (zero eigenvalues) leave them
-    fixed. The rotated coordinates of _ROW_BLOCK times at a time are
-    mapped back by one GEMM written straight into out.
+
+def _schur_planes(gen: RestrictedOperator, S: np.ndarray):
+    """Real Schur factors (Z, p, freq) of the antisymmetric S = Z T Z^T.
+
+    p holds the first index of each 2x2 block of T (found by the test
+    |T[i+1, i]| > 0) and freq = T[p, p+1] its frequency; 1x1 blocks are
+    zero eigenvalues. Factorized once per generator and cached on it, so
+    the exact and the Cayley paths share one sla.schur.
     """
-    T, Z = sla.schur(S, output="real")
-    n = S.shape[0]
-    first = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 0.0:
-            first.append(i)
-            i += 2
-        else:
-            i += 1
-    p = np.asarray(first, dtype=np.intp)
-    freq = T[p, p + 1]
+    if gen._schur is None:
+        T, Z = sla.schur(S, output="real")
+        n = S.shape[0]
+        first = []
+        i = 0
+        while i < n:
+            if i + 1 < n and abs(T[i + 1, i]) > 0.0:
+                first.append(i)
+                i += 2
+            else:
+                i += 1
+        p = np.asarray(first, dtype=np.intp)
+        gen._schur = (Z, p, T[p, p + 1])
+    return gen._schur
+
+
+def _skew_schur_states(planes, v0: np.ndarray, ts: np.ndarray, phase,
+                       out: np.ndarray) -> None:
+    """Write the rotated states of v0 at the abscissae ts into out's rows.
+
+    planes = (Z, p, freq) from _schur_planes. The Schur coordinates
+    c = Z^T v0 are turned in each plane (p, p+1) by the angle
+    phase(t, freq) (b t for e^{tS}, k 2 atan(b dt/2) for k Cayley steps);
+    1x1 blocks leave them fixed. The rotated coordinates of _ROW_BLOCK
+    abscissae at a time are mapped back by one GEMM written straight
+    into out.
+    """
+    Z, p, freq = planes
     c = Z.T @ v0
     cp, cq = c[p], c[p + 1]
     for lo in range(0, ts.size, _ROW_BLOCK):
         tb = ts[lo:lo + _ROW_BLOCK]
-        angle = tb[:, None] * freq[None, :]
+        angle = phase(tb[:, None], freq[None, :])
         ct, st = np.cos(angle), np.sin(angle)
         Y = np.repeat(c[None, :], tb.size, axis=0)
         Y[:, p] = ct * cp + st * cq
@@ -151,11 +181,12 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
 
     Skew generators (in the space metric) are detected and routed through
     the real Schur factorization, giving exactly orthogonal propagators:
-    one factorization plus one GEMM per block of sample times. Anything
+    one factorization (cached on the generator, shared with
+    evolve_cayley) plus one GEMM per block of sample times. Anything
     else is carried from each sample to the next by the action of the
     exponential on a vector (``expm_multiply`` over the sample interval),
     never forming e^{tB}. Desk scale only: dimensions above a few thousand
-    are rejected, and so is a non-finite u0 (ValueError).
+    are rejected, and so is a non-finite u0 (ValueError). states[0] is u0.
     """
     _require_full_domain(gen)
     n = gen.dim
@@ -168,24 +199,20 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     if ts.size == 0 or ts[0] > 0:
         ts = np.concatenate([[0.0], ts])
 
-    B = gen.dense_action()
-    sw = np.sqrt(gen.space.weights)
-    S = sw[:, None] * B / sw[None, :]
-    scale = max(1.0, float(np.max(np.abs(S))))
-    is_skew = float(np.max(np.abs(S + S.T))) <= 1e-12 * scale
-
+    sw, S, is_skew = _identity_generator(gen)
     u0 = np.asarray_chkfinite(u0, dtype=float)
     v0 = sw * u0
     states = np.empty((ts.size, n))
     if is_skew:
-        _skew_schur_states(S, v0, ts, states)
-        states /= sw
+        _skew_schur_states(_schur_planes(gen, S), v0, ts,
+                           lambda t, b: t * b, states)
     else:
         states[0] = v0
         for k in range(1, ts.size):
             states[k] = spla.expm_multiply((ts[k] - ts[k - 1]) * S,
                                            states[k - 1])
-        states /= sw
+    states /= sw
+    states[0] = u0
     return Trajectory(times=ts, states=states, space=gen.space,
                       stepper_meta={"method": "exact",
                                     "schur_rotation": bool(is_skew)})
@@ -195,59 +222,84 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                   nsteps: int):
     """Yield the nsteps trapezoidal iterates of u, one new array per step.
 
-    E - dt/2 B is factorized once (operators.sparse_shifted_lu for sparse
-    actions, the same SuperLU recipe deficiency uses; dense LU otherwise);
-    a dense step is one matrix-vector product and one LAPACK getrs, and
-    raises ValueError on a nonzero info or the first state that leaves the
-    finite numbers (singular E - dt/2 B). A sparse action with a
-    non-finite entry, or a SuperLU factorization that fails, raises the
-    same ValueError.
+    A sparse action factorizes E - dt/2 B once (operators.sparse_shifted_lu,
+    the same SuperLU recipe deficiency uses) and steps by one sparse
+    product and one triangular solve pair; a non-finite entry, or a
+    factorization that fails, raises ValueError. A dense action forms the
+    step matrix C = (E - dt/2 B)^-1 (E + dt/2 B) once (one LU and one
+    getrs against n columns) and steps by one matrix-vector product; a
+    nonzero getrs info, or the first state that leaves the finite numbers
+    (singular E - dt/2 B, which lu_factor also reports by a
+    LinAlgWarning), raises ValueError.
     """
-    n = gen.dim
     if sp.issparse(gen.action):
         half = (dt / 2.0) * gen.action.tocsc()
         lu = sparse_shifted_lu(half)
         for _ in range(nsteps):
             u = lu.solve(u + half @ u)
             yield u
-    else:
-        B = gen.dense_action()
-        lhs = np.eye(n) - (dt / 2.0) * B
-        lu, piv = sla.lu_factor(lhs)
-        half = (dt / 2.0) * B
-        for k in range(1, nsteps + 1):
-            u, info = dgetrs(lu, piv, u + half @ u, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"getrs: illegal value in argument {-info}")
-            if not np.isfinite(u).all():
-                raise ValueError(f"Cayley step {k} left the finite numbers "
-                                 "(is E - dt/2 B singular?)")
-            yield u
+        return
+    half = (dt / 2.0) * gen.dense_action()
+    E = np.eye(gen.dim)
+    lu, piv = sla.lu_factor(E - half)
+    C, info = dgetrs(lu, piv, E + half, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"getrs: illegal value in argument {-info}")
+    for k in range(1, nsteps + 1):
+        u = C @ u
+        if not np.isfinite(u).all():
+            raise ValueError(f"Cayley step {k} left the finite numbers "
+                             "(is E - dt/2 B singular?)")
+        yield u
 
 
 def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
                   nsteps: int) -> Trajectory:
     """Trapezoidal resolvent stepping u_{k+1} = (E - dt/2 B)^{-1}(E + dt/2 B) u_k.
 
-    The step matrix pair is factorized once per call (dense LU, or sparse
-    LU for sparse actions) and reused across all nsteps steps; a dense
-    step is one matrix-vector product and one LAPACK getrs. For skew B
-    each step is an exact isometry of the weighted norm; for dissipative B
-    it is a contraction. A non-finite u0 or B raises ValueError, and so
-    does a singular E - dt/2 B (a dense step that leaves the finite
-    numbers, or a failed sparse factorization).
+    For skew B each step is an exact isometry of the weighted norm; for
+    dissipative B it is a contraction. Three routes, chosen by the action:
+
+    - dense and W-skew (the test evolve_exact uses): the Cayley step
+      shares the real Schur vectors of B and turns each plane of
+      frequency b by 2 atan(b dt/2), so every state comes from the Schur
+      factors (cached on the generator, shared with evolve_exact) and
+      one GEMM per block of steps; no step is solved for, and the norm
+      does not drift with the step count;
+    - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
+      formed once and each step is one matrix-vector product;
+    - sparse: one SuperLU factorization of E - dt/2 B, then one sparse
+      product and one triangular solve pair per step.
+
+    states[0] is u0. A non-finite u0 or B raises ValueError, and so does
+    a singular E - dt/2 B (a dense step that leaves the finite numbers,
+    or a failed sparse factorization). stepper_meta["schur_rotation"]
+    records whether the Schur route ran.
     """
     _require_full_domain(gen)
     if dt <= 0 or nsteps < 1:
         raise ValueError("need dt > 0 and nsteps >= 1")
     u = np.asarray_chkfinite(u0, dtype=float)
     states = np.empty((nsteps + 1, gen.dim))
+    is_skew = False
+    if not sp.issparse(gen.action):
+        sw, S, is_skew = _identity_generator(gen)
+    if is_skew:
+        half = 0.5 * dt
+        _skew_schur_states(_schur_planes(gen, S), sw * u,
+                           np.arange(nsteps + 1, dtype=float),
+                           lambda k, b: k * (2.0 * np.arctan(half * b)),
+                           states)
+        states /= sw
+    else:
+        for k, state in enumerate(_cayley_steps(gen, u, dt, nsteps),
+                                  start=1):
+            states[k] = state
     states[0] = u
-    for k, state in enumerate(_cayley_steps(gen, u, dt, nsteps), start=1):
-        states[k] = state
     return Trajectory(times=dt * np.arange(nsteps + 1), states=states,
                       space=gen.space,
-                      stepper_meta={"method": "cayley", "dt": float(dt)})
+                      stepper_meta={"method": "cayley", "dt": float(dt),
+                                    "schur_rotation": is_skew})
 
 
 def adjoint_generator(gen: RestrictedOperator) -> RestrictedOperator:

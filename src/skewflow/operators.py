@@ -64,9 +64,11 @@ class RestrictedOperator:
 
     The action may be dense or scipy sparse. meta carries model-specific
     data (grids, seam indices) that higher-level helpers can exploit;
-    nothing in this module requires any particular key. deficiency() and
-    constraint_columns() cache their results on the operator, so action
-    and domain must not be modified after construction.
+    nothing in this module requires any particular key. deficiency(),
+    constraint_columns() and the skew propagators of the evolution module
+    cache their results on the operator (never in meta, which derived
+    operators copy), so action and domain must not be modified after
+    construction.
     """
 
     space: Space
@@ -83,6 +85,10 @@ class RestrictedOperator:
     # constraint columns L, filled by constraint_columns()
     _constraints: Optional[sp.csc_matrix] = field(init=False, repr=False,
                                                   compare=False, default=None)
+    # real Schur factors (Z, plane starts, frequencies) of a W-skew
+    # full-domain action, filled by the evolution module's skew paths
+    _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
+                                    default=None)
 
     def __post_init__(self):
         n = self.space.dim
@@ -189,13 +195,13 @@ class SkewReport:
     tol: float
 
 
-def _identity_coords(op: RestrictedOperator):
+def _identity_coords(space: Space, action):
     """G = sqrt(W) M sqrt(W)^-1, the action in coordinates where the Gram
     is the identity (sparse stays sparse). M is W-skew iff G + G^T = 0."""
-    sw = np.sqrt(op.space.weights)
-    if sp.issparse(op.action):
-        return (sp.diags(sw) @ op.action @ sp.diags(1.0 / sw)).tocsr()
-    return sw[:, None] * op.action / sw[None, :]
+    sw = np.sqrt(space.weights)
+    if sp.issparse(action):
+        return (sp.diags(sw) @ action @ sp.diags(1.0 / sw)).tocsr()
+    return sw[:, None] * action / sw[None, :]
 
 
 def _max_abs(A) -> float:
@@ -204,11 +210,34 @@ def _max_abs(A) -> float:
     return float(np.max(np.abs(A), initial=0.0))
 
 
-def _action_is_skew(op: RestrictedOperator) -> bool:
-    """Whether the whole action (not only its domain part) is W-skew, to
-    1e-12 relative to its largest identity-coordinate entry."""
-    G = _identity_coords(op)
+def _is_skew(G) -> bool:
+    """Whether G + G^T vanishes to 1e-12 of max(1, max|G|): the W-skew
+    test for an action in identity coordinates (dense or sparse)."""
     return _max_abs(G + G.T) <= 1e-12 * max(1.0, _max_abs(G))
+
+
+def _skew_action(op: RestrictedOperator):
+    """A W-skew action that agrees with op's on the domain, or None.
+
+    That is the action itself when the whole matrix is W-skew. On a
+    pinned domain the pinned x pinned block never acts on a domain
+    vector, so it may be replaced by its W-skew part, (M_PP - W_P^-1
+    M_PP^T W_P) / 2, without changing Im(E -+ M) on the domain or either
+    defect space. An interior transport stencil whose stream does not
+    close periodically is W-skew up to that block (its wrapped outer-ring
+    entries), so this keeps it on the one-LU path.
+    """
+    M = op.action
+    if _is_skew(_identity_coords(op.space, M)):
+        return M
+    if not isinstance(op.domain, PinnedDomain):
+        return None
+    L = op.constraint_columns()
+    w = op.space.weights[op.domain.pins]
+    M_pp = L.T @ M @ L
+    sym = 0.5 * (M_pp + sp.diags(1.0 / w) @ M_pp.T @ sp.diags(w))
+    M = M - L @ sym @ L.T
+    return M if _is_skew(_identity_coords(op.space, M)) else None
 
 
 def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
@@ -227,7 +256,7 @@ def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewRepor
         G = U.T @ (op.space.weights[:, None] * op.apply(U))
         D = G + G.T
     else:
-        G = _identity_coords(op)
+        G = _identity_coords(op.space, op.action)
         D = G + G.T
         if not op.is_full_domain:
             D = D[F][:, F] if sp.issparse(D) else D[np.ix_(F, F)]
@@ -333,9 +362,10 @@ def _shifted_lu(action):
     return lambda b, trans: sla.lu_solve(lu, b, trans=int(trans))
 
 
-def _defect_bases(op: RestrictedOperator):
+def _defect_bases(op: RestrictedOperator, action):
     """Both defect spaces of the domain {u : L^T u = 0} (L the constraint
-    columns) under a W-skew action M.
+    columns) under a W-skew action M that agrees with op's on the domain
+    (_skew_action).
 
     A vector z is W-orthogonal to (E - M)u for every domain vector u iff
     (E - M)^T W z lies in span L, so N- = W^-1 (E - M)^-T L. Skewness
@@ -348,7 +378,7 @@ def _defect_bases(op: RestrictedOperator):
     if L.shape[1] == 0:
         return L, L
     w = op.space.weights[:, None]
-    solve = _shifted_lu(op.action)
+    solve = _shifted_lu(action)
     n_plus = solve(L / w, False)
     n_minus = solve(L, True) / w
     return (_w_orthonormal(n_plus, op.space),
@@ -363,13 +393,16 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     operator and returned with read-only bases on later calls.
 
     Any domain with a W-skew action M (the whole matrix, not only its
-    domain part): von Neumann's characterization gives both defect spaces
-    from one LU factorization of E - M and two solves per constraint
-    column (see _defect_bases). The counts are exact — both equal the
-    codimension, zero on the full domain — so rank_tol has no meaning
-    there (it is only recorded) and ill_conditioned is always false.
+    domain part; on a pinned domain after the pinned x pinned block, which
+    never acts on the domain, is replaced by its W-skew part, see
+    _skew_action): von Neumann's characterization gives both defect
+    spaces from one LU factorization of E - M and two solves per
+    constraint column (see _defect_bases). The counts are exact — both
+    equal the codimension, zero on the full domain — so rank_tol has no
+    meaning there (it is only recorded) and ill_conditioned is always
+    false.
 
-    An action that is not W-skew decides ranks from singular values of
+    Any other action decides ranks from singular values of
     the domain images (E -+ M)U relative to the largest one; the report
     is flagged ill_conditioned when any singular value falls within a
     factor of 10 of the rank threshold on either side, i.e. when the
@@ -384,8 +417,9 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
     flagged = False
-    if _action_is_skew(op):
-        Np, Nm = _defect_bases(op)
+    action = _skew_action(op)
+    if action is not None:
+        Np, Nm = _defect_bases(op, action)
     else:
         U = op.domain_basis()
         MU = op.apply(U)

@@ -90,6 +90,14 @@ def reference_cayley(gen, u0, dt, nsteps):
     return np.array(rows)
 
 
+def max_relative_distance(gen, got, ref):
+    """Largest W-norm of got[k] - ref[k] relative to that of ref[k]."""
+    w = gen.space.weights
+    d = got - ref
+    return float(np.max(np.sqrt(np.einsum("kj,j,kj->k", d, w, d)
+                                / np.einsum("kj,j,kj->k", ref, w, ref))))
+
+
 # ---------------------------------------------------------------------------
 # Trajectory container
 # ---------------------------------------------------------------------------
@@ -261,7 +269,10 @@ def test_cayley_validates_inputs():
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.3])
-def test_dense_cayley_is_bit_identical_to_lu_solve_loop(theta):
+def test_dense_cayley_matches_the_lu_solve_loop(theta):
+    # theta = 1: the skew generator takes the Schur rotations; theta = 0.3:
+    # the dissipative one steps by the step matrix. Both agree with the
+    # solve-per-step loop to rounding, and start exactly at u0.
     op = minimal_derivative_operator(64)
     ext = seam_extension(op, theta)
     gen = (adjoint_generator(ext) if theta == 1.0 else
@@ -269,7 +280,65 @@ def test_dense_cayley_is_bit_identical_to_lu_solve_loop(theta):
                               domain=None))
     u0 = gaussian_profile(op.meta["grid"])
     traj = evolve_cayley(gen, u0, 1e-2, 300)
-    assert np.array_equal(traj.states, reference_cayley(gen, u0, 1e-2, 300))
+    assert traj.stepper_meta["schur_rotation"] is (theta == 1.0)
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_cayley(gen, u0, 1e-2, 300)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name,dt", [("weighted", 1e-2), ("weighted", 2.0),
+                                     ("odd", 0.5), ("wrapped", 2.0)])
+def test_schur_cayley_matches_the_stepped_loop(name, dt):
+    # non-uniform weights, a zero mode, and steps far beyond the
+    # frequencies' scale, where each plane turns by 2 atan(b dt/2) < pi
+    if name == "wrapped":
+        _, gen, u0 = wrapped_generator(n=128)
+    else:
+        gen = weighted_ring(48, seed=3) if name == "weighted" else odd_skew(
+            33, seed=4)
+        u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    traj = evolve_cayley(gen, u0, dt, 200)
+    assert traj.stepper_meta["schur_rotation"] is True
+    ref = reference_cayley(gen, u0, dt, 200)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+def test_schur_cayley_does_not_drift_over_many_steps():
+    _, gen, u0 = wrapped_generator(n=256)
+    traj = evolve_cayley(gen, u0, 1e-3, 10_000)
+    norms = traj.norms()
+    assert np.max(np.abs(norms - norms[0])) <= 1e-13 * norms[0]
+    assert np.max(norms[1:] / norms[:-1]) <= 1.0 + 1e-12
+
+
+def test_exact_and_cayley_share_one_schur_factorization(monkeypatch):
+    calls = []
+    real = sla.schur
+    monkeypatch.setattr(sla, "schur",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    _, gen, u0 = wrapped_generator(n=32)
+    exact = evolve_exact(gen, u0, [0.5])
+    cayley = evolve_cayley(gen, u0, 1e-2, 50)
+    evolve_cayley(gen, u0, 2e-2, 25)
+    assert calls == [1]
+    assert exact.stepper_meta["schur_rotation"] is True
+    assert cayley.stepper_meta["schur_rotation"] is True
+
+
+def test_schur_cache_is_not_inherited_or_compared():
+    _, gen, u0 = wrapped_generator(n=16)
+    twin = RestrictedOperator(space=gen.space, action=gen.action,
+                              domain=None, label=gen.label, meta=gen.meta)
+    evolve_cayley(gen, u0, 1e-2, 5)
+    assert gen._schur is not None and twin._schur is None
+    assert gen == twin
+    # the adjoint (here -gen) copies meta but factorizes its own action
+    adj = adjoint_generator(gen)
+    assert adj._schur is None
+    traj = evolve_cayley(adj, u0, 1e-2, 40)
+    assert traj.stepper_meta["schur_rotation"] is True
+    ref = reference_cayley(adj, u0, 1e-2, 40)
+    assert max_relative_distance(adj, traj.states, ref) <= 1e-12
 
 
 def test_cayley_rejects_non_finite_input_and_singular_steps():

@@ -196,14 +196,35 @@ def test_a_non_skew_action_on_a_pinned_domain_takes_the_svd_path(monkeypatch):
     assert calls == [1]
 
 
-def test_a_stencil_skew_only_on_the_domain_takes_the_svd_path(monkeypatch):
-    # x*y does not close periodically: the wrapped rows of the outer ring
-    # break skewness of the whole matrix, but never touch the domain
-    monkeypatch.setattr(operators, "_shifted_lu", None)
-    op = interior_transport(8, psi=lambda x, y: x * y)
+def test_a_stencil_skew_only_on_the_domain_takes_the_one_lu_path(monkeypatch):
+    # x*y does not close periodically: the wrapped entries of the outer
+    # ring break skewness of the whole matrix, but only in the pinned x
+    # pinned block, which never acts on the domain; its W-skew part
+    # keeps the one-LU path, with the SVD route's counts and subspaces
+    calls = []
+    real = operators._shifted_lu
+    monkeypatch.setattr(operators, "_shifted_lu",
+                        lambda a: calls.append(1) or real(a))
+    monkeypatch.setattr(operators, "complement_basis", None)
+    op = interior_transport(16, psi=lambda x, y: x * y)
     assert check_skew_symmetry(op).max_defect < 1e-12
-    dd = deficiency(op)
-    assert (dd.d_plus, dd.d_minus) == (op.codim, op.codim)
+    assert not operators._is_skew(
+        operators._identity_coords(op.space, op.action))
+    assert_matches_svd(op)
+    assert calls == [1]
+
+
+def test_a_dense_action_off_skew_on_the_pins_only_takes_the_one_lu_path(
+        monkeypatch):
+    monkeypatch.setattr(operators, "complement_basis", None)
+    n, pins = 14, [0, 3, 4, 9]
+    rng = np.random.default_rng(1)
+    w = rng.uniform(0.5, 1.5, n)
+    action = weighted_ring(w, rng.uniform(0.5, 1.5, n))
+    action[np.ix_(pins, pins)] += rng.standard_normal((4, 4))
+    assert_matches_svd(RestrictedOperator(space=Space(dim=n, weights=w),
+                                          action=action,
+                                          domain=PinnedDomain(pins)))
 
 
 def test_a_full_skew_operator_has_no_defects_without_densifying(monkeypatch):
