@@ -25,7 +25,7 @@ Cost model (n = dimension, T = number of sample times or steps):
   exponential is formed);
 - non-skew dense ``evolve_cayley``: the step matrix
   (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
-  ``getrs`` against n columns, O(n^3), then one matrix-vector product
+  solve against n columns, O(n^3), then one matrix-vector product
   per step, O(T n^2);
 - sparse ``evolve_cayley``: one SuperLU factorization, then one sparse
   product and one triangular solve pair per step. The factorization
@@ -47,7 +47,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrs
 
 from .operators import RestrictedOperator, _is_skew, sparse_shifted_lu
 
@@ -227,10 +226,9 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     product and one triangular solve pair; a non-finite entry, or a
     factorization that fails, raises ValueError. A dense action forms the
     step matrix C = (E - dt/2 B)^-1 (E + dt/2 B) once (one LU and one
-    getrs against n columns) and steps by one matrix-vector product; a
-    nonzero getrs info, or the first state that leaves the finite numbers
-    (singular E - dt/2 B, which lu_factor also reports by a
-    LinAlgWarning), raises ValueError.
+    solve against n columns) and steps by one matrix-vector product; the
+    first state that leaves the finite numbers (singular E - dt/2 B,
+    which lu_factor also reports by a LinAlgWarning) raises ValueError.
     """
     if sp.issparse(gen.action):
         half = (dt / 2.0) * gen.action.tocsc()
@@ -241,10 +239,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
         return
     half = (dt / 2.0) * gen.dense_action()
     E = np.eye(gen.dim)
-    lu, piv = sla.lu_factor(E - half)
-    C, info = dgetrs(lu, piv, E + half, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"getrs: illegal value in argument {-info}")
+    C = sla.lu_solve(sla.lu_factor(E - half), E + half, overwrite_b=True)
     for k in range(1, nsteps + 1):
         u = C @ u
         if not np.isfinite(u).all():
