@@ -9,24 +9,35 @@ dissipative. The exact path routes skew generators through the real Schur
 form so the propagator is assembled from plane rotations (again exactly
 orthogonal) instead of a generic matrix exponential.
 
-Cost model (n = dimension, T = number of sample times or steps):
+Cost model (n = dimension, T = number of sample times or steps). The
+Schur and the step-matrix routes fill their trajectories by GEMMs over
+blocks of rows, with no Python work per row:
 
 - skew ``evolve_exact`` and skew dense ``evolve_cayley``: one real Schur
-  factorization, O(n^3), cached on the generator so that both share it;
-  then the Schur coordinates of u0 are rotated for every sample time (or
-  step count) at once and mapped back with one GEMM per block of
-  ``_ROW_BLOCK`` rows, O(T n^2) in total, with temporaries that do not
-  grow with T. The Cayley step has the generator's Schur vectors and
-  turns each plane of frequency b by 2 atan(b dt/2), so no step is solved
-  for and the norm does not drift with the step count;
+  factorization, O(n^3), cached on the generator so that both share it.
+  The Schur coordinates of u0, the plane columns of the Schur vectors,
+  the zero modes and the unscaling by 1/sqrt(w) fold once into a
+  (2m+1) x n matrix (m rotation planes), and each block of
+  ``_ROW_BLOCK`` rows is one GEMM of [cos | sin | 1] against it:
+  O(T n^2) in total, with temporaries that do not grow with T. The
+  Cayley step has the generator's Schur vectors and turns each plane of
+  frequency b by phi = 2 atan(b dt/2), so no step is solved for and the
+  norm does not drift with the step count; cos and sin of i phi for
+  i < ``_ROW_BLOCK`` are taken once, and each block needs only those of
+  lo phi, by angle addition. ``evolve_exact`` takes cos and sin of t b
+  directly, because its times are arbitrary;
 - non-skew ``evolve_exact``: one ``expm_multiply`` per sample interval,
   carrying the previous sample forward, O(T s n^2) with s the Taylor
   degree that ``expm_multiply`` picks for the interval (no dense
   exponential is formed);
 - non-skew dense ``evolve_cayley``: the step matrix
-  (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
-  solve against n columns, O(n^3), then one matrix-vector product
-  per step, O(T n^2);
+  C = (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
+  solve against n columns, O(n^3); then the states by doubling:
+  states[b:2b] = states[0:b] (C^b)^T with one squaring per doubling,
+  then fixed blocks of b rows. b doubles only while log2(2b) n <= T and
+  2b <= ``_ROW_BLOCK``, so the squarings never cost more than the T
+  matrix-vector products they replace (at b = 1, the per-step product);
+  O(T n^2) in total;
 - sparse ``evolve_cayley``: one SuperLU factorization, then one sparse
   product and one triangular solve pair per step. The factorization
   (``operators.sparse_shifted_lu``) uses a minimum-degree ordering on
@@ -51,8 +62,8 @@ import scipy.sparse.linalg as spla
 from .operators import RestrictedOperator, _is_skew, sparse_shifted_lu
 
 _DENSE_EXP_LIMIT = 4096
-# sample times rotated and mapped back per GEMM in the skew exact path;
-# bounds its temporaries at _ROW_BLOCK x n whatever the sample count
+# rows (sample times or steps) per GEMM in the dense trajectories; bounds
+# their temporaries at _ROW_BLOCK x n whatever the row count
 _ROW_BLOCK = 128
 
 
@@ -81,6 +92,8 @@ class Trajectory:
             raise ValueError("one state row per time required")
         if self.times.size == 0 or abs(self.times[0]) > 1e-15:
             raise ValueError("trajectories start at t = 0")
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must increase strictly")
 
@@ -97,14 +110,19 @@ class Trajectory:
         return np.sqrt(np.einsum("kj,j,kj->k", self.states, w, self.states))
 
     def sample(self, t) -> np.ndarray:
-        """Linear interpolation between stored states (clamped at the ends)."""
+        """Linear interpolation between stored states (clamped at the ends;
+        a one-sample trajectory returns its only state)."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        tq = np.clip(tq, self.times[0], self.times[-1])
-        hi = np.searchsorted(self.times, tq, side="left")
-        hi = np.clip(hi, 1, self.times.size - 1)
-        lo = hi - 1
-        w = (tq - self.times[lo]) / (self.times[hi] - self.times[lo])
-        out = (1.0 - w)[:, None] * self.states[lo] + w[:, None] * self.states[hi]
+        if self.times.size == 1:
+            out = np.repeat(self.states, tq.size, axis=0)
+        else:
+            tq = np.clip(tq, self.times[0], self.times[-1])
+            hi = np.searchsorted(self.times, tq, side="left")
+            hi = np.clip(hi, 1, self.times.size - 1)
+            lo = hi - 1
+            w = (tq - self.times[lo]) / (self.times[hi] - self.times[lo])
+            out = ((1.0 - w)[:, None] * self.states[lo]
+                   + w[:, None] * self.states[hi])
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -151,28 +169,35 @@ def _schur_planes(gen: RestrictedOperator, S: np.ndarray):
     return gen._schur
 
 
-def _skew_schur_states(planes, v0: np.ndarray, ts: np.ndarray, phase,
-                       out: np.ndarray) -> None:
-    """Write the rotated states of v0 at the abscissae ts into out's rows.
+def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
+                       trig) -> None:
+    """Write the rotated states of v0, mapped back by 1/sw, into out's rows.
 
-    planes = (Z, p, freq) from _schur_planes. The Schur coordinates
-    c = Z^T v0 are turned in each plane (p, p+1) by the angle
-    phase(t, freq) (b t for e^{tS}, k 2 atan(b dt/2) for k Cayley steps);
-    1x1 blocks leave them fixed. The rotated coordinates of _ROW_BLOCK
-    abscissae at a time are mapped back by one GEMM written straight
-    into out.
+    planes = (Z, p, freq) from _schur_planes; m = p.size. With c = Z^T v0,
+    the state at angles a_j (one per plane (p_j, p_j+1)) is
+    sum_j cos a_j A_j + sin a_j B_j + z, where
+    A_j = (c_p Z_p + c_q Z_q) / sw, B_j = (c_q Z_p - c_p Z_q) / sw and z
+    carries the 1x1 blocks (zero modes) of c. These fold into one
+    (2m+1) x n matrix, so each block of _ROW_BLOCK rows is one GEMM of
+    [cos | sin | 1] against it. trig(lo, r) returns the r x m cosines and
+    sines of the angles of rows lo, ..., lo + r - 1.
     """
-    Z, p, freq = planes
+    Z, p, _ = planes
+    m, n = p.size, Z.shape[0]
     c = Z.T @ v0
-    cp, cq = c[p], c[p + 1]
-    for lo in range(0, ts.size, _ROW_BLOCK):
-        tb = ts[lo:lo + _ROW_BLOCK]
-        angle = phase(tb[:, None], freq[None, :])
-        ct, st = np.cos(angle), np.sin(angle)
-        Y = np.repeat(c[None, :], tb.size, axis=0)
-        Y[:, p] = ct * cp + st * cq
-        Y[:, p + 1] = ct * cq - st * cp
-        np.matmul(Y, Z.T, out=out[lo:lo + tb.size])
+    Zp, Zq, cp, cq = Z[:, p], Z[:, p + 1], c[p], c[p + 1]
+    c[p] = c[p + 1] = 0.0
+    fold = np.empty((2 * m + 1, n))
+    fold[:m] = (Zp * cp + Zq * cq).T
+    fold[m:2 * m] = (Zp * cq - Zq * cp).T
+    fold[2 * m] = Z @ c
+    fold /= sw
+    cs = np.empty((min(_ROW_BLOCK, out.shape[0]), 2 * m + 1))
+    cs[:, 2 * m] = 1.0
+    for lo in range(0, out.shape[0], _ROW_BLOCK):
+        rows = cs[:min(_ROW_BLOCK, out.shape[0] - lo)]
+        rows[:, :m], rows[:, m:2 * m] = trig(lo, rows.shape[0])
+        np.matmul(rows, fold, out=out[lo:lo + rows.shape[0]])
 
 
 def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
@@ -185,13 +210,16 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     else is carried from each sample to the next by the action of the
     exponential on a vector (``expm_multiply`` over the sample interval),
     never forming e^{tB}. Desk scale only: dimensions above a few thousand
-    are rejected, and so is a non-finite u0 (ValueError). states[0] is u0.
+    are rejected, and so are negative or non-finite times and a non-finite
+    u0 (ValueError). states[0] is u0.
     """
     _require_full_domain(gen)
     n = gen.dim
     if n > _DENSE_EXP_LIMIT:
         raise ValueError("dense exponential limited to desk-scale dimensions")
     ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(ts).all():
+        raise ValueError("sample times must be finite")
     if np.any(ts < 0):
         raise ValueError("forward evolution only")
     ts = np.unique(ts)
@@ -200,17 +228,22 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
 
     sw, S, is_skew = _identity_generator(gen)
     u0 = np.asarray_chkfinite(u0, dtype=float)
-    v0 = sw * u0
     states = np.empty((ts.size, n))
     if is_skew:
-        _skew_schur_states(_schur_planes(gen, S), v0, ts,
-                           lambda t, b: t * b, states)
+        planes = _schur_planes(gen, S)
+        freq = planes[2]
+
+        def trig(lo, r):
+            angle = np.multiply.outer(ts[lo:lo + r], freq)
+            return np.cos(angle), np.sin(angle)
+
+        _skew_schur_states(planes, sw * u0, sw, states, trig)
     else:
-        states[0] = v0
+        states[0] = sw * u0
         for k in range(1, ts.size):
             states[k] = spla.expm_multiply((ts[k] - ts[k - 1]) * S,
                                            states[k - 1])
-    states /= sw
+        states /= sw
     states[0] = u0
     return Trajectory(times=ts, states=states, space=gen.space,
                       stepper_meta={"method": "exact",
@@ -219,33 +252,64 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
 
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                   nsteps: int):
-    """Yield the nsteps trapezoidal iterates of u, one new array per step.
+    """Yield the nsteps trapezoidal iterates of u under a sparse action,
+    one new array per step.
 
-    A sparse action factorizes E - dt/2 B once (operators.sparse_shifted_lu,
-    the same SuperLU recipe deficiency uses) and steps by one sparse
-    product and one triangular solve pair; a non-finite entry, or a
-    factorization that fails, raises ValueError. A dense action forms the
-    step matrix C = (E - dt/2 B)^-1 (E + dt/2 B) once (one LU and one
-    solve against n columns) and steps by one matrix-vector product; the
-    first state that leaves the finite numbers (singular E - dt/2 B,
-    which lu_factor also reports by a LinAlgWarning) raises ValueError.
+    E - dt/2 B is factorized once (operators.sparse_shifted_lu, the same
+    SuperLU recipe deficiency uses) and each step is one sparse product
+    and one triangular solve pair; a factorization that fails raises
+    ValueError. Only the running iterate is held, so callers that keep
+    no states (transport.rotation_benchmark) stay O(n) in memory.
     """
-    if sp.issparse(gen.action):
-        half = (dt / 2.0) * gen.action.tocsc()
-        lu = sparse_shifted_lu(half)
-        for _ in range(nsteps):
-            u = lu.solve(u + half @ u)
-            yield u
-        return
+    half = (dt / 2.0) * gen.action.tocsc()
+    lu = sparse_shifted_lu(half)
+    for _ in range(nsteps):
+        u = lu.solve(u + half @ u)
+        yield u
+
+
+def _dense_cayley_states(gen: RestrictedOperator, dt: float,
+                         states: np.ndarray) -> None:
+    """Fill states[1:] from states[0] by the dense step matrix
+    C = (E - dt/2 B)^-1 (E + dt/2 B) (one LU and one solve against n
+    columns).
+
+    Rows advance in blocks of b: states[lo:lo+b] = states[lo-b:lo] (C^b)^T.
+    b starts at 1 and doubles, by one squaring of the power, whenever
+    rows 0 .. 2b-1 are known, log2(2b) n <= nsteps and 2b <= _ROW_BLOCK:
+    the squarings (n^3 each) then never cost more than the matrix-vector
+    products (n^2 each) they replace, so short runs of large matrices
+    keep b = 1, the plain per-step product. A power that is not finite
+    stops the doubling. A block that leaves the finite numbers is redone,
+    and the run finished, one step at a time (a power can overflow where
+    single steps do not), so the first non-finite step raises ValueError
+    naming that step (singular E - dt/2 B, which lu_factor also reports
+    by a LinAlgWarning, fails at step 1).
+    """
     half = (dt / 2.0) * gen.dense_action()
     E = np.eye(gen.dim)
     C = sla.lu_solve(sla.lu_factor(E - half), E + half, overwrite_b=True)
-    for k in range(1, nsteps + 1):
-        u = C @ u
-        if not np.isfinite(u).all():
-            raise ValueError(f"Cayley step {k} left the finite numbers "
-                             "(is E - dt/2 B singular?)")
-        yield u
+    nsteps = states.shape[0] - 1
+    b, P, lo = 1, C, 1
+    # every non-finite block or power is caught below, so the floating
+    # point warnings of the products add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo <= nsteps:
+            r = min(b, nsteps + 1 - lo)
+            block = states[lo:lo + r]
+            np.matmul(states[lo - b:lo - b + r], P.T, out=block)
+            if not np.isfinite(block).all():
+                if b > 1:
+                    b, P = 1, C
+                    continue
+                raise ValueError(f"Cayley step {lo} left the finite numbers "
+                                 "(is E - dt/2 B singular?)")
+            lo += r
+            if (lo == 2 * b and 2 * b <= _ROW_BLOCK
+                    and np.log2(2 * b) * gen.dim <= nsteps):
+                square = P @ P
+                if np.isfinite(square).all():
+                    b, P = 2 * b, square
 
 
 def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
@@ -257,40 +321,52 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
 
     - dense and W-skew (the test evolve_exact uses): the Cayley step
       shares the real Schur vectors of B and turns each plane of
-      frequency b by 2 atan(b dt/2), so every state comes from the Schur
-      factors (cached on the generator, shared with evolve_exact) and
-      one GEMM per block of steps; no step is solved for, and the norm
-      does not drift with the step count;
+      frequency b by phi = 2 atan(b dt/2), so the state after k steps
+      has the angles k phi. Every state comes from the Schur factors
+      (cached on the generator, shared with evolve_exact) and one GEMM
+      per block of steps; cos and sin of i phi (i < _ROW_BLOCK) are taken
+      once and shifted to each block by angle addition. No step is
+      solved for, and the norm does not drift with the step count;
     - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
-      formed once and each step is one matrix-vector product;
+      formed once and the states are filled by GEMMs against its
+      doubled powers (_dense_cayley_states);
     - sparse: one SuperLU factorization of E - dt/2 B, then one sparse
       product and one triangular solve pair per step.
 
-    states[0] is u0. A non-finite u0 or B raises ValueError, and so does
-    a singular E - dt/2 B (a dense step that leaves the finite numbers,
-    or a failed sparse factorization). stepper_meta["schur_rotation"]
-    records whether the Schur route ran.
+    states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
+    does a singular E - dt/2 B (a dense step that leaves the finite
+    numbers, or a failed sparse factorization).
+    stepper_meta["schur_rotation"] records whether the Schur route ran.
     """
     _require_full_domain(gen)
-    if dt <= 0 or nsteps < 1:
-        raise ValueError("need dt > 0 and nsteps >= 1")
+    if not (np.isfinite(dt) and dt > 0) or nsteps < 1:
+        raise ValueError("need a finite dt > 0 and nsteps >= 1")
     u = np.asarray_chkfinite(u0, dtype=float)
     states = np.empty((nsteps + 1, gen.dim))
+    states[0] = u
     is_skew = False
-    if not sp.issparse(gen.action):
-        sw, S, is_skew = _identity_generator(gen)
-    if is_skew:
-        half = 0.5 * dt
-        _skew_schur_states(_schur_planes(gen, S), sw * u,
-                           np.arange(nsteps + 1, dtype=float),
-                           lambda k, b: k * (2.0 * np.arctan(half * b)),
-                           states)
-        states /= sw
-    else:
+    if sp.issparse(gen.action):
         for k, state in enumerate(_cayley_steps(gen, u, dt, nsteps),
                                   start=1):
             states[k] = state
-    states[0] = u
+    else:
+        sw, S, is_skew = _identity_generator(gen)
+        if is_skew:
+            planes = _schur_planes(gen, S)
+            phi = 2.0 * np.arctan((0.5 * dt) * planes[2])
+            base = np.multiply.outer(np.arange(min(_ROW_BLOCK, nsteps + 1)),
+                                     phi)
+            cos_i, sin_i = np.cos(base), np.sin(base)
+
+            def trig(lo, r):
+                c, s = np.cos(lo * phi), np.sin(lo * phi)
+                return (cos_i[:r] * c - sin_i[:r] * s,
+                        sin_i[:r] * c + cos_i[:r] * s)
+
+            _skew_schur_states(planes, sw * u, sw, states, trig)
+            states[0] = u
+        else:
+            _dense_cayley_states(gen, dt, states)
     return Trajectory(times=dt * np.arange(nsteps + 1), states=states,
                       space=gen.space,
                       stepper_meta={"method": "cayley", "dt": float(dt),

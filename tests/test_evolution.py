@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -78,6 +80,40 @@ def reference_exact(gen, u0, times):
     return np.array(rows)
 
 
+def reference_schur_cayley(gen, u0, dt, nsteps):
+    """The Schur route with its phases taken step by step: after k steps
+    plane j has turned by k 2 atan(b_j dt/2), whose cos and sin are taken
+    directly, and the rotated coordinates are scattered plane by plane."""
+    sw = np.sqrt(gen.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    T, Z = sla.schur(S, output="real")
+    n = S.shape[0]
+    first, i = [], 0
+    while i < n:
+        if i + 1 < n and abs(T[i + 1, i]) > 0.0:
+            first.append(i)
+            i += 2
+        else:
+            i += 1
+    p = np.asarray(first, dtype=np.intp)
+    c = Z.T @ (sw * u0)
+    angle = (np.arange(nsteps + 1)[:, None]
+             * (2.0 * np.arctan(0.5 * dt * T[p, p + 1]))[None, :])
+    ct, st = np.cos(angle), np.sin(angle)
+    Y = np.repeat(c[None, :], nsteps + 1, axis=0)
+    Y[:, p] = ct * c[p] + st * c[p + 1]
+    Y[:, p + 1] = ct * c[p + 1] - st * c[p]
+    return (Y @ Z.T) / sw
+
+
+def dissipative_ring(n, seed):
+    """weighted_ring minus a positive diagonal: W-dissipative, not skew."""
+    ring = weighted_ring(n, seed)
+    d = np.random.default_rng(seed + 1).uniform(0.1, 1.0, n)
+    return RestrictedOperator(space=ring.space,
+                              action=ring.action - np.diag(d), domain=None)
+
+
 def reference_cayley(gen, u0, dt, nsteps):
     """The dense Cayley loop through scipy's lu_solve."""
     B = gen.dense_action()
@@ -113,6 +149,25 @@ def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0, 1.0]),
                    states=np.zeros((3, 2)), space=s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trajectory_rejects_non_finite_times(bad):
+    s = Space.euclidean(2)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(times=np.array([0.0, 1.0, bad]),
+                   states=np.zeros((3, 2)), space=s)
+
+
+def test_one_sample_trajectory_samples_its_only_state():
+    u0 = np.array([1.0, -2.0])
+    traj = evolve_exact(rotation(), u0, [0.0])
+    assert traj.times.tolist() == [0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(traj.sample(0.0), u0)
+        got = traj.sample(np.array([-1.0, 0.0, 3.0]))
+    assert np.array_equal(got, np.repeat(u0[None, :], 3, axis=0))
 
 
 def test_trajectory_sample_interpolates_and_clamps():
@@ -220,6 +275,18 @@ def test_exact_flow_rejects_non_finite_initial_data(action):
         evolve_exact(b, [np.nan, 1.0], [1.0])
 
 
+@pytest.mark.parametrize("times", [[np.inf], [np.nan], [1.0, np.nan]],
+                         ids=["inf", "nan", "trailing-nan"])
+@pytest.mark.parametrize("action", [[[0.0, -1.0], [1.0, 0.0]],
+                                    [[-1.0, 0.0], [0.0, -2.0]]],
+                         ids=["schur", "expm"])
+def test_exact_flow_rejects_non_finite_times(action, times):
+    b = RestrictedOperator(space=Space.euclidean(2), action=np.array(action),
+                           domain=None)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        evolve_exact(b, [1.0, 0.0], times)
+
+
 def test_exact_flow_requires_full_domain():
     op = minimal_derivative_operator(16)
     with pytest.raises(ValueError, match="extend the operator first"):
@@ -268,6 +335,22 @@ def test_cayley_validates_inputs():
         evolve_cayley(op, u0, 0.1, 10)
 
 
+@pytest.mark.parametrize("route", ["schur", "step-matrix", "sparse"])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_cayley_rejects_non_finite_steps(route, dt):
+    _, gen, u0 = wrapped_generator(n=16)
+    if route == "step-matrix":
+        gen = RestrictedOperator(space=gen.space,
+                                 action=gen.dense_action() - np.eye(16),
+                                 domain=None)
+    elif route == "sparse":
+        gen = RestrictedOperator(space=gen.space,
+                                 action=sp.csr_matrix(gen.dense_action()),
+                                 domain=None)
+    with pytest.raises(ValueError, match="finite dt"):
+        evolve_cayley(gen, u0, dt, 3)
+
+
 @pytest.mark.parametrize("theta", [1.0, 0.3])
 def test_dense_cayley_matches_the_lu_solve_loop(theta):
     # theta = 1: the skew generator takes the Schur rotations; theta = 0.3:
@@ -301,6 +384,103 @@ def test_schur_cayley_matches_the_stepped_loop(name, dt):
     assert traj.stepper_meta["schur_rotation"] is True
     ref = reference_cayley(gen, u0, dt, 200)
     assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("nsteps", [1, 5, _ROW_BLOCK, 2 * _ROW_BLOCK + 7])
+@pytest.mark.parametrize("dt", [1e-2, 2.0])
+@pytest.mark.parametrize("name", ["weighted", "odd", "wrapped"])
+def test_schur_cayley_phases_match_the_per_step_formula(name, dt, nsteps):
+    # cos and sin of i phi, shifted to each block by angle addition,
+    # against cos and sin of k phi taken directly for every step k
+    if name == "wrapped":
+        _, gen, u0 = wrapped_generator(n=128)
+    else:
+        gen = weighted_ring(48, seed=3) if name == "weighted" else odd_skew(
+            33, seed=4)
+        u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    assert traj.stepper_meta["schur_rotation"] is True
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_schur_cayley(gen, u0, dt, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("nsteps", [1, 2, 3, 127, 128, 129, 263])
+def test_doubled_step_powers_match_the_lu_solve_loop(nsteps):
+    # n = 6: the powers double up to _ROW_BLOCK rows once nsteps >= 48,
+    # so these counts end inside, on and just past doubled blocks
+    gen = dissipative_ring(6, seed=8)
+    u0 = np.random.default_rng(9).standard_normal(6)
+    traj = evolve_cayley(gen, u0, 0.1, nsteps)
+    assert traj.stepper_meta["schur_rotation"] is False
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_cayley(gen, u0, 0.1, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+    norms = traj.norms()
+    assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
+
+
+def test_short_runs_of_large_matrices_step_one_at_a_time():
+    # log2(2) n > nsteps: a squaring would cost more than the products it
+    # saves, so every row is the product of the previous one with C
+    gen = dissipative_ring(64, seed=10)
+    u0 = np.random.default_rng(11).standard_normal(64)
+    traj = evolve_cayley(gen, u0, 0.1, 63)
+    half = 0.05 * gen.dense_action()
+    E = np.eye(64)
+    C = sla.lu_solve(sla.lu_factor(E - half), E + half)
+    rows = [u0[None, :]]
+    for _ in range(63):
+        rows.append(rows[-1] @ C.T)
+    assert np.array_equal(traj.states, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("theta", [-0.9, 0.0])
+def test_doubled_step_powers_follow_a_long_lossy_seam_flow(theta):
+    op = minimal_derivative_operator(256)
+    ext = seam_extension(op, theta)
+    gen = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
+                             domain=None)
+    u0 = gaussian_profile(op.meta["grid"])
+    u0 = u0 / op.space.norm(u0)
+    traj = evolve_cayley(gen, u0, 1e-3, 10_000)
+    ref = reference_cayley(gen, u0, 1e-3, 10_000)
+    if theta == 0.0:
+        # the absorbing seam leaves 4e-5 of the norm after 10^4 steps; the
+        # stepped loop with the step matrix is itself 3e-11 away from the
+        # lu_solve loop relative to such a state, so measure against u0
+        ref_norms = gen.space.norm(u0)
+        d = traj.states - ref
+        gap = np.max(np.sqrt(np.einsum("kj,j,kj->k", d, gen.space.weights,
+                                       d))) / ref_norms
+    else:
+        gap = max_relative_distance(gen, traj.states, ref)
+    assert gap <= 1e-12
+    norms = traj.norms()
+    assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
+
+
+def test_doubled_block_overflow_names_the_first_bad_step():
+    # C = diag(79, 5/3): 79^163 is the first power beyond the largest
+    # double; step 163 lies in the block 128..255 filled by C^128
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=np.diag([3.9, 1.0]), domain=None)
+    with pytest.raises(ValueError, match="Cayley step 163 left"):
+        evolve_cayley(b, np.ones(2), 0.5, 300)
+
+
+def test_overflowing_powers_stop_the_doubling():
+    # C = diag(1e10, 0.5): C^32 overflows, yet (0, 1) never touches the
+    # growing mode, so the stepped loop stays finite and so must this
+    c = 1e10
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=np.diag([4.0 * (c - 1.0) / (c + 1.0),
+                                           -4.0 / 3.0]), domain=None)
+    u0 = np.array([0.0, 1.0])
+    traj = evolve_cayley(b, u0, 0.5, 300)
+    assert np.isfinite(traj.states).all()
+    ref = reference_cayley(b, u0, 0.5, 300)
+    assert max_relative_distance(b, traj.states, ref) <= 1e-12
 
 
 def test_schur_cayley_does_not_drift_over_many_steps():
