@@ -38,17 +38,25 @@ blocks of rows, with no Python work per row:
   2b <= ``_ROW_BLOCK``, so the squarings never cost more than the T
   matrix-vector products they replace (at b = 1, the per-step product);
   O(T n^2) in total;
-- sparse ``evolve_cayley``: one SuperLU factorization, then one sparse
-  product and one triangular solve pair per step. The factorization
-  (``operators.sparse_shifted_lu``) uses a minimum-degree ordering on
-  A^T + A in SuperLU's symmetric mode: every sparse action skewflow
-  builds (transport stencils and their metric adjoints) is structurally
-  symmetric. On the 64^2 rotation stencil it leaves 210k L+U nonzeros
-  against 401k under SuperLU's default COLAMD ordering, and a step costs
-  about 0.49 ms against 0.83 ms (one BLAS thread). Keeping diagonal
-  pivots down to 1e-3 of their column keeps the ordering at large steps
-  too: on the 48^2 rotation stencil at dt = 2 the fill is 107k instead
-  of 2.28M.
+- sparse ``evolve_cayley``: an independent set I of B's off-diagonal
+  pattern is eliminated first, exactly, since E - dt/2 B is diagonal
+  on I; on a periodic transport stencil over an even grid I is one
+  colour of the grid, n/2 nodes. One SuperLU factorization of the
+  Schur complement on the other nodes follows, then per step one
+  triangular solve pair of that half size and two sparse products with
+  the blocks that couple I to the rest. The new state is 2x - u for the
+  solution x of (E - dt/2 B) x = u, so no product with B is taken.
+  I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
+  per node. The factorization (``operators.sparse_shifted_lu``) uses a
+  minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
+  sparse action skewflow builds is structurally symmetric) and keeps
+  diagonal pivots down to 1e-3 of their column, so the ordering holds at
+  large steps too. On the 64^2 rotation stencil the factor has 190k L+U
+  nonzeros, against 210k for the whole matrix (401k under SuperLU's
+  default COLAMD ordering), and a step costs about 0.11 ms against
+  0.13 ms for a whole-matrix solve and product (one BLAS thread); the
+  set-up, choice of I included, costs about what the whole-matrix LU
+  does (6 ms).
 """
 from __future__ import annotations
 
@@ -110,9 +118,12 @@ class Trajectory:
         return np.sqrt(np.einsum("kj,j,kj->k", self.states, w, self.states))
 
     def sample(self, t) -> np.ndarray:
-        """Linear interpolation between stored states (clamped at the ends;
-        a one-sample trajectory returns its only state)."""
+        """Linear interpolation between stored states (clamped at the ends,
+        +-inf included; a one-sample trajectory returns its only state).
+        A NaN time raises ValueError."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.isnan(tq).any():
+            raise ValueError("sample times must not be NaN")
         if self.times.size == 1:
             out = np.repeat(self.states, tq.size, axis=0)
         else:
@@ -250,22 +261,85 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
                                     "schur_rotation": bool(is_skew)})
 
 
+def _eliminated_nodes(half) -> np.ndarray:
+    """Mask of the nodes the sparse Cayley step eliminates before its
+    factorization: an independent set I of the off-diagonal pattern of
+    half = dt/2 B whose pivots 1 - half[i, i] pass the column rule of
+    operators.sparse_shifted_lu (more than 1e-3 of the largest
+    off-diagonal entry of the column).
+
+    The candidates are the nodes at even BFS depth from one root per
+    connected component (scipy.sparse.csgraph, no Python work per node);
+    an even node with an even neighbour (an odd cycle) is dropped. On
+    bipartite patterns, such as every periodic transport stencil on an
+    even grid, I is one colour: half of the nodes.
+    """
+    # imported here: only the sparse stepper needs csgraph, and loading it
+    # with the module adds about 3 MB to the peak RSS of dense-only runs
+    from scipy.sparse import csgraph
+
+    off = half.tocsr(copy=True)
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    off = abs(off)
+    adj = (off + off.T).tocsr()
+    _, component = csgraph.connected_components(adj, directed=False)
+    roots = np.unique(component, return_index=True)[1]
+    depth = csgraph.dijkstra(adj, directed=False, indices=roots,
+                             unweighted=True, min_only=True)
+    even = depth % 2 == 0
+    pivot = np.abs(1.0 - half.diagonal())
+    column = off.max(axis=0).toarray().ravel()
+    # strict, so that a zero pivot in an empty column is not eliminated
+    return even & (adj @ even.astype(float) == 0) & (pivot > 1e-3 * column)
+
+
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                   nsteps: int):
-    """Yield the nsteps trapezoidal iterates of u under a sparse action,
-    one new array per step.
+    """The nsteps trapezoidal iterates of u under a sparse action, as
+    (order, steps): steps yields after each step the iterate permuted by
+    order, u[order], in one buffer that the next step overwrites.
 
-    E - dt/2 B is factorized once (operators.sparse_shifted_lu, the same
-    SuperLU recipe deficiency uses) and each step is one sparse product
-    and one triangular solve pair; a factorization that fails raises
-    ValueError. Only the running iterate is held, so callers that keep
-    no states (transport.rotation_benchmark) stay O(n) in memory.
+    With h = dt/2, I the nodes of _eliminated_nodes, R the rest and
+    D = 1 - h diag(B) on I, E - hB is diagonal on I, so eliminating I
+    first is exact. What is left is the Schur complement
+    S = E - h B_RR - h^2 B_RI D^-1 B_IR on R, factorized once by
+    operators.sparse_shifted_lu (a failure raises ValueError). A step
+    solves (E - hB) x = u by
+    x_R = S^-1 (u_R + h B_RI D^-1 u_I) and x_I = D^-1 (u_I + h B_IR x_R),
+    then sets u = 2x - u, since (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E;
+    no product with B is taken. order lists I, then R, and the buffer
+    holds (u_I, u_R). Only the running iterate is held, so callers that
+    keep no states (transport.rotation_benchmark) stay O(n) in memory.
     """
-    half = (dt / 2.0) * gen.action.tocsc()
-    lu = sparse_shifted_lu(half)
-    for _ in range(nsteps):
-        u = lu.solve(u + half @ u)
-        yield u
+    half = (dt / 2.0) * gen.action.tocsr()
+    elim = _eliminated_nodes(half)
+    keep = ~elim
+    inv = 1.0 / (1.0 - half.diagonal()[elim])
+    scale = sp.diags(inv)
+    rows_I, rows_R = half[elim], half[keep]
+    to_I = (scale @ rows_I[:, keep]).tocsr()     # D^-1 h B_IR
+    from_I = (rows_R[:, elim] @ scale).tocsr()   # h B_RI D^-1
+    lu = sparse_shifted_lu(rows_R[:, keep] + from_I @ rows_I[:, keep])
+    order = np.concatenate([np.flatnonzero(elim), np.flatnonzero(keep)])
+    v = u[order]
+    u_I, u_R = v[:inv.size], v[inv.size:]
+
+    def steps():
+        for _ in range(nsteps):
+            x_R = lu.solve(u_R + from_I @ u_I)
+            x_I = to_I @ x_R
+            x_I += inv * u_I
+            np.subtract(x_R + x_R, u_R, out=u_R)
+            np.subtract(x_I + x_I, u_I, out=u_I)
+            yield v
+
+    return order, steps()
+
+
+def _left_finite(step: int) -> ValueError:
+    return ValueError(f"Cayley step {step} left the finite numbers "
+                      "(is E - dt/2 B singular?)")
 
 
 def _dense_cayley_states(gen: RestrictedOperator, dt: float,
@@ -302,8 +376,7 @@ def _dense_cayley_states(gen: RestrictedOperator, dt: float,
                 if b > 1:
                     b, P = 1, C
                     continue
-                raise ValueError(f"Cayley step {lo} left the finite numbers "
-                                 "(is E - dt/2 B singular?)")
+                raise _left_finite(lo)
             lo += r
             if (lo == 2 * b and 2 * b <= _ROW_BLOCK
                     and np.log2(2 * b) * gen.dim <= nsteps):
@@ -330,12 +403,15 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
       formed once and the states are filled by GEMMs against its
       doubled powers (_dense_cayley_states);
-    - sparse: one SuperLU factorization of E - dt/2 B, then one sparse
-      product and one triangular solve pair per step.
+    - sparse: the nodes of an independent set are eliminated first and
+      the half-size Schur complement on the rest is factorized once;
+      each step is one solve pair with it and two sparse products
+      (_cayley_steps), scattered into its row of states.
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
-    does a singular E - dt/2 B (a dense step that leaves the finite
-    numbers, or a failed sparse factorization).
+    does a singular E - dt/2 B (a failed sparse factorization) and a
+    step that leaves the finite numbers, named by its index (the dense
+    and the sparse routes check the states block by block).
     stepper_meta["schur_rotation"] records whether the Schur route ran.
     """
     _require_full_domain(gen)
@@ -346,9 +422,18 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     states[0] = u
     is_skew = False
     if sp.issparse(gen.action):
-        for k, state in enumerate(_cayley_steps(gen, u, dt, nsteps),
-                                  start=1):
-            states[k] = state
+        order, steps = _cayley_steps(gen, u, dt, nsteps)
+        back = np.argsort(order)
+        lo = 1
+        # non-finite rows are caught block by block below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, v in enumerate(steps, start=1):
+                np.take(v, back, out=states[k])
+                if k - lo + 1 == _ROW_BLOCK or k == nsteps:
+                    finite = np.isfinite(states[lo:k + 1]).all(axis=1)
+                    if not finite.all():
+                        raise _left_finite(lo + int(np.argmin(finite)))
+                    lo = k + 1
     else:
         sw, S, is_skew = _identity_generator(gen)
         if is_skew:

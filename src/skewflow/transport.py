@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .evolution import _cayley_steps, adjoint_generator
+from .evolution import _cayley_steps, _left_finite, adjoint_generator
 from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
 
@@ -233,8 +233,8 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     trapezoidal step keeps it at roundoff). States are not stored — only
     running norms and the final state — so large n stays cheap in memory.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
     grid = Grid2D(n, n)
 
     def psi(x, y):
@@ -252,9 +252,14 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
     drift = 0.0
-    for u in _cayley_steps(gen, u0, dt_eff, nsteps):
-        drift = max(drift, abs(float(np.sqrt(area * np.dot(u, u))) - norm0))
-    final_error = float(np.sqrt(area * np.dot(u - u0, u - u0))) / norm0
+    order, steps = _cayley_steps(gen, u0, dt_eff, nsteps)
+    for k, u in enumerate(steps, start=1):
+        norm = float(np.sqrt(area * np.dot(u, u)))
+        if not np.isfinite(norm):
+            raise _left_finite(k)
+        drift = max(drift, abs(norm - norm0))
+    e = u - u0[order]
+    final_error = float(np.sqrt(area * np.dot(e, e))) / norm0
     return {
         "final_error": final_error,
         "energy_drift": drift / norm0,

@@ -9,11 +9,16 @@ import scipy.sparse.linalg as spla
 from skewflow.evolution import (
     _ROW_BLOCK,
     Trajectory,
+    _eliminated_nodes,
     adjoint_generator,
     evolve_cayley,
     evolve_exact,
 )
-from skewflow.operators import RestrictedOperator, seam_extension
+from skewflow.operators import (
+    RestrictedOperator,
+    seam_extension,
+    sparse_shifted_lu,
+)
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
 from skewflow.spaces import Space
 from skewflow.transport import (
@@ -126,6 +131,60 @@ def reference_cayley(gen, u0, dt, nsteps):
     return np.array(rows)
 
 
+def reference_sparse_cayley(gen, u0, dt, nsteps):
+    """The sparse Cayley loop over the whole matrix: one SuperLU
+    factorization of E - dt/2 B, then one product with B and one solve
+    per step."""
+    half = (dt / 2.0) * gen.action.tocsc()
+    lu = sparse_shifted_lu(half)
+    u, rows = np.asarray(u0, dtype=float), [u0]
+    for _ in range(nsteps):
+        u = lu.solve(u + half @ u)
+        rows.append(u)
+    return np.array(rows)
+
+
+def rotation_stencil(n):
+    """The forward generator of rigid rotation on the n^2 periodic grid:
+    its diagonal is exactly zero."""
+    g = Grid2D(n, n)
+    fld = field_from_stream(
+        g, lambda x, y: -0.5 * ((x - 0.5) ** 2 + (y - 0.5) ** 2))
+    return (adjoint_generator(build_transport_operator(fld)),
+            gaussian_blob(g, (0.65, 0.5), 0.12))
+
+
+def cellular_stencil(n, seed):
+    """The forward generator of a seeded sum of periodic cells on the n^2
+    grid: its diagonal is rounding-level, not zero."""
+    g = Grid2D(n, n)
+    rng = np.random.default_rng(seed)
+    xn, yn = g.node_coords()
+    psi = sum(0.05 * rng.standard_normal()
+              * np.outer(np.sin(2 * np.pi * k * xn + rng.uniform(0, 6)),
+                         np.sin(2 * np.pi * l * yn + rng.uniform(0, 6)))
+              for k in (1, 2) for l in (1, 2))
+    gen = adjoint_generator(build_transport_operator(field_from_stream(g, psi)))
+    return gen, gaussian_blob(g, (0.4, 0.6), 0.1)
+
+
+def sparse_dissipative(n, seed):
+    """The 24^2 rotation generator minus a seeded positive diagonal."""
+    gen, u0 = rotation_stencil(n)
+    d = np.random.default_rng(seed).uniform(0.1, 1.0, gen.dim)
+    return (RestrictedOperator(space=gen.space,
+                               action=(gen.action - sp.diags(d)).tocsr(),
+                               domain=None), u0)
+
+
+SPARSE_CASES = {
+    "rotation-48": lambda: rotation_stencil(48),
+    "rotation-33": lambda: rotation_stencil(33),
+    "cellular-32": lambda: cellular_stencil(32, 5),
+    "dissipative-24": lambda: sparse_dissipative(24, 7),
+}
+
+
 def max_relative_distance(gen, got, ref):
     """Largest W-norm of got[k] - ref[k] relative to that of ref[k]."""
     w = gen.space.weights
@@ -178,6 +237,17 @@ def test_trajectory_sample_interpolates_and_clamps():
     assert tr.sample(5.0)[0] == pytest.approx(2.0)  # clamped at the end
     got = tr.sample(np.array([0.25, 0.75]))
     np.testing.assert_allclose(got[:, 0], [0.5, 1.5])
+
+
+def test_trajectory_sample_rejects_nan_and_clamps_infinities():
+    s = Space.euclidean(1)
+    tr = Trajectory(times=np.array([0.0, 1.0]),
+                    states=np.array([[0.0], [2.0]]), space=s)
+    for t in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            tr.sample(t)
+    got = tr.sample(np.array([-np.inf, np.inf]))
+    assert got[:, 0].tolist() == [0.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +666,56 @@ def test_sparse_cayley_failures_are_value_errors(case):
                            action=sp.csr_matrix(action), domain=None)
     with pytest.raises(ValueError, match="singular"):
         evolve_cayley(b, np.ones(2), 0.5, 1)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 2.0])
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
+    # the half-size Schur complement with u <- 2x - u against one LU of
+    # the whole E - dt/2 B and a product with B per step
+    gen, u0 = SPARSE_CASES[case]()
+    traj = evolve_cayley(gen, u0, dt, 40)
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_sparse_cayley(gen, u0, dt, 40)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_eliminated_nodes_are_independent(case):
+    gen, _ = SPARSE_CASES[case]()
+    half = 0.05 * gen.action.tocsr()
+    elim = _eliminated_nodes(half)
+    off = abs(half) + abs(half.T)
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    assert not np.any(off[elim][:, elim].toarray())
+    if case == "rotation-33":
+        # odd torus: not bipartite, yet most of one colour survives
+        assert 0.4 * gen.dim < elim.sum() < 0.5 * gen.dim
+    else:
+        assert elim.sum() == gen.dim // 2
+
+
+def test_small_pivots_are_not_eliminated():
+    # E - dt/2 B = diag(0, 0.75) for dt = 0.5: the zero pivot stays in
+    # the factorized block, which SuperLU then reports as singular
+    half = sp.csr_matrix(np.diag([1.0, 0.25]))
+    assert _eliminated_nodes(half).tolist() == [False, True]
+    # a pivot of 1e-6 is below 1e-3 of the 0.01 below it in its column
+    half = sp.csr_matrix([[1.0 - 1e-6, 0.01], [-0.01, 0.0]])
+    assert _eliminated_nodes(half).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_cayley_overflow_names_the_first_bad_step(sparse):
+    # one step multiplies the first coordinate by 1.95 / 0.05 = 39, and
+    # 39^194 is the first power beyond the largest double
+    action = np.diag([1.9, 0.5])
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=sp.csr_matrix(action) if sparse else action,
+                           domain=None)
+    with pytest.raises(ValueError, match="Cayley step 194 left"):
+        evolve_cayley(b, np.ones(2), 1.0, 400)
 
 
 def test_cayley_contracts_for_dissipative_generators():

@@ -213,6 +213,9 @@ def test_rotation_benchmark_validates_arguments():
         rotation_benchmark(16, -0.1)
     with pytest.raises(ValueError):
         rotation_benchmark(1, 0.1)
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            rotation_benchmark(16, dt)
 
 
 # ---------------------------------------------------------------------------
