@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import adjoint_generator, evolve_cayley, evolve_exact
+from .evolution import (adjoint_generator, evolve_cayley, evolve_exact,
+                        steps_to_horizon)
 from .operators import (
     RestrictedOperator,
     check_m_dissipative,
@@ -56,6 +57,7 @@ from .transport import (
     read_stream_file,
 )
 from .weak import (
+    forward_generator,
     gs_residual,
     semigroup_multiplicity_demo,
     splice,
@@ -266,33 +268,19 @@ def _default_u0(op: RestrictedOperator, seed: int) -> np.ndarray:
     return u0 / op.space.norm(u0)
 
 
-def _forward_generator(op: RestrictedOperator) -> RestrictedOperator:
-    """Contractive forward generator attached to a descriptor-built operator.
-
-    Full-domain skew operators drive their own forward problem through the
-    metric adjoint; restricted operators with seam metadata are first
-    extended with the neutral wrap coupling (theta = +1)."""
-    if op.is_full_domain:
-        return adjoint_generator(op)
-    if "seam" in op.meta:
-        return adjoint_generator(seam_extension(op, +1.0))
-    return adjoint_generator(extend(op, +1.0))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _steps(args, dim: int) -> tuple[float, int]:
-    """The step count nearest --horizon / --dt and the step that lands on
-    --horizon exactly. A run whose stored states would exceed
+    """The step that lands on --horizon exactly and the step count
+    (evolution.steps_to_horizon). A run whose stored states would exceed
     _MAX_STATE_FLOATS is a usage error, raised before anything is built."""
     ratio = args.horizon / args.dt
     if (ratio + 1.0) * dim > _MAX_STATE_FLOATS:
         raise CliError(f"--horizon / --dt = {ratio:.3g} steps of a "
                        f"{dim}-vector exceeds {_MAX_STATE_FLOATS} stored floats")
-    nsteps = max(1, int(round(ratio)))
-    return args.horizon / nsteps, nsteps
+    return steps_to_horizon(args.horizon, args.dt)
 
 
 def _dense_size_guard(args, op: RestrictedOperator) -> None:
@@ -398,7 +386,7 @@ def cmd_verify(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         _dense_size_guard(args, op)
     dt, nsteps = _steps(args, op.dim)
-    gen = _forward_generator(op)
+    gen = forward_generator(op)
     u0 = _default_u0(op, args.seed)
     traj = evolve_cayley(gen, u0, dt, nsteps)
     rep = gs_residual(traj, u0, op, tol=args.gs_tol, seed=args.seed)
@@ -428,19 +416,16 @@ def cmd_witness(args, op) -> tuple[int, dict]:
         payload = {"command": "witness", "label": op.label,
                    "unique": True, "message": str(exc), "pass": False}
         return 2, payload
-    gen = _forward_generator(op)
-    times = dt * np.arange(nsteps + 1)
-
-    wit_traj = wit.trajectory(times)
+    gen = forward_generator(op)
     semi_traj = evolve_cayley(gen, wit.u0, dt, nsteps)
+    wit_traj = wit.trajectory(semi_traj.times)
     rep_w = gs_residual(wit_traj, wit.u0, op, tol=args.gs_tol, seed=args.seed)
     rep_s = gs_residual(semi_traj, wit.u0, op, tol=args.gs_tol,
                         seed=args.seed)
     t_probe = min(1.0, args.horizon)
     d_at_1 = float(op.space.norm(wit_traj.sample(t_probe)
                                  - semi_traj.sample(t_probe)))
-    spl = splice(wit, gen, args.t0)
-    spl_traj = spl.trajectory(times, dt=dt)
+    spl_traj = splice(wit, gen, semi_traj, args.t0)
     d_splice = float(op.space.norm(spl_traj.final - wit_traj.final))
     write_trajectory_csv(args.out, wit_traj)
     ok = rep_w.passed and rep_s.passed

@@ -139,6 +139,20 @@ class Trajectory:
         return out
 
 
+def steps_to_horizon(horizon: float, dt: float) -> tuple[float, int]:
+    """The step count nearest horizon / dt (at least 1) and the step
+    horizon / nsteps that lands on the horizon exactly. ValueError unless
+    dt and horizon are finite and positive."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    if not (np.isfinite(horizon) and horizon > 0
+            and np.isfinite(horizon / dt)):
+        raise ValueError("horizon and horizon / dt must be finite and "
+                         "positive")
+    nsteps = max(1, int(round(horizon / dt)))
+    return horizon / nsteps, nsteps
+
+
 def _require_full_domain(gen: RestrictedOperator):
     if not gen.is_full_domain:
         raise ValueError(

@@ -80,10 +80,13 @@ def interval_shift_semigroup(theta: float, t: float, u0_samples) -> np.ndarray:
     u(t, x_j) = theta^{floor(x_j + t)} u0({x_j + t}). When t is not an
     integer number of grid cells the two neighbouring integer shifts are
     blended linearly (an O(h) convenience; the exact values are the
-    integer-shift ones). |theta| <= 1 keeps the flow contractive.
+    integer-shift ones). |theta| <= 1 keeps the flow contractive. A
+    non-finite t raises ValueError.
     """
     if abs(theta) > 1.0 + 1e-12:
         raise ValueError("theta must lie in [-1, 1]")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     if t < 0:
         raise ValueError("forward flow only (t >= 0)")
     u0 = np.asarray(u0_samples, dtype=float)

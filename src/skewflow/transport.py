@@ -17,7 +17,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .evolution import _cayley_steps, _left_finite, adjoint_generator
+from .evolution import (_cayley_steps, _left_finite, adjoint_generator,
+                        steps_to_horizon)
 from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
 
@@ -233,8 +234,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     trapezoidal step keeps it at roundoff). States are not stored — only
     running norms and the final state — so large n stays cheap in memory.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive")
+    dt_eff, nsteps = steps_to_horizon(2.0 * np.pi, dt)
     grid = Grid2D(n, n)
 
     def psi(x, y):
@@ -245,10 +245,6 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     gen = adjoint_generator(op)
 
     u0 = gaussian_blob(grid, (0.65, 0.5), 0.12)
-    horizon = 2.0 * np.pi
-    nsteps = max(1, int(round(horizon / dt)))
-    dt_eff = horizon / nsteps
-
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
     drift = 0.0

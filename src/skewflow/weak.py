@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import Trajectory, evolve_cayley
+from .evolution import (Trajectory, adjoint_generator, evolve_cayley,
+                        steps_to_horizon)
 from .operators import (
     RestrictedOperator,
     check_inclusion_in_adjoint,
@@ -61,8 +62,11 @@ def plateau_cutoff(t0: float, nu: float) -> Callable:
 
 def default_profiles(horizon: float) -> list:
     """Three polynomial arcs vanishing at the horizon plus three plateau
-    cutoffs of increasing sharpness (transition widths T/4, T/16, T/64)."""
+    cutoffs of increasing sharpness (transition widths T/4, T/16, T/64).
+    ValueError unless the horizon T is finite and positive."""
     T = float(horizon)
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError("profiles need a finite positive horizon")
 
     def p1(t):
         tau = np.asarray(t, dtype=float) / T
@@ -146,34 +150,19 @@ class GsReport:
     profile_labels: list = field(default_factory=list)
 
 
-def _residual_matrix(times, states, u0, op, V, profiles, space,
-                     check_horizon: bool = True):
-    W = space.weights
-    MV = op.action @ V
-    G = states @ (W[:, None] * V)        # (u_k, v_j)
-    Sm = states @ (W[:, None] * MV)      # (u_k, M v_j)
-    gv0 = V.T @ (W * np.asarray(u0, dtype=float))
-    u0n = space.norm(u0)
-    if u0n == 0.0:
-        raise ValueError("initial vector must be nonzero")
-    graph = np.sqrt(np.einsum("ij,i,ij->j", V, W, V)
-                    + np.einsum("ij,i,ij->j", MV, W, MV))
-
-    m = V.shape[1]
-    R = np.empty((m, len(profiles)))
-    for p, (_, phi) in enumerate(profiles):
-        vals = np.asarray(phi(times), dtype=float)
-        pmax = float(np.max(np.abs(vals)))
-        if pmax == 0.0:
-            raise ValueError("profile vanishes identically on the grid")
-        if check_horizon and abs(vals[-1]) > 1e-12 * pmax:
-            raise ValueError("profiles must vanish at the trajectory horizon")
-        dphi = np.diff(vals)
-        stieltjes = ((G[:-1] + G[1:]) * 0.5 * dphi[:, None]).sum(axis=0)
-        volume = np.trapezoid(Sm * vals[:, None], times, axis=0)
-        raw = np.abs(stieltjes + volume + gv0 * vals[0])
-        R[:, p] = raw / (u0n * graph * pmax)
-    return R
+def _residual_matrix(times, G, Sm, gv0, Phi, scale):
+    """Normalized residuals (spatial x profile) on one sample grid, from
+    the projections G = (u_k, v_j) and Sm = (u_k, M v_j), the profile
+    values Phi[k, p] = phi_p(t_k) on that grid, gv0 = (u0, v_j) and
+    scale = |u0| times the graph norm of each v_j."""
+    pmax = np.max(np.abs(Phi), axis=0)
+    if not pmax.all():
+        raise ValueError("profile vanishes identically on the grid")
+    d = np.diff(times)[:, None]
+    stieltjes = (0.5 * (G[:-1] + G[1:])).T @ np.diff(Phi, axis=0)
+    volume = 0.5 * (Sm[:-1].T @ (d * Phi[:-1]) + Sm[1:].T @ (d * Phi[1:]))
+    raw = np.abs(stieltjes + volume + gv0[:, None] * Phi[0])
+    return raw / (scale[:, None] * pmax)
 
 
 def gs_residual(candidate: Trajectory, u0, op: RestrictedOperator,
@@ -185,30 +174,42 @@ def gs_residual(candidate: Trajectory, u0, op: RestrictedOperator,
     computed from every second sample: both discretizations converge at
     second order in the sample spacing, so a third of their gap estimates
     the fine-grid quadrature error. A candidate passes when its largest
-    residual does not exceed tol plus that estimate.
+    residual does not exceed tol plus that estimate. The states are
+    projected on the test vectors once; both grids are row slices of that
+    projection. A one-sample candidate has no horizon for the default
+    profiles and raises ValueError.
     """
+    times = candidate.times
     if family is None:
-        family = default_family(op, horizon=float(candidate.times[-1]),
-                                seed=seed)
+        family = default_family(op, horizon=float(times[-1]), seed=seed)
     V = family.spatial
-    R = _residual_matrix(candidate.times, candidate.states, u0, op, V,
-                         family.profiles, candidate.space)
-    # Richardson-style estimate: rerun the same functional on every second
-    # sample. With an odd step count both grids are truncated by one step so
-    # they still integrate the identical window and their gap stays a pure
+    W = candidate.space.weights
+    MV = op.action @ V
+    G = candidate.states @ (W[:, None] * V)      # (u_k, v_j)
+    Sm = candidate.states @ (W[:, None] * MV)    # (u_k, M v_j)
+    gv0 = V.T @ (W * np.asarray(u0, dtype=float))
+    u0n = candidate.space.norm(u0)
+    if u0n == 0.0:
+        raise ValueError("initial vector must be nonzero")
+    scale = u0n * np.sqrt(np.einsum("ij,i,ij->j", V, W, V)
+                          + np.einsum("ij,i,ij->j", MV, W, MV))
+    Phi = np.column_stack([np.asarray(phi(times), dtype=float)
+                           for _, phi in family.profiles])
+    if np.any(np.abs(Phi[-1]) > 1e-12 * np.max(np.abs(Phi), axis=0)):
+        raise ValueError("profiles must vanish at the trajectory horizon")
+
+    def residuals(sl):
+        return _residual_matrix(times[sl], G[sl], Sm[sl], gv0, Phi[sl], scale)
+
+    # Richardson-style estimate: the same functional on every second
+    # sample. With an odd step count both grids stop one step short, so
+    # they integrate the identical window and their gap stays a pure
     # quadrature signal.
-    K = candidate.times.size - 1
-    if K % 2 == 0:
-        fine_sl, coarse_sl = slice(None), slice(None, None, 2)
-    else:
-        fine_sl, coarse_sl = slice(None, K), slice(None, K, 2)
-    Rf = R if K % 2 == 0 else _residual_matrix(
-        candidate.times[fine_sl], candidate.states[fine_sl], u0, op, V,
-        family.profiles, candidate.space, check_horizon=False)
-    Rc = _residual_matrix(candidate.times[coarse_sl],
-                          candidate.states[coarse_sl], u0, op, V,
-                          family.profiles, candidate.space,
-                          check_horizon=False)
+    K = times.size - 1
+    end = K - K % 2
+    R = residuals(slice(None))
+    Rf = R if end == K else residuals(slice(None, end + 1))
+    Rc = residuals(slice(None, end + 1, 2))
     estimate = float(np.max(np.abs(Rf - Rc)) / 3.0)
     max_residual = float(np.max(R))
     return GsReport(
@@ -263,52 +264,43 @@ def witness_nonuniqueness(op: RestrictedOperator,
     return ExponentialWitness(u0=dd.n_minus_basis[:, 0], op=op)
 
 
-@dataclass
-class SpliceSolution:
-    """Exponential growth up to t0, then handed to the semigroup:
+def splice(witness: ExponentialWitness, gen: RestrictedOperator,
+           semigroup: Trajectory, t0: float) -> Trajectory:
+    """Exponential growth up to t0, then handed to the semigroup, sampled
+    on semigroup.times:
 
-        u(t) = e^t u0            for 0 <= t <= t0,
-        u(t) = e^{t0} T_{t-t0} u0  for t >= t0.
+        u(t) = e^t u0              for 0 <= t <= t0,
+        u(t) = e^{t0} T_{t-t0} u0  for t > t0,
 
+    with T_s u0 read from semigroup, the run of gen from witness.u0: its
+    stored states when t0 is a sample time, else Trajectory.sample.
     Continuous at t0 by construction; each branch solves the weak identity
     on its own interval, so the whole curve is a generalized solution for
-    every choice of t0 — one non-uniqueness witness per splice time."""
-
-    witness: ExponentialWitness
-    gen: RestrictedOperator
-    t0: float
-
-    def trajectory(self, times, dt: float = 1e-3) -> Trajectory:
-        times = np.asarray(times, dtype=float)
-        u0 = self.witness.u0
-        states = np.exp(np.minimum(times, self.t0))[:, None] * u0
-        tail = times[times > self.t0 + 1e-15]
-        if tail.size:
-            span = float(tail[-1] - self.t0)
-            nsteps = max(1, int(round(span / dt)))
-            semi = evolve_cayley(self.gen, u0, span / nsteps, nsteps)
-            states[times > self.t0 + 1e-15] = (
-                np.exp(self.t0) * semi.sample(tail - self.t0)
-            )
-        return Trajectory(times=times, states=states, space=self.gen.space,
-                          stepper_meta={"method": "splice", "t0": self.t0,
-                                        "dt": float(dt)})
-
-
-def splice(witness: ExponentialWitness, gen: RestrictedOperator,
-           t0: float) -> SpliceSolution:
-    """Build the spliced solution, first checking that the generator really
-    acts inside the weak adjoint pairing of the witness's operator (else
-    the tail would not continue the weak identity)."""
-    if t0 < 0:
-        raise ValueError("splice time must be nonnegative")
+    every choice of t0 — one non-uniqueness witness per splice time.
+    ValueError unless t0 is finite and nonnegative, the semigroup starts
+    at witness.u0, and gen acts inside the weak adjoint pairing of the
+    witness's operator (else the tail would not continue the identity).
+    """
+    if not (np.isfinite(t0) and t0 >= 0):
+        raise ValueError("splice time must be finite and nonnegative")
+    if not np.array_equal(semigroup.states[0], witness.u0):
+        raise ValueError("the semigroup run must start at the witness vector")
     rep = check_inclusion_in_adjoint(gen, witness.op, tol=1e-8)
     if not rep.passed:
         raise ValueError(
             "generator does not act inside the weak adjoint pairing "
             f"(defect {rep.max_defect:.3e}); splice tail would break the identity"
         )
-    return SpliceSolution(witness=witness, gen=gen, t0=float(t0))
+    t0 = float(t0)
+    times = semigroup.times
+    k0 = int(np.searchsorted(times, t0))     # first sample at or after t0
+    states = np.exp(np.minimum(times, t0))[:, None] * witness.u0
+    if k0 < times.size and times[k0] == t0:
+        states[k0:] = np.exp(t0) * semigroup.states[:times.size - k0]
+    else:
+        states[k0:] = np.exp(t0) * semigroup.sample(times[k0:] - t0)
+    return Trajectory(times=times, states=states, space=gen.space,
+                      stepper_meta={"method": "splice", "t0": t0})
 
 
 # ---------------------------------------------------------------------------
@@ -325,50 +317,53 @@ class MultiplicityDemo:
     labels: tuple = ("theta=+1", "theta=-1")
 
 
+def forward_generator(op: RestrictedOperator,
+                      theta: float = 1.0) -> RestrictedOperator:
+    """The contractive forward generator attached to op.
+
+    A full-domain operator drives its own forward problem through the
+    metric adjoint. A restricted operator is first extended with coupling
+    theta: the closed-form seam extension when it carries seam metadata,
+    the scalar coupling through the defect pair (extend) otherwise."""
+    if op.is_full_domain:
+        return adjoint_generator(op)
+    ext = seam_extension if "seam" in op.meta else extend
+    return adjoint_generator(ext(op, theta))
+
+
 def semigroup_multiplicity_demo(op: RestrictedOperator,
                                 horizon: float = 2.0,
                                 dt: float = 1e-3) -> MultiplicityDemo:
     """Run the two opposite maximal couplings from the same initial data.
 
-    Operators carrying seam metadata get the closed-form seam couplings
-    (theta = +1 and theta = -1), whose flows are the twisted shifts;
-    otherwise the generic scalar couplings +1 and -1 through the defect
-    pair are assembled. Both start from the unit-norm Gaussian on the
-    model's 1-D grid (else the first domain basis vector) and take the
-    round(horizon / dt) steps that land on the horizon exactly.
-    distances is the W-distance between the two trajectories at each
-    stored time, relative to the initial norm, and separation its
-    largest value — any clearly nonzero value exhibits two distinct
-    contractive solutions of the same forward problem.
+    The branches are driven by forward_generator(op, +1) and
+    forward_generator(op, -1): the closed-form seam couplings, whose flows
+    are the twisted shifts, for operators carrying seam metadata, else the
+    generic scalar couplings through the defect pair. Both start from the
+    unit-norm Gaussian on the model's 1-D grid (else the first domain
+    basis vector) and take the round(horizon / dt) steps that land on the
+    horizon exactly (evolution.steps_to_horizon; ValueError unless both
+    are finite and positive). distances is the W-distance between the two
+    trajectories at each stored time, relative to the initial norm, and
+    separation its largest value — any clearly nonzero value exhibits two
+    distinct contractive solutions of the same forward problem.
     """
+    dt, nsteps = steps_to_horizon(horizon, dt)
     dd = deficiency(op)
     if dd.d_plus == 0 or dd.d_minus == 0:
         raise ValueError(
             "semigroup unique: a defect space is trivial, so there are no "
             "couplings to choose between"
         )
-    if "seam" in op.meta:
-        ext_p = seam_extension(op, +1.0)
-        ext_m = seam_extension(op, -1.0)
-    else:
-        ext_p = extend(op, +1.0)
-        ext_m = extend(op, -1.0)
-
+    gen_p, gen_m = forward_generator(op, +1.0), forward_generator(op, -1.0)
     if isinstance(op.meta.get("grid"), np.ndarray):
         u0 = gaussian_profile(op.meta["grid"])
     else:
         u0 = op.domain_vector(np.eye(op.domain_dim, 1)[:, 0])
     u0 = u0 / op.space.norm(u0)
 
-    nsteps = max(1, int(round(horizon / dt)))
-    dt = horizon / nsteps
-    gens = []
-    for ext in (ext_p, ext_m):
-        gens.append(RestrictedOperator(space=ext.space, action=-ext.dense_action(),
-                                       domain=None,
-                                       label=f"-({ext.label})", meta=dict(ext.meta)))
-    tp = evolve_cayley(gens[0], u0, dt, nsteps)
-    tm = evolve_cayley(gens[1], u0, dt, nsteps)
+    tp = evolve_cayley(gen_p, u0, dt, nsteps)
+    tm = evolve_cayley(gen_m, u0, dt, nsteps)
     diff = tp.states - tm.states
     w = op.space.weights
     dists = np.sqrt(np.einsum("kj,j,kj->k", diff, w, diff))

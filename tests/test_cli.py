@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from skewflow.cli import canonical_json, main, parse_operator_descriptor
+from skewflow.evolution import evolve_cayley
 from skewflow.transport import Grid2D, write_stream_file
 
 
@@ -219,6 +220,48 @@ def test_multiplicity_command(tmp_path, minimal_desc):
     rep = read_report(out)
     assert rep["separation"] >= 0.1
     assert rep["branches"] == ["theta=+1", "theta=-1"]
+
+
+def test_witness_steps_the_semigroup_once(tmp_path, minimal_desc,
+                                          monkeypatch):
+    # the splice reads the semigroup run the command already made
+    import skewflow.cli as cli
+    import skewflow.weak as weak
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2:])
+        return evolve_cayley(*args)
+
+    monkeypatch.setattr(cli, "evolve_cayley", counting)
+    monkeypatch.setattr(weak, "evolve_cayley", counting)
+    assert main(["witness", "--input", minimal_desc, "--out",
+                 str(tmp_path / "out"), "--horizon", "0.5",
+                 "--t0", "0.25"]) == 0
+    assert calls == [(0.5 / 500, 500)]
+
+
+# perfbench's cli-verify workload times these through the cli globals
+@pytest.mark.parametrize("name, command", [
+    ("gs_residual", "verify"),
+    ("witness_nonuniqueness", "witness"),
+    ("splice", "witness"),
+    ("semigroup_multiplicity_demo", "multiplicity"),
+])
+def test_patching_a_weak_call_in_cli_intercepts_the_command(
+        tmp_path, minimal_desc, monkeypatch, name, command):
+    import skewflow.cli as cli
+    orig = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert main([command, "--input", minimal_desc, "--out",
+                 str(tmp_path / "out"), "--horizon", "0.5"]) == 0
+    assert calls
 
 
 def test_transport_run_command(tmp_path):

@@ -13,6 +13,7 @@ from skewflow.evolution import (
     adjoint_generator,
     evolve_cayley,
     evolve_exact,
+    steps_to_horizon,
 )
 from skewflow.operators import (
     RestrictedOperator,
@@ -403,6 +404,24 @@ def test_cayley_validates_inputs():
     op = minimal_derivative_operator(16)
     with pytest.raises(ValueError, match="extend the operator first"):
         evolve_cayley(op, u0, 0.1, 10)
+
+
+def test_steps_to_horizon_lands_on_the_horizon():
+    assert steps_to_horizon(1.0, 0.3) == (1.0 / 3, 3)
+    assert steps_to_horizon(2.0, 1e-3) == (2.0 / 2000, 2000)
+    # a dt beyond the horizon still takes one step
+    assert steps_to_horizon(0.5, 4.0) == (0.5, 1)
+
+
+@pytest.mark.parametrize("horizon, dt, message", [
+    (1.0, 0.0, "dt must"), (1.0, -1e-3, "dt must"), (1.0, np.nan, "dt must"),
+    (1.0, np.inf, "dt must"), (0.0, 0.1, "horizon"), (-1.0, 0.1, "horizon"),
+    (np.inf, 0.1, "horizon"), (np.nan, 0.1, "horizon"),
+    (1e300, 1e-300, "horizon / dt"),
+])
+def test_steps_to_horizon_rejects_bad_input(horizon, dt, message):
+    with pytest.raises(ValueError, match=message):
+        steps_to_horizon(horizon, dt)
 
 
 @pytest.mark.parametrize("route", ["schur", "step-matrix", "sparse"])

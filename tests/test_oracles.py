@@ -64,6 +64,13 @@ def test_shift_by_zero_is_identity():
     np.testing.assert_allclose(interval_shift_semigroup(0.7, 0.0, u0), u0)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_shift_rejects_non_finite_times(t):
+    u0 = gaussian_profile(np.arange(16) / 16)
+    with pytest.raises(ValueError, match="finite"):
+        interval_shift_semigroup(1.0, t, u0)
+
+
 def test_full_wrap_scales_by_theta():
     n = 32
     u0 = gaussian_profile(np.arange(n) / n)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewflow.evolution import adjoint_generator, evolve_cayley
+from skewflow.evolution import (adjoint_generator, evolve_cayley,
+                                steps_to_horizon)
 from skewflow.operators import check_skew_symmetry, deficiency
 from skewflow.transport import (
     Grid2D,
@@ -206,6 +207,12 @@ def test_rotation_benchmark_smoke():
     assert res["steps"] == 200
     # coarse grid, coarse step: the blob survives but imperfectly
     assert 0.0 < res["final_error"] < 1.0
+
+
+def test_rotation_benchmark_takes_the_shared_step_rule():
+    for dt in (0.3, 2 * np.pi / 200, 1e3):
+        res = rotation_benchmark(8, dt)
+        assert (res["dt"], res["steps"]) == steps_to_horizon(2 * np.pi, dt)
 
 
 def test_rotation_benchmark_validates_arguments():

@@ -1,8 +1,10 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skewflow.cli import parse_operator_descriptor
 from skewflow.evolution import Trajectory, adjoint_generator, evolve_cayley
 from skewflow.operators import RestrictedOperator, extend, seam_extension
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
@@ -12,14 +14,19 @@ from skewflow.transport import (
     build_transport_operator,
     field_from_stream,
 )
+import skewflow.weak as weak
 from skewflow.weak import (
     default_family,
     default_profiles,
+    forward_generator,
     gs_residual,
     semigroup_multiplicity_demo,
     splice,
     witness_nonuniqueness,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def wrapped(n=64):
@@ -29,9 +36,72 @@ def wrapped(n=64):
     return op, gen, u0 / op.space.norm(u0)
 
 
+def reference_residual_matrix(times, states, u0, op, V, profiles, space):
+    """The residual engine as a loop over profiles, each projecting the
+    states on its own grid (no shared projection)."""
+    W = space.weights
+    MV = op.action @ V
+    G = states @ (W[:, None] * V)
+    Sm = states @ (W[:, None] * MV)
+    gv0 = V.T @ (W * np.asarray(u0, dtype=float))
+    u0n = space.norm(u0)
+    graph = np.sqrt(np.einsum("ij,i,ij->j", V, W, V)
+                    + np.einsum("ij,i,ij->j", MV, W, MV))
+    R = np.empty((V.shape[1], len(profiles)))
+    for p, (_, phi) in enumerate(profiles):
+        vals = np.asarray(phi(times), dtype=float)
+        pmax = float(np.max(np.abs(vals)))
+        dphi = np.diff(vals)
+        stieltjes = ((G[:-1] + G[1:]) * 0.5 * dphi[:, None]).sum(axis=0)
+        volume = np.trapezoid(Sm * vals[:, None], times, axis=0)
+        raw = np.abs(stieltjes + volume + gv0 * vals[0])
+        R[:, p] = raw / (u0n * graph * pmax)
+    return R
+
+
+def reference_gs(traj, u0, op):
+    """(residuals, quadrature estimate) with every grid recomputed from
+    its own slice of the states."""
+    fam = default_family(op, horizon=float(traj.times[-1]))
+    K = traj.times.size - 1
+    fine = slice(None) if K % 2 == 0 else slice(None, K)
+    coarse = slice(None, None, 2) if K % 2 == 0 else slice(None, K, 2)
+
+    def on(sl):
+        return reference_residual_matrix(traj.times[sl], traj.states[sl], u0,
+                                         op, fam.spatial, fam.profiles,
+                                         traj.space)
+    R = on(slice(None))
+    return R, float(np.max(np.abs(on(fine) - on(coarse))) / 3.0)
+
+
 # ---------------------------------------------------------------------------
 # residual machinery
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nsteps", [400, 399])
+def test_residual_engine_matches_the_per_profile_loop(nsteps):
+    op, gen, _ = wrapped(32)
+    wit = witness_nonuniqueness(op)
+    dt = 1.0 / nsteps
+    demo = semigroup_multiplicity_demo(op, horizon=1.0, dt=dt)
+    cases = [(wit.trajectory(dt * np.arange(nsteps + 1)), wit.u0),
+             (evolve_cayley(gen, wit.u0, dt, nsteps), wit.u0),
+             (demo.traj_plus, demo.u0), (demo.traj_minus, demo.u0)]
+    for traj, u0 in cases:
+        assert traj.nsteps == nsteps
+        rep = gs_residual(traj, u0, op)
+        R, estimate = reference_gs(traj, u0, op)
+        assert np.max(np.abs(rep.residuals - R)) <= 1e-13
+        assert abs(rep.quadrature_error_estimate - estimate) <= 1e-13
+
+
+def test_residual_rejects_a_one_sample_candidate():
+    op, gen, u0 = wrapped(32)
+    traj = Trajectory(times=[0.0], states=u0[None, :], space=op.space)
+    with pytest.raises(ValueError, match="horizon"):
+        gs_residual(traj, u0, op)
+
 
 def test_constant_trajectory_of_zero_operator_is_exact():
     # u(t) = u0 solves u' = 0 against the zero pairing; every term of the
@@ -159,10 +229,9 @@ def test_witness_refuses_full_domain_operators():
 def test_splice_is_continuous_at_the_switch():
     op, gen, _ = wrapped()
     wit = witness_nonuniqueness(op)
-    spl = splice(wit, gen, 0.5)
     # the spliced state at the switch is exactly the witness state there
     times = np.linspace(0.0, 2.0, 801)
-    traj = spl.trajectory(times, dt=1e-3)
+    traj = splice(wit, gen, evolve_cayley(gen, wit.u0, 2.0 / 800, 800), 0.5)
     k = np.searchsorted(times, 0.5)
     assert op.space.norm(traj.states[k] - wit.sample(0.5)) < 1e-10
     # and the increment across the switch shrinks linearly with the
@@ -170,7 +239,8 @@ def test_splice_is_continuous_at_the_switch():
     jumps = []
     for npts in (801, 1601, 3201):
         t = np.linspace(0.0, 2.0, npts)
-        tr = spl.trajectory(t, dt=1e-3)
+        tr = splice(wit, gen, evolve_cayley(gen, wit.u0, 2.0 / (npts - 1),
+                                            npts - 1), 0.5)
         j = np.searchsorted(t, 0.5)
         jumps.append(op.space.norm(tr.states[j + 1] - tr.states[j - 1]))
     assert jumps[2] < jumps[1] < jumps[0]
@@ -180,12 +250,54 @@ def test_splice_is_continuous_at_the_switch():
 def test_splice_matches_witness_before_t0():
     op, gen, _ = wrapped()
     wit = witness_nonuniqueness(op)
-    spl = splice(wit, gen, 1.0)
     times = np.linspace(0.0, 2.0, 401)
-    traj = spl.trajectory(times, dt=1e-3)
+    traj = splice(wit, gen, evolve_cayley(gen, wit.u0, 2.0 / 400, 400), 1.0)
     wt = wit.trajectory(times)
     half = times <= 1.0
     assert np.max(np.abs(traj.states[half] - wt.states[half])) < 1e-10
+
+
+@pytest.mark.parametrize("t0", [0.5, 0.75])
+def test_splice_at_a_sample_time_reuses_the_semigroup_states(t0):
+    op, gen, _ = wrapped()
+    wit = witness_nonuniqueness(op)
+    semi = evolve_cayley(gen, wit.u0, 1e-3, 2000)
+    k0 = int(round(t0 / 1e-3))
+    assert semi.times[k0] == t0
+    traj = splice(wit, gen, semi, t0)
+    assert traj.times is semi.times
+    np.testing.assert_array_equal(traj.states[k0:],
+                                  np.exp(t0) * semi.states[:2001 - k0])
+    np.testing.assert_array_equal(traj.states[:k0 + 1],
+                                  wit.trajectory(semi.times[:k0 + 1]).states)
+
+
+def test_splice_off_the_grid_interpolates_the_tail():
+    op, gen, _ = wrapped(32)
+    wit = witness_nonuniqueness(op)
+    semi = evolve_cayley(gen, wit.u0, 1e-2, 100)
+    t0 = 0.3337
+    traj = splice(wit, gen, semi, t0)
+    after = semi.times > t0
+    np.testing.assert_array_equal(
+        traj.states[after], np.exp(t0) * semi.sample(semi.times[after] - t0))
+    np.testing.assert_array_equal(
+        traj.states[~after], wit.trajectory(semi.times[~after]).states)
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -0.1])
+def test_splice_rejects_bad_times(t0):
+    op, gen, _ = wrapped(32)
+    wit = witness_nonuniqueness(op)
+    with pytest.raises(ValueError, match="splice time"):
+        splice(wit, gen, evolve_cayley(gen, wit.u0, 0.1, 5), t0)
+
+
+def test_splice_rejects_a_semigroup_from_other_data():
+    op, gen, u0 = wrapped(32)
+    wit = witness_nonuniqueness(op)
+    with pytest.raises(ValueError, match="witness vector"):
+        splice(wit, gen, evolve_cayley(gen, u0, 0.1, 5), 0.5)
 
 
 def test_splice_rejects_foreign_generators():
@@ -196,16 +308,16 @@ def test_splice_rejects_foreign_generators():
                                action=rng.standard_normal((32, 32)),
                                domain=None)
     with pytest.raises(ValueError, match="pairing"):
-        splice(wit, stray, 0.5)
+        splice(wit, stray, evolve_cayley(gen, wit.u0, 0.1, 5), 0.5)
 
 
 def test_splices_separate_at_the_horizon():
     op, gen, _ = wrapped()
     wit = witness_nonuniqueness(op)
-    times = np.linspace(0.0, 2.0, 801)
+    semi = evolve_cayley(gen, wit.u0, 2.0 / 800, 800)
     finals = []
     for t0 in (0.0, 0.5, 1.0):
-        traj = splice(wit, gen, t0).trajectory(times, dt=1e-3)
+        traj = splice(wit, gen, semi, t0)
         finals.append(traj.final)
     n0 = op.space.norm(wit.u0)
     for i in range(3):
@@ -268,3 +380,48 @@ def test_multiplicity_generic_coupling_labels():
     # the +1 coupling is degenerate for this model, so the demo refuses
     with pytest.raises(ValueError, match="not dense"):
         semigroup_multiplicity_demo(op, horizon=1.0, dt=1e-2)
+
+
+@pytest.mark.parametrize("horizon, dt", [(2.0, -1e-3), (2.0, 0.0),
+                                         (np.inf, 1e-3)])
+def test_multiplicity_demo_rejects_bad_step_data(horizon, dt):
+    op, _, _ = wrapped(32)
+    with pytest.raises(ValueError, match="finite and positive"):
+        semigroup_multiplicity_demo(op, horizon=horizon, dt=dt)
+
+
+def test_multiplicity_demo_runs_the_forward_generators(monkeypatch):
+    op, _, _ = wrapped(32)
+    gens = []
+
+    def recording(gen, *args):
+        gens.append(gen)
+        return evolve_cayley(gen, *args)
+
+    monkeypatch.setattr(weak, "evolve_cayley", recording)
+    semigroup_multiplicity_demo(op, horizon=0.1, dt=1e-2)
+    assert len(gens) == 2
+    for gen, theta in zip(gens, (1.0, -1.0)):
+        ref = forward_generator(op, theta)
+        np.testing.assert_array_equal(gen.dense_action(), ref.dense_action())
+        assert gen.label == ref.label
+
+
+def test_forward_generator_routes():
+    op, gen, _ = wrapped(32)
+    np.testing.assert_array_equal(forward_generator(op).dense_action(),
+                                  gen.dense_action())
+    np.testing.assert_array_equal(
+        forward_generator(op, -1.0).dense_action(),
+        adjoint_generator(seam_extension(op, -1.0)).dense_action())
+    full = RestrictedOperator(space=Space.euclidean(2),
+                              action=np.array([[0.0, -1.0], [1.0, 0.0]]),
+                              domain=None)
+    np.testing.assert_array_equal(forward_generator(full).dense_action(),
+                                  adjoint_generator(full).dense_action())
+    # a restriction without seam metadata goes through extend
+    ring = parse_operator_descriptor(GOLDEN / "weighted.json")
+    for theta in (1.0, -1.0):
+        np.testing.assert_array_equal(
+            forward_generator(ring, theta).dense_action(),
+            adjoint_generator(extend(ring, theta)).dense_action())
