@@ -57,6 +57,7 @@ from .transport import (
     read_stream_file,
 )
 from .weak import (
+    GS_MIN_STEPS,
     forward_generator,
     gs_residual,
     semigroup_multiplicity_demo,
@@ -283,6 +284,17 @@ def _steps(args, dim: int) -> tuple[float, int]:
     return steps_to_horizon(args.horizon, args.dt)
 
 
+def _weak_steps(args, dim: int) -> tuple[float, int]:
+    """_steps for the commands whose runs gs_residual checks: fewer than
+    weak.GS_MIN_STEPS steps is a usage error, raised before anything is
+    built."""
+    dt, nsteps = _steps(args, dim)
+    if nsteps < GS_MIN_STEPS:
+        raise CliError(f"--horizon / --dt gives {nsteps} step(s); the weak "
+                       f"residual needs at least {GS_MIN_STEPS}")
+    return dt, nsteps
+
+
 def _dense_size_guard(args, op: RestrictedOperator) -> None:
     """Refuse a command that builds a dense dim x dim action of more than
     _MAX_STATE_FLOATS floats, before anything is built."""
@@ -385,7 +397,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 def cmd_verify(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         _dense_size_guard(args, op)
-    dt, nsteps = _steps(args, op.dim)
+    dt, nsteps = _weak_steps(args, op.dim)
     gen = forward_generator(op)
     u0 = _default_u0(op, args.seed)
     traj = evolve_cayley(gen, u0, dt, nsteps)
@@ -409,7 +421,7 @@ def cmd_verify(args, op) -> tuple[int, dict]:
 def cmd_witness(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         _dense_size_guard(args, op)
-    dt, nsteps = _steps(args, op.dim)
+    dt, nsteps = _weak_steps(args, op.dim)
     try:
         wit = witness_nonuniqueness(op, tol=args.rank_tol)
     except ValueError as exc:
@@ -447,7 +459,7 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         _dense_size_guard(args, op)
-    _steps(args, op.dim)  # the demo takes the same steps; this bounds them
+    _weak_steps(args, op.dim)  # the demo takes the same steps
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
                                            dt=args.dt)

@@ -41,22 +41,34 @@ blocks of rows, with no Python work per row:
 - sparse ``evolve_cayley``: an independent set I of B's off-diagonal
   pattern is eliminated first, exactly, since E - dt/2 B is diagonal
   on I; on a periodic transport stencil over an even grid I is one
-  colour of the grid, n/2 nodes. One SuperLU factorization of the
-  Schur complement on the other nodes follows, then per step one
-  triangular solve pair of that half size and two sparse products with
-  the blocks that couple I to the rest. The new state is 2x - u for the
+  colour of the grid, n/2 nodes. What is left is E - S on the other
+  nodes, S the Schur term, and one SuperLU factorization of it follows
+  (a singular E - dt/2 B fails there, whichever route then steps).
+  Each step is two sparse products with the blocks that couple I to the
+  rest and one solve with E - S, by one of two routes chosen once from
+  q = |S|_inf and the fill: when q < 1, the Neumann sum of S^j b over
+  j <= K, with K the smallest count for which q^(K+1) / (1 - q) <= eps/2
+  (so the truncation stays below rounding in the inf-norm), is taken by
+  K Horner products x <- S x + b if K nnz(S) < nnz(L) + nnz(U), the
+  factors' entries as SuperLU stores them; else
+  SuperLU's triangular solve pair runs. The new state is 2x - u for the
   solution x of (E - dt/2 B) x = u, so no product with B is taken.
   I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
   sparse action skewflow builds is structurally symmetric) and keeps
   diagonal pivots down to 1e-3 of their column, so the ordering holds at
-  large steps too. On the 64^2 rotation stencil the factor has 190k L+U
-  nonzeros, against 210k for the whole matrix (401k under SuperLU's
-  default COLAMD ordering), and a step costs about 0.11 ms against
-  0.13 ms for a whole-matrix solve and product (one BLAS thread); the
-  set-up, choice of I included, costs about what the whole-matrix LU
-  does (6 ms).
+  large steps too. On the 64^2 rotation stencil at dt = 2 pi / 2000 the
+  factor has 190k L+U nonzeros (401k under SuperLU's default COLAMD
+  ordering; SuperLU stores them in 225k entries) while S has 18k and
+  q = 0.0092, so K = 7 and the Neumann route runs: a step costs about
+  0.12 ms against 0.28 ms with the solve pair (one BLAS thread). At 32^2
+  the two are close in cost (7 x 4.6k against 40k) and in time (about
+  0.05 ms a step each); at dt = 2 the
+  64^2 stencil has q = 3721 and takes SuperLU. The Horner products run
+  scipy's CSR kernel in place, since at these sizes the dispatch of
+  ``S @ x`` costs more than the product. The set-up, choice of I
+  included, costs about what the whole-matrix LU does (6 ms).
 """
 from __future__ import annotations
 
@@ -66,6 +78,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# the compiled kernel behind a CSR matrix-vector product, y += A x;
+# already loaded with scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .operators import RestrictedOperator, _is_skew, sparse_shifted_lu
 
@@ -308,23 +323,53 @@ def _eliminated_nodes(half) -> np.ndarray:
     return even & (adj @ even.astype(float) == 0) & (pivot > 1e-3 * column)
 
 
+def _neumann_terms(q: float) -> int:
+    """The smallest K >= 0 with q^(K+1) / (1 - q) <= eps/2, for
+    0 <= q < 1: the Neumann sum of S^j b over j <= K then misses the
+    solution of (E - S) x = b by at most eps/2 |b| in any norm in which
+    |S| <= q."""
+    if q == 0.0:
+        return 0
+    tol = 0.5 * np.finfo(float).eps * (1.0 - q)
+    terms = max(0, int(np.ceil(np.log(tol) / np.log(q))) - 1)
+    # the logarithms can put the ceiling one off either way
+    while terms > 0 and q ** terms <= tol:
+        terms -= 1
+    while q ** (terms + 1) > tol:
+        terms += 1
+    return terms
+
+
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                   nsteps: int):
     """The nsteps trapezoidal iterates of u under a sparse action, as
-    (order, steps): steps yields after each step the iterate permuted by
-    order, u[order], in one buffer that the next step overwrites.
+    (order, steps, route): steps yields after each step the iterate
+    permuted by order, u[order], in one buffer that the next step
+    overwrites.
 
     With h = dt/2, I the nodes of _eliminated_nodes, R the rest and
     D = 1 - h diag(B) on I, E - hB is diagonal on I, so eliminating I
-    first is exact. What is left is the Schur complement
-    S = E - h B_RR - h^2 B_RI D^-1 B_IR on R, factorized once by
+    first is exact. What is left is E - S on R, with the Schur term
+    S = h B_RR + h^2 B_RI D^-1 B_IR, factorized once by
     operators.sparse_shifted_lu (a failure raises ValueError). A step
     solves (E - hB) x = u by
-    x_R = S^-1 (u_R + h B_RI D^-1 u_I) and x_I = D^-1 (u_I + h B_IR x_R),
-    then sets u = 2x - u, since (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E;
-    no product with B is taken. order lists I, then R, and the buffer
-    holds (u_I, u_R). Only the running iterate is held, so callers that
-    keep no states (transport.rotation_benchmark) stay O(n) in memory.
+    x_R = (E - S)^-1 b with b = u_R + h B_RI D^-1 u_I, and
+    x_I = D^-1 (u_I + h B_IR x_R), then sets u = 2x - u, since
+    (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E; no product with B is taken.
+
+    x_R comes by one of two routes, chosen once. With q = |S|_inf < 1
+    and K = _neumann_terms(q), the truncated Neumann series
+    x_R = sum_{j <= K} S^j b (K products x <- S x + b, Horner) is the
+    solve to within eps/2 |b|_inf; it is taken when its K nnz(S)
+    multiply-adds are fewer than the nnz(L) + nnz(U) of the triangular
+    solve pair, as SuperLU stores the factors (supernodes included).
+    Otherwise (always when q >= 1) SuperLU solves. route
+    holds what decided: {"sparse_solve": "neumann" or "superlu",
+    "neumann_terms": K (None when q >= 1), "schur_norm_inf": q}.
+
+    order lists I, then R, and the buffer holds (u_I, u_R). Only the
+    running iterate is held, so callers that keep no states
+    (transport.rotation_benchmark) stay O(n) in memory.
     """
     half = (dt / 2.0) * gen.action.tocsr()
     elim = _eliminated_nodes(half)
@@ -332,23 +377,50 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     inv = 1.0 / (1.0 - half.diagonal()[elim])
     scale = sp.diags(inv)
     rows_I, rows_R = half[elim], half[keep]
-    to_I = (scale @ rows_I[:, keep]).tocsr()     # D^-1 h B_IR
-    from_I = (rows_R[:, elim] @ scale).tocsr()   # h B_RI D^-1
-    lu = sparse_shifted_lu(rows_R[:, keep] + from_I @ rows_I[:, keep])
+    # csr_array, not csr_matrix: a product with a vector dispatches in
+    # about half the time (6 against 12 us at 512 rows), and the steps
+    # take several such products
+    to_I = sp.csr_array(scale @ rows_I[:, keep])     # D^-1 h B_IR
+    from_I = sp.csr_array(rows_R[:, elim] @ scale)   # h B_RI D^-1
+    schur = sp.csr_array(rows_R[:, keep] + from_I @ rows_I[:, keep])
+    lu = sparse_shifted_lu(schur)
+    q = float(np.max(abs(schur) @ np.ones(schur.shape[1]), initial=0.0))
+    terms = _neumann_terms(q) if q < 1.0 else None
+    # lu.nnz counts L and U as SuperLU stores them, which its solve reads;
+    # lu.L and lu.U would build CSC copies of both factors and keep them
+    # on lu (2.3 MB at 64^2)
+    neumann = terms is not None and terms * schur.nnz < lu.nnz
+    route = {"sparse_solve": "neumann" if neumann else "superlu",
+             "neumann_terms": terms, "schur_norm_inf": q}
     order = np.concatenate([np.flatnonzero(elim), np.flatnonzero(keep)])
     v = u[order]
     u_I, u_R = v[:inv.size], v[inv.size:]
+    m = u_R.size
 
     def steps():
+        x, y = np.empty(m), np.empty(m)
         for _ in range(nsteps):
-            x_R = lu.solve(u_R + from_I @ u_I)
+            b = u_R + from_I @ u_I
+            if neumann:
+                # Horner, x <- S x + b: scipy's CSR kernel adds S x into
+                # y = b in place, where schur @ x would spend more time
+                # in dispatch and allocation than in the product
+                np.copyto(x, b)
+                for _ in range(terms):
+                    np.copyto(y, b)
+                    csr_matvec(m, m, schur.indptr, schur.indices,
+                               schur.data, x, y)
+                    x, y = y, x
+                x_R = x
+            else:
+                x_R = lu.solve(b)
             x_I = to_I @ x_R
             x_I += inv * u_I
             np.subtract(x_R + x_R, u_R, out=u_R)
             np.subtract(x_I + x_I, u_I, out=u_I)
             yield v
 
-    return order, steps()
+    return order, steps(), route
 
 
 def _left_finite(step: int) -> ValueError:
@@ -418,9 +490,16 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       formed once and the states are filled by GEMMs against its
       doubled powers (_dense_cayley_states);
     - sparse: the nodes of an independent set are eliminated first and
-      the half-size Schur complement on the rest is factorized once;
-      each step is one solve pair with it and two sparse products
-      (_cayley_steps), scattered into its row of states.
+      the half-size Schur complement E - S on the rest is factorized
+      once; each step is two sparse products and one solve with E - S
+      (_cayley_steps), scattered into its row of states. The solve is a
+      truncated Neumann series of K products with S when q = |S|_inf < 1
+      and its K nnz(S) multiply-adds undercut the nnz(L) + nnz(U) of the
+      SuperLU solve pair; K is the smallest with q^(K+1) / (1 - q) <=
+      eps/2, so the series stays within rounding of the solve. Otherwise
+      the SuperLU pair solves. stepper_meta records the decision:
+      "sparse_solve" ("neumann" or "superlu"), "neumann_terms" (K, None
+      when q >= 1) and "schur_norm_inf" (q).
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     does a singular E - dt/2 B (a failed sparse factorization) and a
@@ -434,9 +513,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     u = np.asarray_chkfinite(u0, dtype=float)
     states = np.empty((nsteps + 1, gen.dim))
     states[0] = u
-    is_skew = False
+    is_skew, route = False, {}
     if sp.issparse(gen.action):
-        order, steps = _cayley_steps(gen, u, dt, nsteps)
+        order, steps, route = _cayley_steps(gen, u, dt, nsteps)
         back = np.argsort(order)
         lo = 1
         # non-finite rows are caught block by block below
@@ -469,7 +548,7 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     return Trajectory(times=dt * np.arange(nsteps + 1), states=states,
                       space=gen.space,
                       stepper_meta={"method": "cayley", "dt": float(dt),
-                                    "schur_rotation": is_skew})
+                                    "schur_rotation": is_skew, **route})
 
 
 def adjoint_generator(gen: RestrictedOperator) -> RestrictedOperator:

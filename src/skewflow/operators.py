@@ -632,12 +632,13 @@ def seam_extension(op: RestrictedOperator, theta: float) -> RestrictedOperator:
     flips the sign of whatever crosses the seam, and |theta| < 1 adds the
     matching absorption on the seam diagonal so that the negative of the
     result is strictly dissipative there. Values |theta| > 1 would pump
-    energy in and are rejected.
+    energy in and are rejected (ValueError), as is a NaN theta.
     """
     if "seam" not in op.meta or "seam_scale" not in op.meta:
         raise ValueError("operator carries no seam metadata")
-    if abs(theta) > 1.0 + 1e-12:
-        raise ValueError("theta must lie in [-1, 1]")
+    # written so that NaN fails too
+    if not abs(theta) <= 1.0 + 1e-12:
+        raise ValueError("theta must be a finite number in [-1, 1]")
     i0, i1 = op.meta["seam"]
     scale = float(op.meta["seam_scale"])
     A = op.dense_action().copy()

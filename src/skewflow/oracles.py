@@ -81,10 +81,11 @@ def interval_shift_semigroup(theta: float, t: float, u0_samples) -> np.ndarray:
     integer number of grid cells the two neighbouring integer shifts are
     blended linearly (an O(h) convenience; the exact values are the
     integer-shift ones). |theta| <= 1 keeps the flow contractive. A
-    non-finite t raises ValueError.
+    non-finite t or theta, or |theta| > 1, raises ValueError.
     """
-    if abs(theta) > 1.0 + 1e-12:
-        raise ValueError("theta must lie in [-1, 1]")
+    # written so that NaN fails too
+    if not abs(theta) <= 1.0 + 1e-12:
+        raise ValueError("theta must be a finite number in [-1, 1]")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if t < 0:

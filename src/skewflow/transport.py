@@ -248,7 +248,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
     drift = 0.0
-    order, steps = _cayley_steps(gen, u0, dt_eff, nsteps)
+    order, steps, _ = _cayley_steps(gen, u0, dt_eff, nsteps)
     for k, u in enumerate(steps, start=1):
         norm = float(np.sqrt(area * np.dot(u, u)))
         if not np.isfinite(norm):

@@ -165,6 +165,12 @@ def _residual_matrix(times, G, Sm, gv0, Phi, scale):
     return raw / (scale[:, None] * pmax)
 
 
+# the every-second-sample grid of a K-step candidate holds t_0, t_2, ...;
+# below 3 steps it holds only t = 0 and the horizon, where every default
+# profile is 0 or vanishes
+GS_MIN_STEPS = 3
+
+
 def gs_residual(candidate: Trajectory, u0, op: RestrictedOperator,
                 family: Optional[TestFunctionFamily] = None,
                 tol: float = 1e-5, seed: int = 0) -> GsReport:
@@ -176,9 +182,14 @@ def gs_residual(candidate: Trajectory, u0, op: RestrictedOperator,
     the fine-grid quadrature error. A candidate passes when its largest
     residual does not exceed tol plus that estimate. The states are
     projected on the test vectors once; both grids are row slices of that
-    projection. A one-sample candidate has no horizon for the default
-    profiles and raises ValueError.
+    projection. A candidate of fewer than GS_MIN_STEPS steps leaves the
+    estimate no sample inside the horizon and raises ValueError.
     """
+    if candidate.nsteps < GS_MIN_STEPS:
+        raise ValueError(
+            f"the weak residual needs a candidate of at least {GS_MIN_STEPS} "
+            f"steps, so that every second sample still reaches inside the "
+            f"horizon; this one has {candidate.nsteps}")
     times = candidate.times
     if family is None:
         family = default_family(op, horizon=float(times[-1]), seed=seed)

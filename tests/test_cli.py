@@ -321,6 +321,19 @@ def test_bad_descriptor_is_a_usage_error_without_report(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "witness", "multiplicity"])
+def test_too_few_steps_for_the_weak_residual_are_a_usage_error(
+        tmp_path, minimal_desc, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--input", minimal_desc, "--out", str(out),
+                 "--horizon", "0.002", "--dt", "0.001"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "at least 3" in lines[0]
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

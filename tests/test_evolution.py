@@ -10,6 +10,7 @@ from skewflow.evolution import (
     _ROW_BLOCK,
     Trajectory,
     _eliminated_nodes,
+    _neumann_terms,
     adjoint_generator,
     evolve_cayley,
     evolve_exact,
@@ -687,7 +688,14 @@ def test_sparse_cayley_failures_are_value_errors(case):
         evolve_cayley(b, np.ones(2), 0.5, 1)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 0.1, 2.0])
+# the runs whose Schur term S has |S|_inf < 1 and a Neumann sum of fewer
+# multiply-adds than the L + U solve. At dt = 1e-2 every case has
+# |S|_inf < 1 too, but its 8 to 14 products cost more than the
+# triangular solves; at 0.1 and 2, |S|_inf >= 1 everywhere.
+NEUMANN_RUNS = {(case, 1e-3) for case in SPARSE_CASES}
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1, 2.0])
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
 def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
     # the half-size Schur complement with u <- 2x - u against one LU of
@@ -697,6 +705,37 @@ def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
     assert np.array_equal(traj.states[0], u0)
     ref = reference_sparse_cayley(gen, u0, dt, 40)
     assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+    meta = traj.stepper_meta
+    neumann = (case, dt) in NEUMANN_RUNS
+    assert meta["sparse_solve"] == ("neumann" if neumann else "superlu")
+    assert (meta["neumann_terms"] is None) == (meta["schur_norm_inf"] >= 1.0)
+    if neumann:
+        assert 1 <= meta["neumann_terms"] <= 8
+    if dt == 1e-2:
+        assert meta["neumann_terms"] is not None
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-9, 6.5e-4, 9.2e-3, 0.5, 0.999])
+def test_neumann_terms_is_the_smallest_count_within_half_eps(q):
+    terms = _neumann_terms(q)
+    tol = 0.5 * np.finfo(float).eps * (1.0 - q)
+    assert q ** (terms + 1) <= tol
+    assert terms == 0 or q ** terms > tol
+
+
+@pytest.mark.parametrize("case", sorted(c for c, _ in NEUMANN_RUNS))
+def test_neumann_steps_solve_to_rounding(case):
+    # x = (u_k + u_{k+1}) / 2 solves (E - dt/2 B) x = u_k; the truncated
+    # series leaves at most eps/2 |b| of it, below the rounding
+    gen, u0 = SPARSE_CASES[case]()
+    dt = 1e-3
+    traj = evolve_cayley(gen, u0, dt, 40)
+    assert traj.stepper_meta["sparse_solve"] == "neumann"
+    shifted = sp.identity(gen.dim, format="csr") - (dt / 2.0) * gen.action
+    eps = np.finfo(float).eps
+    for u, u_next in zip(traj.states[:-1], traj.states[1:]):
+        r = shifted @ (0.5 * (u + u_next)) - u
+        assert np.max(np.abs(r)) <= 4.0 * eps * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewflow.operators import deficiency
+from skewflow.operators import deficiency, seam_extension
 from skewflow.oracles import (
     _bump,
     _simpson,
@@ -12,6 +12,20 @@ from skewflow.oracles import (
     minimal_derivative_operator,
 )
 from skewflow.spaces import subspace_angle
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("flow", ["interval_shift_semigroup",
+                                  "seam_extension"])
+def test_non_finite_theta_is_rejected(flow, theta):
+    # abs(nan) > 1 is false: the range test must be one that NaN fails
+    op = minimal_derivative_operator(16)
+    with pytest.raises(ValueError, match="theta must be a finite number"):
+        if flow == "seam_extension":
+            seam_extension(op, theta)
+        else:
+            interval_shift_semigroup(theta, 1.0,
+                                     gaussian_profile(op.meta["grid"]))
 
 
 def test_minimal_model_rejects_tiny_grids():

@@ -16,6 +16,7 @@ from skewflow.transport import (
 )
 import skewflow.weak as weak
 from skewflow.weak import (
+    GS_MIN_STEPS,
     default_family,
     default_profiles,
     forward_generator,
@@ -101,6 +102,19 @@ def test_residual_rejects_a_one_sample_candidate():
     traj = Trajectory(times=[0.0], states=u0[None, :], space=op.space)
     with pytest.raises(ValueError, match="horizon"):
         gs_residual(traj, u0, op)
+
+
+@pytest.mark.parametrize("nsteps", [1, 2, 3])
+def test_residual_names_the_step_minimum(nsteps):
+    # below 3 steps the every-second-sample grid holds only t = 0 and the
+    # horizon, where the default profiles are 0; it is refused as too short
+    op, gen, u0 = wrapped(32)
+    traj = evolve_cayley(forward_generator(op), u0, 1.0 / nsteps, nsteps)
+    if nsteps < GS_MIN_STEPS:
+        with pytest.raises(ValueError, match=f"at least {GS_MIN_STEPS} steps"):
+            gs_residual(traj, u0, op)
+    else:
+        assert np.isfinite(gs_residual(traj, u0, op).max_residual)
 
 
 def test_constant_trajectory_of_zero_operator_is_exact():
