@@ -109,7 +109,7 @@ def test_residual_names_the_step_minimum(nsteps):
     # below 3 steps the every-second-sample grid holds only t = 0 and the
     # horizon, where the default profiles are 0; it is refused as too short
     op, gen, u0 = wrapped(32)
-    traj = evolve_cayley(forward_generator(op), u0, 1.0 / nsteps, nsteps)
+    traj = evolve_cayley(gen, u0, 1.0 / nsteps, nsteps)
     if nsteps < GS_MIN_STEPS:
         with pytest.raises(ValueError, match=f"at least {GS_MIN_STEPS} steps"):
             gs_residual(traj, u0, op)
