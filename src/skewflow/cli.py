@@ -116,9 +116,15 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def write_report(out_dir: Path, payload: dict) -> Path:
+    """Render payload first, so a payload canonical_json rejects writes
+    nothing (CliError)."""
+    try:
+        text = canonical_json(payload) + "\n"
+    except ValueError as exc:
+        raise CliError(f"cannot write the report: {exc}")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    path.write_text(canonical_json(payload) + "\n", encoding="ascii")
+    path.write_text(text, encoding="ascii")
     return path
 
 
@@ -309,9 +315,11 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
     # 32 seeded domain probes u: | |u + Mu| - |u - Mu| | / |u|
     rng = np.random.default_rng(args.seed)
     U = op.domain_vector(rng.standard_normal((32, op.domain_dim)).T)
-    MU = op.apply(U)
+    MU = op.action @ U
     norms = op.space.norms
-    iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
+    # an overflow here is refused when the report is rendered
+    with np.errstate(over="ignore", invalid="ignore"):
+        iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
     payload = {
         "command": "analyze",
         "label": op.label,
@@ -656,6 +664,8 @@ def main(argv=None) -> int:
               if "input" in args else None)
         args.out.mkdir(parents=True, exist_ok=True)
         code, payload = handler(args, op)
+        payload["seed"] = args.seed
+        write_report(args.out, payload)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -666,8 +676,6 @@ def main(argv=None) -> int:
         print(f"{args.command}: fail — {exc}", file=sys.stderr)
         return 2
 
-    payload["seed"] = args.seed
-    write_report(args.out, payload)
     status = "pass" if payload.get("pass", code == 0) else "fail"
     extra = payload.get("message", "")
     line = f"{args.command}: {status}"

@@ -82,7 +82,8 @@ import scipy.sparse.linalg as spla
 # already loaded with scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from .operators import RestrictedOperator, _is_skew, sparse_shifted_lu
+from .operators import (RestrictedOperator, _identity_coords, _is_skew,
+                        sparse_shifted_lu)
 
 _DENSE_EXP_LIMIT = 4096
 # rows (sample times or steps) per GEMM in the dense trajectories; bounds
@@ -175,16 +176,6 @@ def _require_full_domain(gen: RestrictedOperator):
         )
 
 
-def _identity_generator(gen: RestrictedOperator):
-    """(sqrt(w), S, is_skew) for a full-domain generator B: S = sqrt(W) B
-    sqrt(W)^-1 is B, dense, in coordinates where the Gram is the
-    identity, and is_skew is the W-skew test deficiency uses (S + S^T
-    vanishes to 1e-12 of max(1, max|S|))."""
-    sw = np.sqrt(gen.space.weights)
-    S = sw[:, None] * gen.dense_action() / sw[None, :]
-    return sw, S, _is_skew(S)
-
-
 def _schur_planes(gen: RestrictedOperator, S: np.ndarray):
     """Real Schur factors (Z, p, freq) of the antisymmetric S = Z T Z^T.
 
@@ -266,7 +257,9 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     if ts.size == 0 or ts[0] > 0:
         ts = np.concatenate([[0.0], ts])
 
-    sw, S, is_skew = _identity_generator(gen)
+    sw = np.sqrt(gen.space.weights)
+    S = _identity_coords(gen.space, gen.dense_action())
+    is_skew = _is_skew(S)
     u0 = np.asarray_chkfinite(u0, dtype=float)
     states = np.empty((ts.size, n))
     if is_skew:
@@ -528,7 +521,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
                         raise _left_finite(lo + int(np.argmin(finite)))
                     lo = k + 1
     else:
-        sw, S, is_skew = _identity_generator(gen)
+        sw = np.sqrt(gen.space.weights)
+        S = _identity_coords(gen.space, gen.dense_action())
+        is_skew = _is_skew(S)
         if is_skew:
             planes = _schur_planes(gen, S)
             phi = 2.0 * np.arctan((0.5 * dt) * planes[2])

@@ -51,13 +51,16 @@ class RestrictedOperator:
     domain takes one of three forms:
 
     - None: the operator is defined on the whole space;
-    - a PinnedDomain: every coordinate except a pinned set. Nothing
-      dense is stored; domain_basis() forms the W-orthonormal columns
-      e_i / sqrt(w_i) of the free coordinates only when asked. A mask
-      with no pins is the whole space and is stored as None;
+    - a PinnedDomain: every coordinate except a pinned set. A mask with
+      no pins is the whole space and is stored as None;
     - an (dim x m) array of basis columns, which the constructor
       replaces with a W-orthonormal basis of the same span.
 
+    Every form is stored as one W-orthonormal domain basis U, which the
+    domain checks all read: the orthonormalized columns themselves, or
+    for full and pinned domains a sparse CSC matrix holding e_j /
+    sqrt(w_j) for each free coordinate j (one entry per column, so
+    nothing dense is formed; domain_basis() densifies it on request).
     Every form is also a set of constraint columns L with domain =
     {u : L^T u = 0} (constraint_columns()); the defect spaces and the
     extensions are computed from those k = codim columns alone.
@@ -76,9 +79,9 @@ class RestrictedOperator:
     domain: Union[None, PinnedDomain, np.ndarray] = None
     label: str = ""
     meta: dict = field(default_factory=dict)
-    # free coordinates of a full or pinned domain (None for columns)
-    _free: Optional[np.ndarray] = field(init=False, repr=False,
-                                        compare=False, default=None)
+    # W-orthonormal domain basis U: dense columns or sparse scaled units
+    _basis: Union[np.ndarray, sp.csc_matrix] = field(
+        init=False, repr=False, compare=False, default=None)
     # DeficiencyData per rank_tol, filled by deficiency()
     _deficiency: dict = field(init=False, repr=False, compare=False,
                               default_factory=dict)
@@ -94,6 +97,7 @@ class RestrictedOperator:
         n = self.space.dim
         if self.action.shape != (n, n):
             raise ValueError(f"action shape {self.action.shape} != ({n}, {n})")
+        free = np.arange(n)
         if isinstance(self.domain, PinnedDomain):
             pins = self.domain.pins
             if pins.size and (pins[0] < 0 or pins[-1] >= n):
@@ -102,19 +106,19 @@ class RestrictedOperator:
                 raise ValueError("domain has no nonzero directions")
             if pins.size == 0:
                 self.domain = None
-            else:
-                free = np.setdiff1d(np.arange(n), pins)
-                free.flags.writeable = False
-                self._free = free
+            free = np.setdiff1d(free, pins)
         elif self.domain is not None:
             D = np.atleast_2d(np.asarray(self.domain, dtype=float))
             if D.shape[0] != n:
                 raise ValueError("domain columns do not match space dimension")
-            self.domain = orthonormalize(D, self.space, tol=1e-12)
+            self.domain = self._basis = orthonormalize(D, self.space,
+                                                       tol=1e-12)
             if self.domain.shape[1] == 0:
                 raise ValueError("domain has no nonzero directions")
-        if self.domain is None:
-            self._free = np.arange(n)
+            return
+        self._basis = sp.csc_matrix(
+            (1.0 / np.sqrt(self.space.weights[free]), free,
+             np.arange(free.size + 1)), shape=(n, free.size))
 
     # -- structure ---------------------------------------------------------
     @property
@@ -127,33 +131,21 @@ class RestrictedOperator:
 
     @property
     def domain_dim(self) -> int:
-        return self.domain.shape[1] if self._free is None else self._free.size
+        return self._basis.shape[1]
 
     @property
     def codim(self) -> int:
         return self.dim - self.domain_dim
 
     def domain_basis(self) -> np.ndarray:
-        """W-orthonormal columns spanning the domain (identity-like if full,
-        formed on each call for full and pinned domains)."""
-        if self._free is None:
-            return self.domain
-        F = self._free
-        U = np.zeros((self.dim, F.size))
-        U[F, np.arange(F.size)] = 1.0 / np.sqrt(self.space.weights[F])
-        return U
+        """The W-orthonormal domain basis as dense columns (formed on each
+        call for full and pinned domains)."""
+        return _dense(self._basis)
 
     def domain_vector(self, coords: np.ndarray) -> np.ndarray:
         """domain_basis() @ coords for a coordinate vector or an (m x k)
-        block of coordinate columns, without forming the basis unless the
-        domain is given by explicit columns."""
-        if self._free is None:
-            return self.domain @ coords
-        c = np.asarray(coords, dtype=float)
-        F = self._free
-        out = np.zeros((self.dim,) + c.shape[1:])
-        out[F] = (c.T * (1.0 / np.sqrt(self.space.weights[F]))).T
-        return out
+        block of coordinate columns, without densifying the basis."""
+        return self._basis @ np.asarray(coords, dtype=float)
 
     def constraint_columns(self) -> sp.csc_matrix:
         """Sparse (dim x codim) columns L with domain = {u : L^T u = 0},
@@ -164,9 +156,6 @@ class RestrictedOperator:
             self._constraints = _constraint_columns(self)
         return self._constraints
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.action @ u
-
     def dense_action(self) -> np.ndarray:
         return _dense(self.action)
 
@@ -176,11 +165,11 @@ class RestrictedOperator:
 
 
 def _constraint_columns(op: RestrictedOperator) -> sp.csc_matrix:
-    n, k = op.dim, op.codim
-    if op._free is None:
-        Q = np.linalg.qr(op.domain, mode="complete")[0]
+    n, k, U = op.dim, op.codim, op._basis
+    if not sp.issparse(U):
+        Q = np.linalg.qr(U, mode="complete")[0]
         return sp.csc_matrix(Q[:, n - k:])
-    pins = np.setdiff1d(np.arange(n), op._free)
+    pins = np.setdiff1d(np.arange(n), U.indices)
     return sp.csc_matrix((np.ones(k), (pins, np.arange(k))), shape=(n, k))
 
 
@@ -243,24 +232,15 @@ def _skew_action(op: RestrictedOperator):
 def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
     """Largest violation of (Mu, v) + (u, Mv) = 0 over the domain.
 
-    Evaluated exactly on a W-orthonormal domain basis, which bounds the
-    defect for arbitrary unit domain vectors; the diagonal of the defect
-    matrix doubles as the check that (Mu, u) vanishes. On full and pinned
-    domains that basis is the unit coordinates of the free set, so the
-    defect matrix is G + G^T (G the action in identity coordinates)
-    restricted to the free rows and columns; no basis is formed.
+    Evaluated exactly on the W-orthonormal domain basis U, which bounds
+    the defect for arbitrary unit domain vectors: the largest entry of
+    G + G^T with G = U^T W M U. Its diagonal doubles as the check that
+    (Mu, u) vanishes. A sparse action on a full or pinned domain keeps G
+    sparse.
     """
-    F = op._free
-    if F is None:
-        U = op.domain_basis()
-        G = U.T @ (op.space.weights[:, None] * op.apply(U))
-        D = G + G.T
-    else:
-        G = _identity_coords(op.space, op.action)
-        D = G + G.T
-        if not op.is_full_domain:
-            D = D[F][:, F] if sp.issparse(D) else D[np.ix_(F, F)]
-    max_defect = _max_abs(D)
+    U = op._basis
+    G = U.T @ (sp.diags(op.space.weights) @ (op.action @ U))
+    max_defect = _max_abs(G + G.T)
     return SkewReport(max_defect=max_defect, passed=max_defect <= tol, tol=tol)
 
 
@@ -422,7 +402,7 @@ def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
         Np, Nm = _defect_bases(op, action)
     else:
         U = op.domain_basis()
-        MU = op.apply(U)
+        MU = op.action @ U
         Nm, im = complement_basis(U - MU, op.space, rank_tol=rank_tol,
                                   return_info=True)
         Np, ip = complement_basis(U + MU, op.space, rank_tol=rank_tol,
@@ -471,7 +451,7 @@ class CayleyData:
 
 def cayley(op: RestrictedOperator) -> CayleyData:
     U = op.domain_basis()
-    MU = op.apply(U)
+    MU = op.action @ U
     Hm = U - MU
     Hp = U + MU
     Q, C = orthonormalize(Hm, op.space, tol=1e-12, return_coeffs=True)
@@ -583,7 +563,7 @@ def extend(op: RestrictedOperator,
     if sv.size and sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
 
-    R = np.linalg.solve(LZ.T, (T - op.apply(Z)).T).T
+    R = np.linalg.solve(LZ.T, (T - op.action @ Z).T).T
     ext = RestrictedOperator(
         space=op.space,
         action=op.dense_action() + R @ L.T,
@@ -750,31 +730,18 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
         raise ValueError("generator and operator live on different spaces")
     probes = np.random.default_rng(0).standard_normal((n, 32))
     probes /= gen.space.norms(probes)
-    W = gen.space.weights
-    BP = gen.apply(probes)
-    F = op._free
-    if F is None:
-        U = op.domain_basis()
-        lhs = BP.T @ (W[:, None] * U)                  # (Bu, v)
-        rhs = probes.T @ (W[:, None] * op.apply(U))    # (u, Mv)
-    else:  # v = e_j / sqrt(w_j) for each free coordinate j
-        sw = np.sqrt(W[F])
-        lhs = BP[F].T * sw
-        rhs = (op.action.T @ (W[:, None] * probes))[F].T / sw
-    max_defect = float(np.max(np.abs(lhs - rhs)))
+    # row blocks of 32 probes first, so no n x n product is formed
+    U, W = op._basis, gen.space.weights[:, None]
+    lhs = (W * (gen.action @ probes)).T @ U        # (Bu, v)
+    rhs = ((W * probes).T @ op.action) @ U         # (u, Mv)
+    max_defect = _max_abs(lhs - rhs)
     return InclusionReport(max_defect=max_defect,
                            passed=max_defect <= tol, tol=tol)
 
 
 def _domain_columns(op: RestrictedOperator, A) -> np.ndarray:
-    """A applied to op's W-orthonormal domain basis, as dense columns; on
-    a full or pinned domain the free columns of A scaled by 1/sqrt(w),
-    without forming the basis."""
-    F = op._free
-    if F is None:
-        return A @ op.domain
-    cols = A.tocsc()[:, F].toarray() if sp.issparse(A) else A[:, F]
-    return cols / np.sqrt(op.space.weights[F])
+    """A applied to op's W-orthonormal domain basis, as dense columns."""
+    return _dense(A @ op._basis)
 
 
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:

@@ -31,10 +31,14 @@ class Grid2D:
     ly: float = 1.0
 
     def __post_init__(self):
+        for n in (self.nx, self.ny):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"cell counts must be integers, got {n!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least 2x2 cells")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("box lengths must be positive")
+        # written so that NaN fails too
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ValueError("box lengths must be positive and finite")
 
     @property
     def hx(self) -> float:
@@ -112,6 +116,8 @@ def field_from_stream(grid: Grid2D,
         raise ValueError(
             f"psi shape {P.shape} != node shape ({grid.nx + 1}, {grid.ny + 1})"
         )
+    if not np.isfinite(P).all():
+        raise ValueError("psi has non-finite node values")
     ax = (P[:, 1:] - P[:, :-1]) / grid.hy
     ay = -(P[1:, :] - P[:-1, :]) / grid.hx
     return StreamField(grid=grid, psi=P, ax=ax, ay=ay)
@@ -301,11 +307,12 @@ def read_stream_file(path):
         header_line = f.readline()
         try:
             header = json.loads(header_line.decode("ascii"))
-            nx, ny = int(header["nx"]), int(header["ny"])
+            nx, ny = header["nx"], header["ny"]
             lx = float(header.get("lx", 1.0))
             ly = float(header.get("ly", 1.0))
             fmt = header.get("format", "csv")
-        except (ValueError, KeyError) as exc:
+            grid = Grid2D(nx, ny, lx, ly)
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed stream-file header: {exc}") from exc
         body = f.read()
     shape = (nx + 1, ny + 1)
@@ -325,4 +332,4 @@ def read_stream_file(path):
             raise ValueError(f"csv psi shape {P.shape}, expected {shape}")
     else:
         raise ValueError(f"unknown stream format {fmt!r}")
-    return Grid2D(nx, ny, lx, ly), P
+    return grid, P

@@ -247,10 +247,6 @@ class ExponentialWitness:
     u0: np.ndarray
     op: RestrictedOperator
 
-    def sample(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(t)[..., None] * self.u0
-
     def trajectory(self, times) -> Trajectory:
         times = np.asarray(times, dtype=float)
         return Trajectory(times=times, states=np.exp(times)[:, None] * self.u0,

@@ -308,6 +308,11 @@ def test_bad_json_is_a_usage_error(tmp_path, capsys):
     {"operator": [1, 2]},
     {"operator": {"kind": "matrix", "data": [[0.0, float("nan")],
                                              [-1.0, 0.0]]}},
+    # finite, but the isometry probe overflows: the report cannot be
+    # rendered
+    {"operator": {"kind": "matrix", "data": [[0.0, 1e300, 0.0],
+                                             [-1e300, 0.0, 1.0],
+                                             [0.0, -1.0, 0.0]]}},
 ])
 def test_bad_descriptor_is_a_usage_error_without_report(tmp_path, capsys,
                                                         payload):
@@ -318,6 +323,32 @@ def test_bad_descriptor_is_a_usage_error_without_report(tmp_path, capsys,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "transport-run"])
+@pytest.mark.parametrize("flaw", ["nan psi", "infinite lx", "fractional nx"])
+def test_malformed_stream_files_are_usage_errors(tmp_path, capsys, command,
+                                                 flaw):
+    write_stream_file(tmp_path / "psi.csv",
+                      lambda x, y: np.sin(2 * np.pi * x)
+                      * np.sin(2 * np.pi * y), Grid2D(8, 8))
+    header, *rows = (tmp_path / "psi.csv").read_text().splitlines()
+    head = json.loads(header)
+    if flaw == "nan psi":
+        rows[3] = "nan," + rows[3].split(",", 1)[1]
+    else:
+        head.update({"lx": float("inf")} if flaw == "infinite lx"
+                    else {"nx": 8.7})
+    (tmp_path / "psi.csv").write_text(
+        "\n".join([json.dumps(head), *rows]) + "\n")
+    desc = write_descriptor(tmp_path / "t.json", {
+        "operator": {"kind": "transport", "stream": "psi.csv"}})
+    out = tmp_path / "out"
+    assert main([command, "--input", desc, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bad transport descriptor: ")
     assert not (out / "report.json").exists()
 
 

@@ -110,7 +110,7 @@ def test_cayley_map_sends_minus_image_to_plus_image():
     cd = cayley(op)
     u = op.domain_basis()[:, 0]
     m = op.dense_action()
-    lhs = cd.operator.apply(u - m @ u)
+    lhs = cd.operator.action @ (u - m @ u)
     rhs = u + m @ u
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 

@@ -340,23 +340,42 @@ def test_pinned_domain_edge_cases():
 
 
 def test_mask_checks_agree_with_the_basis_formulas():
-    op = minimal_derivative_operator(32)
-    U = op.domain_basis()
-    W = op.space.weights[:, None]
-    M = op.dense_action()
-    G = U.T @ (W * (M @ U))
-    assert check_skew_symmetry(op).max_defect == float(np.max(np.abs(G + G.T)))
-    for theta in (0.5, -1.0):
-        ext = seam_extension(op, theta)
-        ref = float(np.max(op.space.norms((ext.dense_action() - M) @ U)))
-        assert abs(restriction_defect(ext, op) - ref) <= 1e-13
-    gen = seam_extension(op, 1.0)
-    probes = np.random.default_rng(0).standard_normal((op.dim, 32))
-    probes /= op.space.norms(probes)
-    lhs = (gen.dense_action() @ probes).T @ (W * U)
-    rhs = probes.T @ (W * (M @ U))
-    ref = float(np.max(np.abs(lhs - rhs)))
-    assert abs(check_inclusion_in_adjoint(gen, op).max_defect - ref) <= 1e-12
+    # the wrapped model, a weighted ring pinned by a mask and by the same
+    # coordinates as explicit unit columns, and a sparse interior stencil,
+    # each against the dense domain-basis formulas; a seeded stray action
+    # makes the restriction and inclusion defects nonzero
+    n, pins = 12, [0, 5, 7]
+    w = np.random.default_rng(2).uniform(0.5, 1.5, n)
+    ring = weighted_ring(w, np.linspace(0.5, 1.5, n))
+    wrapped = minimal_derivative_operator(32)
+    ops = [wrapped, interior_transport(8),
+           *(RestrictedOperator(space=Space(dim=n, weights=w), action=ring,
+                                domain=d)
+             for d in (PinnedDomain(pins), coordinate_columns(n, pins)))]
+    for op in ops:
+        U = op.domain_basis()
+        W = op.space.weights[:, None]
+        M = op.dense_action()
+        G = U.T @ (W * (M @ U))
+        ref = float(np.max(np.abs(G + G.T)))
+        skew = check_skew_symmetry(op).max_defect
+        assert skew == ref if op is wrapped else abs(skew - ref) <= 1e-13
+        rng = np.random.default_rng(op.dim)
+        gens = [RestrictedOperator(
+            space=op.space, action=M + 0.1 * rng.standard_normal(M.shape))]
+        if op is wrapped:
+            gens += [seam_extension(op, theta) for theta in (0.5, -1.0, 1.0)]
+        probes = np.random.default_rng(0).standard_normal((op.dim, 32))
+        probes /= op.space.norms(probes)
+        for gen in gens:
+            B = gen.dense_action()
+            ref = float(np.max(op.space.norms((B - M) @ U)))
+            assert abs(restriction_defect(gen, op) - ref) <= 1e-13
+            lhs = (B @ probes).T @ (W * U)
+            rhs = probes.T @ (W * (M @ U))
+            ref = float(np.max(np.abs(lhs - rhs)))
+            assert abs(check_inclusion_in_adjoint(gen, op).max_defect
+                       - ref) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

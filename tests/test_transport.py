@@ -112,7 +112,7 @@ def test_transport_annihilates_constants():
     op = build_transport_operator(field_from_stream(g, CELLULAR))
     ones = np.ones(g.ncells)
     # row sums reduce to the (telescoping) cell divergence
-    assert np.max(np.abs(op.apply(ones))) < 1e-13
+    assert np.max(np.abs(op.action @ ones)) < 1e-13
 
 
 def test_transport_conserves_mass_and_energy():
