@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgecon, dgetrf
+from scipy.linalg.lapack import dgecon, dgetrf, dpotrf
 
 from .spaces import Space, complement_basis, orthonormalize
 
@@ -672,6 +672,42 @@ def _rank(A: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(A))
 
 
+def _form_max(B: np.ndarray, w: np.ndarray, seed: int) -> float:
+    """Largest Rayleigh value (Bu, u)/(u, u) over 64 seeded probes."""
+    probes = np.random.default_rng(seed).standard_normal((B.shape[0], 64))
+    wp = probes * w[:, None]
+    num = np.einsum("ij,ij->j", wp, B @ probes)
+    den = np.einsum("ij,ij->j", wp, probes)
+    return float(np.max(num / den))
+
+
+def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
+                          h_max: float) -> bool:
+    """Whether one Cholesky factorization shows E - hB invertible and well
+    conditioned for every 0 < h <= h_max, given G = sqrt(W) B sqrt(W)^-1
+    (overwritten) and g_max = max|G|.
+
+    With delta = 1 / (2 h_max), a positive definite delta E - (G + G^T)/2
+    gives ((E - hG)u, u) >= (1 - h delta)|u|^2 >= |u|^2 / 2, so
+    sigma_min(E - hG) >= 1/2 and cond_2(E - hB) <= (1 + h_max |G|_2) 2
+    (max w / min w), with |G|_2 <= n g_max. While that bound stays below
+    1 / (2 n eps), matrix_rank's SVD counts all n singular values, so
+    _rank would return n as well. Above it, or when dpotrf meets a
+    nonpositive pivot, the answer is False and the caller ranks each h.
+    """
+    n = G.shape[0]
+    cond = (1.0 + h_max * n * g_max) * 2.0 * (w.max() / w.min())
+    if not cond * 2.0 * n * np.finfo(float).eps < 1.0:
+        return False
+    G += G.T
+    G *= -0.5
+    G.flat[::n + 1] += 0.5 / h_max
+    # symmetric, so the transpose is the same matrix in Fortran order and
+    # dpotrf factors it in place
+    _, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
+
+
 def check_m_dissipative(gen: RestrictedOperator,
                         h_list=(0.5, 1.0, 2.0),
                         tol: float = 1e-12,
@@ -679,31 +715,47 @@ def check_m_dissipative(gen: RestrictedOperator,
     """Dissipativity form bound plus surjectivity of E - hB for each h.
 
     form_max is the largest Rayleigh value (Bu, u)/(u, u) over 64 seeded
-    probes (should be <= tol for a dissipative B); the rank of E - hB must
-    equal the space dimension for every h in h_list for the resolvent at
-    1/h to exist, which at desk scale is the whole m-dissipativity story.
-    Each rank costs one LU factorization unless E - hB is close enough to
-    singular to need the SVD (see _rank).
+    probes. It passes when form_max <= tol * max(1, max|G|), with G =
+    sqrt(W) B sqrt(W)^-1: the scale rule of the skewness test, so that
+    probe rounding on a large generator is not read as growth. The rank
+    of E - hB must equal the space dimension for every h in h_list for the
+    resolvent at 1/h to exist, which at desk scale is the whole
+    m-dissipativity story.
+
+    The ranks come from one Cholesky certificate first
+    (_resolvents_certified): when delta E - (G + G^T)/2 with delta = 1 /
+    (2 max h) is positive definite and a condition bound rules out a
+    numerically singular E - hB, every rank is n and no LU runs. Otherwise
+    each rank costs one LU factorization unless E - hB is close enough to
+    singular to need the SVD (see _rank). Raises ValueError for a
+    restricted or non-finite generator, an empty h_list, and an h that is
+    not finite and positive.
     """
     if not gen.is_full_domain:
         raise ValueError("m-dissipativity applies to full-domain generators")
+    hs = [float(h) for h in h_list]
+    if not hs:
+        raise ValueError("h_list is empty")
+    # written so that NaN fails too
+    if not all(0.0 < h < np.inf for h in hs):
+        raise ValueError("every step size h must be finite and positive")
     B = gen.dense_action()
-    n = gen.dim
-    rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((n, 64))
-    BP = B @ probes
-    W = gen.space.weights
-    num = np.einsum("ij,ij->j", probes * W[:, None], BP)
-    den = np.einsum("ij,ij->j", probes * W[:, None], probes)
-    form_max = float(np.max(num / den))
+    if not np.all(np.isfinite(B)):
+        raise ValueError("generator action has non-finite entries")
+    n, W = gen.dim, gen.space.weights
+    form_max = _form_max(B, W, seed)
+    G = _identity_coords(gen.space, B)
+    g_max = max(float(G.max()), -float(G.min()))
+    ok = form_max <= tol * max(1.0, g_max)
 
-    ranks = {}
-    ok = form_max <= tol
-    E = np.eye(n)
-    for h in h_list:
-        r = _rank(E - h * B)
-        ranks[float(h)] = r
-        ok = ok and (r == n)
+    certified = _resolvents_certified(G, g_max, W, max(hs))
+    del G                       # free the factor before any per-h LU
+    if certified:
+        ranks = dict.fromkeys(hs, n)
+    else:
+        E = np.eye(n)
+        ranks = {h: _rank(E - h * B) for h in hs}
+    ok = ok and all(r == n for r in ranks.values())
     return MDissipativityReport(form_max=form_max, ranks=ranks, dim=n,
                                 passed=ok, tol=tol)
 

@@ -331,11 +331,18 @@ def forward_generator(op: RestrictedOperator,
     A full-domain operator drives its own forward problem through the
     metric adjoint. A restricted operator is first extended with coupling
     theta: the closed-form seam extension when it carries seam metadata,
-    the scalar coupling through the defect pair (extend) otherwise."""
+    the scalar coupling through the defect pair (extend) otherwise. The
+    generator is then -A_ext, which is dissipative for every |theta| <= 1
+    and acts inside the adjoint of op: (-A_ext u, v) = (u, Mv) for v in
+    op's domain. At |theta| = 1 the extension is skew and -A_ext is its
+    metric adjoint, which the label then names."""
     if op.is_full_domain:
         return adjoint_generator(op)
-    ext = seam_extension if "seam" in op.meta else extend
-    return adjoint_generator(ext(op, theta))
+    ext = (seam_extension if "seam" in op.meta else extend)(op, theta)
+    name = "adjoint" if abs(theta) == 1.0 else "-"
+    return RestrictedOperator(space=ext.space, action=-ext.action,
+                              domain=None, label=f"{name}({ext.label})",
+                              meta=dict(ext.meta))
 
 
 def semigroup_multiplicity_demo(op: RestrictedOperator,

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewflow.cli import main
 from skewflow.operators import (
     ExtensionPlan,
     RestrictedOperator,
@@ -294,6 +297,43 @@ def test_m_dissipative_rejects_growth():
     op = RestrictedOperator(space=Space.euclidean(2), action=np.eye(2),
                             domain=None)
     assert not check_m_dissipative(op).passed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+def test_m_dissipative_form_tolerance_scales_with_the_generator(scale):
+    op = minimal_derivative_operator(64)
+    B = -scale * seam_extension(op, 1.0).dense_action()
+    rep = check_m_dissipative(RestrictedOperator(space=op.space, action=B))
+    assert rep.passed and set(rep.ranks.values()) == {64}
+    growth = RestrictedOperator(space=op.space, action=scale * np.eye(64))
+    assert not check_m_dissipative(growth).passed
+
+
+def test_extend_passes_a_huge_skew_matrix(tmp_path):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((4, 4))
+    desc = tmp_path / "huge.json"
+    desc.write_text(json.dumps({"operator": {
+        "kind": "matrix", "data": ((A - A.T) * 1e200).tolist()}}))
+    code = main(["extend", "--input", str(desc), "--theta", "0.5",
+                 "--out", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 0 and report["m_dissipative_negative"]["pass"]
+
+
+@pytest.mark.parametrize("action, h_list, match", [
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), (0.5, 1.0, 2.0), "non-finite"),
+    (np.array([[0.0, np.inf], [-1.0, 0.0]]), (0.5, 1.0, 2.0), "non-finite"),
+    (np.zeros((2, 2)), (), "empty"),
+    (np.zeros((2, 2)), (0.5, 0.0), "finite and positive"),
+    (np.zeros((2, 2)), (-1.0,), "finite and positive"),
+    (np.zeros((2, 2)), (np.nan,), "finite and positive"),
+    (np.zeros((2, 2)), (np.inf,), "finite and positive"),
+])
+def test_m_dissipative_refuses_bad_input(action, h_list, match):
+    gen = RestrictedOperator(space=Space.euclidean(2), action=action)
+    with pytest.raises(ValueError, match=match):
+        check_m_dissipative(gen, h_list=h_list)
 
 
 def test_inclusion_in_adjoint_for_the_wrap():

@@ -19,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf
 
 from skewflow import operators, weak
 from skewflow.cli import main
@@ -481,6 +482,84 @@ def test_well_conditioned_resolvents_skip_the_svd(monkeypatch):
                              action=-extend(op, 0.3).dense_action())
     rep = check_m_dissipative(neg)
     assert rep.passed and set(rep.ranks.values()) == {64}
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate against the per-h loop
+# ---------------------------------------------------------------------------
+
+def reference_ranks(B, h_list=(0.5, 1.0, 2.0)):
+    """check_m_dissipative's ranks as one LU (or SVD) per step size, the
+    route it took before the certificate."""
+    E = np.eye(B.shape[0])
+    return {float(h): operators._rank(E - h * B) for h in h_list}
+
+
+def count_getrf(monkeypatch):
+    calls = []
+
+    def getrf(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgetrf(*args, **kwargs)
+    monkeypatch.setattr(operators, "dgetrf", getrf)
+    return calls
+
+
+def certificate_cases(seed):
+    """(name, space, B, whether the certificate must hold) on a random
+    non-uniform weight; delta = 1/4 for the default h_list."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    w = rng.uniform(0.1, 4.0, n)
+    sw = np.sqrt(w)
+    space = Space(dim=n, weights=w)
+    K = rng.standard_normal((n, n))
+    K -= K.T
+    P = rng.standard_normal((n, n // 2))
+    # W^-1 (K - P P^T): W-dissipative
+    yield "dissipative", space, (K - P @ P.T) / w[:, None], True
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = -rng.uniform(0.0, 1.0, n)
+    for top, certified in ((0.9, True), (1.1, False)):
+        lam[0] = top * 0.25
+        # identity coordinates G = K + Q diag(lam) Q^T, B = W^-1/2 G W^1/2
+        G = K + (Q * lam) @ Q.T
+        yield f"sym top {top} delta", space, G * sw[None, :] / sw[:, None], \
+            certified
+    # |B| ~ 1e14: dissipative, but the condition bound sends it to the LU
+    yield "huge", space, 1e14 * (K - P @ P.T) / w[:, None], False
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certificate_matches_the_per_h_loop(monkeypatch, seed):
+    cases = list(certificate_cases(seed))
+    op = interior_transport(16)
+    ext = extend(op, 0.5)
+    cases.append(("16x16 interior contraction", op.space,
+                  -ext.dense_action(), True))
+    for name, space, B, certified in cases:
+        calls = count_getrf(monkeypatch)
+        rep = check_m_dissipative(RestrictedOperator(space=space, action=B))
+        assert len(calls) == (0 if certified else 3), name
+        ref = reference_ranks(B)
+        assert rep.ranks == ref, name
+        sw = np.sqrt(space.weights)
+        g_max = np.max(np.abs(sw[:, None] * B / sw[None, :]))
+        assert rep.passed == (rep.form_max <= 1e-12 * max(1.0, g_max)
+                              and set(ref.values()) == {space.dim}), name
+
+
+def test_dissipative_generators_run_no_lu(monkeypatch):
+    op = minimal_derivative_operator(64)
+    neg = RestrictedOperator(space=op.space,
+                             action=-extend(op, 0.3).dense_action())
+    calls = count_getrf(monkeypatch)
+    assert check_m_dissipative(neg).passed
+    assert calls == []
+    growth = RestrictedOperator(space=Space.euclidean(4), action=np.eye(4))
+    rep = check_m_dissipative(growth)
+    assert len(calls) == 3
+    assert rep.ranks == {0.5: 4, 1.0: 0, 2.0: 4} and not rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -439,4 +439,22 @@ def test_forward_generator_routes():
     for theta in (1.0, -1.0):
         np.testing.assert_array_equal(
             forward_generator(ring, theta).dense_action(),
-            adjoint_generator(extend(ring, theta)).dense_action())
+            -extend(ring, theta).dense_action())
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 100])
+def test_unit_seam_forward_generators_are_the_adjoints(n):
+    op = minimal_derivative_operator(n)
+    for theta in (1.0, -1.0):
+        gen = forward_generator(op, theta)
+        ref = adjoint_generator(seam_extension(op, theta))
+        np.testing.assert_array_equal(gen.dense_action(), ref.dense_action())
+        assert gen.label == ref.label
+
+
+def test_lossy_seam_forward_generator_is_contractive():
+    op, _, u0 = wrapped(64)
+    gen = forward_generator(op, 0.5)
+    norms = evolve_cayley(gen, u0, 5e-3, 400).norms()
+    assert np.all(norms[1:] <= norms[:-1] * (1 + 1e-12))
+    assert norms[-1] < norms[0]
