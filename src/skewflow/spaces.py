@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 
 @dataclass(frozen=True)
 class Space:
     """A real inner-product space R^dim with diagonal Gram matrix.
 
-    inner(u, v) = sum_i weights[i] * u[i] * v[i], weights > 0.
+    inner(u, v) = sum_i weights[i] * u[i] * v[i], weights finite and > 0.
     """
 
     dim: int
@@ -26,8 +27,9 @@ class Space:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.dim,):
             raise ValueError(f"weights shape {w.shape} != ({self.dim},)")
-        if not np.all(w > 0):
-            raise ValueError("Gram weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("Gram weights must be finite and strictly "
+                             "positive")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -61,49 +63,118 @@ class Space:
         return s * a if a.ndim == 1 else s[:, None] * a
 
 
+# A Householder pivot must clear the drop threshold by this factor for
+# the block to keep its column; pivots below it are re-measured by the
+# CGS2 loop, whose residual differs from |R_jj| by rounding only.
+_PIVOT_MARGIN = 100.0
+
+
 def orthonormalize(columns, space: Space, tol: float = 1e-10,
                    return_coeffs: bool = False):
-    """First-come pivoted block Gram-Schmidt (CGS2) in the space's metric.
+    """W-orthonormal basis of span(columns), with first-come pivoting.
 
     Input columns are visited in order; a column whose residual after
-    projection is <= tol * its original norm is dropped (first-come
-    pivoting: earlier columns always win). Each column is projected
-    against the whole basis built so far in one block product, twice,
-    which keeps the result orthonormal to ~1e-14 even for badly scaled
-    inputs (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+    projection onto the earlier columns is <= tol * its own W-norm is
+    dropped (earlier columns always win).
+
+    Algorithm. In identity coordinates A = W^{1/2} X, one Householder QR
+    (LAPACK's blocked geqrf) factors the first min(n, m) columns. Its
+    pivot |R_jj| is the residual of column j against the columns before
+    it, so the prefix of columns whose pivots exceed _PIVOT_MARGIN * tol
+    * ||x_j||_W is kept as a block; flipping signs so that diag R > 0
+    makes Q the Gram-Schmidt Q (Householder QR is backward stable column
+    by column: N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, ch. 19). The columns from the first
+    flagged one on -- dependent, zero, near the threshold, or beyond n --
+    go through a column loop against the basis kept so far: classical
+    Gram-Schmidt with two block passes (CGS2), which stays orthonormal
+    to ~1e-14 even for badly scaled inputs (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005). The loop alone decides every column
+    that is near the threshold, so the kept set never depends on which
+    path measured a pivot.
+
+    Cost. Full-rank input with m <= n: one QR, O(n m^2) flops as BLAS-3.
+    Otherwise the QR plus the loop over the columns from the first
+    flagged one, four matrix-vector products with the kept basis per
+    column and no update of C. The worst case is a zero or dependent
+    column at the front: the QR is wasted and every column runs through
+    the loop.
 
     With return_coeffs=True also returns C with Q = columns @ C, so the
     same linear combinations can be replayed against a second family
-    (paired orthonormalization).
+    (paired orthonormalization). C is the inverse of the triangular
+    factor R of the kept columns, placed on their rows (zero on the rows
+    of dropped columns), from one triangular solve; it is formed only
+    when asked for.
+
+    ValueError for input that is not a 2-d array with space.dim rows or
+    that holds a non-finite entry.
     """
-    X = np.atleast_2d(np.asarray(columns, dtype=float))
+    X = np.asarray(columns, dtype=float)
     if X.ndim != 2:
-        raise ValueError("expected a 2-d array of columns")
+        raise ValueError(f"expected a 2-d array of columns, got {X.ndim}-d")
+    if X.shape[0] != space.dim:
+        raise ValueError(f"columns have {X.shape[0]} rows, the space has "
+                         f"dimension {space.dim}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} holds a non-finite entry")
     n, m = X.shape
-    w = space.weights
-    Q = np.empty((n, m))
-    C = np.zeros((m, m))
-    k = 0
-    for j in range(m):
-        v = X[:, j].copy()
-        nrm0 = space.norm(v)
-        if nrm0 == 0.0:
+    A = space.sqrt_scale(X)
+    norms0 = space.norms(X)
+    p = min(n, m)
+    Qh, Rh = sla.qr(A[:, :p], mode="economic", check_finite=False)
+    d = np.diag(Rh)
+    flagged = np.abs(d) <= _PIVOT_MARGIN * tol * norms0[:p]
+    k = int(np.argmax(flagged)) if flagged.any() else p
+    sign = np.where(d[:k] < 0.0, -1.0, 1.0)
+    Q = Qh[:, :k] * sign
+    R = Rh[:k, :k] * sign[:, None]
+    if k < m:
+        Q, R, kept = _cgs2_tail(A, norms0, Q, R, tol)
+    else:
+        kept = list(range(k))
+    Q /= np.sqrt(space.weights)[:, None]
+    if not return_coeffs:
+        return Q
+    C = np.zeros((m, len(kept)))
+    C[kept] = sla.solve_triangular(R, np.eye(len(kept)))
+    return Q, C
+
+
+def _cgs2_tail(A, norms0, Q0, R0, tol):
+    """Continue a QR of the identity-coordinate columns A from the kept
+    prefix (Q0, R0) of its first k columns, one column at a time: two
+    block projections against the basis so far, then the drop test.
+    Returns Q, the triangular R with A[:, kept] = Q R, and kept."""
+    n, m = A.shape
+    k = Q0.shape[1]
+    cap = min(n, m)
+    Q = np.empty((n, cap))
+    Q[:, :k] = Q0
+    R = np.zeros((cap, cap))
+    R[:k, :k] = R0
+    kept = list(range(k))
+    for j in range(k, m):
+        if k == n:
+            break  # the basis spans the space: every later column drops
+        if norms0[j] == 0.0:
             continue
-        c = np.zeros(m)
-        c[j] = 1.0
+        v = A[:, j].copy()
+        r = np.zeros(k)
         for _ in range(2):  # re-orthogonalization pass
-            r = Q[:, :k].T @ (w * v)
-            v -= Q[:, :k] @ r
-            c -= C[:, :k] @ r
-        nrm = space.norm(v)
-        if nrm <= tol * nrm0:
+            h = Q[:, :k].T @ v
+            v -= Q[:, :k] @ h
+            r += h
+        nrm = np.linalg.norm(v)
+        if nrm <= tol * norms0[j]:
             continue
         Q[:, k] = v / nrm
-        C[:, k] = c / nrm
+        R[:k, k] = r
+        R[k, k] = nrm
+        kept.append(j)
         k += 1
-    if return_coeffs:
-        return Q[:, :k], C[:, :k]
-    return Q[:, :k]
+    return Q[:, :k], R[:k, :k], kept
 
 
 def complement_basis(columns, space: Space, rank_tol: float = 1e-8,

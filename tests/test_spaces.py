@@ -33,6 +33,14 @@ def test_space_rejects_bad_weights():
         Space(dim=3, weights=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("weights", [[1.0, np.inf], [1.0, np.nan]])
+def test_space_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Space(dim=2, weights=np.array(weights))
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Space.uniform(2, weights[1])
+
+
 def test_sqrt_scale_roundtrip():
     s = Space.uniform(6, 0.25)
     u = np.linspace(-1, 1, 6)
@@ -127,6 +135,113 @@ def test_block_gram_schmidt_matches_the_reference_mgs(n, n_dep, seed):
     assert Q.shape == Q_ref.shape
     assert np.max(np.abs(Q - Q_ref)) < 1e-12
     assert np.max(np.abs(X @ C - Q)) < 1e-12
+
+
+KERNEL_TOL = 1e-10  # orthonormalize's default
+
+
+def _scaled_gaussian(rng, n, m):
+    return rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, m)
+
+
+def _integer_combination(rng, X):
+    return X @ rng.integers(-2, 3, X.shape[1]).astype(float)
+
+
+def _near_dependent(rng, X, space, ratio):
+    """A column whose residual against span(X) is ratio times its W-norm:
+    a combination of X plus a W-orthogonal direction of that size."""
+    Q = orthonormalize(X, space)
+    z = rng.standard_normal(space.dim)
+    for _ in range(2):
+        z -= Q @ (Q.T @ (space.weights * z))
+    y = _integer_combination(rng, X)
+    return y + ratio * space.norm(y) * z / space.norm(z)
+
+
+def _kernel_case(name):
+    """(columns, space, indices of the columns to drop, position among the
+    kept columns of a near-threshold one or None), for the default tol."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = 200 if name.startswith("full") else 60
+    space = Space(dim=n, weights=rng.uniform(0.2, 2.0, size=n))
+    near = None
+    if name.startswith("full"):
+        m = int(name.split("-")[1])
+        return _scaled_gaussian(rng, n, m), space, list(range(n, m)), near
+    X = _scaled_gaussian(rng, n, 50)
+    if name == "zero-first":
+        cols, drop = [np.zeros(n), *X.T], [0]
+    elif name.startswith("dependent-"):
+        at = {"early": 1, "middle": 25, "last": 50}[name.split("-")[1]]
+        cols, drop = list(X.T), [at]
+        cols.insert(at, _integer_combination(rng, X[:, :at]))
+    elif name == "excess":
+        # one dependent column early, so the loop meets the columns
+        # beyond n with a basis that is still growing
+        X = _scaled_gaussian(rng, n, n + 15)
+        cols, drop = list(X.T), [3, *range(n + 1, n + 16)]
+        cols.insert(3, _integer_combination(rng, X[:, :3]))
+    else:
+        # near-threshold columns: 10x above tol (kept) and 10x below
+        # (dropped); "after-drop" puts both after a dependent column,
+        # "first-flag" puts the kept one first among the flagged ones
+        cols = list(X[:, :20].T)
+        if name == "near-after-drop":
+            cols.append(_integer_combination(rng, X[:, :20]))
+        near = 20
+        cols.append(_near_dependent(rng, np.column_stack(cols), space,
+                                    10 * KERNEL_TOL))
+        drop = [len(cols)] if name == "near-first-flag" else [20, 22]
+        cols.append(_near_dependent(rng, np.column_stack(cols), space,
+                                    0.1 * KERNEL_TOL))
+        cols.extend(X[:, 20:].T)
+    return np.column_stack(cols), space, drop, near
+
+
+KERNEL_CASES = ["full-150", "full-199", "full-260", "zero-first",
+                "dependent-early", "dependent-middle", "dependent-last",
+                "excess", "near-after-drop", "near-first-flag"]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_householder_orthonormalize_matches_the_reference_mgs(name):
+    X, space, dropped, near = _kernel_case(name)
+    Q_ref, kept = reference_mgs(X, space, KERNEL_TOL)
+    Q, C = orthonormalize(X, space, tol=KERNEL_TOL, return_coeffs=True)
+    assert kept == [j for j in range(X.shape[1]) if j not in dropped]
+    assert [int(np.flatnonzero(c)[-1]) for c in C.T] == kept
+    # C is upper triangular in the kept columns: zero on dropped rows
+    assert not np.any(C[dropped])
+    assert Q.shape == Q_ref.shape
+    # a residual r of a column of norm |x| fixes its basis vector only to
+    # about eps * |x| / r in every algorithm (Higham 2002, ch. 19), so
+    # from a near-threshold column (r = 10 tol |x|) on, Q and X C are
+    # compared against n * eps / (10 tol) instead of 1e-12
+    q_tol = np.full(Q.shape[1], 1e-12)
+    if near is not None:
+        q_tol[near:] = X.shape[0] * np.finfo(float).eps / (10 * KERNEL_TOL)
+    assert np.all(np.max(np.abs(Q - Q_ref), axis=0) < q_tol)
+    assert np.all(np.max(np.abs(X @ C - Q), axis=0) < q_tol)
+    gram = Q.T @ (space.weights[:, None] * Q)
+    assert np.max(np.abs(gram - np.eye(Q.shape[1]))) < 1e-12
+
+
+def test_orthonormalize_refuses_a_non_finite_column():
+    cols = np.ones((5, 2))
+    cols[2, 1] = np.nan
+    with pytest.raises(ValueError, match="column 1 holds a non-finite"):
+        orthonormalize(cols, Space.euclidean(5))
+
+
+def test_orthonormalize_refuses_a_1d_input():
+    with pytest.raises(ValueError, match="2-d array of columns, got 1-d"):
+        orthonormalize(np.ones(5), Space.euclidean(5))
+
+
+def test_orthonormalize_refuses_a_row_count_other_than_the_dimension():
+    with pytest.raises(ValueError, match="4 rows, the space has dimension 5"):
+        orthonormalize(np.ones((4, 2)), Space.euclidean(5))
 
 
 def test_complement_basis_dimensions_and_orthogonality():
