@@ -57,8 +57,8 @@ blocks of rows, with no Python work per row:
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
   sparse action skewflow builds is structurally symmetric) and keeps
-  diagonal pivots down to 1e-3 of their column, so the ordering holds at
-  large steps too. On the 64^2 rotation stencil at dt = 2 pi / 2000 the
+  every nonzero diagonal pivot, however small against its column, so the
+  ordering holds at large steps too. On the 64^2 rotation stencil at dt = 2 pi / 2000 the
   factor has 190k L+U nonzeros (401k under SuperLU's default COLAMD
   ordering; SuperLU stores them in 225k entries) while S has 18k and
   q = 0.0092, so K = 7 and the Neumann route runs: a step costs about
@@ -286,9 +286,9 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
 def _eliminated_nodes(half) -> np.ndarray:
     """Mask of the nodes the sparse Cayley step eliminates before its
     factorization: an independent set I of the off-diagonal pattern of
-    half = dt/2 B whose pivots 1 - half[i, i] pass the column rule of
-    operators.sparse_shifted_lu (more than 1e-3 of the largest
-    off-diagonal entry of the column).
+    half = dt/2 B whose pivots 1 - half[i, i] exceed 1e-3 of the largest
+    off-diagonal entry of their column, so that dividing by them is
+    stable.
 
     The candidates are the nodes at even BFS depth from one root per
     connected component (scipy.sparse.csgraph, no Python work per node);

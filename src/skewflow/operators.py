@@ -308,15 +308,20 @@ def sparse_shifted_lu(A) -> spla.SuperLU:
     """SuperLU factorization of E - A for a sparse square A.
 
     Symmetric mode: minimum-degree ordering on A^T + A (every sparse
-    action skewflow builds is structurally symmetric) and a diagonal pivot
-    kept unless it is below 1e-3 of its column. For W-skew A, or a
-    positive multiple of one, E - A is a diagonal similarity of a matrix
-    whose symmetric part is E, so elimination needs no row exchanges;
-    SuperLU's default threshold (1.0) makes them as soon as an entry of A
-    outgrows the unit diagonal, which destroys the ordering: on the 48^2
-    rotation stencil at dt = 2 it costs 2.28M L+U nonzeros instead of
-    107k. A non-finite entry, or a factorization that fails (E - A
-    singular), raises ValueError.
+    action skewflow builds is structurally symmetric) and diagonal pivots
+    throughout (threshold 0; SuperLU still exchanges rows for an exactly
+    zero diagonal). For W-skew A, or a positive multiple of one, E - A is
+    a diagonal similarity of a matrix whose symmetric part is E, and a
+    matrix with a positive definite symmetric part has an LU factorization
+    without pivoting (G. H. Golub and C. Van Loan, "Unsymmetric positive
+    definite linear systems", Linear Algebra Appl. 28, 1979). Any nonzero
+    threshold makes row exchanges as soon as an entry of A outgrows the
+    diagonal by its inverse, and they destroy the ordering: SuperLU's
+    default (1.0) costs 2.28M L+U nonzeros instead of 107k on the 48^2
+    rotation stencil at dt = 2, and 1e-3 costs 4.3M instead of 25k on the
+    wrapped derivative stencil at n = 4096, whose entries are n/2. A
+    non-finite entry, or a factorization that fails (E - A singular),
+    raises ValueError.
     """
     A = sp.csc_matrix(A)
     if not np.isfinite(A.data).all():
@@ -324,7 +329,7 @@ def sparse_shifted_lu(A) -> spla.SuperLU:
                          "(is the shifted matrix E - A singular?)")
     try:
         return spla.splu((sp.identity(A.shape[0], format="csc") - A).tocsc(),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise ValueError(f"sparse LU failed: {exc} "
@@ -333,12 +338,15 @@ def sparse_shifted_lu(A) -> spla.SuperLU:
 
 def _shifted_lu(action):
     """Factorize E - M once; returns solve(b, trans) for E - M (trans
-    False) and its transpose (trans True). Dense actions use LAPACK getrf,
-    sparse ones sparse_shifted_lu."""
+    False) and its transpose (trans True). Dense actions use LAPACK getrf
+    on E - M built once in Fortran order, so it factors in place; sparse
+    ones use sparse_shifted_lu."""
     if sp.issparse(action):
         lu = sparse_shifted_lu(action)
         return lambda b, trans: lu.solve(b, trans="T" if trans else "N")
-    lu = sla.lu_factor(np.eye(action.shape[0]) - action)
+    shifted = np.negative(action, order="F")
+    shifted.flat[::shifted.shape[0] + 1] += 1.0
+    lu = sla.lu_factor(shifted, overwrite_a=True)
     return lambda b, trans: sla.lu_solve(lu, b, trans=int(trans))
 
 
@@ -529,14 +537,23 @@ def extend(op: RestrictedOperator,
 
     With the constraint columns L of the domain (k = codim of them) and
     the added directions Z = N+ + N- V with images T = N+ - N- V, the
-    action is the rank-k update A_ext = M + (T - M Z)(L^T Z)^-1 L^T: it
-    leaves M on {L^T u = 0} and sends Z to T. Only the k x k matrix L^T Z
-    is decomposed (its singular values decide density). Besides the dense
-    n x n output and its restriction check, the work is the product M Z,
-    the update R L^T (R = (T - M Z)(L^T Z)^-1) and O(nk^2) for the small
-    factors; on a pinned domain L has one nonzero per column, so with a
-    sparse action both products are O(nk) and the update touches only
-    the pinned columns.
+    action is the rank-k update A_ext = M + R L^T with R = (T - M Z)(L^T
+    Z)^-1: it leaves M on {L^T u = 0} and sends Z to T. Only the k x k
+    matrix L^T Z is decomposed (its singular values decide density).
+
+    On a pinned domain whose action is W-skew outside the pinned x pinned
+    block (the one-LU route of deficiency), the rows of R off the pins
+    vanish in exact arithmetic: a dissipative A_ext that agrees with M on
+    the domain differs from M only in that block. The result is then M +
+    L R_P L^T, R_P the pinned rows of R, in M's own storage: a sparse
+    action stays sparse (the stencil plus a k x k block) and a dense one
+    is copied once. The dropped rows must stay within the restriction
+    check's bound (their W-norm on each unit pinned direction), else
+    ArithmeticError: a bad defect basis is refused, not dropped. With a
+    sparse action the work is then O(nk) for M Z and O(nk^2) for the small
+    factors, and nothing n x n is formed. Explicit-column domains, and
+    pinned ones whose action is not W-skew off the block, get the dense
+    n x n rank-k update.
     """
     if not isinstance(plan, ExtensionPlan):
         plan = ExtensionPlan(coupling=plan)
@@ -564,19 +581,48 @@ def extend(op: RestrictedOperator,
         raise ValueError("extension domain not dense")
 
     R = np.linalg.solve(LZ.T, (T - op.action @ Z).T).T
+    bound = 1e-10 * (1.0 + _max_abs(op.action @ op._basis))
+    if isinstance(op.domain, PinnedDomain) and _skew_action(op) is not None:
+        action = _pinned_block_update(op, R, bound)
+    else:
+        action = op.dense_action() + R @ L.T
     ext = RestrictedOperator(
         space=op.space,
-        action=op.dense_action() + R @ L.T,
+        action=action,
         label=f"extend({op.label})" if op.label else "extend",
         meta={"coupling": V, "base_label": op.label},
     )
     rdef = restriction_defect(ext, op)
-    if rdef > 1e-10 * (1.0 + _max_abs(_domain_columns(op, op.action))):
+    if rdef > bound:
         raise ArithmeticError(
             f"assembled extension failed its restriction check ({rdef:.3e})"
         )
     ext.meta["restriction_defect"] = rdef
     return ext
+
+
+def _pinned_block_update(op: RestrictedOperator, R: np.ndarray,
+                         bound: float):
+    """M + L R_P L^T for a pinned domain (L the unit columns of the pins,
+    R_P the pinned rows of R), in M's storage; ArithmeticError when a
+    row of R off the pins reaches bound in W-norm on a unit pinned
+    direction e_p / sqrt(w_p)."""
+    pins, w = op.domain.pins, op.space.weights
+    off = R.copy()
+    off[pins] = 0.0
+    leak = float(np.max(op.space.norms(off) / np.sqrt(w[pins])))
+    if leak > bound:
+        raise ArithmeticError(
+            f"extension leaves the pinned block ({leak:.3e})")
+    k = pins.size
+    block = R[pins]
+    if sp.issparse(op.action):
+        return op.action + sp.csr_matrix(
+            (block.ravel(), (np.repeat(pins, k), np.tile(pins, k))),
+            shape=op.action.shape)
+    A = np.array(op.action, dtype=float)
+    A[np.ix_(pins, pins)] += block
+    return A
 
 
 def extension_coupling(op: RestrictedOperator,
@@ -590,13 +636,18 @@ def extension_coupling(op: RestrictedOperator,
     Returns (V, defect) where defect measures how far those images leak
     out of the n_minus subspace (nonzero leak means ext does not extend op
     through the defect pair at all).
+
+    E + A_ext is factorized once by _shifted_lu, so a sparse extension
+    takes sparse_shifted_lu and is never densified; a dense one takes
+    LAPACK's getrf and getrs, the routines np.linalg.solve runs, on the
+    same matrix, so the result has the same bits.
     """
     if not ext.is_full_domain:
         raise ValueError("coupling recovery expects a full-domain extension")
     dd = deficiency(op, rank_tol=rank_tol)
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    A = ext.dense_action()
-    G = np.linalg.solve(np.eye(op.dim) + A, Np)
+    A = ext.action
+    G = _shifted_lu(-A)(Np, False)
     Y = G - A @ G
     V = Nm.T @ (op.space.weights[:, None] * Y)
     leak = op.space.norms(Y - Nm @ V)
@@ -613,6 +664,11 @@ def seam_extension(op: RestrictedOperator, theta: float) -> RestrictedOperator:
     matching absorption on the seam diagonal so that the negative of the
     result is strictly dissipative there. Values |theta| > 1 would pump
     energy in and are rejected (ValueError), as is a NaN theta.
+
+    The result is dense whatever op's storage: the wrapped flows run the
+    dense routes (the Schur rotations of evolve_exact and evolve_cayley,
+    and evolve_cayley's doubled step matrix) on it. A sparse action is
+    densified once; a dense one is copied.
     """
     if "seam" not in op.meta or "seam_scale" not in op.meta:
         raise ValueError("operator carries no seam metadata")
@@ -621,7 +677,8 @@ def seam_extension(op: RestrictedOperator, theta: float) -> RestrictedOperator:
         raise ValueError("theta must be a finite number in [-1, 1]")
     i0, i1 = op.meta["seam"]
     scale = float(op.meta["seam_scale"])
-    A = op.dense_action().copy()
+    A = (op.action.toarray() if sp.issparse(op.action)
+         else np.array(op.action, dtype=float))
     A[i0, i1] += (theta - 1.0) * scale
     A[i1, i0] -= (theta - 1.0) * scale
     if abs(theta) < 1.0:
@@ -791,13 +848,17 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
                            passed=max_defect <= tol, tol=tol)
 
 
-def _domain_columns(op: RestrictedOperator, A) -> np.ndarray:
-    """A applied to op's W-orthonormal domain basis, as dense columns."""
-    return _dense(A @ op._basis)
-
-
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:
     """Largest W-norm of (A_ext - M) applied to op's domain basis columns
-    (on a full or pinned domain: to e_j / sqrt(w_j), j free)."""
-    D = _domain_columns(op, ext.action) - _domain_columns(op, op.action)
+    (on a full or pinned domain: to e_j / sqrt(w_j), j free), as A_ext U
+    - M U. When both actions are sparse the difference stays sparse;
+    otherwise both products are densified."""
+    U = op._basis
+    if sp.issparse(ext.action) and sp.issparse(op.action):
+        D = ext.action @ U - op.action @ U
+    else:
+        D = _dense(ext.action @ U) - _dense(op.action @ U)
+    if sp.issparse(D):
+        return float(np.sqrt(np.max(D.multiply(D).T @ op.space.weights,
+                                    initial=0.0)))
     return float(np.max(op.space.norms(D)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
@@ -46,17 +47,20 @@ def minimal_derivative_operator(n: int) -> RestrictedOperator:
     mode of the centered stencil. The seam metadata lets seam_extension
     rebuild the full wrapped matrix and its theta-twisted relatives in
     closed form.
+
+    The action is a CSR matrix with exactly 2n nonzeros, -+1/(2h) on the
+    cyclic super- and subdiagonal, so the skew check, deficiency and
+    extend keep it sparse; seam_extension densifies it.
     """
     if n < 8:
         raise ValueError("n >= 8 required for a meaningful defect structure")
     h = 1.0 / n
     x = np.arange(n) * h
     space = Space.uniform(n, h)
-    M = np.zeros((n, n))
     c = 1.0 / (2.0 * h)
-    for j in range(n):
-        M[j, (j + 1) % n] = -c
-        M[j, (j - 1) % n] = +c
+    # M[j, j+1] = -c and M[j, j-1] = +c, indices taken mod n
+    M = sp.diags([c, -c, c, -c], [-1, 1, n - 1, 1 - n], shape=(n, n),
+                 format="csr")
     return RestrictedOperator(
         space=space,
         action=M,

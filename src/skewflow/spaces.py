@@ -116,9 +116,7 @@ def orthonormalize(columns, space: Space, tol: float = 1e-10,
     if X.shape[0] != space.dim:
         raise ValueError(f"columns have {X.shape[0]} rows, the space has "
                          f"dimension {space.dim}")
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
-    if bad.size:
-        raise ValueError(f"column {bad[0]} holds a non-finite entry")
+    _require_finite_columns(X)
     n, m = X.shape
     A = space.sqrt_scale(X)
     norms0 = space.norms(X)
@@ -140,6 +138,14 @@ def orthonormalize(columns, space: Space, tol: float = 1e-10,
     C = np.zeros((m, len(kept)))
     C[kept] = sla.solve_triangular(R, np.eye(len(kept)))
     return Q, C
+
+
+def _require_finite_columns(X: np.ndarray) -> None:
+    """ValueError naming the first column of X that holds a non-finite
+    entry."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} holds a non-finite entry")
 
 
 def _cgs2_tail(A, norms0, Q0, R0, tol):
@@ -183,12 +189,14 @@ def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
 
     Works through the isometry u -> W^{1/2} u so a plain SVD decides the
     rank; the returned columns satisfy N^T W N = I and N^T W columns = 0.
+    A column holding a non-finite entry raises ValueError naming it.
     """
     X = np.asarray(columns, dtype=float)
     if X.size == 0:
         X = X.reshape(space.dim, 0)
     if X.shape[0] != space.dim:
         raise ValueError("column length does not match space dimension")
+    _require_finite_columns(X)
     U, s, _ = np.linalg.svd(space.sqrt_scale(X), full_matrices=True)
     # numerical rank: singular values above rank_tol * s_max
     r = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
@@ -199,7 +207,12 @@ def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
 
 
 def subspace_angle(u, v, space: Space) -> float:
-    """Principal angle in [0, pi/2] between the lines through u and v."""
+    """Principal angle in [0, pi/2] between the lines through u and v.
+
+    ValueError for a zero vector and for a non-finite entry in either.
+    """
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("angle with a non-finite vector is undefined")
     nu, nv = space.norm(u), space.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("angle with the zero vector is undefined")

@@ -17,6 +17,7 @@ from skewflow.operators import (
     extension_coupling,
     restriction_defect,
     seam_extension,
+    sparse_shifted_lu,
 )
 from skewflow.oracles import minimal_derivative_operator
 from skewflow.spaces import Space
@@ -191,6 +192,29 @@ def test_seam_plus_one_is_the_plain_wrapped_matrix():
     ext = seam_extension(op, 1.0)
     np.testing.assert_allclose(ext.dense_action(), op.dense_action(),
                                atol=0.0)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0, 0.5, -0.3, 0.0])
+def test_seam_extension_is_dense_and_unchanged_by_the_sparse_model(theta):
+    # the wrapped flows run the dense routes on the seam extension: it is
+    # the dense stencil with the seam entries twisted and, for |theta| <
+    # 1, the absorption on the seam diagonal, to the bit
+    n = 48
+    op = minimal_derivative_operator(n)
+    c = n / 2.0
+    ref = np.zeros((n, n))
+    for j in range(n):
+        ref[j, (j + 1) % n] = -c
+        ref[j, (j - 1) % n] = +c
+    ref[0, n - 1] += (theta - 1.0) * c
+    ref[n - 1, 0] -= (theta - 1.0) * c
+    if abs(theta) < 1.0:
+        ref[0, 0] += 0.5 * (1.0 - theta * theta) * c
+        ref[n - 1, n - 1] += 0.5 * (1.0 - theta * theta) * c
+    ext = seam_extension(op, theta)
+    assert type(ext.action) is np.ndarray
+    assert np.array_equal(ext.action, ref)
+    assert op.action.nnz == 2 * n  # the model itself is left as it was
 
 
 def test_seam_interior_theta_adds_absorption():
@@ -377,3 +401,15 @@ def test_domain_vector_accepts_a_block_of_coordinates(k):
         for j in range(k):
             np.testing.assert_array_equal(op.domain_vector(C)[:, j],
                                           op.domain_vector(C[:, j]))
+
+
+def test_sparse_lu_keeps_the_ordering_on_large_entries():
+    # the wrapped stencil's entries are n/2: any pivot threshold would
+    # exchange rows and fill L + U with millions of entries at n = 4096
+    n = 4096
+    M = minimal_derivative_operator(n).action
+    lu = sparse_shifted_lu(M)
+    assert lu.L.nnz + lu.U.nnz <= 10 * n
+    b = np.random.default_rng(0).standard_normal(n)
+    x = lu.solve(b)
+    assert np.linalg.norm(x - M @ x - b) <= 1e-9 * np.linalg.norm(b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from skewflow.operators import deficiency, seam_extension
@@ -52,6 +53,21 @@ def test_minimal_model_action_is_centered_difference():
     # wraps around the seam
     assert m[0, 15] == pytest.approx(+1 / (2 * h))
     assert m[15, 0] == pytest.approx(-1 / (2 * h))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 257])
+def test_minimal_model_action_is_a_sparse_stencil(n):
+    # the centered stencil as a CSR matrix with 2n nonzeros, entry for
+    # entry the dense matrix built row by row
+    op = minimal_derivative_operator(n)
+    c = n / 2.0
+    ref = np.zeros((n, n))
+    for j in range(n):
+        ref[j, (j + 1) % n] = -c
+        ref[j, (j - 1) % n] = +c
+    assert sp.isspmatrix_csr(op.action)
+    assert op.action.nnz == 2 * n
+    assert np.array_equal(op.action.toarray(), ref)
 
 
 def test_defect_directions_approach_exponentials():

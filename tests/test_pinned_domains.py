@@ -10,6 +10,7 @@ solve extend used before: the whole domain basis U next to the added
 directions, checked for density by an n x n SVD and solved for all n
 columns.
 """
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -297,6 +298,65 @@ def test_extend_forms_no_domain_basis(monkeypatch):
         assert shapes and all(s == (op.codim, op.codim) for s in shapes)
 
 
+def rank_k_update(op, theta):
+    """The dense rank-k extension M + R L^T, R = (T - M Z)(L^T Z)^-1, from
+    op's defect bases and constraint columns."""
+    dd = deficiency(op)
+    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
+    Z, T = Np + theta * Nm, Np - theta * Nm
+    L = op.constraint_columns().toarray()
+    M = op.dense_action()
+    R = np.linalg.solve((L.T @ Z).T, (T - M @ Z).T).T
+    return M + R @ L.T
+
+
+def pinned_block_cases():
+    for n in (32, 64):
+        yield f"wrapped {n}", lambda n=n: minimal_derivative_operator(n)
+    yield "interior 16x16 closed", lambda: interior_transport(
+        16, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) / np.pi)
+    yield "interior 16x16 x*y", lambda: interior_transport(
+        16, lambda x, y: x * y)
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.3])
+@pytest.mark.parametrize("name,build", list(pinned_block_cases()),
+                         ids=[name for name, _ in pinned_block_cases()])
+def test_pinned_extend_is_the_sparse_block_update(name, build, theta):
+    # the stencil plus a k x k block on the pins, equal to the dense rank-k
+    # update to rounding, in the action's own storage
+    op = build()
+    assert sp.issparse(op.action)
+    ref = rank_k_update(op, theta)
+    scale = np.max(np.abs(ref))
+    pins = op.domain.pins
+    for action in (op.action, op.dense_action()):
+        base = RestrictedOperator(space=op.space, action=action,
+                                  domain=op.domain)
+        ext = extend(base, theta)
+        assert sp.issparse(ext.action) == sp.issparse(action)
+        got = ext.dense_action()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        diff = got - op.dense_action()
+        diff[np.ix_(pins, pins)] = 0.0
+        assert not diff.any()
+        assert ext.meta["restriction_defect"] == 0.0
+    sparse_ext = extend(op, theta)
+    assert sparse_ext.action.nnz <= op.action.nnz + pins.size ** 2
+
+
+def test_pinned_extend_refuses_a_bad_defect_basis():
+    # a basis off the defect space puts R's free rows far above rounding;
+    # they are refused, not dropped with the rest of R L^T
+    op = minimal_derivative_operator(32)
+    dd = deficiency(op)
+    Nm = dd.n_minus_basis + 1e-3 * np.random.default_rng(0).standard_normal(
+        dd.n_minus_basis.shape)
+    op._deficiency[1e-8] = dataclasses.replace(dd, n_minus_basis=Nm)
+    with pytest.raises(ArithmeticError, match="leaves the pinned block"):
+        extend(op, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # the pinned representation
 # ---------------------------------------------------------------------------
@@ -408,29 +468,35 @@ def test_cached_bases_are_read_only():
 
 
 def test_extend_then_coupling_factorizes_once(monkeypatch):
+    # E - M once for the cached deficiency, E + A_ext once for the
+    # coupling recovery, which keeps the sparse extension sparse
     calls = []
     real = operators._shifted_lu
     monkeypatch.setattr(operators, "_shifted_lu",
-                        lambda a: calls.append(1) or real(a))
+                        lambda a: calls.append(a) or real(a))
     op = minimal_derivative_operator(64)
     ext = extend(op, 0.5)
     V, leak = extension_coupling(op, ext)
     np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-10)
     assert leak < 1e-10
     witness_nonuniqueness(op)
-    assert calls == [1]
+    assert len(calls) == 2 and calls[0] is op.action
+    assert all(sp.issparse(a) for a in calls)
+    assert (calls[1] + ext.action).nnz == 0
 
 
 def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
     # a W-skew action on explicit columns takes the one-LU route: one
-    # factorization and one constraint-column QR serve deficiency, extend
-    # and extension_coupling, and the SVD route is never reached
-    calls = []
+    # factorization of E - M and one constraint-column QR serve
+    # deficiency, extend and extension_coupling, which factorizes only
+    # E + A_ext itself, and the SVD route is never reached
+    calls, lu_args = [], []
     for name in ("_shifted_lu", "_constraint_columns"):
         real = getattr(operators, name)
         monkeypatch.setattr(operators, name,
                             lambda *a, real=real, name=name:
-                            calls.append(name) or real(*a))
+                            calls.append(name) or lu_args.append(a[0])
+                            or real(*a))
     monkeypatch.setattr(operators, "complement_basis", None)
     w = np.linspace(0.5, 1.5, 10)
     op = RestrictedOperator(space=Space(dim=10, weights=w),
@@ -443,7 +509,12 @@ def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
     V, leak = extension_coupling(op, ext)
     np.testing.assert_allclose(V, -0.4 * np.eye(2), atol=1e-12)
     assert leak < 1e-12
-    assert sorted(calls) == ["_constraint_columns", "_shifted_lu"]
+    assert sorted(calls) == ["_constraint_columns", "_shifted_lu",
+                             "_shifted_lu"]
+    factorized = [a for name, a in zip(calls, lu_args)
+                  if name == "_shifted_lu"]
+    assert factorized[0] is op.action
+    np.testing.assert_array_equal(factorized[1], -ext.action)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +657,25 @@ def test_analyze_on_a_64_squared_periodic_stream_stays_small(tmp_path):
     assert (report["dim"], report["d_plus"], report["d_minus"]) == (4096, 0, 0)
     # one dense 4096 x 4096 matrix alone is 128 MiB
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_analyze_on_the_wrapped_model_at_4096_stays_small(tmp_path):
+    # the sparse stencil, its diagonal-pivot LU and k = 2 defect columns:
+    # one dense 4096 x 4096 matrix alone would be 128 MiB
+    desc = tmp_path / "minimal.json"
+    desc.write_text(json.dumps({"operator": {"kind": "minimal_derivative",
+                                             "n": 4096}}))
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--input", str(desc),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (report["dim"], report["d_plus"], report["d_minus"]) == (4096, 2, 2)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("command", ["extend", "verify", "witness",

@@ -254,6 +254,13 @@ def test_complement_basis_dimensions_and_orthogonality():
     assert np.max(np.abs(cross)) < 1e-10
 
 
+def test_complement_basis_refuses_a_non_finite_column():
+    cols = np.ones((3, 2))
+    cols[1, 1] = np.nan
+    with pytest.raises(ValueError, match="column 1 holds a non-finite"):
+        complement_basis(cols, Space.euclidean(3))
+
+
 def test_complement_basis_info_reports_rank():
     s = Space.euclidean(5)
     cols = np.zeros((5, 2))
@@ -272,3 +279,13 @@ def test_subspace_angle_basic_values():
     assert subspace_angle(e0, e1, s) == pytest.approx(np.pi / 2)
     # angle ignores scaling and sign
     assert subspace_angle(e0, -3.0 * e0, s) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subspace_angle_refuses_a_non_finite_vector(bad):
+    # min(1.0, nan) is 1.0: a NaN cosine would read as a zero angle
+    s = Space.euclidean(3)
+    e0 = np.array([1.0, 0.0, 0.0])
+    for u, v in (([bad, 1.0, 0.0], e0), (e0, [bad, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            subspace_angle(u, v, s)

@@ -442,6 +442,18 @@ def test_forward_generator_routes():
             -extend(ring, theta).dense_action())
 
 
+@pytest.mark.parametrize("theta", [1.0, -1.0])
+def test_unit_seam_forward_generators_take_the_schur_route(theta):
+    # the wrapped model is sparse, its seam extensions dense and skew, so
+    # the Cayley flow turns Schur planes instead of stepping
+    op = minimal_derivative_operator(64)
+    gen = forward_generator(op, theta)
+    assert type(gen.action) is np.ndarray
+    u0 = gaussian_profile(op.meta["grid"])
+    traj = evolve_cayley(gen, u0, 1e-2, 50)
+    assert traj.stepper_meta["schur_rotation"] is True
+
+
 @pytest.mark.parametrize("n", [32, 48, 64, 100])
 def test_unit_seam_forward_generators_are_the_adjoints(n):
     op = minimal_derivative_operator(n)
