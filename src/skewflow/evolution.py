@@ -24,20 +24,28 @@ blocks of rows, with no Python work per row:
   frequency b by phi = 2 atan(b dt/2), so no step is solved for and the
   norm does not drift with the step count; cos and sin of i phi for
   i < ``_ROW_BLOCK`` are taken once, and each block needs only those of
-  lo phi, by angle addition. ``evolve_exact`` takes cos and sin of t b
-  directly, because its times are arbitrary;
-- non-skew ``evolve_exact``: one ``expm_multiply`` per sample interval,
-  carrying the previous sample forward, O(T s n^2) with s the Taylor
-  degree that ``expm_multiply`` picks for the interval (no dense
-  exponential is formed);
+  lo phi, by angle addition (``_stepped_trig``). ``evolve_exact`` does
+  the same with phi = d b when its times form a uniform grid t_k = k d
+  (the CLI's dt k, or a linspace), and takes cos and sin of t b
+  directly at other times;
+- non-skew ``evolve_exact``: on a uniform grid of T intervals with
+  8 T >= n, one scaling-and-squaring exponential P = e^{dB}, O(n^3),
+  then the states by the doubling fill below; otherwise one
+  ``expm_multiply`` per sample interval, carrying the previous sample
+  forward, O(T s n^2) with s the Taylor degree that ``expm_multiply``
+  picks for the interval (no dense exponential is formed). One
+  ``expm`` costs as much as 3.5 to 77 of those calls at n = 128 to
+  2048, never more than n/8;
 - non-skew dense ``evolve_cayley``: the step matrix
   C = (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
-  solve against n columns, O(n^3); then the states by doubling:
-  states[b:2b] = states[0:b] (C^b)^T with one squaring per doubling,
-  then fixed blocks of b rows. b doubles only while log2(2b) n <= T and
-  2b <= ``_ROW_BLOCK``, so the squarings never cost more than the T
-  matrix-vector products they replace (at b = 1, the per-step product);
-  O(T n^2) in total;
+  solve against n columns, O(n^3); then, as for P above, the states by
+  doubling (``_power_states``): states[b:2b] = states[0:b] (C^b)^T with
+  one squaring per doubling, then fixed blocks of b rows. b doubles only
+  while log2(2b) n <= T and 2b <= ``_ROW_BLOCK``, so the squarings never
+  cost more than the T matrix-vector products they replace (at b = 1,
+  the per-step product); O(T n^2) in total. C, P and each square are
+  flushed of subnormal entries, which would send every product with
+  them down the FPU's slow path;
 - sparse ``evolve_cayley``: an independent set I of B's off-diagonal
   pattern is eliminated first, exactly, since E - dt/2 B is diagonal
   on I; on a periodic transport stencil over an even grid I is one
@@ -72,6 +80,7 @@ blocks of rows, with no Python work per row:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +106,8 @@ class Trajectory:
 
     times must start at 0 and increase strictly; states[0] is the initial
     vector. stepper_meta records how the samples were produced (method,
-    dt, and for exact runs whether the Schur rotation path ran rather
-    than the interval-by-interval expm_multiply) so reports stay
-    self-describing.
+    dt, whether the Schur rotation path ran, and for exact runs the route
+    and the uniform step) so reports stay self-describing.
     """
 
     times: np.ndarray
@@ -231,18 +239,116 @@ def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
         np.matmul(rows, fold, out=out[lo:lo + rows.shape[0]])
 
 
+def _stepped_trig(phi: np.ndarray, rows: int):
+    """trig(lo, r) for _skew_schur_states when row k has the angles k phi:
+    cos and sin of i phi for i < min(rows, _ROW_BLOCK) are taken once, and
+    each block needs only those of lo phi, by angle addition."""
+    base = np.multiply.outer(np.arange(min(_ROW_BLOCK, rows)), phi)
+    cos_i, sin_i = np.cos(base), np.sin(base)
+
+    def trig(lo, r):
+        c, s = np.cos(lo * phi), np.sin(lo * phi)
+        return (cos_i[:r] * c - sin_i[:r] * s,
+                sin_i[:r] * c + cos_i[:r] * s)
+
+    return trig
+
+
+def _flush_subnormals(A: np.ndarray) -> np.ndarray:
+    """A with each subnormal entry replaced by a zero of its sign, in
+    place. Products with subnormal operands take a slow path in the FPU:
+    a lossy seam's step matrix at n = 2048, dt = 1e-3 is 20% subnormal,
+    and its 2000 steps ran about 4x slower than after the flush. Each
+    flushed entry is below 2.3e-308 in magnitude, so a product with a
+    vector x moves by at most n 2.3e-308 max|x|."""
+    A[np.abs(A) < np.finfo(float).tiny] *= 0.0
+    return A
+
+
+def _power_states(P: np.ndarray, states: np.ndarray):
+    """Fill states[1:] from states[0] by states[k] = P states[k-1];
+    returns None, or the first k whose state is not finite (the fill
+    stops there).
+
+    Rows advance in blocks of b: states[lo:lo+b] = states[lo-b:lo] (P^b)^T.
+    b starts at 1 and doubles, by one squaring of the power, whenever
+    rows 0 .. 2b-1 are known, log2(2b) n <= T (T = len(states) - 1) and
+    2b <= _ROW_BLOCK: the squarings (n^3 each) then never cost more than
+    the matrix-vector products (n^2 each) they replace, so short runs of
+    large matrices keep b = 1, the plain per-step product. Each square is
+    flushed of subnormals (_flush_subnormals); a power that is not finite
+    stops the doubling. A block that leaves the finite numbers is redone,
+    and the run finished, one step at a time (a power can overflow where
+    single steps do not), so the first non-finite step is the one named.
+    """
+    n, T = P.shape[0], states.shape[0] - 1
+    b, Pb, lo = 1, P, 1
+    # every non-finite block or power is caught below, so the floating
+    # point warnings of the products add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo <= T:
+            r = min(b, T + 1 - lo)
+            block = states[lo:lo + r]
+            np.matmul(states[lo - b:lo - b + r], Pb.T, out=block)
+            if not np.isfinite(block).all():
+                if b > 1:
+                    b, Pb = 1, P
+                    continue
+                return lo
+            lo += r
+            if lo == 2 * b and 2 * b <= _ROW_BLOCK and np.log2(2 * b) * n <= T:
+                square = Pb @ Pb
+                if np.isfinite(square).all():
+                    b, Pb = 2 * b, _flush_subnormals(square)
+    return None
+
+
+def _initial_state(gen: RestrictedOperator, u0) -> np.ndarray:
+    """u0 as a finite float vector of length gen.dim, else ValueError."""
+    u = np.asarray_chkfinite(u0, dtype=float)
+    if u.shape != (gen.dim,):
+        raise ValueError(f"u0 must be a vector of length {gen.dim}, "
+                         f"got shape {u.shape}")
+    return u
+
+
+def _uniform_step(ts: np.ndarray):
+    """The step d when the sorted times ts (ts[0] = 0, two or more of them)
+    satisfy ts[k] = k d to within 4 eps ts[-1]; else None."""
+    if ts.size < 2:
+        return None
+    d = ts[-1] / (ts.size - 1)
+    gap = np.max(np.abs(ts - d * np.arange(ts.size)))
+    return float(d) if gap <= 4.0 * np.finfo(float).eps * ts[-1] else None
+
+
 def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     """Sample u(t) = e^{tB} u0 at the requested times (t = 0 is prepended).
 
-    Skew generators (in the space metric) are detected and routed through
-    the real Schur factorization, giving exactly orthogonal propagators:
-    one factorization (cached on the generator, shared with
-    evolve_cayley) plus one GEMM per block of sample times. Anything
-    else is carried from each sample to the next by the action of the
-    exponential on a vector (``expm_multiply`` over the sample interval),
-    never forming e^{tB}. Desk scale only: dimensions above a few thousand
-    are rejected, and so are negative or non-finite times and a non-finite
-    u0 (ValueError). states[0] is u0.
+    The times are sorted and deduplicated, then tested for a uniform grid
+    ts[k] = k d (to within 4 eps max t). Skew generators (in the space
+    metric) are detected and routed through the real Schur factorization,
+    giving exactly orthogonal propagators: one factorization (cached on
+    the generator, shared with evolve_cayley) plus one GEMM per block of
+    sample times, with the plane angles t b from cos and sin of each t b,
+    or on a uniform grid by angle addition from those of k d b.
+
+    Anything else is carried from each sample to the next. On a uniform
+    grid of T intervals with 8 T >= n, by the step matrix P = e^{dB},
+    formed once by scaling and squaring (``scipy.linalg.expm``) and
+    stepped as evolve_cayley steps its own: by GEMMs against doubled
+    powers. Otherwise by the action of the exponential on a vector over
+    each sample interval (``expm_multiply``), never forming e^{tB}: one
+    expm cost no more than n/8 of those wherever measured (n = 128 to
+    2048).
+
+    stepper_meta records "route" ("schur", "step_matrix" or
+    "expm_multiply"), "uniform_step" (d, or None off a uniform grid) and
+    "schur_rotation" (whether the Schur route ran). Desk scale only:
+    dimensions above a few thousand are rejected, and so are negative or
+    non-finite times and a u0 that is not a finite vector of length n
+    (ValueError); so is a step-matrix state that leaves the finite
+    numbers. states[0] is u0.
     """
     _require_full_domain(gen)
     n = gen.dim
@@ -256,30 +362,42 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     ts = np.unique(ts)
     if ts.size == 0 or ts[0] > 0:
         ts = np.concatenate([[0.0], ts])
+    u0 = _initial_state(gen, u0)
+    step = _uniform_step(ts)
 
     sw = np.sqrt(gen.space.weights)
     S = _identity_coords(gen.space, gen.dense_action())
     is_skew = _is_skew(S)
-    u0 = np.asarray_chkfinite(u0, dtype=float)
     states = np.empty((ts.size, n))
     if is_skew:
+        route = "schur"
         planes = _schur_planes(gen, S)
         freq = planes[2]
-
-        def trig(lo, r):
-            angle = np.multiply.outer(ts[lo:lo + r], freq)
-            return np.cos(angle), np.sin(angle)
+        if step is not None:
+            trig = _stepped_trig(step * freq, ts.size)
+        else:
+            def trig(lo, r):
+                angle = np.multiply.outer(ts[lo:lo + r], freq)
+                return np.cos(angle), np.sin(angle)
 
         _skew_schur_states(planes, sw * u0, sw, states, trig)
     else:
         states[0] = sw * u0
-        for k in range(1, ts.size):
-            states[k] = spla.expm_multiply((ts[k] - ts[k - 1]) * S,
-                                           states[k - 1])
+        if step is not None and 8 * (ts.size - 1) >= n:
+            route = "step_matrix"
+            bad = _power_states(_flush_subnormals(sla.expm(step * S)), states)
+            if bad is not None:
+                raise ValueError(f"step {bad} left the finite numbers")
+        else:
+            route = "expm_multiply"
+            for k in range(1, ts.size):
+                states[k] = spla.expm_multiply((ts[k] - ts[k - 1]) * S,
+                                               states[k - 1])
         states /= sw
     states[0] = u0
     return Trajectory(times=ts, states=states, space=gen.space,
-                      stepper_meta={"method": "exact",
+                      stepper_meta={"method": "exact", "route": route,
+                                    "uniform_step": step,
                                     "schur_rotation": bool(is_skew)})
 
 
@@ -421,49 +539,6 @@ def _left_finite(step: int) -> ValueError:
                       "(is E - dt/2 B singular?)")
 
 
-def _dense_cayley_states(gen: RestrictedOperator, dt: float,
-                         states: np.ndarray) -> None:
-    """Fill states[1:] from states[0] by the dense step matrix
-    C = (E - dt/2 B)^-1 (E + dt/2 B) (one LU and one solve against n
-    columns).
-
-    Rows advance in blocks of b: states[lo:lo+b] = states[lo-b:lo] (C^b)^T.
-    b starts at 1 and doubles, by one squaring of the power, whenever
-    rows 0 .. 2b-1 are known, log2(2b) n <= nsteps and 2b <= _ROW_BLOCK:
-    the squarings (n^3 each) then never cost more than the matrix-vector
-    products (n^2 each) they replace, so short runs of large matrices
-    keep b = 1, the plain per-step product. A power that is not finite
-    stops the doubling. A block that leaves the finite numbers is redone,
-    and the run finished, one step at a time (a power can overflow where
-    single steps do not), so the first non-finite step raises ValueError
-    naming that step (singular E - dt/2 B, which lu_factor also reports
-    by a LinAlgWarning, fails at step 1).
-    """
-    half = (dt / 2.0) * gen.dense_action()
-    E = np.eye(gen.dim)
-    C = sla.lu_solve(sla.lu_factor(E - half), E + half, overwrite_b=True)
-    nsteps = states.shape[0] - 1
-    b, P, lo = 1, C, 1
-    # every non-finite block or power is caught below, so the floating
-    # point warnings of the products add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        while lo <= nsteps:
-            r = min(b, nsteps + 1 - lo)
-            block = states[lo:lo + r]
-            np.matmul(states[lo - b:lo - b + r], P.T, out=block)
-            if not np.isfinite(block).all():
-                if b > 1:
-                    b, P = 1, C
-                    continue
-                raise _left_finite(lo)
-            lo += r
-            if (lo == 2 * b and 2 * b <= _ROW_BLOCK
-                    and np.log2(2 * b) * gen.dim <= nsteps):
-                square = P @ P
-                if np.isfinite(square).all():
-                    b, P = 2 * b, square
-
-
 def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
                   nsteps: int) -> Trajectory:
     """Trapezoidal resolvent stepping u_{k+1} = (E - dt/2 B)^{-1}(E + dt/2 B) u_k.
@@ -477,11 +552,13 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       has the angles k phi. Every state comes from the Schur factors
       (cached on the generator, shared with evolve_exact) and one GEMM
       per block of steps; cos and sin of i phi (i < _ROW_BLOCK) are taken
-      once and shifted to each block by angle addition. No step is
-      solved for, and the norm does not drift with the step count;
+      once and shifted to each block by angle addition (_stepped_trig,
+      shared with evolve_exact on uniform grids). No step is solved for,
+      and the norm does not drift with the step count;
     - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
-      formed once and the states are filled by GEMMs against its
-      doubled powers (_dense_cayley_states);
+      formed once, flushed of subnormal entries, and the states are
+      filled by GEMMs against its doubled powers (_power_states, shared
+      with evolve_exact's step matrix e^{dB});
     - sparse: the nodes of an independent set are eliminated first and
       the half-size Schur complement E - S on the rest is factorized
       once; each step is two sparse products and one solve with E - S
@@ -495,15 +572,22 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       when q >= 1) and "schur_norm_inf" (q).
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
-    does a singular E - dt/2 B (a failed sparse factorization) and a
-    step that leaves the finite numbers, named by its index (the dense
-    and the sparse routes check the states block by block).
+    do a u0 that is not a vector of length n, an nsteps that is not an
+    integer >= 1, a singular E - dt/2 B (a failed sparse factorization)
+    and a step that leaves the finite numbers, named by its index (the
+    dense and the sparse routes check the states block by block).
     stepper_meta["schur_rotation"] records whether the Schur route ran.
     """
     _require_full_domain(gen)
-    if not (np.isfinite(dt) and dt > 0) or nsteps < 1:
-        raise ValueError("need a finite dt > 0 and nsteps >= 1")
-    u = np.asarray_chkfinite(u0, dtype=float)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("need a finite dt > 0")
+    try:
+        nsteps = operator.index(nsteps)
+    except TypeError:
+        nsteps = 0
+    if nsteps < 1:
+        raise ValueError("nsteps must be an integer >= 1")
+    u = _initial_state(gen, u0)
     states = np.empty((nsteps + 1, gen.dim))
     states[0] = u
     is_skew, route = False, {}
@@ -527,19 +611,17 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
         if is_skew:
             planes = _schur_planes(gen, S)
             phi = 2.0 * np.arctan((0.5 * dt) * planes[2])
-            base = np.multiply.outer(np.arange(min(_ROW_BLOCK, nsteps + 1)),
-                                     phi)
-            cos_i, sin_i = np.cos(base), np.sin(base)
-
-            def trig(lo, r):
-                c, s = np.cos(lo * phi), np.sin(lo * phi)
-                return (cos_i[:r] * c - sin_i[:r] * s,
-                        sin_i[:r] * c + cos_i[:r] * s)
-
-            _skew_schur_states(planes, sw * u, sw, states, trig)
+            _skew_schur_states(planes, sw * u, sw, states,
+                               _stepped_trig(phi, nsteps + 1))
             states[0] = u
         else:
-            _dense_cayley_states(gen, dt, states)
+            half = (dt / 2.0) * gen.dense_action()
+            E = np.eye(gen.dim)
+            C = sla.lu_solve(sla.lu_factor(E - half), E + half,
+                             overwrite_b=True)
+            bad = _power_states(_flush_subnormals(C), states)
+            if bad is not None:
+                raise _left_finite(bad)
     return Trajectory(times=dt * np.arange(nsteps + 1), states=states,
                       space=gen.space,
                       stepper_meta={"method": "cayley", "dt": float(dt),

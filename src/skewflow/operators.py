@@ -92,6 +92,10 @@ class RestrictedOperator:
     # full-domain action, filled by the evolution module's skew paths
     _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
                                     default=None)
+    # W-skew completion of the action (_skew_action), set by deficiency();
+    # None before that and when there is none
+    _skew_completion: Union[None, np.ndarray, sp.spmatrix] = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.dim
@@ -405,7 +409,7 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
     flagged = False
-    action = _skew_action(op)
+    action = op._skew_completion = _skew_action(op)
     if action is not None:
         Np, Nm = _defect_bases(op, action)
     else:
@@ -542,7 +546,9 @@ def extend(op: RestrictedOperator,
     matrix L^T Z is decomposed (its singular values decide density).
 
     On a pinned domain whose action is W-skew outside the pinned x pinned
-    block (the one-LU route of deficiency), the rows of R off the pins
+    block (the one-LU route of deficiency, which leaves that W-skew
+    completion on the operator, so it is not tested again), the rows of R
+    off the pins
     vanish in exact arithmetic: a dissipative A_ext that agrees with M on
     the domain differs from M only in that block. The result is then M +
     L R_P L^T, R_P the pinned rows of R, in M's own storage: a sparse
@@ -582,7 +588,7 @@ def extend(op: RestrictedOperator,
 
     R = np.linalg.solve(LZ.T, (T - op.action @ Z).T).T
     bound = 1e-10 * (1.0 + _max_abs(op.action @ op._basis))
-    if isinstance(op.domain, PinnedDomain) and _skew_action(op) is not None:
+    if isinstance(op.domain, PinnedDomain) and op._skew_completion is not None:
         action = _pinned_block_update(op, R, bound)
     else:
         action = op.dense_action() + R @ L.T

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from skewflow import evolution
 from skewflow.evolution import (
     _ROW_BLOCK,
     Trajectory,
@@ -83,7 +84,7 @@ def reference_exact(gen, u0, times):
                 i += 2
             else:
                 i += 1
-        rows.append((Z @ R @ Z.T @ (sw * u0)) / sw)
+        rows.append((Z @ (R @ (Z.T @ (sw * u0)))) / sw)
     return np.array(rows)
 
 
@@ -302,6 +303,85 @@ def test_exact_skew_path_sorts_dedups_and_spans_row_blocks():
     assert np.max(np.abs(traj.states - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("grid", ["linspace", "dt-multiples", "random"])
+def test_exact_skew_path_on_uniform_and_random_grids(grid):
+    # uniform grids (linspace as the benchmark samples, dt k as the CLI
+    # does) take the phases k d b by angle addition; random times keep
+    # cos and sin of each t b
+    _, gen, u0 = wrapped_generator(n=256)
+    times = {"linspace": np.linspace(0.0, 2.0, 2001),
+             "dt-multiples": 1e-3 * np.arange(2001),
+             "random": np.random.default_rng(12).uniform(0.0, 2.0, 2000),
+             }[grid]
+    traj = evolve_exact(gen, u0, times)
+    meta = traj.stepper_meta
+    assert meta["route"] == "schur" and meta["schur_rotation"] is True
+    if grid == "random":
+        assert meta["uniform_step"] is None
+    else:
+        assert meta["uniform_step"] == pytest.approx(1e-3, rel=1e-15)
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_exact(gen, u0, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-13
+
+
+def lossy_seam(n, theta):
+    """The contractive flow of minus the seam extension (|theta| < 1)
+    and the normalized Gaussian on the n-point grid."""
+    op = minimal_derivative_operator(n)
+    ext = seam_extension(op, theta)
+    gen = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
+                             domain=None)
+    u0 = gaussian_profile(op.meta["grid"])
+    return gen, u0 / op.space.norm(u0)
+
+
+def reference_expm(gen, u0, times):
+    """One dense exponential per time, in the identity coordinates."""
+    sw = np.sqrt(gen.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    return np.array([(sla.expm(t * S) @ (sw * u0)) / sw for t in times])
+
+
+@pytest.mark.parametrize("theta", [0.4, -0.9, 0.0])
+def test_exact_nonskew_uniform_grid_steps_one_exponential(theta):
+    # 64 intervals at n = 128 (8 x 64 >= 128): P = e^{dB} once, then
+    # powers of it, against one expm per time
+    gen, u0 = lossy_seam(128, theta)
+    traj = evolve_exact(gen, u0, np.linspace(0.0, 2.0, 65))
+    meta = traj.stepper_meta
+    assert meta["route"] == "step_matrix" and meta["schur_rotation"] is False
+    assert meta["uniform_step"] == pytest.approx(2.0 / 64, rel=1e-15)
+    assert np.array_equal(traj.states[0], u0)
+    ref = reference_expm(gen, u0, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    norms = traj.norms()
+    assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
+    assert norms[-1] < 0.99 * norms[0]
+
+
+@pytest.mark.parametrize("n,intervals,route", [
+    (512, 2, "expm_multiply"), (128, 15, "expm_multiply"),
+    (128, 16, "step_matrix")])
+def test_exact_nonskew_uniform_grid_cost_rule(n, intervals, route):
+    # one expm costs about n/8 expm_multiply calls: fewer intervals than
+    # that stay on expm_multiply, on a uniform grid too
+    gen, u0 = lossy_seam(n, 0.3)
+    traj = evolve_exact(gen, u0, np.linspace(0.0, 1.0, intervals + 1))
+    assert traj.stepper_meta["route"] == route
+    assert traj.stepper_meta["uniform_step"] == pytest.approx(1.0 / intervals)
+    ref = reference_expm(gen, u0, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+
+def test_exact_step_matrix_overflow_names_the_first_bad_step():
+    # e^{400} is finite, e^{800} is not: sample 2 of the grid overflows
+    b = RestrictedOperator(space=Space.euclidean(2),
+                           action=np.diag([800.0, -1.0]), domain=None)
+    with pytest.raises(ValueError, match=r"^step 2 left the finite"):
+        evolve_exact(b, np.ones(2), [0.5, 1.0])
+
+
 def test_exact_flow_handles_nonskew_by_expm():
     b = RestrictedOperator(space=Space.euclidean(2),
                            action=np.array([[-1.0, 0.0], [0.0, -2.0]]),
@@ -328,9 +408,9 @@ def test_exact_nonskew_path_matches_per_time_expm(theta):
     rng.shuffle(times)
     traj = evolve_exact(gen, u0, times)
     assert traj.stepper_meta["schur_rotation"] is False
-    sw = np.sqrt(op.space.weights)
-    S = sw[:, None] * gen.dense_action() / sw[None, :]
-    ref = np.array([(sla.expm(t * S) @ (sw * u0)) / sw for t in traj.times])
+    assert traj.stepper_meta["route"] == "expm_multiply"
+    assert traj.stepper_meta["uniform_step"] is None
+    ref = reference_expm(gen, u0, traj.times)
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
     norms = traj.norms()
     assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
@@ -405,6 +485,46 @@ def test_cayley_validates_inputs():
     op = minimal_derivative_operator(16)
     with pytest.raises(ValueError, match="extend the operator first"):
         evolve_cayley(op, u0, 0.1, 10)
+
+
+def bad_input_generators():
+    _, skew, u0 = wrapped_generator(n=16)
+    dissipative = RestrictedOperator(
+        space=skew.space, action=skew.dense_action() - np.eye(16),
+        domain=None)
+    sparse = RestrictedOperator(space=skew.space,
+                                action=sp.csr_matrix(skew.dense_action()),
+                                domain=None)
+    return {"schur": skew, "step-matrix": dissipative,
+            "sparse": sparse}, u0
+
+
+@pytest.mark.parametrize("route", ["schur", "step-matrix", "sparse"])
+@pytest.mark.parametrize("bad", ["short", "column", "matrix"])
+def test_steppers_name_a_u0_of_the_wrong_shape(route, bad):
+    gens, u0 = bad_input_generators()
+    u = {"short": u0[:7], "column": u0[:, None],
+         "matrix": np.tile(u0, (16, 1))}[bad]
+    with pytest.raises(ValueError, match="u0 must be a vector of length 16"):
+        evolve_cayley(gens[route], u, 0.1, 3)
+    if route != "sparse":
+        with pytest.raises(ValueError,
+                           match="u0 must be a vector of length 16"):
+            evolve_exact(gens[route], u, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("route", ["schur", "step-matrix", "sparse"])
+@pytest.mark.parametrize("nsteps", [2.5, np.nan, np.inf, "3", 0, -2])
+def test_cayley_names_a_bad_step_count(route, nsteps):
+    gens, u0 = bad_input_generators()
+    with pytest.raises(ValueError, match="nsteps must be an integer >= 1"):
+        evolve_cayley(gens[route], u0, 0.1, nsteps)
+
+
+def test_cayley_accepts_numpy_integer_step_counts():
+    gens, u0 = bad_input_generators()
+    traj = evolve_cayley(gens["step-matrix"], u0, 0.1, np.int64(4))
+    assert traj.states.shape == (5, 16)
 
 
 def test_steps_to_horizon_lands_on_the_horizon():
@@ -547,6 +667,28 @@ def test_doubled_step_powers_follow_a_long_lossy_seam_flow(theta):
     assert gap <= 1e-12
     norms = traj.norms()
     assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
+
+
+def test_dense_step_matrix_holds_no_subnormal_entry(monkeypatch):
+    # the lossy seam at n = 1024, dt = 1e-3: the solved step matrix holds
+    # subnormal entries, which slow every product with it; the stepper
+    # flushes them, and its states still match the lu_solve loop
+    tiny = np.finfo(float).tiny
+    gen, u0 = lossy_seam(1024, 0.3)
+    half = 0.5e-3 * gen.dense_action()
+    E = np.eye(1024)
+    C = sla.lu_solve(sla.lu_factor(E - half), E + half)
+    assert np.count_nonzero((C != 0.0) & (np.abs(C) < tiny)) > 0
+    seen = []
+    real = evolution._power_states
+    monkeypatch.setattr(evolution, "_power_states",
+                        lambda P, states: seen.append(P.copy())
+                        or real(P, states))
+    traj = evolve_cayley(gen, u0, 1e-3, 30)
+    (P,) = seen
+    assert not np.any((P != 0.0) & (np.abs(P) < tiny))
+    ref = reference_cayley(gen, u0, 1e-3, 30)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-13
 
 
 def test_doubled_block_overflow_names_the_first_bad_step():

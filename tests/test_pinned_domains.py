@@ -357,6 +357,30 @@ def test_pinned_extend_refuses_a_bad_defect_basis():
         extend(op, 0.5)
 
 
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+def test_extend_reads_the_skew_completion_that_deficiency_left(monkeypatch,
+                                                               sparse):
+    # deficiency tests the action for a W-skew completion once and keeps
+    # it on the operator; extend reads it there instead of testing again
+    calls = []
+    real = operators._skew_action
+    monkeypatch.setattr(operators, "_skew_action",
+                        lambda op: calls.append(op) or real(op))
+    op = minimal_derivative_operator(64)
+    if not sparse:
+        op = RestrictedOperator(space=op.space, action=op.dense_action(),
+                                domain=op.domain)
+    deficiency(op)
+    assert len(calls) == 1 and op._skew_completion is op.action
+    ext = extend(op, 0.5)
+    assert len(calls) == 1
+    assert sp.issparse(ext.action) == sparse
+    diff = ext.dense_action() - op.dense_action()
+    pins = op.domain.pins
+    diff[np.ix_(pins, pins)] = 0.0
+    assert not diff.any()
+
+
 # ---------------------------------------------------------------------------
 # the pinned representation
 # ---------------------------------------------------------------------------
