@@ -80,7 +80,7 @@ blocks of rows, with no Python work per row:
 """
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -581,11 +581,7 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     _require_full_domain(gen)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("need a finite dt > 0")
-    try:
-        nsteps = operator.index(nsteps)
-    except TypeError:
-        nsteps = 0
-    if nsteps < 1:
+    if not isinstance(nsteps, numbers.Integral) or nsteps < 1:
         raise ValueError("nsteps must be an integer >= 1")
     u = _initial_state(gen, u0)
     states = np.empty((nsteps + 1, gen.dim))
