@@ -16,18 +16,23 @@ blocks of rows, with no Python work per row:
 - skew ``evolve_exact`` and skew dense ``evolve_cayley``: one real Schur
   factorization, O(n^3), cached on the generator so that both share it.
   The Schur coordinates of u0, the plane columns of the Schur vectors,
-  the zero modes and the unscaling by 1/sqrt(w) fold once into a
-  (2m+1) x n matrix (m rotation planes), and each block of
-  ``_ROW_BLOCK`` rows is one GEMM of [cos | sin | 1] against it:
-  O(T n^2) in total, with temporaries that do not grow with T. The
-  Cayley step has the generator's Schur vectors and turns each plane of
-  frequency b by phi = 2 atan(b dt/2), so no step is solved for and the
-  norm does not drift with the step count; cos and sin of i phi for
-  i < ``_ROW_BLOCK`` are taken once, and each block needs only those of
-  lo phi, by angle addition (``_stepped_trig``). ``evolve_exact`` does
-  the same with phi = d b when its times form a uniform grid t_k = k d
-  (the CLI's dt k, or a linspace), and takes cos and sin of t b
-  directly at other times;
+  the zero modes and the unscaling by 1/sqrt(w) fold once into a cos
+  half [A; z] ((m+1) x n, m rotation planes, the zero modes z a plane of
+  frequency 0) and a sin half B (m x n). The Cayley step has the
+  generator's Schur vectors and turns each plane of frequency b by
+  phi = 2 atan(b dt/2), so no step is solved for and the norm does not
+  drift with the step count; ``evolve_exact`` turns it by phi = d b when
+  its times form a uniform grid t_k = k d (the CLI's dt k, or a
+  linspace). On such a grid the rows c +- i (i < ``_ROW_BLOCK``) are
+  P_i +- Q_i around a centre c, with P = cos(i phi) [A_c; z] and
+  Q = sin(i phi) B_c, where A_c and B_c are the halves turned once by
+  c phi: two GEMMs with K = m+1 and m give 2 ``_ROW_BLOCK`` - 1 rows,
+  about m n multiply-adds per row (``_skew_schur_states``). The phases
+  i phi and c phi are formed exactly (``_turns``), so their error does
+  not grow with the step count. At other times each block of
+  ``_ROW_BLOCK`` rows is one GEMM of [cos t b | 1 | sin t b] against
+  both halves, 2m n multiply-adds per row. O(T n^2) either way, with
+  temporaries that do not grow with T;
 - non-skew ``evolve_exact``: on a uniform grid of T intervals with
   8 T >= n, one scaling-and-squaring exponential P = e^{dB}, O(n^3),
   then the states by the doubling fill below; otherwise one
@@ -98,6 +103,8 @@ _DENSE_EXP_LIMIT = 4096
 # rows (sample times or steps) per GEMM in the dense trajectories; bounds
 # their temporaries at _ROW_BLOCK x n whatever the row count
 _ROW_BLOCK = 128
+# keeps the sign, the exponent and the 25 leading fraction bits of a double
+_HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
 
 
 @dataclass
@@ -208,50 +215,102 @@ def _schur_planes(gen: RestrictedOperator, S: np.ndarray):
     return gen._schur
 
 
+def _turns(k, rate: np.ndarray):
+    """cos and sin of k rate for integers k below 2^27, with the product
+    k rate kept exact: rate = hi + lo, hi its sign, exponent and 26
+    leading significant bits, so k hi is exact and k lo is below 2^-25 of
+    the angle; the angle sum rule joins the two. Rounding k rate instead
+    would put up to ulp(k rate)/2 into the phase, an error that grows
+    with k (1.8e-12 at k rate = 3e4)."""
+    hi = (rate.view(np.uint64) & _HIGH_BITS).view(float)
+    a, b = k * hi, k * (rate - hi)
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    return ca * cb - sa * sb, sa * cb + ca * sb
+
+
 def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
-                       trig) -> None:
+                       rate: np.ndarray, times=None) -> None:
     """Write the rotated states of v0, mapped back by 1/sw, into out's rows.
 
-    planes = (Z, p, freq) from _schur_planes; m = p.size. With c = Z^T v0,
-    the state at angles a_j (one per plane (p_j, p_j+1)) is
-    sum_j cos a_j A_j + sin a_j B_j + z, where
+    planes = (Z, p, freq) from _schur_planes; m = p.size. Row k turns
+    plane j (p_j, p_j+1) by the angle times[k] rate_j, or k rate_j when
+    times is None (a uniform grid). With c = Z^T v0, the state at angles
+    a_j is sum_j cos a_j A_j + sin a_j B_j + z, where
     A_j = (c_p Z_p + c_q Z_q) / sw, B_j = (c_q Z_p - c_p Z_q) / sw and z
-    carries the 1x1 blocks (zero modes) of c. These fold into one
-    (2m+1) x n matrix, so each block of _ROW_BLOCK rows is one GEMM of
-    [cos | sin | 1] against it. trig(lo, r) returns the r x m cosines and
-    sines of the angles of rows lo, ..., lo + r - 1.
+    carries the 1x1 blocks (zero modes) of c. They fold into a cos half
+    [A; z] ((m+1) x n, z a plane of frequency 0) and a sin half B (m x n).
+
+    Off the grid, each block of _ROW_BLOCK rows is one GEMM of
+    [cos | 1 | sin] against both halves (K = 2m+1). On the grid, the rows
+    c - i and c + i (i < r = _ROW_BLOCK) share the centre c: with
+    A_c = cos(c rate) A + sin(c rate) B and B_c = cos(c rate) B
+    - sin(c rate) A, row c + i is P_i + Q_i and row c - i is P_i - Q_i,
+    where P = cos(i rate) [A_c; z] and Q = sin(i rate) B_c. So two GEMMs
+    with K = m+1 and m give 2r - 1 rows, half the multiply-adds per row.
+    cos and sin of i rate form one table; those of c rate are taken
+    directly for each centre. Both come from _turns, which forms the
+    phase k rate exactly, so its error does not grow with the row count.
+    The last centre sits in the middle of the rows left, never past the
+    last row, and no temporary grows with the row count.
+
+    A ValueError names the first row whose phase is not finite (all of
+    them are when the last row's is, since the phases grow with k).
     """
     Z, p, _ = planes
-    m, n = p.size, Z.shape[0]
+    m, n, rows = p.size, Z.shape[0], out.shape[0]
+    top = float(np.max(np.abs(rate), initial=0.0))
+    last = rows - 1 if times is None else float(times[-1])
+    if not np.isfinite(last * top):
+        reach = np.arange(rows, dtype=float) if times is None else times
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = 1 + int(np.argmax(~np.isfinite(reach[1:] * top)))
+        raise ValueError(f"sample {k} left the finite numbers: its Schur "
+                         "phase is not finite")
     c = Z.T @ v0
     Zp, Zq, cp, cq = Z[:, p], Z[:, p + 1], c[p], c[p + 1]
     c[p] = c[p + 1] = 0.0
     fold = np.empty((2 * m + 1, n))
     fold[:m] = (Zp * cp + Zq * cq).T
-    fold[m:2 * m] = (Zp * cq - Zq * cp).T
-    fold[2 * m] = Z @ c
+    fold[m] = Z @ c
+    fold[m + 1:] = (Zp * cq - Zq * cp).T
     fold /= sw
-    cs = np.empty((min(_ROW_BLOCK, out.shape[0]), 2 * m + 1))
-    cs[:, 2 * m] = 1.0
-    for lo in range(0, out.shape[0], _ROW_BLOCK):
-        rows = cs[:min(_ROW_BLOCK, out.shape[0] - lo)]
-        rows[:, :m], rows[:, m:2 * m] = trig(lo, rows.shape[0])
-        np.matmul(rows, fold, out=out[lo:lo + rows.shape[0]])
-
-
-def _stepped_trig(phi: np.ndarray, rows: int):
-    """trig(lo, r) for _skew_schur_states when row k has the angles k phi:
-    cos and sin of i phi for i < min(rows, _ROW_BLOCK) are taken once, and
-    each block needs only those of lo phi, by angle addition."""
-    base = np.multiply.outer(np.arange(min(_ROW_BLOCK, rows)), phi)
-    cos_i, sin_i = np.cos(base), np.sin(base)
-
-    def trig(lo, r):
-        c, s = np.cos(lo * phi), np.sin(lo * phi)
-        return (cos_i[:r] * c - sin_i[:r] * s,
-                sin_i[:r] * c + cos_i[:r] * s)
-
-    return trig
+    A, B = fold[:m], fold[m + 1:]
+    if times is not None:
+        cs = np.empty((min(_ROW_BLOCK, rows), 2 * m + 1))
+        cs[:, m] = 1.0
+        for lo in range(0, rows, _ROW_BLOCK):
+            block = cs[:min(_ROW_BLOCK, rows - lo)]
+            angle = np.multiply.outer(times[lo:lo + block.shape[0]], rate)
+            np.cos(angle, out=block[:, :m])
+            np.sin(angle, out=block[:, m + 1:])
+            np.matmul(block, fold, out=out[lo:lo + block.shape[0]])
+        return
+    r = min(_ROW_BLOCK, rows // 2 + 1)
+    cos_i = np.ones((r, m + 1))
+    cos_i[:, :m], sin_i = _turns(np.arange(r)[:, None], rate)
+    turned = np.empty_like(fold)
+    turned[m] = fold[m]
+    A_c, B_c = turned[:m], turned[m + 1:]
+    tmp, Q = np.empty((m, n)), np.empty((r, n))
+    lo = 0
+    while lo < rows:
+        left = min(2 * r - 1, rows - lo)
+        below = (left - 1) // 2
+        centre, h = lo + below, left - below
+        cc, sc = (x[:, None] for x in _turns(centre, rate))
+        np.multiply(A, cc, out=A_c)
+        A_c += np.multiply(B, sc, out=tmp)
+        np.multiply(B, cc, out=B_c)
+        B_c -= np.multiply(A, sc, out=tmp)
+        # P into rows centre .. centre + h - 1, then the mirror rows
+        # P - Q below the centre, then P + Q in place
+        P = out[centre:centre + h]
+        np.matmul(cos_i[:h], turned[:m + 1], out=P)
+        np.matmul(sin_i[:h], B_c, out=Q[:h])
+        np.subtract(P[1:below + 1], Q[1:below + 1],
+                    out=out[lo:centre][::-1])
+        P += Q[:h]
+        lo += left
 
 
 def _flush_subnormals(A: np.ndarray) -> np.ndarray:
@@ -329,9 +388,11 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     ts[k] = k d (to within 4 eps max t). Skew generators (in the space
     metric) are detected and routed through the real Schur factorization,
     giving exactly orthogonal propagators: one factorization (cached on
-    the generator, shared with evolve_cayley) plus one GEMM per block of
-    sample times, with the plane angles t b from cos and sin of each t b,
-    or on a uniform grid by angle addition from those of k d b.
+    the generator, shared with evolve_cayley), then on a uniform grid the
+    rows mirrored around block centres as evolve_cayley fills them, with
+    the plane angles k d b, and at other times one GEMM per block of
+    sample times, with cos and sin of each t b. A sample whose angle t b
+    is not finite raises ValueError, naming the first such sample.
 
     Anything else is carried from each sample to the next. On a uniform
     grid of T intervals with 8 T >= n, by the step matrix P = e^{dB},
@@ -372,15 +433,13 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     if is_skew:
         route = "schur"
         planes = _schur_planes(gen, S)
-        freq = planes[2]
-        if step is not None:
-            trig = _stepped_trig(step * freq, ts.size)
+        if step is None:
+            _skew_schur_states(planes, sw * u0, sw, states, planes[2], ts)
         else:
-            def trig(lo, r):
-                angle = np.multiply.outer(ts[lo:lo + r], freq)
-                return np.cos(angle), np.sin(angle)
-
-        _skew_schur_states(planes, sw * u0, sw, states, trig)
+            # d b may overflow; the fill names the first sample it spoils
+            with np.errstate(over="ignore"):
+                rate = step * planes[2]
+            _skew_schur_states(planes, sw * u0, sw, states, rate)
     else:
         states[0] = sw * u0
         if step is not None and 8 * (ts.size - 1) >= n:
@@ -550,11 +609,13 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       shares the real Schur vectors of B and turns each plane of
       frequency b by phi = 2 atan(b dt/2), so the state after k steps
       has the angles k phi. Every state comes from the Schur factors
-      (cached on the generator, shared with evolve_exact) and one GEMM
-      per block of steps; cos and sin of i phi (i < _ROW_BLOCK) are taken
-      once and shifted to each block by angle addition (_stepped_trig,
-      shared with evolve_exact on uniform grids). No step is solved for,
-      and the norm does not drift with the step count;
+      (cached on the generator, shared with evolve_exact): the steps
+      c - i and c + i (i < _ROW_BLOCK) around a centre c are P_i -+ Q_i,
+      from two GEMMs against the cos and the sin half of the folded
+      factors, turned once by c phi (_skew_schur_states, shared with
+      evolve_exact on uniform grids). The phases are formed exactly
+      (_turns), no step is solved for, and the norm does not drift with
+      the step count;
     - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
       formed once, flushed of subnormal entries, and the states are
       filled by GEMMs against its doubled powers (_power_states, shared
@@ -607,8 +668,7 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
         if is_skew:
             planes = _schur_planes(gen, S)
             phi = 2.0 * np.arctan((0.5 * dt) * planes[2])
-            _skew_schur_states(planes, sw * u, sw, states,
-                               _stepped_trig(phi, nsteps + 1))
+            _skew_schur_states(planes, sw * u, sw, states, phi)
             states[0] = u
         else:
             half = (dt / 2.0) * gen.dense_action()

@@ -194,7 +194,10 @@ def _identity_coords(space: Space, action):
     sw = np.sqrt(space.weights)
     if sp.issparse(action):
         return (sp.diags(sw) @ action @ sp.diags(1.0 / sw)).tocsr()
-    return sw[:, None] * action / sw[None, :]
+    # one n x n temporary: the product, then divided in place
+    G = np.multiply(action, sw[:, None])
+    G /= sw
+    return G
 
 
 def _max_abs(A) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from skewflow.evolution import (
 )
 from skewflow.operators import (
     RestrictedOperator,
+    _identity_coords,
     seam_extension,
     sparse_shifted_lu,
 )
@@ -109,6 +111,46 @@ def reference_schur_cayley(gen, u0, dt, nsteps):
              * (2.0 * np.arctan(0.5 * dt * T[p, p + 1]))[None, :])
     ct, st = np.cos(angle), np.sin(angle)
     Y = np.repeat(c[None, :], nsteps + 1, axis=0)
+    Y[:, p] = ct * c[p] + st * c[p + 1]
+    Y[:, p + 1] = ct * c[p + 1] - st * c[p]
+    return (Y @ Z.T) / sw
+
+
+def binary_phase_trig(k, phi):
+    """cos and sin of k phi for the integers k, with no rounding of the
+    phase: k phi is summed from the exact products 2^j phi over the set
+    bits of k by the angle sum rule, so the error stays at a few eps
+    however large k phi grows (a rounded k phi is off by up to
+    ulp(k phi) / 2, 1.8e-12 at k phi = 3e4)."""
+    cos = np.ones((k.size, phi.size))
+    sin = np.zeros((k.size, phi.size))
+    for j in range(int(k.max()).bit_length()):
+        bit = (k >> j) & 1 == 1
+        cj, sj = np.cos(2.0 ** j * phi), np.sin(2.0 ** j * phi)
+        cos[bit], sin[bit] = (cos[bit] * cj - sin[bit] * sj,
+                              sin[bit] * cj + cos[bit] * sj)
+    return cos, sin
+
+
+def reference_rotated_rows(gen, u0, phase, rows):
+    """Row k = Z R(k phi) Z^T u0 in the weighted coordinates, plane by
+    plane from the real Schur form, with phi = phase(b) for each plane of
+    frequency b and the cos and sin of k phi from binary_phase_trig."""
+    sw = np.sqrt(gen.space.weights)
+    S = sw[:, None] * gen.dense_action() / sw[None, :]
+    T, Z = sla.schur(S, output="real")
+    n = S.shape[0]
+    first, i = [], 0
+    while i < n:
+        if i + 1 < n and abs(T[i + 1, i]) > 0.0:
+            first.append(i)
+            i += 2
+        else:
+            i += 1
+    p = np.asarray(first, dtype=np.intp)
+    c = Z.T @ (sw * u0)
+    ct, st = binary_phase_trig(np.arange(rows), phase(T[p, p + 1]))
+    Y = np.repeat(c[None, :], rows, axis=0)
     Y[:, p] = ct * c[p] + st * c[p + 1]
     Y[:, p + 1] = ct * c[p + 1] - st * c[p]
     return (Y @ Z.T) / sw
@@ -306,7 +348,7 @@ def test_exact_skew_path_sorts_dedups_and_spans_row_blocks():
 @pytest.mark.parametrize("grid", ["linspace", "dt-multiples", "random"])
 def test_exact_skew_path_on_uniform_and_random_grids(grid):
     # uniform grids (linspace as the benchmark samples, dt k as the CLI
-    # does) take the phases k d b by angle addition; random times keep
+    # does) take the phases k d b by the mirrored fill; random times keep
     # cos and sin of each t b
     _, gen, u0 = wrapped_generator(n=256)
     times = {"linspace": np.linspace(0.0, 2.0, 2001),
@@ -600,8 +642,8 @@ def test_schur_cayley_matches_the_stepped_loop(name, dt):
 @pytest.mark.parametrize("dt", [1e-2, 2.0])
 @pytest.mark.parametrize("name", ["weighted", "odd", "wrapped"])
 def test_schur_cayley_phases_match_the_per_step_formula(name, dt, nsteps):
-    # cos and sin of i phi, shifted to each block by angle addition,
-    # against cos and sin of k phi taken directly for every step k
+    # rows mirrored around block centres against cos and sin of k phi
+    # taken directly for every step k
     if name == "wrapped":
         _, gen, u0 = wrapped_generator(n=128)
     else:
@@ -613,6 +655,118 @@ def test_schur_cayley_phases_match_the_per_step_formula(name, dt, nsteps):
     assert np.array_equal(traj.states[0], u0)
     ref = reference_schur_cayley(gen, u0, dt, nsteps)
     assert max_relative_distance(gen, traj.states, ref) <= 1e-13
+
+
+def mirrored_fill(gen, u0, phi, rows):
+    """The rows 0 .. rows-1 of the uniform-grid Schur fill with the plane
+    angles k phi(b), as evolve_cayley and evolve_exact call it."""
+    sw = np.sqrt(gen.space.weights)
+    planes = evolution._schur_planes(
+        gen, _identity_coords(gen.space, gen.dense_action()))
+    out = np.empty((rows, gen.dim))
+    evolution._skew_schur_states(planes, sw * u0, sw, out, phi(planes[2]))
+    return out
+
+
+R = _ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, R, 2 * R - 1, 2 * R, 2 * R + 1,
+                                  4 * R + 3])
+@pytest.mark.parametrize("name", ["weighted", "odd", "wrapped"])
+def test_mirrored_fill_matches_the_per_row_rotation(name, rows):
+    # rows c +- i around each centre c cover whole groups of 2R - 1, a
+    # last group centred in what is left (one row, two, R + 2, ...) and a
+    # zero mode (odd) as a plane of frequency 0
+    if name == "wrapped":
+        _, gen, u0 = wrapped_generator(n=128)
+    else:
+        gen = weighted_ring(48, seed=3) if name == "weighted" else odd_skew(
+            33, seed=4)
+        u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    def phase(b):
+        return 2.0 * np.arctan(0.5e-2 * b)
+
+    got = mirrored_fill(gen, u0, phase, rows)
+    ref = reference_rotated_rows(gen, u0, phase, rows)
+    assert max_relative_distance(gen, got, ref) <= 1e-13
+
+
+def test_mirrored_fill_of_a_zero_generator_keeps_u0():
+    # m = 0: no plane turns, and every row is the zero-mode row
+    gen = RestrictedOperator(space=Space(dim=7, weights=np.arange(1.0, 8.0)),
+                             action=np.zeros((7, 7)), domain=None)
+    u0 = np.random.default_rng(8).standard_normal(7)
+    for traj in (evolve_cayley(gen, u0, 0.1, 2 * R + 1),
+                 evolve_exact(gen, u0, np.linspace(0.0, 1.0, 9)),
+                 evolve_exact(gen, u0, [0.3, 0.7, 2.0])):
+        assert traj.stepper_meta["schur_rotation"] is True
+        np.testing.assert_allclose(traj.states, np.tile(u0, (traj.times.size,
+                                                             1)),
+                                   rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0])
+def test_schur_cayley_phases_stay_exact_where_phi_nears_pi(theta):
+    # dt = 0.37 turns the fast planes by nearly pi a step, so after 10^4
+    # steps the phases reach 3.1e4, where rounding k phi would cost up to
+    # 1.8e-12; the fill forms them exactly
+    _, gen, u0 = wrapped_generator(n=256, theta=theta)
+    traj = evolve_cayley(gen, u0, 0.37, 10_000)
+    assert traj.stepper_meta["schur_rotation"] is True
+    ref = reference_rotated_rows(
+        gen, u0, lambda b: 2.0 * np.arctan(0.185 * b), 10_001)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-13
+    norms = traj.norms()
+    assert np.max(norms[1:] / norms[:-1]) <= 1.0 + 1e-12
+    assert np.max(np.abs(norms - norms[0])) <= 1e-13 * norms[0]
+
+
+def test_mirrored_fill_temporaries_do_not_grow_with_the_step_count():
+    # n = 256, 10^4 steps: the 20 MB of states plus temporaries of a few
+    # n x n; a table of cos and sin per step (10 MB) would break the bound
+    _, gen, u0 = wrapped_generator(n=256)
+    evolve_cayley(gen, u0, 1e-3, 1)
+    tracemalloc.start()
+    try:
+        traj = evolve_cayley(gen, u0, 1e-3, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - traj.states.nbytes <= 8 * gen.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("times,bad", [([0.0, 1e307, 2e307], 2),
+                                       ([0.0, 1e307, 2.5e307], 2),
+                                       ([0.0, 1.0, 3e307], 2),
+                                       ([0.0, 3e307], 1)],
+                         ids=["uniform", "non-uniform", "late", "first"])
+def test_exact_schur_overflow_names_the_first_bad_sample(times, bad):
+    # the largest frequency of this generator is 16: 1e307 x 16 is
+    # finite, 2e307 x 16 is not
+    gen = seam_extension(minimal_derivative_operator(16), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=rf"^sample {bad} left the finite numbers"):
+            evolve_exact(gen, np.ones(16), times)
+
+
+def test_mirrored_fill_puts_no_centre_past_the_last_row():
+    # 2R rows: one whole group and a last row that is its own centre; a
+    # centre placed R - 1 rows past it would turn by 1.5 x the last
+    # row's phase, which overflows here
+    gen = seam_extension(minimal_derivative_operator(16), 1.0)
+    top = float(np.max(np.abs(evolution._schur_planes(
+        gen, _identity_coords(gen.space, gen.dense_action()))[2])))
+    times = np.linspace(0.0, 0.9 * np.finfo(float).max / top, 2 * R)
+    u0 = np.random.default_rng(9).standard_normal(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_exact(gen, u0, times)
+    assert traj.stepper_meta["uniform_step"] is not None
+    assert np.isfinite(traj.states).all()
+    np.testing.assert_allclose(traj.norms(), gen.space.norm(u0), rtol=1e-13)
 
 
 @pytest.mark.parametrize("nsteps", [1, 2, 3, 127, 128, 129, 263])
