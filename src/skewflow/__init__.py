@@ -24,7 +24,6 @@ _SUBMODULES = (
 # name -> submodule that defines it, for the commonly used surface
 _EXPORTS = {
     "Space": "spaces",
-    "complement_basis": "spaces",
     "orthonormalize": "spaces",
     "subspace_angle": "spaces",
     "RestrictedOperator": "operators",

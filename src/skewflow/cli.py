@@ -311,7 +311,15 @@ def _dense_size_guard(args, op: RestrictedOperator) -> None:
 
 def cmd_analyze(args, op) -> tuple[int, dict]:
     skew = check_skew_symmetry(op, tol=_SKEW_TOL)
-    dd = deficiency(op, rank_tol=args.rank_tol)
+    # defect counts exist only for an action that is skew on its domain.
+    # deficiency's test is relative (operators._is_skew), so it may still
+    # refuse a defect below _SKEW_TOL; its message goes into the report
+    dd, message = None, None
+    if skew.passed:
+        try:
+            dd = deficiency(op, rank_tol=args.rank_tol)
+        except ValueError as exc:
+            message = str(exc)
     # 32 seeded domain probes u: | |u + Mu| - |u - Mu| | / |u|
     rng = np.random.default_rng(args.seed)
     U = op.domain_vector(rng.standard_normal((32, op.domain_dim)).T)
@@ -326,13 +334,16 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
         "dim": op.dim,
         "domain_dim": op.domain_dim,
         "skew": {"max_defect": skew.max_defect, "pass": skew.passed},
-        "d_plus": dd.d_plus,
-        "d_minus": dd.d_minus,
-        "ill_conditioned": dd.ill_conditioned,
+        "d_plus": dd.d_plus if dd else None,
+        "d_minus": dd.d_minus if dd else None,
+        # deficiency's counts are exact; the key stays for report readers
+        "ill_conditioned": False,
         "cayley_isometry_defect": iso,
-        "rank_tol": dd.tol_used,
-        "pass": bool(skew.passed),
+        "rank_tol": args.rank_tol,
+        "pass": dd is not None,
     }
+    if message:
+        payload["message"] = message
     return (0 if payload["pass"] else 2), payload
 
 
@@ -430,6 +441,9 @@ def cmd_witness(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         _dense_size_guard(args, op)
     dt, nsteps = _weak_steps(args, op.dim)
+    # an action that is not skew on its domain is refused here (an error
+    # report), not reported unique below
+    deficiency(op, rank_tol=args.rank_tol)
     try:
         wit = witness_nonuniqueness(op, tol=args.rank_tol)
     except ValueError as exc:
@@ -669,7 +683,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         # verification-level failure surfaced as an exception
         payload = {"command": args.command, "error": str(exc), "pass": False}
         write_report(args.out, payload)

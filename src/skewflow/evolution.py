@@ -215,6 +215,17 @@ def _schur_planes(gen: RestrictedOperator, S: np.ndarray):
     return gen._schur
 
 
+def _dense_planes(gen: RestrictedOperator):
+    """(planes, None) for a dense W-skew generator, planes its cached Schur
+    factors (_schur_planes), else (None, S) with S = sqrt(W) B
+    sqrt(W)^-1. A generator that already holds its factors is not formed
+    in identity coordinates or tested again."""
+    if gen._schur is not None:
+        return gen._schur, None
+    S = _identity_coords(gen.space, gen.dense_action())
+    return (_schur_planes(gen, S), None) if _is_skew(S) else (None, S)
+
+
 def _turns(k, rate: np.ndarray):
     """cos and sin of k rate for integers k below 2^27, with the product
     k rate kept exact: rate = hi + lo, hi its sign, exponent and 26
@@ -427,12 +438,10 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     step = _uniform_step(ts)
 
     sw = np.sqrt(gen.space.weights)
-    S = _identity_coords(gen.space, gen.dense_action())
-    is_skew = _is_skew(S)
+    planes, S = _dense_planes(gen)
     states = np.empty((ts.size, n))
-    if is_skew:
+    if planes is not None:
         route = "schur"
-        planes = _schur_planes(gen, S)
         if step is None:
             _skew_schur_states(planes, sw * u0, sw, states, planes[2], ts)
         else:
@@ -457,7 +466,7 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     return Trajectory(times=ts, states=states, space=gen.space,
                       stepper_meta={"method": "exact", "route": route,
                                     "uniform_step": step,
-                                    "schur_rotation": bool(is_skew)})
+                                    "schur_rotation": planes is not None})
 
 
 def _eliminated_nodes(half) -> np.ndarray:
@@ -663,10 +672,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
                     lo = k + 1
     else:
         sw = np.sqrt(gen.space.weights)
-        S = _identity_coords(gen.space, gen.dense_action())
-        is_skew = _is_skew(S)
+        planes = _dense_planes(gen)[0]
+        is_skew = planes is not None
         if is_skew:
-            planes = _schur_planes(gen, S)
             phi = 2.0 * np.arctan((0.5 * dt) * planes[2])
             _skew_schur_states(planes, sw * u, sw, states, phi)
             states[0] = u

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgecon, dgetrf, dpotrf
 
-from .spaces import Space, complement_basis, orthonormalize
+from .spaces import Space, orthonormalize
 
 
 def _dense(action) -> np.ndarray:
@@ -92,8 +92,8 @@ class RestrictedOperator:
     # full-domain action, filled by the evolution module's skew paths
     _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
                                     default=None)
-    # W-skew completion of the action (_skew_action), set by deficiency();
-    # None before that and when there is none
+    # W-skew completion M_s of the action (_skew_action), which agrees with
+    # it on the domain; set by deficiency(), None before that
     _skew_completion: Union[None, np.ndarray, sp.spmatrix] = field(
         init=False, repr=False, compare=False, default=None)
 
@@ -213,27 +213,44 @@ def _is_skew(G) -> bool:
 
 
 def _skew_action(op: RestrictedOperator):
-    """A W-skew action that agrees with op's on the domain, or None.
+    """A W-skew action M_s that agrees with op's on the domain; ValueError
+    when op's action is not skew there.
 
-    That is the action itself when the whole matrix is W-skew. On a
-    pinned domain the pinned x pinned block never acts on a domain
-    vector, so it may be replaced by its W-skew part, (M_PP - W_P^-1
-    M_PP^T W_P) / 2, without changing Im(E -+ M) on the domain or either
-    defect space. An interior transport stencil whose stream does not
-    close periodically is W-skew up to that block (its wrapped outer-ring
-    entries), so this keeps it on the one-LU path.
+    The first that applies, in this order:
+
+    - the action itself, when the whole matrix is W-skew;
+    - on a pinned domain, the action with its pinned x pinned block, which
+      never acts on a domain vector, replaced by that block's W-skew part
+      (M_PP - W_P^-1 M_PP^T W_P) / 2. An interior transport stencil whose
+      stream does not close periodically is W-skew up to that block (its
+      wrapped outer-ring entries);
+    - the completion from the domain alone. With the W-orthonormal
+      domain basis U, B = M U and S = U^T W B (check_skew_symmetry's G),
+      M_s = (B U^T - U B^T - U skew(S) U^T) W is W-skew, and M_s U = B -
+      U sym(S) is M on the domain when S is skew. An S that fails
+      _is_skew's scale rule raises ValueError naming max|S + S^T|. On
+      full and pinned domains U is the sparse scaled-unit basis, so a
+      sparse action stays sparse.
     """
     M = op.action
     if _is_skew(_identity_coords(op.space, M)):
         return M
-    if not isinstance(op.domain, PinnedDomain):
-        return None
-    L = op.constraint_columns()
-    w = op.space.weights[op.domain.pins]
-    M_pp = L.T @ M @ L
-    sym = 0.5 * (M_pp + sp.diags(1.0 / w) @ M_pp.T @ sp.diags(w))
-    M = M - L @ sym @ L.T
-    return M if _is_skew(_identity_coords(op.space, M)) else None
+    if isinstance(op.domain, PinnedDomain):
+        L = op.constraint_columns()
+        w = op.space.weights[op.domain.pins]
+        M_pp = L.T @ M @ L
+        sym = 0.5 * (M_pp + sp.diags(1.0 / w) @ M_pp.T @ sp.diags(w))
+        M_s = M - L @ sym @ L.T
+        if _is_skew(_identity_coords(op.space, M_s)):
+            return M_s
+    U, W = op._basis, sp.diags(op.space.weights)
+    B = M @ U
+    S = U.T @ (W @ B)
+    if not _is_skew(S):
+        raise ValueError("the action is not skew on its domain (max|S + "
+                         f"S^T| = {_max_abs(S + S.T):.3e})")
+    M_s = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
+    return M_s.tocsr() if sp.issparse(M_s) else M_s
 
 
 def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
@@ -261,7 +278,8 @@ class DeficiencyData:
 
     n_plus_basis spans the orthogonal complement of Im(E + M) restricted to
     the domain, n_minus_basis the complement of Im(E - M). Both bases are
-    W-orthonormal and read-only (the result is cached on the operator).
+    W-orthonormal and read-only (the result is cached on the operator),
+    and both have codim columns: the counts of a skew action are exact.
     When the complement contains any of the constant vector, the first
     basis column is rotated onto that projection (the subspace's own DC
     mode) so that reported directions are reproducible and smooth
@@ -273,7 +291,6 @@ class DeficiencyData:
     n_plus_basis: np.ndarray
     n_minus_basis: np.ndarray
     tol_used: float
-    ill_conditioned: bool = False
 
 
 def _sign_fix(N: np.ndarray, space: Space) -> np.ndarray:
@@ -387,21 +404,13 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     The result is computed once per (operator, rank_tol), cached on the
     operator and returned with read-only bases on later calls.
 
-    Any domain with a W-skew action M (the whole matrix, not only its
-    domain part; on a pinned domain after the pinned x pinned block, which
-    never acts on the domain, is replaced by its W-skew part, see
-    _skew_action): von Neumann's characterization gives both defect
-    spaces from one LU factorization of E - M and two solves per
+    The action is first completed to a W-skew M_s that agrees with it on
+    the domain (_skew_action, which raises ValueError when the action is
+    not skew there). von Neumann's characterization then gives both
+    defect spaces from one LU factorization of E - M_s and two solves per
     constraint column (see _defect_bases). The counts are exact — both
-    equal the codimension, zero on the full domain — so rank_tol has no
-    meaning there (it is only recorded) and ill_conditioned is always
-    false.
-
-    Any other action decides ranks from singular values of
-    the domain images (E -+ M)U relative to the largest one; the report
-    is flagged ill_conditioned when any singular value falls within a
-    factor of 10 of the rank threshold on either side, i.e. when the
-    counts could plausibly move under a different tolerance.
+    equal the codimension, zero on the full domain — so rank_tol decides
+    nothing: it is recorded as tol_used and keys the cache.
     """
     key = float(rank_tol)
     dd = op._deficiency.get(key)
@@ -411,25 +420,8 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
-    flagged = False
-    action = op._skew_completion = _skew_action(op)
-    if action is not None:
-        Np, Nm = _defect_bases(op, action)
-    else:
-        U = op.domain_basis()
-        MU = op.action @ U
-        Nm, im = complement_basis(U - MU, op.space, rank_tol=rank_tol,
-                                  return_info=True)
-        Np, ip = complement_basis(U + MU, op.space, rank_tol=rank_tol,
-                                  return_info=True)
-        for info in (im, ip):
-            s = info["singular_values"]
-            if s.size == 0:
-                continue
-            thr = rank_tol * s[0]
-            if np.any((s >= 0.1 * thr) & (s <= 10.0 * thr)):
-                flagged = True
-
+    op._skew_completion = _skew_action(op)
+    Np, Nm = _defect_bases(op, op._skew_completion)
     Nm = _dc_align(Nm, op.space)
     Np = _dc_align(Np, op.space)
     Nm.flags.writeable = False
@@ -440,7 +432,6 @@ def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
         n_plus_basis=Np,
         n_minus_basis=Nm,
         tol_used=rank_tol,
-        ill_conditioned=flagged,
     )
 
 
@@ -535,34 +526,31 @@ def extend(op: RestrictedOperator,
     values all 1); strict contractions yield operators whose negative is
     dissipative.
     The result is always a full-domain operator: the old domain and the
-    d_plus added directions must make up the whole space, and a defect
-    pair with more directions than that (E + M not injective on the
-    domain) raises ValueError. Also raises when the added directions fail
-    to enlarge the domain ("extension domain not dense") — for some
-    models particular couplings are genuinely degenerate and no extension
-    exists along them.
+    codim added directions make up the whole space. Raises ValueError
+    when the action is not skew on the domain (see deficiency) and when
+    the added directions fail to enlarge the domain ("extension domain
+    not dense") — for some models particular couplings are genuinely
+    degenerate and no extension exists along them.
 
-    With the constraint columns L of the domain (k = codim of them) and
-    the added directions Z = N+ + N- V with images T = N+ - N- V, the
-    action is the rank-k update A_ext = M + R L^T with R = (T - M Z)(L^T
-    Z)^-1: it leaves M on {L^T u = 0} and sends Z to T. Only the k x k
-    matrix L^T Z is decomposed (its singular values decide density).
+    With the constraint columns L of the domain (k = codim of them), the
+    W-skew completion M_s that deficiency left on the operator
+    (_skew_action) and the added directions Z = N+ + N- V with images T =
+    N+ - N- V, the action is the rank-k update A_ext = M_s + R L^T with R
+    = (T - M_s Z)(L^T Z)^-1: it leaves M_s, which is M there, on {L^T u =
+    0} and sends Z to T. Only the k x k matrix L^T Z is decomposed (its
+    singular values decide density).
 
-    On a pinned domain whose action is W-skew outside the pinned x pinned
-    block (the one-LU route of deficiency, which leaves that W-skew
-    completion on the operator, so it is not tested again), the rows of R
-    off the pins
-    vanish in exact arithmetic: a dissipative A_ext that agrees with M on
-    the domain differs from M only in that block. The result is then M +
-    L R_P L^T, R_P the pinned rows of R, in M's own storage: a sparse
-    action stays sparse (the stencil plus a k x k block) and a dense one
-    is copied once. The dropped rows must stay within the restriction
-    check's bound (their W-norm on each unit pinned direction), else
-    ArithmeticError: a bad defect basis is refused, not dropped. With a
-    sparse action the work is then O(nk) for M Z and O(nk^2) for the small
-    factors, and nothing n x n is formed. Explicit-column domains, and
-    pinned ones whose action is not W-skew off the block, get the dense
-    n x n rank-k update.
+    On a pinned domain the rows of R off the pins vanish in exact
+    arithmetic: a dissipative A_ext that agrees with the W-skew M_s on the
+    domain differs from M_s only in the pinned x pinned block. The result
+    is then M_s + L R_P L^T, R_P the pinned rows of R, in M_s's own
+    storage: a sparse action stays sparse (the stencil plus a k x k block)
+    and a dense one is copied once. The dropped rows must stay within the
+    restriction check's bound (their W-norm on each unit pinned
+    direction), else ArithmeticError: a bad defect basis is refused, not
+    dropped. With a sparse action the work is then O(nk) for M_s Z and
+    O(nk^2) for the small factors, and nothing n x n is formed.
+    Explicit-column domains get the dense n x n rank-k update.
     """
     if not isinstance(plan, ExtensionPlan):
         plan = ExtensionPlan(coupling=plan)
@@ -574,12 +562,6 @@ def extend(op: RestrictedOperator,
     smax = np.linalg.svd(V, compute_uv=False)[0] if V.size else 0.0
     if smax > 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
-    if d_p != op.codim:
-        raise ValueError(
-            f"defect pair ({d_p}, {d_m}) gives {op.domain_dim + d_p} domain "
-            f"directions in dimension {op.dim}; E + M is not injective on "
-            "the domain"
-        )
 
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
     Z, T = Np + Nm @ V, Np - Nm @ V
@@ -589,12 +571,13 @@ def extend(op: RestrictedOperator,
     if sv.size and sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
 
-    R = np.linalg.solve(LZ.T, (T - op.action @ Z).T).T
+    M = op._skew_completion
+    R = np.linalg.solve(LZ.T, (T - M @ Z).T).T
     bound = 1e-10 * (1.0 + _max_abs(op.action @ op._basis))
-    if isinstance(op.domain, PinnedDomain) and op._skew_completion is not None:
-        action = _pinned_block_update(op, R, bound)
+    if isinstance(op.domain, PinnedDomain):
+        action = _pinned_block_update(op, M, R, bound)
     else:
-        action = op.dense_action() + R @ L.T
+        action = _dense(M) + R @ L.T
     ext = RestrictedOperator(
         space=op.space,
         action=action,
@@ -610,11 +593,11 @@ def extend(op: RestrictedOperator,
     return ext
 
 
-def _pinned_block_update(op: RestrictedOperator, R: np.ndarray,
+def _pinned_block_update(op: RestrictedOperator, M, R: np.ndarray,
                          bound: float):
-    """M + L R_P L^T for a pinned domain (L the unit columns of the pins,
-    R_P the pinned rows of R), in M's storage; ArithmeticError when a
-    row of R off the pins reaches bound in W-norm on a unit pinned
+    """M + L R_P L^T for op's pinned domain (L the unit columns of the
+    pins, R_P the pinned rows of R), in M's storage; ArithmeticError when
+    a row of R off the pins reaches bound in W-norm on a unit pinned
     direction e_p / sqrt(w_p)."""
     pins, w = op.domain.pins, op.space.weights
     off = R.copy()
@@ -625,11 +608,11 @@ def _pinned_block_update(op: RestrictedOperator, R: np.ndarray,
             f"extension leaves the pinned block ({leak:.3e})")
     k = pins.size
     block = R[pins]
-    if sp.issparse(op.action):
-        return op.action + sp.csr_matrix(
+    if sp.issparse(M):
+        return M + sp.csr_matrix(
             (block.ravel(), (np.repeat(pins, k), np.tile(pins, k))),
-            shape=op.action.shape)
-    A = np.array(op.action, dtype=float)
+            shape=M.shape)
+    A = np.array(M, dtype=float)
     A[np.ix_(pins, pins)] += block
     return A
 

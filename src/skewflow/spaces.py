@@ -183,29 +183,6 @@ def _cgs2_tail(A, norms0, Q0, R0, tol):
     return Q[:, :k], R[:k, :k], kept
 
 
-def complement_basis(columns, space: Space, rank_tol: float = 1e-8,
-                     return_info: bool = False):
-    """Orthonormal basis (in the space metric) of span(columns)^perp.
-
-    Works through the isometry u -> W^{1/2} u so a plain SVD decides the
-    rank; the returned columns satisfy N^T W N = I and N^T W columns = 0.
-    A column holding a non-finite entry raises ValueError naming it.
-    """
-    X = np.asarray(columns, dtype=float)
-    if X.size == 0:
-        X = X.reshape(space.dim, 0)
-    if X.shape[0] != space.dim:
-        raise ValueError("column length does not match space dimension")
-    _require_finite_columns(X)
-    U, s, _ = np.linalg.svd(space.sqrt_scale(X), full_matrices=True)
-    # numerical rank: singular values above rank_tol * s_max
-    r = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
-    N = U[:, r:] / np.sqrt(space.weights)[:, None]
-    if return_info:
-        return N, {"rank": r, "singular_values": s}
-    return N
-
-
 def subspace_angle(u, v, space: Space) -> float:
     """Principal angle in [0, pi/2] between the lines through u and v.
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from skewflow import cli
 from skewflow.cli import canonical_json, main, parse_operator_descriptor
 from skewflow.evolution import evolve_cayley
 from skewflow.transport import Grid2D, write_stream_file
@@ -132,6 +133,70 @@ def test_analyze_reports_defect_counts(tmp_path, minimal_desc, capsys):
     assert (rep["d_plus"], rep["d_minus"]) == (2, 2)
     assert rep["skew"]["pass"] is True
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("diagonal", [0.3, 1e-11])
+def test_analyze_keeps_its_verdict_on_a_non_skew_action(tmp_path, capsys,
+                                                        diagonal):
+    # a diagonal entry makes the action non-skew, so it has no defect
+    # counts; the skew verdict and the isometry probe are still reported.
+    # 2e-11 passes the skew check's 1e-10 but not deficiency's relative
+    # test, whose refusal becomes the report's message
+    desc = write_descriptor(tmp_path / "m.json", {"operator": {
+        "kind": "matrix",
+        "data": [[diagonal, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", desc, "--out", str(out)]) == 2
+    rep = read_report(out)
+    assert "error" not in rep and rep["pass"] is False
+    assert rep["skew"]["pass"] is (diagonal < 1e-10)
+    assert rep["skew"]["max_defect"] == pytest.approx(2 * diagonal)
+    assert rep["d_plus"] is None and rep["d_minus"] is None
+    assert rep["cayley_isometry_defect"] >= 0.0
+    assert rep["ill_conditioned"] is False and rep["rank_tol"] == 1e-8
+    line = capsys.readouterr().out.strip()
+    if diagonal < 1e-10:
+        assert line == ("analyze: fail — the action is not skew on its "
+                        "domain (max|S + S^T| = 2.000e-11)")
+        assert rep["message"] in line
+    else:
+        assert line == "analyze: fail" and "message" not in rep
+
+
+def test_witness_refuses_a_non_skew_action_instead_of_calling_it_unique(
+        tmp_path, capsys):
+    desc = write_descriptor(tmp_path / "m.json", {
+        "operator": {"kind": "matrix", "data": [[0.3, -1.0, 0.0],
+                                                [1.0, 0.0, -1.0],
+                                                [0.0, 1.0, 0.0]]},
+        "domain": {"mode": "columns", "columns": [[1.0, 0.0, 0.0],
+                                                  [0.0, 1.0, 0.0]]}})
+    out = tmp_path / "out"
+    assert main(["witness", "--input", desc, "--out", str(out)]) == 2
+    rep = read_report(out)
+    assert "unique" not in rep and rep["pass"] is False
+    assert rep["error"] == ("the action is not skew on its domain "
+                            "(max|S + S^T| = 6.000e-01)")
+    assert capsys.readouterr().err.startswith("witness: fail — the action")
+
+
+def test_an_arithmetic_error_is_a_failed_verdict(tmp_path, capsys,
+                                                 monkeypatch, rotation_desc):
+    # extend refuses a bad defect basis with ArithmeticError: exit 2, one
+    # stderr line and an error report, as for a ValueError
+    def refuse(*args, **kwargs):
+        raise ArithmeticError("extension leaves the pinned block (1e-06)")
+    monkeypatch.setattr(cli, "extend", refuse)
+    out = tmp_path / "out"
+    assert main(["extend", "--input", rotation_desc, "--out", str(out),
+                 "--theta", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "extend: fail — extension leaves the pinned block (1e-06)"]
+    assert read_report(out) == {
+        "command": "extend", "pass": False,
+        "error": "extension leaves the pinned block (1e-06)"}
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, minimal_desc):

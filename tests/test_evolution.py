@@ -889,6 +889,28 @@ def test_exact_and_cayley_share_one_schur_factorization(monkeypatch):
     assert cayley.stepper_meta["schur_rotation"] is True
 
 
+def test_a_cached_schur_generator_is_not_tested_again(monkeypatch):
+    # the first dense skew run forms S and tests it; later exact and
+    # Cayley runs take the cached factors, and a non-skew generator still
+    # forms S on every run
+    calls = []
+    real = evolution._identity_coords
+    monkeypatch.setattr(evolution, "_identity_coords",
+                        lambda *a: calls.append(1) or real(*a))
+    _, gen, u0 = wrapped_generator(n=32)
+    first = evolve_exact(gen, u0, [0.5])
+    again = evolve_exact(gen, u0, [0.5])
+    evolve_cayley(gen, u0, 1e-2, 20)
+    assert calls == [1]
+    np.testing.assert_array_equal(first.states, again.states)
+    lossy = seam_extension(minimal_derivative_operator(32), 0.5)
+    for _ in range(2):
+        assert not evolve_exact(lossy, u0, [0.5]).stepper_meta[
+            "schur_rotation"]
+        evolve_cayley(lossy, u0, 1e-2, 20)
+    assert calls == [1] * 5 and lossy._schur is None
+
+
 def test_schur_cache_is_not_inherited_or_compared():
     _, gen, u0 = wrapped_generator(n=16)
     twin = RestrictedOperator(space=gen.space, action=gen.action,

@@ -81,7 +81,6 @@ def test_wrapped_difference_model_has_two_by_two_defects():
     for n in (32, 64):
         dd = deficiency(minimal_derivative_operator(n))
         assert (dd.d_plus, dd.d_minus) == (2, 2)
-        assert not dd.ill_conditioned
 
 
 def test_deficiency_defect_vectors_annihilate_the_range():
@@ -276,13 +275,15 @@ def test_extension_coupling_matches_a_per_column_solve():
         assert abs(leak - leak_ref) < 1e-13
 
 
-def test_extend_rejects_an_overcomplete_defect_pair():
-    # -E is not skew: E + M vanishes on the domain, so d_plus = 3 exceeds
-    # the codimension 1 and the coupled directions over-fill the space
+def test_extend_refuses_an_action_that_is_not_skew_on_its_domain():
+    # -E is not skew: S + S^T = -2 E on the domain, and no W-skew
+    # completion agrees with it there
     op = RestrictedOperator(Space.euclidean(3), -np.eye(3),
                             domain=np.eye(3)[:, :2])
-    with pytest.raises(ValueError, match=r"defect pair \(3, 1\)"):
-        extend(op, np.zeros((1, 3)))
+    for call in (deficiency, lambda op: extend(op, np.zeros((1, 1)))):
+        with pytest.raises(ValueError, match=r"not skew on its domain "
+                           r"\(max\|S \+ S\^T\| = 2\.000e\+00\)"):
+            call(op)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

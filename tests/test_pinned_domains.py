@@ -98,7 +98,6 @@ def assert_matches_svd(op):
     k = op.codim
     assert (dd.d_plus, dd.d_minus) == (k, k)
     assert (ref_plus.shape[1], ref_minus.shape[1]) == (k, k)
-    assert not dd.ill_conditioned
     for got, ref in ((dd.n_plus_basis, ref_plus),
                      (dd.n_minus_basis, ref_minus)):
         gram = got.T @ (op.space.weights[:, None] * got)
@@ -176,21 +175,23 @@ def test_interior_transport_matches_the_svd_path(m):
     assert_matches_svd(op)
 
 
-def test_a_non_skew_action_on_a_pinned_domain_takes_the_svd_path(monkeypatch):
+def test_a_non_skew_action_on_a_pinned_domain_is_refused(monkeypatch):
+    # 0.3 E is not skew on any domain: S + S^T has 0.6 on its diagonal.
+    # deficiency and extend name that defect and factorize nothing
     calls = []
     real = operators._shifted_lu
     monkeypatch.setattr(operators, "_shifted_lu",
                         lambda a: calls.append(1) or real(a))
     n = 12
     w = np.linspace(0.5, 1.5, n)
-    action = weighted_ring(w, np.ones(n)) + 0.3 * np.eye(n)  # not W-skew
+    action = weighted_ring(w, np.ones(n)) + 0.3 * np.eye(n)
     op = RestrictedOperator(space=Space(dim=n, weights=w), action=action,
                             domain=PinnedDomain([0, 5]))
-    dd = deficiency(op)
-    assert calls == []
-    ref_plus, ref_minus = svd_defect_spaces(op)
-    assert (dd.d_plus, dd.d_minus) == (ref_plus.shape[1], ref_minus.shape[1])
-    assert largest_angle_sine(dd.n_plus_basis, ref_plus, op.space) < 1e-12
+    for call in (deficiency, lambda op: extend(op, 0.5)):
+        with pytest.raises(ValueError, match=r"not skew on its domain "
+                           r"\(max\|S \+ S\^T\| = 6\.000e-01\)"):
+            call(op)
+    assert calls == [] and op._deficiency == {}
     # a skew action on the same domain factorizes once
     deficiency(RestrictedOperator(space=op.space,
                                   action=weighted_ring(w, np.ones(n)),
@@ -207,7 +208,6 @@ def test_a_stencil_skew_only_on_the_domain_takes_the_one_lu_path(monkeypatch):
     real = operators._shifted_lu
     monkeypatch.setattr(operators, "_shifted_lu",
                         lambda a: calls.append(1) or real(a))
-    monkeypatch.setattr(operators, "complement_basis", None)
     op = interior_transport(16, psi=lambda x, y: x * y)
     assert check_skew_symmetry(op).max_defect < 1e-12
     assert not operators._is_skew(
@@ -216,9 +216,7 @@ def test_a_stencil_skew_only_on_the_domain_takes_the_one_lu_path(monkeypatch):
     assert calls == [1]
 
 
-def test_a_dense_action_off_skew_on_the_pins_only_takes_the_one_lu_path(
-        monkeypatch):
-    monkeypatch.setattr(operators, "complement_basis", None)
+def test_a_dense_action_off_skew_on_the_pins_only_takes_the_one_lu_path():
     n, pins = 14, [0, 3, 4, 9]
     rng = np.random.default_rng(1)
     w = rng.uniform(0.5, 1.5, n)
@@ -227,6 +225,72 @@ def test_a_dense_action_off_skew_on_the_pins_only_takes_the_one_lu_path(
     assert_matches_svd(RestrictedOperator(space=Space(dim=n, weights=w),
                                           action=action,
                                           domain=PinnedDomain(pins)))
+
+
+def assert_completion_matches_the_references(op, rng):
+    """Counts, defect subspaces, the extension and its recovered coupling
+    of an action that is skew on op's domain only, against the SVD
+    complements and the dense extension solve, all to 1e-12."""
+    assert_matches_svd(op)
+    k = op.codim
+    A = rng.standard_normal((k, k))
+    V = 0.9 * A / np.linalg.norm(A, 2)
+    ext = extend(op, V)
+    ref = reference_extend(op, V)
+    got = ext.dense_action()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert ext.meta["restriction_defect"] <= 1e-12
+    V_got, leak = extension_coupling(op, ext)
+    assert np.max(np.abs(V_got - V)) <= 1e-12 and leak <= 1e-12
+    return ext
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_an_explicit_domain_skew_only_there_is_completed(seed):
+    # M = K + X L^T with K W-skew and L^T U = 0 agrees with K on the
+    # domain, but the whole matrix is not W-skew
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    k = int(rng.integers(1, max(2, n // 3)))
+    w = rng.uniform(0.5, 1.5, n)
+    space = Space(dim=n, weights=w)
+    K = weighted_ring(w, rng.uniform(0.5, 1.5, n))
+    U = rng.standard_normal((n, n - k))
+    L = np.linalg.qr(U, mode="complete")[0][:, n - k:]
+    op = RestrictedOperator(space=space,
+                            action=K + rng.standard_normal((n, k)) @ L.T,
+                            domain=U)
+    assert not operators._is_skew(
+        operators._identity_coords(space, op.action))
+    assert check_skew_symmetry(op).max_defect <= 1e-12
+    assert_completion_matches_the_references(op, rng)
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_pinned_domain_off_skew_in_the_pinned_columns_is_completed(
+        seed, sparse):
+    # the free x pinned block never acts on a domain vector; changing it
+    # makes G_PF != -G_FP^T, which the pinned-block fix cannot mend
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    pins = rng.choice(n, size=int(rng.integers(1, n // 4 + 2)),
+                      replace=False)
+    free = np.setdiff1d(np.arange(n), pins)
+    w = rng.uniform(0.5, 1.5, n)
+    action = weighted_ring(w, rng.uniform(0.5, 1.5, n))
+    action[np.ix_(free[:3], pins)] += rng.standard_normal((3, pins.size))
+    if sparse:
+        action = sp.csr_matrix(action)
+    op = RestrictedOperator(space=Space(dim=n, weights=w), action=action,
+                            domain=PinnedDomain(pins))
+    M_s = operators._skew_action(op)
+    assert M_s is not op.action and sp.issparse(M_s) == sparse
+    ext = assert_completion_matches_the_references(op, rng)
+    if sparse:
+        assert ext.action.format == "csr"
+    else:
+        assert isinstance(ext.action, np.ndarray)
 
 
 def test_a_full_skew_operator_has_no_defects_without_densifying(monkeypatch):
@@ -521,7 +585,6 @@ def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
                             lambda *a, real=real, name=name:
                             calls.append(name) or lu_args.append(a[0])
                             or real(*a))
-    monkeypatch.setattr(operators, "complement_basis", None)
     w = np.linspace(0.5, 1.5, 10)
     op = RestrictedOperator(space=Space(dim=10, weights=w),
                             action=weighted_ring(w, np.ones(10)),

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from skewflow.spaces import (
     Space,
-    complement_basis,
     orthonormalize,
     subspace_angle,
 )
@@ -242,33 +241,6 @@ def test_orthonormalize_refuses_a_1d_input():
 def test_orthonormalize_refuses_a_row_count_other_than_the_dimension():
     with pytest.raises(ValueError, match="4 rows, the space has dimension 5"):
         orthonormalize(np.ones((4, 2)), Space.euclidean(5))
-
-
-def test_complement_basis_dimensions_and_orthogonality():
-    s = Space.uniform(9, 1.0 / 9)
-    rng = np.random.default_rng(11)
-    cols = orthonormalize(rng.standard_normal((9, 6)), s)
-    comp = complement_basis(cols, s)
-    assert comp.shape == (9, 3)
-    cross = cols.T @ (s.weights[:, None] * comp)
-    assert np.max(np.abs(cross)) < 1e-10
-
-
-def test_complement_basis_refuses_a_non_finite_column():
-    cols = np.ones((3, 2))
-    cols[1, 1] = np.nan
-    with pytest.raises(ValueError, match="column 1 holds a non-finite"):
-        complement_basis(cols, Space.euclidean(3))
-
-
-def test_complement_basis_info_reports_rank():
-    s = Space.euclidean(5)
-    cols = np.zeros((5, 2))
-    cols[0, 0] = 1.0
-    cols[0, 1] = 2.0  # dependent
-    comp, info = complement_basis(cols, s, return_info=True)
-    assert info["rank"] == 1
-    assert comp.shape == (5, 4)
 
 
 def test_subspace_angle_basic_values():
