@@ -11,13 +11,14 @@ defect subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgecon, dgetrf, dpotrf
+from scipy.linalg.lapack import dgecon, dgetrf, dpotrf, dtrtri
 
 from .spaces import Space, orthonormalize
 
@@ -95,6 +96,9 @@ class RestrictedOperator:
     # W-skew completion M_s of the action (_skew_action), which agrees with
     # it on the domain; set by deficiency(), None before that
     _skew_completion: Union[None, np.ndarray, sp.spmatrix] = field(
+        init=False, repr=False, compare=False, default=None)
+    # _skew_ratio of the branch _skew_action took, set with _skew_completion
+    _completion_residual: Optional[float] = field(
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -206,10 +210,16 @@ def _max_abs(A) -> float:
     return float(np.max(np.abs(A), initial=0.0))
 
 
+def _skew_ratio(G) -> float:
+    """max|G + G^T| / max(1, max|G|), the quantity _is_skew cuts at
+    1e-12."""
+    return _max_abs(G + G.T) / max(1.0, _max_abs(G))
+
+
 def _is_skew(G) -> bool:
     """Whether G + G^T vanishes to 1e-12 of max(1, max|G|): the W-skew
     test for an action in identity coordinates (dense or sparse)."""
-    return _max_abs(G + G.T) <= 1e-12 * max(1.0, _max_abs(G))
+    return _skew_ratio(G) <= 1e-12
 
 
 def _skew_action(op: RestrictedOperator):
@@ -231,26 +241,33 @@ def _skew_action(op: RestrictedOperator):
       _is_skew's scale rule raises ValueError naming max|S + S^T|. On
       full and pinned domains U is the sparse scaled-unit basis, so a
       sparse action stays sparse.
+
+    The _skew_ratio of the branch taken (of the whole matrix in the first
+    two, of S in the third) is left on the operator as
+    _completion_residual, which deficiency reports.
     """
     M = op.action
-    if _is_skew(_identity_coords(op.space, M)):
-        return M
-    if isinstance(op.domain, PinnedDomain):
+    ratio = _skew_ratio(_identity_coords(op.space, M))
+    if ratio > 1e-12 and isinstance(op.domain, PinnedDomain):
         L = op.constraint_columns()
         w = op.space.weights[op.domain.pins]
         M_pp = L.T @ M @ L
         sym = 0.5 * (M_pp + sp.diags(1.0 / w) @ M_pp.T @ sp.diags(w))
         M_s = M - L @ sym @ L.T
-        if _is_skew(_identity_coords(op.space, M_s)):
-            return M_s
-    U, W = op._basis, sp.diags(op.space.weights)
-    B = M @ U
-    S = U.T @ (W @ B)
-    if not _is_skew(S):
-        raise ValueError("the action is not skew on its domain (max|S + "
-                         f"S^T| = {_max_abs(S + S.T):.3e})")
-    M_s = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
-    return M_s.tocsr() if sp.issparse(M_s) else M_s
+        ratio = _skew_ratio(_identity_coords(op.space, M_s))
+        M = M_s if ratio <= 1e-12 else M
+    if ratio > 1e-12:
+        U, W = op._basis, sp.diags(op.space.weights)
+        B = op.action @ U
+        S = U.T @ (W @ B)
+        ratio = _skew_ratio(S)
+        if ratio > 1e-12:
+            raise ValueError("the action is not skew on its domain (max|S + "
+                             f"S^T| = {_max_abs(S + S.T):.3e})")
+        M = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
+        M = M.tocsr() if sp.issparse(M) else M
+    op._completion_residual = ratio
+    return M
 
 
 def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
@@ -272,60 +289,94 @@ def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewRepor
 # deficiency data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeficiencyData:
-    """Codimensions of Im(E -+ M) on the domain, with aligned defect bases.
+    """Codimensions of Im(E -+ M) on the domain, and the k x k boundary
+    data from which the defect bases and every extension are formed.
 
-    n_plus_basis spans the orthogonal complement of Im(E + M) restricted to
-    the domain, n_minus_basis the complement of Im(E - M). Both bases are
-    W-orthonormal and read-only (the result is cached on the operator),
-    and both have codim columns: the counts of a skew action are exact.
-    When the complement contains any of the constant vector, the first
-    basis column is rotated onto that projection (the subspace's own DC
-    mode) so that reported directions are reproducible and smooth
-    representatives come first; remaining columns complete the subspace.
+    With A = E - M_s (M_s the W-skew completion, see _skew_action) and
+    the k = codim constraint columns L, the defect spaces are spanned by
+    X+ = A^-1 W^-1 L and X- = W^-1 A^-T L. F = L^T A^-1 W^-1 L is L^T
+    X+, and L^T X- = F^T. Both Grams X+-^T W X+- equal G = (F + F^T) / 2,
+    because (E - M_s^2)^-1 is the mean of (E - M_s)^-1 and (E +
+    M_s)^-1. F, c_plus and c_minus are read-only.
+
+    n_plus_basis = X+ C+ spans the W-orthogonal complement of Im(E + M)
+    restricted to the domain, n_minus_basis = X- C- that of Im(E - M).
+    C+- start from the Cholesky inverse of G, so both bases are
+    W-orthonormal (to about eps cond(G)) with codim columns. When the
+    complement contains any of the constant vector, C+- are turned so
+    that the first column is that projection (the subspace's own DC
+    mode) and smooth representatives come first. Each column is signed
+    to a positive W-mean or, when the mean vanishes (below 1e-12), to a
+    positive largest entry of L^T N (F C+ for N+, F^T C- for N-). The
+    bases are formed on first read by one block solve with the
+    factorization held here, then cached read-only.
+
+    completion_residual is the _skew_ratio of the completion _skew_action
+    chose (at most 1e-12).
     """
 
     d_plus: int
     d_minus: int
-    n_plus_basis: np.ndarray
-    n_minus_basis: np.ndarray
     tol_used: float
+    F: np.ndarray
+    c_plus: np.ndarray
+    c_minus: np.ndarray
+    completion_residual: float
+    # solve(b, trans) for E - M_s (None on the full domain), the
+    # constraint columns and the weights: what the bases are formed from
+    _solve: Optional[Callable] = field(repr=False)
+    _constraints: sp.csc_matrix = field(repr=False)
+    _weights: np.ndarray = field(repr=False)
 
+    @cached_property
+    def n_plus_basis(self) -> np.ndarray:
+        """N+ = A^-1 (W^-1 L C+)."""
+        return self._basis(self.c_plus, trans=False)
 
-def _sign_fix(N: np.ndarray, space: Space) -> np.ndarray:
-    """Flip columns so each has a positive W-mean, or, when the mean
-    vanishes (below 1e-12 of the column's norm), a positive largest
-    entry."""
-    mean = N.T @ space.weights
-    peak = N[np.argmax(np.abs(N), axis=0), np.arange(N.shape[1])]
-    s = np.where(np.abs(mean) > 1e-12 * space.norms(N), mean, peak)
-    return N * np.where(s < 0.0, -1.0, 1.0)
+    @cached_property
+    def n_minus_basis(self) -> np.ndarray:
+        """N- = W^-1 A^-T (L C-)."""
+        return self._basis(self.c_minus, trans=True)
 
-
-def _dc_align(N: np.ndarray, space: Space) -> np.ndarray:
-    """Rotate a W-orthonormal subspace basis so column 0 is its DC mode.
-
-    c = N^T W 1 holds the coordinates of the W-projection of the constant
-    vector. One Householder reflection of the coordinate space maps the
-    first axis onto the line of c, so column 0 becomes that projection
-    (normalized) and the basis stays W-orthonormal.
-    """
-    if N.shape[1] == 0:
+    def _basis(self, C: np.ndarray, trans: bool) -> np.ndarray:
+        w = self._weights[:, None]
+        if C.shape[1] == 0:
+            N = np.zeros((w.size, 0))
+        elif trans:
+            N = self._solve(self._constraints @ C, True) / w
+        else:
+            N = self._solve(self._constraints @ C / w, False)
+        N.flags.writeable = False
         return N
-    c = N.T @ space.weights
-    r = float(np.linalg.norm(c))  # the W-norm of the projection N c
-    if r <= 1e-10 * space.norm(np.ones(space.dim)):
-        return _sign_fix(N, space)
-    v = c / r
-    v[0] += 1.0 if v[0] >= 0.0 else -1.0
-    return _sign_fix(N - np.outer(N @ v, v * (2.0 / (v @ v))), space)
 
 
-def _w_orthonormal(Z: np.ndarray, space: Space) -> np.ndarray:
-    """W-orthonormal basis of the span of full-rank columns Z (QR)."""
-    sw = np.sqrt(space.weights)[:, None]
-    return np.linalg.qr(sw * Z)[0] / sw
+def _dc_frame(C: np.ndarray, m: np.ndarray, LX: np.ndarray,
+              one_norm: float) -> np.ndarray:
+    """Coordinates C of a W-orthonormal defect basis N = X C, turned so
+    that column 0 is the subspace's DC mode, and signed.
+
+    m = X^T W 1, so c = C^T m holds the coordinates of the W-projection
+    of the constant vector. Unless that projection is below 1e-10 of
+    |1|_W (one_norm), one Householder reflection of the coordinate space
+    maps the first axis onto the line of c, so column 0 of N becomes the
+    normalized projection and N stays W-orthonormal. Each column is then
+    flipped to a positive W-mean, or, when the mean vanishes (below
+    1e-12: the columns are W-unit), to a positive largest entry of L^T N
+    = LX C.
+    """
+    c = C.T @ m
+    r = float(np.linalg.norm(c))
+    if r > 1e-10 * one_norm:
+        v = c / r
+        v[0] += 1.0 if v[0] >= 0.0 else -1.0
+        C = C - np.outer(C @ v, v * (2.0 / (v @ v)))
+    mean = C.T @ m
+    P = LX @ C
+    peak = P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])]
+    s = np.where(np.abs(mean) > 1e-12, mean, peak)
+    return C * np.where(s < 0.0, -1.0, 1.0)
 
 
 def sparse_shifted_lu(A) -> spla.SuperLU:
@@ -374,31 +425,12 @@ def _shifted_lu(action):
     return lambda b, trans: sla.lu_solve(lu, b, trans=int(trans))
 
 
-def _defect_bases(op: RestrictedOperator, action):
-    """Both defect spaces of the domain {u : L^T u = 0} (L the constraint
-    columns) under a W-skew action M that agrees with op's on the domain
-    (_skew_action).
-
-    A vector z is W-orthogonal to (E - M)u for every domain vector u iff
-    (E - M)^T W z lies in span L, so N- = W^-1 (E - M)^-T L. Skewness
-    gives (E + M)^T W = W (E - M), hence N+ = (E - M)^-1 W^-1 L: both from
-    one factorization. Since |(E -+ M)u| >= |u|, both have exactly k =
-    codim independent columns; the full domain (k = 0) factorizes
-    nothing.
-    """
-    L = op.constraint_columns().toarray()
-    if L.shape[1] == 0:
-        return L, L
-    w = op.space.weights[:, None]
-    solve = _shifted_lu(action)
-    n_plus = solve(L / w, False)
-    n_minus = solve(L, True) / w
-    return (_w_orthonormal(n_plus, op.space),
-            _w_orthonormal(n_minus, op.space))
+# columns per block of solves for F: bounds the n x block right-hand side
+_SOLVE_BLOCK = 256
 
 
 def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData:
-    """Defect dimensions and bases for the pair of shifted ranges.
+    """Defect dimensions and boundary data for the pair of shifted ranges.
 
     d_plus = codim Im(E + M)|_domain, d_minus = codim Im(E - M)|_domain.
     The result is computed once per (operator, rank_tol), cached on the
@@ -406,11 +438,21 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
     The action is first completed to a W-skew M_s that agrees with it on
     the domain (_skew_action, which raises ValueError when the action is
-    not skew there). von Neumann's characterization then gives both
-    defect spaces from one LU factorization of E - M_s and two solves per
-    constraint column (see _defect_bases). The counts are exact — both
-    equal the codimension, zero on the full domain — so rank_tol decides
-    nothing: it is recorded as tol_used and keys the cache.
+    not skew there). A vector z is W-orthogonal to (E - M)u for every
+    domain vector u = {L^T u = 0} iff (E - M_s)^T W z lies in span L, so
+    N- = W^-1 A^-T L with A = E - M_s; skewness gives (E + M_s)^T W = W
+    A, hence N+ = A^-1 W^-1 L. Since |(E -+ M)u| >= |u|, both have
+    exactly k = codim independent columns: the counts are exact, both
+    the codimension, so rank_tol decides nothing (it is recorded as
+    tol_used and keys the cache).
+
+    One LU factorization of E - M_s gives F = L^T A^-1 W^-1 L by k solves
+    in blocks of _SOLVE_BLOCK columns, of which only L^T X is kept, and
+    the DC data by two more: X+^T W 1 = L^T W^-1 A^-T W 1 and X-^T W 1 =
+    L^T A^-1 1. C+- then come from the Cholesky inverse of G = (F +
+    F^T)/2 and the DC turn (_dc_frame), all k x k. Nothing n x k is kept;
+    the bases are formed when first read (see DeficiencyData). The full
+    domain (k = 0) factorizes nothing.
     """
     key = float(rank_tol)
     dd = op._deficiency.get(key)
@@ -421,18 +463,27 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
     op._skew_completion = _skew_action(op)
-    Np, Nm = _defect_bases(op, op._skew_completion)
-    Nm = _dc_align(Nm, op.space)
-    Np = _dc_align(Np, op.space)
-    Nm.flags.writeable = False
-    Np.flags.writeable = False
+    L, w = op.constraint_columns(), op.space.weights
+    n, k = L.shape
+    solve, F = None, np.zeros((0, 0))
+    Cp = Cm = F
+    if k:
+        solve, Lt = _shifted_lu(op._skew_completion), L.T.tocsr()
+        F = np.empty((k, k))
+        for lo in range(0, k, _SOLVE_BLOCK):
+            cols = L[:, lo:lo + _SOLVE_BLOCK].toarray() / w[:, None]
+            F[:, lo:lo + cols.shape[1]] = Lt @ solve(cols, False)
+        # G = R^T R, C = R^-1: C^T G C = E
+        C = dtrtri(sla.cholesky(0.5 * (F + F.T)))[0]
+        one_norm = float(np.sqrt(w.sum()))
+        Cp = _dc_frame(C, Lt @ (solve(w, True) / w), F, one_norm)
+        Cm = _dc_frame(C, Lt @ solve(np.ones(n), False), F.T, one_norm)
+    for a in (F, Cp, Cm):
+        a.flags.writeable = False
     return DeficiencyData(
-        d_plus=Np.shape[1],
-        d_minus=Nm.shape[1],
-        n_plus_basis=Np,
-        n_minus_basis=Nm,
-        tol_used=rank_tol,
-    )
+        d_plus=k, d_minus=k, tol_used=rank_tol, F=F, c_plus=Cp, c_minus=Cm,
+        completion_residual=op._completion_residual,
+        _solve=solve, _constraints=L, _weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +588,20 @@ def extend(op: RestrictedOperator,
     (_skew_action) and the added directions Z = N+ + N- V with images T =
     N+ - N- V, the action is the rank-k update A_ext = M_s + R L^T with R
     = (T - M_s Z)(L^T Z)^-1: it leaves M_s, which is M there, on {L^T u =
-    0} and sends Z to T. Only the k x k matrix L^T Z is decomposed (its
-    singular values decide density).
+    0} and sends Z to T. Since M_s X+ = X+ - W^-1 L and M_s X- = W^-1 L -
+    X-, T - M_s Z = W^-1 L (C+ - C- V) and L^T Z = F C+ + F^T C- V, so
 
-    On a pinned domain the rows of R off the pins vanish in exact
-    arithmetic: a dissipative A_ext that agrees with the W-skew M_s on the
-    domain differs from M_s only in the pinned x pinned block. The result
-    is then M_s + L R_P L^T, R_P the pinned rows of R, in M_s's own
-    storage: a sparse action stays sparse (the stencil plus a k x k block)
-    and a dense one is copied once. The dropped rows must stay within the
-    restriction check's bound (their W-norm on each unit pinned
-    direction), else ArithmeticError: a bad defect basis is refused, not
-    dropped. With a sparse action the work is then O(nk) for M_s Z and
-    O(nk^2) for the small factors, and nothing n x n is formed.
+        A_ext = M_s + W^-1 L Y L^T,  Y = (C+ - C- V)(F C+ + F^T C- V)^-1,
+
+    with F and C+- the k x k data of deficiency: no n x k array is formed
+    or read. Only L^T Z is decomposed; the ratio of its extreme singular
+    values decides density (at most 1e-10 is refused) and is recorded as
+    meta["density_ratio"]. Y is accurate to about eps / density_ratio
+    relative.
+
+    On a pinned domain W^-1 L = L W_P^-1, so the result is M_s + L W_P^-1
+    Y L^T in M_s's own storage: a sparse action stays sparse (the stencil
+    plus a k x k block on the pins) and a dense one is copied once.
     Explicit-column domains get the dense n x n rank-k update.
     """
     if not isinstance(plan, ExtensionPlan):
@@ -559,33 +611,36 @@ def extend(op: RestrictedOperator,
     if d_p == 0 and d_m == 0:
         return op  # already maximal: nothing to couple
     V = plan.matrix(d_p, d_m)
-    smax = np.linalg.svd(V, compute_uv=False)[0] if V.size else 0.0
-    if smax > 1.0 + 1e-10:
+    if np.isscalar(plan.coupling):
+        smax, CmV = abs(V[0, 0]), V[0, 0] * dd.c_minus
+    else:
+        smax, CmV = np.linalg.svd(V, compute_uv=False)[0], dd.c_minus @ V
+    # written so that NaN fails too
+    if not smax <= 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
 
-    Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    Z, T = Np + Nm @ V, Np - Nm @ V
-    L = op.constraint_columns()
-    LZ = L.T @ Z
+    LZ = dd.F @ dd.c_plus + dd.F.T @ CmV
     sv = np.linalg.svd(LZ, compute_uv=False)
-    if sv.size and sv[-1] <= 1e-10 * sv[0]:
+    if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
+    Y = np.linalg.solve(LZ.T, (dd.c_plus - CmV).T).T
 
-    M = op._skew_completion
-    R = np.linalg.solve(LZ.T, (T - M @ Z).T).T
-    bound = 1e-10 * (1.0 + _max_abs(op.action @ op._basis))
+    M, w = op._skew_completion, op.space.weights
     if isinstance(op.domain, PinnedDomain):
-        action = _pinned_block_update(op, M, R, bound)
+        pins = op.domain.pins
+        action = _pinned_block_update(M, pins, Y / w[pins, None])
     else:
-        action = _dense(M) + R @ L.T
+        L = op.constraint_columns()
+        action = _dense(M) + ((L @ Y) / w[:, None]) @ L.T
     ext = RestrictedOperator(
         space=op.space,
         action=action,
         label=f"extend({op.label})" if op.label else "extend",
-        meta={"coupling": V, "base_label": op.label},
+        meta={"coupling": V, "base_label": op.label,
+              "density_ratio": float(sv[-1] / sv[0])},
     )
     rdef = restriction_defect(ext, op)
-    if rdef > bound:
+    if rdef > 1e-10 * (1.0 + _max_abs(op.action @ op._basis)):
         raise ArithmeticError(
             f"assembled extension failed its restriction check ({rdef:.3e})"
         )
@@ -593,21 +648,10 @@ def extend(op: RestrictedOperator,
     return ext
 
 
-def _pinned_block_update(op: RestrictedOperator, M, R: np.ndarray,
-                         bound: float):
-    """M + L R_P L^T for op's pinned domain (L the unit columns of the
-    pins, R_P the pinned rows of R), in M's storage; ArithmeticError when
-    a row of R off the pins reaches bound in W-norm on a unit pinned
-    direction e_p / sqrt(w_p)."""
-    pins, w = op.domain.pins, op.space.weights
-    off = R.copy()
-    off[pins] = 0.0
-    leak = float(np.max(op.space.norms(off) / np.sqrt(w[pins])))
-    if leak > bound:
-        raise ArithmeticError(
-            f"extension leaves the pinned block ({leak:.3e})")
+def _pinned_block_update(M, pins: np.ndarray, block: np.ndarray):
+    """M + L block L^T for the unit columns L of the pins, in M's
+    storage."""
     k = pins.size
-    block = R[pins]
     if sp.issparse(M):
         return M + sp.csr_matrix(
             (block.ravel(), (np.repeat(pins, k), np.tile(pins, k))),
