@@ -474,6 +474,10 @@ def nk_reference(op):
     return Np, Nm, block
 
 
+def _as_dense(a):
+    return a.toarray() if sp.issparse(a) else np.asarray(a)
+
+
 def boundary_cases():
     for n in (32, 64):
         yield f"wrapped {n}", lambda n=n: minimal_derivative_operator(n)
@@ -510,10 +514,6 @@ def test_boundary_form_matches_the_nk_route(name, build):
         assert np.max(np.abs(got - ref)) <= 1e-10
         gram = got.T @ (w[:, None] * got)
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
-
-
-def _as_dense(a):
-    return a.toarray() if sp.issparse(a) else np.asarray(a)
 
 
 def test_boundary_data_is_k_by_k():
@@ -589,9 +589,9 @@ def test_a_nearly_degenerate_coupling_gives_a_skew_block():
 
 def test_deficiency_and_extend_at_64_squared_stay_small():
     # the interior closed stream at 64^2 (k = 496 pins): no n x k basis
-    # is formed or kept, so the tracemalloc peak stays at a quarter of
-    # the n x k route's (111 MiB) and the time at a third of its 1.5 s
-    # (one BLAS thread, 2 cores)
+    # is formed or kept. The n x k route took 1.5 s with a 111 MiB
+    # tracemalloc peak, the boundary form 0.33 s and 27 MiB (one BLAS
+    # thread, 2 cores)
     op = interior_transport(
         64, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) / np.pi)
     tracemalloc.start()
