@@ -97,9 +97,6 @@ class RestrictedOperator:
     # it on the domain; set by deficiency(), None before that
     _skew_completion: Union[None, np.ndarray, sp.spmatrix] = field(
         init=False, repr=False, compare=False, default=None)
-    # _skew_ratio of the branch _skew_action took, set with _skew_completion
-    _completion_residual: Optional[float] = field(
-        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.dim
@@ -223,7 +220,8 @@ def _is_skew(G) -> bool:
 
 
 def _skew_action(op: RestrictedOperator):
-    """A W-skew action M_s that agrees with op's on the domain; ValueError
+    """(M_s, ratio): a W-skew action M_s that agrees with op's on the
+    domain, and the _skew_ratio of the branch that gave it; ValueError
     when op's action is not skew there.
 
     The first that applies, in this order:
@@ -242,9 +240,8 @@ def _skew_action(op: RestrictedOperator):
       full and pinned domains U is the sparse scaled-unit basis, so a
       sparse action stays sparse.
 
-    The _skew_ratio of the branch taken (of the whole matrix in the first
-    two, of S in the third) is left on the operator as
-    _completion_residual, which deficiency reports.
+    ratio is that of the whole matrix in the first two branches and of S
+    in the third; deficiency reports it as completion_residual.
     """
     M = op.action
     ratio = _skew_ratio(_identity_coords(op.space, M))
@@ -266,8 +263,7 @@ def _skew_action(op: RestrictedOperator):
                              f"S^T| = {_max_abs(S + S.T):.3e})")
         M = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
         M = M.tocsr() if sp.issparse(M) else M
-    op._completion_residual = ratio
-    return M
+    return M, ratio
 
 
 def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
@@ -301,17 +297,21 @@ class DeficiencyData:
     because (E - M_s^2)^-1 is the mean of (E - M_s)^-1 and (E +
     M_s)^-1. F, c_plus and c_minus are read-only.
 
-    n_plus_basis = X+ C+ spans the W-orthogonal complement of Im(E + M)
-    restricted to the domain, n_minus_basis = X- C- that of Im(E - M).
-    C+- start from the Cholesky inverse of G, so both bases are
-    W-orthonormal (to about eps cond(G)) with codim columns. When the
-    complement contains any of the constant vector, C+- are turned so
-    that the first column is that projection (the subspace's own DC
+    n_plus_basis spans the W-orthogonal complement of Im(E + M)
+    restricted to the domain, n_minus_basis that of Im(E - M); each has
+    codim W-orthonormal columns. C+- start from the Cholesky inverse of
+    G, so X+ C+ and X- C- are W-orthonormal to about eps cond(G). When
+    the complement contains any of the constant vector, C+- are turned
+    so that the first column is that projection (the subspace's own DC
     mode) and smooth representatives come first. Each column is signed
     to a positive W-mean or, when the mean vanishes (below 1e-12), to a
     positive largest entry of L^T N (F C+ for N+, F^T C- for N-). The
-    bases are formed on first read by one block solve with the
-    factorization held here, then cached read-only.
+    bases are formed on first read as N = X+- C+- by one block solve
+    with the factorization held here, followed by one Cholesky-QR step N
+    <- N R^-1 with N^T W N = R^T R (O(n k^2)), which brings them to
+    W-orthonormality at rounding level. R is within about eps cond(G)
+    of E and upper triangular, so the DC column keeps its direction and
+    no column changes sign; the bases are then cached read-only.
 
     completion_residual is the _skew_ratio of the completion _skew_action
     chose (at most 1e-12).
@@ -344,10 +344,13 @@ class DeficiencyData:
         w = self._weights[:, None]
         if C.shape[1] == 0:
             N = np.zeros((w.size, 0))
-        elif trans:
-            N = self._solve(self._constraints @ C, True) / w
         else:
-            N = self._solve(self._constraints @ C / w, False)
+            if trans:
+                N = self._solve(self._constraints @ C, True) / w
+            else:
+                N = self._solve(self._constraints @ C / w, False)
+            # one Cholesky-QR step: N^T W N = R^T R, N <- N R^-1
+            N = N @ dtrtri(sla.cholesky(N.T @ (w * N)))[0]
         N.flags.writeable = False
         return N
 
@@ -462,7 +465,7 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
 
 
 def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
-    op._skew_completion = _skew_action(op)
+    op._skew_completion, residual = _skew_action(op)
     L, w = op.constraint_columns(), op.space.weights
     n, k = L.shape
     solve, F = None, np.zeros((0, 0))
@@ -482,7 +485,7 @@ def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
         a.flags.writeable = False
     return DeficiencyData(
         d_plus=k, d_minus=k, tol_used=rank_tol, F=F, c_plus=Cp, c_minus=Cm,
-        completion_residual=op._completion_residual,
+        completion_residual=residual,
         _solve=solve, _constraints=L, _weights=w)
 
 
@@ -599,6 +602,14 @@ def extend(op: RestrictedOperator,
     meta["density_ratio"]. Y is accurate to about eps / density_ratio
     relative.
 
+    How accurate it came out is recorded as meta["dissipation_defect"],
+    also from k x k data. M_s is W-skew, so the symmetric part of W A_ext
+    is L sym(Y) L^T, and the coupling prescribes (A_ext Z a, Z a) = |a|^2
+    - |V a|^2, i.e. sym(Y) = P = (L^T Z)^-T (E - V^T V)(L^T Z)^-1 (P = 0
+    for an inner coupling). The record is max|sym(Y) - P| relative to
+    max(|Y|, |P|) (0 when both vanish): about eps / density_ratio, so
+    rounding level for a well-conditioned L^T Z.
+
     On a pinned domain W^-1 L = L W_P^-1, so the result is M_s + L W_P^-1
     Y L^T in M_s's own storage: a sparse action stays sparse (the stencil
     plus a k x k block on the pins) and a dense one is copied once.
@@ -611,19 +622,20 @@ def extend(op: RestrictedOperator,
     if d_p == 0 and d_m == 0:
         return op  # already maximal: nothing to couple
     V = plan.matrix(d_p, d_m)
-    if np.isscalar(plan.coupling):
-        smax, CmV = abs(V[0, 0]), V[0, 0] * dd.c_minus
-    else:
-        smax, CmV = np.linalg.svd(V, compute_uv=False)[0], dd.c_minus @ V
+    smax = np.linalg.svd(V, compute_uv=False)[0]
     # written so that NaN fails too
     if not smax <= 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
 
+    CmV = dd.c_minus @ V
     LZ = dd.F @ dd.c_plus + dd.F.T @ CmV
     sv = np.linalg.svd(LZ, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
     Y = np.linalg.solve(LZ.T, (dd.c_plus - CmV).T).T
+    P = np.linalg.solve(LZ.T, np.linalg.solve(LZ.T, np.eye(d_p) - V.T @ V).T)
+    scale = max(_max_abs(Y), _max_abs(P))
+    dissipation = _max_abs(0.5 * (Y + Y.T) - P) / scale if scale else 0.0
 
     M, w = op._skew_completion, op.space.weights
     if isinstance(op.domain, PinnedDomain):
@@ -637,7 +649,8 @@ def extend(op: RestrictedOperator,
         action=action,
         label=f"extend({op.label})" if op.label else "extend",
         meta={"coupling": V, "base_label": op.label,
-              "density_ratio": float(sv[-1] / sv[0])},
+              "density_ratio": float(sv[-1] / sv[0]),
+              "dissipation_defect": dissipation},
     )
     rdef = restriction_defect(ext, op)
     if rdef > 1e-10 * (1.0 + _max_abs(op.action @ op._basis)):
