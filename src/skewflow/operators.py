@@ -623,7 +623,6 @@ def extend(op: RestrictedOperator,
         return op  # already maximal: nothing to couple
     V = plan.matrix(d_p, d_m)
     smax = np.linalg.svd(V, compute_uv=False)[0]
-    # written so that NaN fails too
     if not smax <= 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
 
