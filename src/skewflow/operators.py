@@ -340,15 +340,29 @@ class DeficiencyData:
         """N- = W^-1 A^-T (L C-)."""
         return self._basis(self.c_minus, trans=True)
 
+    def first_column(self, plus: bool) -> np.ndarray:
+        """Column 0 of n_plus_basis (plus True) or n_minus_basis, formed
+        alone: the Cholesky-QR factor R is upper triangular, so column 0
+        is X C[:, 0] / |X C[:, 0]|_W, one solve with the held
+        factorization. It matches the basis column to rounding level and
+        forms no n x k array."""
+        x = self._solved(self.c_plus[:, :1] if plus else self.c_minus[:, :1],
+                         trans=not plus)[:, 0]
+        return x / np.sqrt(x @ (self._weights * x))
+
+    def _solved(self, C: np.ndarray, trans: bool) -> np.ndarray:
+        """X C: A^-1 W^-1 L C (trans False) or W^-1 A^-T L C."""
+        w = self._weights[:, None]
+        if trans:
+            return self._solve(self._constraints @ C, True) / w
+        return self._solve(self._constraints @ C / w, False)
+
     def _basis(self, C: np.ndarray, trans: bool) -> np.ndarray:
         w = self._weights[:, None]
         if C.shape[1] == 0:
             N = np.zeros((w.size, 0))
         else:
-            if trans:
-                N = self._solve(self._constraints @ C, True) / w
-            else:
-                N = self._solve(self._constraints @ C / w, False)
+            N = self._solved(C, trans)
             # one Cholesky-QR step: N^T W N = R^T R, N <- N R^-1
             N = N @ dtrtri(sla.cholesky(N.T @ (w * N)))[0]
         N.flags.writeable = False
@@ -546,13 +560,17 @@ class ExtensionPlan:
     domain directions are w_i = n_plus_i + sum_k V[k, i] n_minus_k with
     action w_i |-> n_plus_i - sum_k V[k, i] n_minus_k. Couplings with
     top singular value exactly 1 keep the result skew in the directions
-    they saturate; strict contractions absorb energy there.
+    they saturate; strict contractions absorb energy there. matrix()
+    refuses a coupling with a non-finite entry (ValueError).
     """
 
     coupling: Union[float, np.ndarray]
 
     def matrix(self, d_plus: int, d_minus: int) -> np.ndarray:
         c = self.coupling
+        V = np.asarray(c, dtype=float)
+        if not np.isfinite(V).all():
+            raise ValueError("coupling has non-finite entries")
         if np.isscalar(c):
             if d_plus != d_minus:
                 raise ValueError(
@@ -560,7 +578,6 @@ class ExtensionPlan:
                     f"got ({d_plus}, {d_minus})"
                 )
             return float(c) * np.eye(d_minus, d_plus)
-        V = np.asarray(c, dtype=float)
         if V.ndim != 2 or V.shape != (d_minus, d_plus):
             raise ValueError(
                 f"coupling shape {V.shape} != (d_minus, d_plus) = "
@@ -599,8 +616,10 @@ def extend(op: RestrictedOperator,
     with F and C+- the k x k data of deficiency: no n x k array is formed
     or read. Only L^T Z is decomposed; the ratio of its extreme singular
     values decides density (at most 1e-10 is refused) and is recorded as
-    meta["density_ratio"]. Y is accurate to about eps / density_ratio
-    relative.
+    meta["density_ratio"]. One LU of (L^T Z)^T then gives Y and P below.
+    Y is accurate to about eps / density_ratio relative. A coupling with
+    a non-finite entry is refused (ValueError, ExtensionPlan.matrix)
+    before any of this.
 
     How accurate it came out is recorded as meta["dissipation_defect"],
     also from k x k data. M_s is W-skew, so the symmetric part of W A_ext
@@ -631,8 +650,10 @@ def extend(op: RestrictedOperator,
     sv = np.linalg.svd(LZ, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
-    Y = np.linalg.solve(LZ.T, (dd.c_plus - CmV).T).T
-    P = np.linalg.solve(LZ.T, np.linalg.solve(LZ.T, np.eye(d_p) - V.T @ V).T)
+    # one LU of L^T Z^T serves Y and both solves for P
+    lu = sla.lu_factor(LZ.T)
+    Y = sla.lu_solve(lu, (dd.c_plus - CmV).T).T
+    P = sla.lu_solve(lu, sla.lu_solve(lu, np.eye(d_p) - V.T @ V).T)
     scale = max(_max_abs(Y), _max_abs(P))
     dissipation = _max_abs(0.5 * (Y + Y.T) - P) / scale if scale else 0.0
 
@@ -685,19 +706,54 @@ def extension_coupling(op: RestrictedOperator,
     out of the n_minus subspace (nonzero leak means ext does not extend op
     through the defect pair at all).
 
-    E + A_ext is factorized once by _shifted_lu, so a sparse extension
-    takes sparse_shifted_lu and is never densified; a dense one takes
-    LAPACK's getrf and getrs, the routines np.linalg.solve runs, on the
-    same matrix, so the result has the same bits.
+    Nothing is factorized: E + A_ext is read through its k boundary
+    columns with the factorization deficiency holds. M_s is W-skew, so H
+    = (E + M_s)^-1 = W^-1 (E - M_s)^-T W is one transpose solve with it.
+    An extension agrees with M_s on {L^T u = 0}, so E + A_ext = E + M_s +
+    D L^T with D = (A_ext - M_s) L (the pin columns of the difference on
+    a pinned domain), and by Sherman-Morrison-Woodbury
+
+        G = (E + A_ext)^-1 N+ = H N+ - H D (E_k + L^T H D)^-1 L^T H N+,
+
+    one k x k LU. One step of iterative refinement against the true
+    A_ext follows, G += (the same solve of) N+ - (E + A_ext) G. A
+    residual |N+ - (E + A_ext) G|_W above 1e-10 of 1 + |A_ext G|_W
+    after it raises ValueError: ext does not agree with op on op's
+    domain, or E + A_ext is singular. A full-domain op (k = 0) returns
+    an empty V and defect 0.0 without solving.
     """
     if not ext.is_full_domain:
         raise ValueError("coupling recovery expects a full-domain extension")
     dd = deficiency(op, rank_tol=rank_tol)
+    k = dd.d_plus
+    if k == 0:
+        return np.zeros((0, 0)), 0.0
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    A = ext.action
-    G = _shifted_lu(-A)(Np, False)
-    Y = G - A @ G
-    V = Nm.T @ (op.space.weights[:, None] * Y)
+    A, w = ext.action, op.space.weights[:, None]
+    L = op.constraint_columns()
+    Ld = L.toarray()
+
+    def H(b):
+        return dd._solve(w * b, True) / w
+
+    HN, HD = np.hsplit(H(np.hstack([Np, A @ Ld - op._skew_completion @ Ld])),
+                       [k])
+    lu = sla.lu_factor(np.eye(k) + L.T @ HD)
+
+    def woodbury(Hb):
+        return Hb - HD @ sla.lu_solve(lu, L.T @ Hb)
+
+    G = woodbury(HN)
+    G += woodbury(H(Np - G - A @ G))
+    AG = A @ G
+    res = float(np.max(op.space.norms(Np - G - AG)))
+    scale = 1.0 + float(np.max(op.space.norms(AG)))
+    if not res <= 1e-10 * scale:
+        raise ValueError(f"residual {res:.3e} of (E + A_ext) G = N+ "
+                         f"exceeds 1e-10 x {scale:.3e}: ext does not agree "
+                         "with op on op's domain")
+    Y = G - AG
+    V = Nm.T @ (w * Y)
     leak = op.space.norms(Y - Nm @ V)
     return V, float(np.max(leak, initial=0.0))
 
@@ -786,11 +842,11 @@ def _form_max(B: np.ndarray, w: np.ndarray, seed: int) -> float:
     return float(np.max(num / den))
 
 
-def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
+def _resolvents_certified(G, g_max: float, w: np.ndarray,
                           h_max: float) -> bool:
     """Whether one Cholesky factorization shows E - hB invertible and well
     conditioned for every 0 < h <= h_max, given G = sqrt(W) B sqrt(W)^-1
-    (overwritten) and g_max = max|G|.
+    (dense and overwritten, or sparse) and g_max = max|G|.
 
     With delta = 1 / (2 h_max), a positive definite delta E - (G + G^T)/2
     gives ((E - hG)u, u) >= (1 - h delta)|u|^2 >= |u|^2 / 2, so
@@ -799,17 +855,36 @@ def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
     1 / (2 n eps), matrix_rank's SVD counts all n singular values, so
     _rank would return n as well. Above it, or when dpotrf meets a
     nonpositive pivot, the answer is False and the caller ranks each h.
+
+    Only the support of sym(G) is factored: with P the rows where G + G^T
+    has an entry other than exactly zero, delta E - (G + G^T)/2 is delta
+    E off P, so it is positive definite iff its P x P block is. dpotrf
+    runs on that block (in place on G when P is every row; an empty P is
+    certified). A sparse G gives the block from its nonzero entries and
+    is never densified.
     """
     n = G.shape[0]
     cond = (1.0 + h_max * n * g_max) * 2.0 * (w.max() / w.min())
     if not cond * 2.0 * n * np.finfo(float).eps < 1.0:
         return False
-    G += G.T
-    G *= -0.5
-    G.flat[::n + 1] += 0.5 / h_max
+    if sp.issparse(G):
+        S = (G + G.T).tocoo()
+        nz = S.data != 0.0
+        rows, cols = S.row[nz], S.col[nz]
+        P = np.unique(rows)
+        block = np.zeros((P.size, P.size))
+        block[np.searchsorted(P, rows), np.searchsorted(P, cols)] = S.data[nz]
+    else:
+        G += G.T
+        P = np.flatnonzero(G.any(axis=1))
+        block = G if P.size == n else G[np.ix_(P, P)]
+    if P.size == 0:
+        return True
+    block *= -0.5
+    block.flat[::P.size + 1] += 0.5 / h_max
     # symmetric, so the transpose is the same matrix in Fortran order and
     # dpotrf factors it in place
-    _, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
+    _, info = dpotrf(block.T, lower=1, clean=0, overwrite_a=1)
     return info == 0
 
 
@@ -828,13 +903,15 @@ def check_m_dissipative(gen: RestrictedOperator,
     m-dissipativity story.
 
     The ranks come from one Cholesky certificate first
-    (_resolvents_certified): when delta E - (G + G^T)/2 with delta = 1 /
-    (2 max h) is positive definite and a condition bound rules out a
-    numerically singular E - hB, every rank is n and no LU runs. Otherwise
-    each rank costs one LU factorization unless E - hB is close enough to
-    singular to need the SVD (see _rank). Raises ValueError for a
-    restricted or non-finite generator, an empty h_list, and an h that is
-    not finite and positive.
+    (_resolvents_certified), on the rows where sym(G) is nonzero: when
+    delta E - (G + G^T)/2 with delta = 1 / (2 max h) is positive definite
+    and a condition bound rules out a numerically singular E - hB, every
+    rank is n and no LU runs. Otherwise each rank costs one LU
+    factorization unless E - hB is close enough to singular to need the
+    SVD (see _rank). A sparse generator stays sparse through the probes,
+    G and the certificate; only the per-h LU densifies it. Raises
+    ValueError for a restricted or non-finite generator, an empty h_list,
+    and an h that is not finite and positive.
     """
     if not gen.is_full_domain:
         raise ValueError("m-dissipativity applies to full-domain generators")
@@ -844,8 +921,8 @@ def check_m_dissipative(gen: RestrictedOperator,
     # written so that NaN fails too
     if not all(0.0 < h < np.inf for h in hs):
         raise ValueError("every step size h must be finite and positive")
-    B = gen.dense_action()
-    if not np.all(np.isfinite(B)):
+    B = gen.action if sp.issparse(gen.action) else gen.dense_action()
+    if not np.all(np.isfinite(B.data if sp.issparse(B) else B)):
         raise ValueError("generator action has non-finite entries")
     n, W = gen.dim, gen.space.weights
     form_max = _form_max(B, W, seed)
@@ -858,7 +935,7 @@ def check_m_dissipative(gen: RestrictedOperator,
     if certified:
         ranks = dict.fromkeys(hs, n)
     else:
-        E = np.eye(n)
+        B, E = _dense(B), np.eye(n)
         ranks = {h: _rank(E - h * B) for h in hs}
     ok = ok and all(r == n for r in ranks.values())
     return MDissipativityReport(form_max=form_max, ranks=ranks, dim=n,
@@ -898,14 +975,15 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
 
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:
     """Largest W-norm of (A_ext - M) applied to op's domain basis columns
-    (on a full or pinned domain: to e_j / sqrt(w_j), j free), as A_ext U
-    - M U. When both actions are sparse the difference stays sparse;
-    otherwise both products are densified."""
-    U = op._basis
-    if sp.issparse(ext.action) and sp.issparse(op.action):
-        D = ext.action @ U - op.action @ U
+    (on a full or pinned domain: to e_j / sqrt(w_j), j free). When both
+    actions are stored alike this is one product (A_ext - M) U, which
+    stays sparse when both are sparse; a sparse action beside a dense one
+    gives A_ext U - M U, both densified."""
+    U, A, M = op._basis, ext.action, op.action
+    if sp.issparse(A) == sp.issparse(M):
+        D = (A - M) @ U
     else:
-        D = _dense(ext.action @ U) - _dense(op.action @ U)
+        D = _dense(A @ U) - _dense(M @ U)
     if sp.issparse(D):
         return float(np.sqrt(np.max(D.multiply(D).T @ op.space.weights,
                                     initial=0.0)))

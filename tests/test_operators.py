@@ -21,6 +21,7 @@ from skewflow.operators import (
 )
 from skewflow.oracles import minimal_derivative_operator
 from skewflow.spaces import Space
+from skewflow.transport import Grid2D, build_transport_operator, field_from_stream
 
 
 def rotation_generator():
@@ -254,14 +255,47 @@ def test_coupling_roundtrip_reproduces_the_seam_matrix():
     assert np.max(np.abs(rebuilt.dense_action() - ext.dense_action())) < 1e-10
 
 
-def test_extension_coupling_matches_a_per_column_solve():
-    # one solve for all n_plus columns must reproduce one solve per column
-    op = minimal_derivative_operator(32)
+def coupling_cases(name):
+    """(op, extensions) for the per-column coupling reference: the wrapped
+    model, a pinned interior stencil, an explicit-column ring and an
+    explicit domain whose action is skew there only (M != M_s)."""
+    rng = np.random.default_rng(4)
+    if name == "wrapped 32":
+        op = minimal_derivative_operator(32)
+        return op, [seam_extension(op, 1.0), seam_extension(op, 0.5),
+                    extend(op, ExtensionPlan(coupling=np.array(
+                        [[0.3, -0.2], [0.1, 0.6]])))]
+    if name == "interior 12x12":
+        op = build_transport_operator(field_from_stream(
+            Grid2D(12, 12),
+            lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y) / np.pi),
+            mode="interior_domain")
+    else:
+        n, k = 20, 3
+        w = rng.uniform(0.5, 1.5, n)
+        j = np.arange(n)
+        K = np.zeros((n, n))
+        K[j, (j + 1) % n] = -rng.uniform(0.5, 1.5, n)
+        K[(j + 1) % n, j] = -K[j, (j + 1) % n]
+        K /= w[:, None]
+        U = rng.standard_normal((n, n - k))
+        if name == "completed columns":
+            L = np.linalg.qr(U, mode="complete")[0][:, n - k:]
+            K = K + rng.standard_normal((n, k)) @ L.T
+        op = RestrictedOperator(space=Space(dim=n, weights=w), action=K,
+                                domain=U)
+    A = rng.standard_normal((op.codim, op.codim))
+    return op, [extend(op, 0.5), extend(op, 0.9 * A / np.linalg.norm(A, 2))]
+
+
+@pytest.mark.parametrize("name", ["wrapped 32", "interior 12x12",
+                                  "explicit ring", "completed columns"])
+def test_extension_coupling_matches_a_per_column_solve(name):
+    # the boundary-column route must reproduce one dense solve per column
+    op, exts = coupling_cases(name)
     dd = deficiency(op)
     Np, Nm = dd.n_plus_basis, dd.n_minus_basis
-    for ext in (seam_extension(op, 1.0), seam_extension(op, 0.5),
-                extend(op, ExtensionPlan(coupling=np.array([[0.3, -0.2],
-                                                            [0.1, 0.6]])))):
+    for ext in exts:
         A = ext.dense_action()
         V_ref = np.zeros((dd.d_minus, dd.d_plus))
         leak_ref = 0.0
@@ -273,6 +307,31 @@ def test_extension_coupling_matches_a_per_column_solve():
         V, leak = extension_coupling(op, ext)
         np.testing.assert_allclose(V, V_ref, rtol=0.0, atol=1e-13)
         assert abs(leak - leak_ref) < 1e-13
+
+
+def test_extension_coupling_refuses_a_non_extension():
+    # changing a free column breaks agreement with op on its domain
+    op = minimal_derivative_operator(32)
+    A = seam_extension(op, 0.5).dense_action()
+    A[5, 6] += 1.0
+    with pytest.raises(ValueError, match=r"residual .* does not agree with "
+                       r"op on op's domain"):
+        extension_coupling(op, RestrictedOperator(space=op.space, action=A))
+
+
+def test_extension_coupling_of_a_full_domain_op_is_empty():
+    op = RestrictedOperator(space=Space.euclidean(2),
+                            action=np.array([[0.0, -1.0], [1.0, 0.0]]))
+    V, leak = extension_coupling(op, op)
+    assert V.shape == (0, 0) and leak == 0.0
+
+
+@pytest.mark.parametrize("coupling", [np.nan, np.inf,
+                                      np.array([[0.5, np.nan], [0.0, 0.5]])],
+                         ids=["nan", "inf", "matrix"])
+def test_extend_refuses_a_non_finite_coupling(coupling):
+    with pytest.raises(ValueError, match="coupling has non-finite entries"):
+        extend(minimal_derivative_operator(16), coupling)
 
 
 def test_extend_refuses_an_action_that_is_not_skew_on_its_domain():

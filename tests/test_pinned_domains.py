@@ -759,8 +759,9 @@ def test_cached_bases_are_read_only():
 
 
 def test_extend_then_coupling_factorizes_once(monkeypatch):
-    # E - M once for the cached deficiency, E + A_ext once for the
-    # coupling recovery, which keeps the sparse extension sparse
+    # the sparse E - M_s of the cached deficiency is the one
+    # factorization: extend, extension_coupling (through the k boundary
+    # columns) and the witness all reuse it
     calls = []
     real = operators._shifted_lu
     monkeypatch.setattr(operators, "_shifted_lu",
@@ -771,16 +772,15 @@ def test_extend_then_coupling_factorizes_once(monkeypatch):
     np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-10)
     assert leak < 1e-10
     witness_nonuniqueness(op)
-    assert len(calls) == 2 and calls[0] is op.action
-    assert all(sp.issparse(a) for a in calls)
-    assert (calls[1] + ext.action).nnz == 0
+    assert len(calls) == 1 and calls[0] is op.action
+    assert sp.issparse(calls[0])
 
 
 def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
     # a W-skew action on explicit columns takes the one-LU route: one
     # factorization of E - M and one constraint-column QR serve
-    # deficiency, extend and extension_coupling, which factorizes only
-    # E + A_ext itself, and the SVD route is never reached
+    # deficiency, extend and extension_coupling, which factorizes
+    # nothing, and the SVD route is never reached
     calls, lu_args = [], []
     for name in ("_shifted_lu", "_constraint_columns"):
         real = getattr(operators, name)
@@ -799,12 +799,8 @@ def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
     V, leak = extension_coupling(op, ext)
     np.testing.assert_allclose(V, -0.4 * np.eye(2), atol=1e-12)
     assert leak < 1e-12
-    assert sorted(calls) == ["_constraint_columns", "_shifted_lu",
-                             "_shifted_lu"]
-    factorized = [a for name, a in zip(calls, lu_args)
-                  if name == "_shifted_lu"]
-    assert factorized[0] is op.action
-    np.testing.assert_array_equal(factorized[1], -ext.action)
+    assert sorted(calls) == ["_constraint_columns", "_shifted_lu"]
+    assert lu_args[calls.index("_shifted_lu")] is op.action
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +917,72 @@ def test_dissipative_generators_run_no_lu(monkeypatch):
     rep = check_m_dissipative(growth)
     assert len(calls) == 3
     assert rep.ranks == {0.5: 4, 1.0: 0, 2.0: 4} and not rep.passed
+
+
+def count_dpotrf(monkeypatch):
+    shapes = []
+    real = operators.dpotrf
+    monkeypatch.setattr(operators, "dpotrf",
+                        lambda a, **kw: shapes.append(a.shape) or real(a, **kw))
+    return shapes
+
+
+@pytest.mark.parametrize("name,B", list(_generators()),
+                         ids=[name for name, _ in _generators()])
+def test_support_block_certificate_matches_the_per_h_loop(monkeypatch, name,
+                                                          B):
+    # the Cholesky certificate factors only the rows where sym(G) is
+    # nonzero (G = B on the Euclidean space); an empty support is certified
+    # with no factorization at all
+    n = B.shape[0]
+    shapes = count_dpotrf(monkeypatch)
+    rep = check_m_dissipative(RestrictedOperator(space=Space.euclidean(n),
+                                                 action=B))
+    assert rep.ranks == reference_ranks(B), name
+    p = np.count_nonzero((B + B.T).any(axis=1))
+    assert shapes in ([], [(p, p)]), name
+    if p == 0:
+        assert shapes == [] and set(rep.ranks.values()) == {n}, name
+
+
+def test_a_sparse_wrapped_extension_is_certified_on_its_pins(monkeypatch):
+    # -extend(op, v) on the n = 512 wrapped model keeps the sparse stencil;
+    # sym(G) lives on the two pins, so the certificate factors a 2 x 2
+    # block and nothing is densified
+    op = minimal_derivative_operator(512)
+    ext = extend(op, 0.4)
+    assert sp.issparse(ext.action)
+    neg = RestrictedOperator(space=op.space, action=-ext.action)
+    dense_rep = check_m_dissipative(RestrictedOperator(
+        space=op.space, action=-ext.dense_action()))
+
+    def refuse(*_, **__):
+        raise AssertionError("sparse generator densified")
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    monkeypatch.setattr(RestrictedOperator, "dense_action", refuse)
+    shapes = count_dpotrf(monkeypatch)
+    calls = count_getrf(monkeypatch)
+    rep = check_m_dissipative(neg)
+    assert rep.passed and set(rep.ranks.values()) == {512}
+    assert shapes == [(2, 2)] and calls == []
+    assert abs(rep.form_max - dense_rep.form_max) <= 1e-15
+
+
+def test_first_column_matches_the_cached_basis():
+    rng = np.random.default_rng(8)
+    n = 24
+    w = rng.uniform(0.5, 1.5, n)
+    ops = [minimal_derivative_operator(64), interior_transport(12),
+           RestrictedOperator(space=Space(dim=n, weights=w),
+                              action=weighted_ring(w, rng.uniform(0.5, 1.5, n)),
+                              domain=coordinate_columns(n, [2, 9, 17]))]
+    for op in ops:
+        dd = deficiency(op)
+        for plus, N in ((True, dd.n_plus_basis), (False, dd.n_minus_basis)):
+            col = dd.first_column(plus)
+            assert np.max(np.abs(col - N[:, 0])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
