@@ -358,7 +358,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
         route = "scalar-coupling"
     skew = check_skew_symmetry(ext, tol=_SKEW_TOL)
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
-    neg = RestrictedOperator(space=ext.space, action=-ext.action,
+    neg = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
                              domain=None, label=f"-({ext.label})")
     mdiss = check_m_dissipative(neg, tol=1e-12, seed=args.seed)
     payload = {
@@ -562,9 +562,9 @@ def cmd_oracle_check(args, op) -> tuple[int, dict]:
         dd = deficiency(model, rank_tol=args.rank_tol)
         grid = model.meta["grid"]
         angles[str(m)] = {
-            "n_minus_vs_exp": subspace_angle(dd.first_column(plus=False),
+            "n_minus_vs_exp": subspace_angle(dd.n_minus_basis[:, 0],
                                              np.exp(grid), model.space),
-            "n_plus_vs_exp_neg": subspace_angle(dd.first_column(plus=True),
+            "n_plus_vs_exp_neg": subspace_angle(dd.n_plus_basis[:, 0],
                                                 np.exp(-grid), model.space),
         }
     checks["defect_angles"] = angles

@@ -340,29 +340,15 @@ class DeficiencyData:
         """N- = W^-1 A^-T (L C-)."""
         return self._basis(self.c_minus, trans=True)
 
-    def first_column(self, plus: bool) -> np.ndarray:
-        """Column 0 of n_plus_basis (plus True) or n_minus_basis, formed
-        alone: the Cholesky-QR factor R is upper triangular, so column 0
-        is X C[:, 0] / |X C[:, 0]|_W, one solve with the held
-        factorization. It matches the basis column to rounding level and
-        forms no n x k array."""
-        x = self._solved(self.c_plus[:, :1] if plus else self.c_minus[:, :1],
-                         trans=not plus)[:, 0]
-        return x / np.sqrt(x @ (self._weights * x))
-
-    def _solved(self, C: np.ndarray, trans: bool) -> np.ndarray:
-        """X C: A^-1 W^-1 L C (trans False) or W^-1 A^-T L C."""
-        w = self._weights[:, None]
-        if trans:
-            return self._solve(self._constraints @ C, True) / w
-        return self._solve(self._constraints @ C / w, False)
-
     def _basis(self, C: np.ndarray, trans: bool) -> np.ndarray:
         w = self._weights[:, None]
         if C.shape[1] == 0:
             N = np.zeros((w.size, 0))
         else:
-            N = self._solved(C, trans)
+            if trans:
+                N = self._solve(self._constraints @ C, True) / w
+            else:
+                N = self._solve(self._constraints @ C / w, False)
             # one Cholesky-QR step: N^T W N = R^T R, N <- N R^-1
             N = N @ dtrtri(sla.cholesky(N.T @ (w * N)))[0]
         N.flags.writeable = False
@@ -703,8 +689,9 @@ def extension_coupling(op: RestrictedOperator,
     half of the added domain direction, and (E - A_ext) g lands back in
     the n_minus subspace with coordinates equal to the coupling column.
     Returns (V, defect) where defect measures how far those images leak
-    out of the n_minus subspace (nonzero leak means ext does not extend op
-    through the defect pair at all).
+    out of the n_minus subspace: nonzero for an extension whose images
+    leave N-, such as a rank-k extension not of von Neumann form. An ext
+    that does not extend op at all is refused (ValueError, below).
 
     Nothing is factorized: E + A_ext is read through its k boundary
     columns with the factorization deficiency holds. M_s is W-skew, so H
@@ -842,11 +829,11 @@ def _form_max(B: np.ndarray, w: np.ndarray, seed: int) -> float:
     return float(np.max(num / den))
 
 
-def _resolvents_certified(G, g_max: float, w: np.ndarray,
+def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
                           h_max: float) -> bool:
     """Whether one Cholesky factorization shows E - hB invertible and well
     conditioned for every 0 < h <= h_max, given G = sqrt(W) B sqrt(W)^-1
-    (dense and overwritten, or sparse) and g_max = max|G|.
+    (overwritten) and g_max = max|G|.
 
     With delta = 1 / (2 h_max), a positive definite delta E - (G + G^T)/2
     gives ((E - hG)u, u) >= (1 - h delta)|u|^2 >= |u|^2 / 2, so
@@ -860,24 +847,15 @@ def _resolvents_certified(G, g_max: float, w: np.ndarray,
     has an entry other than exactly zero, delta E - (G + G^T)/2 is delta
     E off P, so it is positive definite iff its P x P block is. dpotrf
     runs on that block (in place on G when P is every row; an empty P is
-    certified). A sparse G gives the block from its nonzero entries and
-    is never densified.
+    certified).
     """
     n = G.shape[0]
     cond = (1.0 + h_max * n * g_max) * 2.0 * (w.max() / w.min())
     if not cond * 2.0 * n * np.finfo(float).eps < 1.0:
         return False
-    if sp.issparse(G):
-        S = (G + G.T).tocoo()
-        nz = S.data != 0.0
-        rows, cols = S.row[nz], S.col[nz]
-        P = np.unique(rows)
-        block = np.zeros((P.size, P.size))
-        block[np.searchsorted(P, rows), np.searchsorted(P, cols)] = S.data[nz]
-    else:
-        G += G.T
-        P = np.flatnonzero(G.any(axis=1))
-        block = G if P.size == n else G[np.ix_(P, P)]
+    G += G.T
+    P = np.flatnonzero(G.any(axis=1))
+    block = G if P.size == n else G[np.ix_(P, P)]
     if P.size == 0:
         return True
     block *= -0.5
@@ -908,10 +886,8 @@ def check_m_dissipative(gen: RestrictedOperator,
     and a condition bound rules out a numerically singular E - hB, every
     rank is n and no LU runs. Otherwise each rank costs one LU
     factorization unless E - hB is close enough to singular to need the
-    SVD (see _rank). A sparse generator stays sparse through the probes,
-    G and the certificate; only the per-h LU densifies it. Raises
-    ValueError for a restricted or non-finite generator, an empty h_list,
-    and an h that is not finite and positive.
+    SVD (see _rank). Raises ValueError for a restricted or non-finite
+    generator, an empty h_list, and an h that is not finite and positive.
     """
     if not gen.is_full_domain:
         raise ValueError("m-dissipativity applies to full-domain generators")
@@ -921,8 +897,8 @@ def check_m_dissipative(gen: RestrictedOperator,
     # written so that NaN fails too
     if not all(0.0 < h < np.inf for h in hs):
         raise ValueError("every step size h must be finite and positive")
-    B = gen.action if sp.issparse(gen.action) else gen.dense_action()
-    if not np.all(np.isfinite(B.data if sp.issparse(B) else B)):
+    B = gen.dense_action()
+    if not np.all(np.isfinite(B)):
         raise ValueError("generator action has non-finite entries")
     n, W = gen.dim, gen.space.weights
     form_max = _form_max(B, W, seed)
@@ -935,7 +911,7 @@ def check_m_dissipative(gen: RestrictedOperator,
     if certified:
         ranks = dict.fromkeys(hs, n)
     else:
-        B, E = _dense(B), np.eye(n)
+        E = np.eye(n)
         ranks = {h: _rank(E - h * B) for h in hs}
     ok = ok and all(r == n for r in ranks.values())
     return MDissipativityReport(form_max=form_max, ranks=ranks, dim=n,

@@ -268,7 +268,7 @@ def witness_nonuniqueness(op: RestrictedOperator,
             "forward problem unique: the minus defect space is trivial, "
             "so no exponential witness exists"
         )
-    return ExponentialWitness(u0=dd.first_column(plus=False), op=op)
+    return ExponentialWitness(u0=dd.n_minus_basis[:, 0], op=op)
 
 
 def splice(witness: ExponentialWitness, gen: RestrictedOperator,
