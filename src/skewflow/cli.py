@@ -317,7 +317,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
     dd, message = None, None
     if skew.passed:
         try:
-            dd = deficiency(op, rank_tol=args.rank_tol)
+            dd = deficiency(op)
         except ValueError as exc:
             message = str(exc)
     # 32 seeded domain probes u: | |u + Mu| - |u - Mu| | / |u|
@@ -336,10 +336,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
         "skew": {"max_defect": skew.max_defect, "pass": skew.passed},
         "d_plus": dd.d_plus if dd else None,
         "d_minus": dd.d_minus if dd else None,
-        # deficiency's counts are exact; the key stays for report readers
-        "ill_conditioned": False,
         "cayley_isometry_defect": iso,
-        "rank_tol": args.rank_tol,
         "pass": dd is not None,
     }
     if message:
@@ -354,7 +351,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
         ext = seam_extension(op, theta)
         route = "seam"
     else:
-        ext = extend(op, theta, rank_tol=args.rank_tol)
+        ext = extend(op, theta)
         route = "scalar-coupling"
     skew = check_skew_symmetry(ext, tol=_SKEW_TOL)
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
@@ -373,7 +370,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
                                    "pass": mdiss.passed},
     }
     if not op.is_full_domain:
-        V, leak = extension_coupling(op, ext, rank_tol=args.rank_tol)
+        V, leak = extension_coupling(op, ext)
         payload["coupling_matrix"] = V
         payload["coupling_subspace_defect"] = leak
     ok = (rdef <= _SKEW_TOL
@@ -443,9 +440,9 @@ def cmd_witness(args, op) -> tuple[int, dict]:
     dt, nsteps = _weak_steps(args, op.dim)
     # an action that is not skew on its domain is refused here (an error
     # report), not reported unique below
-    deficiency(op, rank_tol=args.rank_tol)
+    deficiency(op)
     try:
-        wit = witness_nonuniqueness(op, tol=args.rank_tol)
+        wit = witness_nonuniqueness(op)
     except ValueError as exc:
         payload = {"command": "witness", "label": op.label,
                    "unique": True, "message": str(exc), "pass": False}
@@ -559,7 +556,7 @@ def cmd_oracle_check(args, op) -> tuple[int, dict]:
     angles = {}
     for m in (32, 64, 128):
         model = minimal_derivative_operator(m)
-        dd = deficiency(model, rank_tol=args.rank_tol)
+        dd = deficiency(model)
         grid = model.meta["grid"]
         angles[str(m)] = {
             "n_minus_vs_exp": subspace_angle(dd.n_minus_basis[:, 0],
@@ -604,6 +601,20 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _nonnegative_float(text: str) -> float:
+    x = _finite_float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return x
+
+
+def _unit_interval_float(text: str) -> float:
+    x = _finite_float(text)
+    if abs(x) > 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [-1, 1]")
+    return x
+
+
 # argparse spec of every flag a command can take
 _FLAGS = {
     "--input": dict(required=True, type=Path,
@@ -611,30 +622,29 @@ _FLAGS = {
     "--out": dict(required=True, type=Path,
                   help="output directory for report.json and CSVs"),
     "--seed": dict(type=int, default=0),
-    "--rank-tol": dict(type=_positive_float, default=1e-8),
     "--gs-tol": dict(type=_positive_float, default=1e-5),
     "--dt": dict(type=_positive_float, default=1e-3),
     "--horizon": dict(type=_positive_float, default=2.0),
     "--method": dict(choices=("exact", "cayley"), default="cayley"),
-    "--theta": dict(type=_finite_float, required=True,
+    "--theta": dict(type=_unit_interval_float, required=True,
                     help="coupling parameter in [-1, 1]"),
-    "--t0": dict(type=_finite_float, default=0.5,
-                 help="splice time for the spliced witness"),
+    "--t0": dict(type=_nonnegative_float, default=0.5,
+                 help="splice time for the spliced witness (>= 0)"),
 }
 
 # command -> (handler, help, the flags it reads besides --input/--out/--seed)
 COMMANDS = {
     "analyze": (cmd_analyze, "skewness, defect dimensions, isometry probe",
-                ("--rank-tol",)),
+                ()),
     "extend": (cmd_extend, "build and check a coupled extension (--theta)",
-               ("--theta", "--rank-tol")),
+               ("--theta",)),
     "evolve": (cmd_evolve, "time-step a full-domain generator",
                ("--dt", "--horizon", "--method")),
     "verify": (cmd_verify, "weak-identity residuals of the forward flow",
                ("--dt", "--horizon", "--gs-tol")),
     "witness": (cmd_witness,
                 "exponential witness vs contractive flow (--t0 splice)",
-                ("--dt", "--horizon", "--gs-tol", "--rank-tol", "--t0")),
+                ("--dt", "--horizon", "--gs-tol", "--t0")),
     "multiplicity": (cmd_multiplicity,
                      "two maximal couplings from the same initial data",
                      ("--dt", "--horizon", "--gs-tol")),
@@ -643,7 +653,7 @@ COMMANDS = {
                       ("--dt", "--horizon")),
     "oracle-check": (cmd_oracle_check,
                      "closed-form self-checks (no operator needed)",
-                     ("--rank-tol",)),
+                     ()),
 }
 
 

@@ -83,9 +83,9 @@ class RestrictedOperator:
     # W-orthonormal domain basis U: dense columns or sparse scaled units
     _basis: Union[np.ndarray, sp.csc_matrix] = field(
         init=False, repr=False, compare=False, default=None)
-    # DeficiencyData per rank_tol, filled by deficiency()
-    _deficiency: dict = field(init=False, repr=False, compare=False,
-                              default_factory=dict)
+    # DeficiencyData, filled by deficiency()
+    _deficiency: Optional[DeficiencyData] = field(init=False, repr=False,
+                                                  compare=False, default=None)
     # constraint columns L, filled by constraint_columns()
     _constraints: Optional[sp.csc_matrix] = field(init=False, repr=False,
                                                   compare=False, default=None)
@@ -93,10 +93,6 @@ class RestrictedOperator:
     # full-domain action, filled by the evolution module's skew paths
     _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
                                     default=None)
-    # W-skew completion M_s of the action (_skew_action), which agrees with
-    # it on the domain; set by deficiency(), None before that
-    _skew_completion: Union[None, np.ndarray, sp.spmatrix] = field(
-        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.dim
@@ -313,16 +309,17 @@ class DeficiencyData:
     of E and upper triangular, so the DC column keeps its direction and
     no column changes sign; the bases are then cached read-only.
 
-    completion_residual is the _skew_ratio of the completion _skew_action
-    chose (at most 1e-12).
+    skew_completion is that M_s, which extend and extension_coupling
+    read, and completion_residual is the _skew_ratio of the branch
+    _skew_action took (at most 1e-12).
     """
 
     d_plus: int
     d_minus: int
-    tol_used: float
     F: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
+    skew_completion: Union[np.ndarray, sp.spmatrix] = field(repr=False)
     completion_residual: float
     # solve(b, trans) for E - M_s (None on the full domain), the
     # constraint columns and the weights: what the bases are formed from
@@ -436,8 +433,10 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     """Defect dimensions and boundary data for the pair of shifted ranges.
 
     d_plus = codim Im(E + M)|_domain, d_minus = codim Im(E - M)|_domain.
-    The result is computed once per (operator, rank_tol), cached on the
-    operator and returned with read-only bases on later calls.
+    The result is computed once per operator, cached on it and returned
+    with read-only bases on later calls. rank_tol is unused: it is
+    accepted so that callers passing it still run, and every value
+    returns the same cached object.
 
     The action is first completed to a W-skew M_s that agrees with it on
     the domain (_skew_action, which raises ValueError when the action is
@@ -446,8 +445,7 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     N- = W^-1 A^-T L with A = E - M_s; skewness gives (E + M_s)^T W = W
     A, hence N+ = A^-1 W^-1 L. Since |(E -+ M)u| >= |u|, both have
     exactly k = codim independent columns: the counts are exact, both
-    the codimension, so rank_tol decides nothing (it is recorded as
-    tol_used and keys the cache).
+    the codimension, with no rank decision to make.
 
     One LU factorization of E - M_s gives F = L^T A^-1 W^-1 L by k solves
     in blocks of _SOLVE_BLOCK columns, of which only L^T X is kept, and
@@ -457,21 +455,19 @@ def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData
     the bases are formed when first read (see DeficiencyData). The full
     domain (k = 0) factorizes nothing.
     """
-    key = float(rank_tol)
-    dd = op._deficiency.get(key)
-    if dd is None:
-        dd = op._deficiency[key] = _deficiency(op, key)
-    return dd
+    if op._deficiency is None:
+        op._deficiency = _deficiency(op)
+    return op._deficiency
 
 
-def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
-    op._skew_completion, residual = _skew_action(op)
+def _deficiency(op: RestrictedOperator) -> DeficiencyData:
+    M_s, residual = _skew_action(op)
     L, w = op.constraint_columns(), op.space.weights
     n, k = L.shape
     solve, F = None, np.zeros((0, 0))
     Cp = Cm = F
     if k:
-        solve, Lt = _shifted_lu(op._skew_completion), L.T.tocsr()
+        solve, Lt = _shifted_lu(M_s), L.T.tocsr()
         F = np.empty((k, k))
         for lo in range(0, k, _SOLVE_BLOCK):
             cols = L[:, lo:lo + _SOLVE_BLOCK].toarray() / w[:, None]
@@ -484,8 +480,8 @@ def _deficiency(op: RestrictedOperator, rank_tol: float) -> DeficiencyData:
     for a in (F, Cp, Cm):
         a.flags.writeable = False
     return DeficiencyData(
-        d_plus=k, d_minus=k, tol_used=rank_tol, F=F, c_plus=Cp, c_minus=Cm,
-        completion_residual=residual,
+        d_plus=k, d_minus=k, F=F, c_plus=Cp, c_minus=Cm,
+        skew_completion=M_s, completion_residual=residual,
         _solve=solve, _constraints=L, _weights=w)
 
 
@@ -535,47 +531,36 @@ def cayley(op: RestrictedOperator) -> CayleyData:
 # extensions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtensionPlan:
-    """A contraction coupling the two defect subspaces.
-
-    coupling is either a scalar v with |v| <= 1 (shorthand for v times the
-    identity, requiring equal defect dimensions) or a (d_minus x d_plus)
-    matrix V with largest singular value <= 1. Column i of V gives the
-    n_minus coordinates attached to the i-th n_plus direction: the added
-    domain directions are w_i = n_plus_i + sum_k V[k, i] n_minus_k with
-    action w_i |-> n_plus_i - sum_k V[k, i] n_minus_k. Couplings with
-    top singular value exactly 1 keep the result skew in the directions
-    they saturate; strict contractions absorb energy there. matrix()
-    refuses a coupling with a non-finite entry (ValueError).
-    """
-
-    coupling: Union[float, np.ndarray]
-
-    def matrix(self, d_plus: int, d_minus: int) -> np.ndarray:
-        c = self.coupling
-        V = np.asarray(c, dtype=float)
-        if not np.isfinite(V).all():
-            raise ValueError("coupling has non-finite entries")
-        if np.isscalar(c):
-            if d_plus != d_minus:
-                raise ValueError(
-                    "scalar coupling requires equal defect dimensions; "
-                    f"got ({d_plus}, {d_minus})"
-                )
-            return float(c) * np.eye(d_minus, d_plus)
-        if V.ndim != 2 or V.shape != (d_minus, d_plus):
-            raise ValueError(
-                f"coupling shape {V.shape} != (d_minus, d_plus) = "
-                f"({d_minus}, {d_plus})"
-            )
-        return V
+def _coupling_matrix(coupling, k: int) -> np.ndarray:
+    """The k x k matrix V of a coupling: a number (a 0-d array too) v
+    stands for v times the identity. ValueError for a non-finite entry,
+    a shape other than (k, k) and a largest singular value above 1 +
+    1e-10."""
+    V = np.asarray(coupling, dtype=float)
+    if not np.isfinite(V).all():
+        raise ValueError("coupling has non-finite entries")
+    if V.ndim == 0:
+        V = V * np.eye(k)
+    if V.shape != (k, k):
+        raise ValueError(f"coupling shape {V.shape} != (codim, codim) = "
+                         f"({k}, {k})")
+    smax = np.linalg.svd(V, compute_uv=False)[0]
+    if not smax <= 1.0 + 1e-10:
+        raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
+    return V
 
 
 def extend(op: RestrictedOperator,
-           plan: Union[ExtensionPlan, float, np.ndarray],
-           rank_tol: float = 1e-8) -> RestrictedOperator:
+           coupling: Union[float, np.ndarray]) -> RestrictedOperator:
     """Enlarge the domain along the defect coupling and solve for the action.
+
+    coupling is a contraction V between the two defect spaces: a number
+    v with |v| <= 1 (v times the identity) or a (codim x codim) matrix
+    with largest singular value <= 1; _coupling_matrix refuses anything
+    else with ValueError. Column i of V gives the N- coordinates
+    attached to the i-th N+ direction: the added domain directions are
+    z_i = N+_i + sum_j V[j, i] N-_j, with action z_i |-> N+_i - sum_j
+    V[j, i] N-_j.
 
     The new operator agrees with op on op's domain (enforced to within
     1e-10 relative), acts on each added direction as prescribed by the
@@ -590,12 +575,12 @@ def extend(op: RestrictedOperator,
     degenerate and no extension exists along them.
 
     With the constraint columns L of the domain (k = codim of them), the
-    W-skew completion M_s that deficiency left on the operator
-    (_skew_action) and the added directions Z = N+ + N- V with images T =
-    N+ - N- V, the action is the rank-k update A_ext = M_s + R L^T with R
-    = (T - M_s Z)(L^T Z)^-1: it leaves M_s, which is M there, on {L^T u =
-    0} and sends Z to T. Since M_s X+ = X+ - W^-1 L and M_s X- = W^-1 L -
-    X-, T - M_s Z = W^-1 L (C+ - C- V) and L^T Z = F C+ + F^T C- V, so
+    W-skew completion M_s that deficiency holds (skew_completion) and
+    the added directions Z = N+ + N- V with images T = N+ - N- V, the
+    action is the rank-k update A_ext = M_s + R L^T with R = (T - M_s
+    Z)(L^T Z)^-1: it leaves M_s, which is M there, on {L^T u = 0} and
+    sends Z to T. Since M_s X+ = X+ - W^-1 L and M_s X- = W^-1 L - X-,
+    T - M_s Z = W^-1 L (C+ - C- V) and L^T Z = F C+ + F^T C- V, so
 
         A_ext = M_s + W^-1 L Y L^T,  Y = (C+ - C- V)(F C+ + F^T C- V)^-1,
 
@@ -603,9 +588,7 @@ def extend(op: RestrictedOperator,
     or read. Only L^T Z is decomposed; the ratio of its extreme singular
     values decides density (at most 1e-10 is refused) and is recorded as
     meta["density_ratio"]. One LU of (L^T Z)^T then gives Y and P below.
-    Y is accurate to about eps / density_ratio relative. A coupling with
-    a non-finite entry is refused (ValueError, ExtensionPlan.matrix)
-    before any of this.
+    Y is accurate to about eps / density_ratio relative.
 
     How accurate it came out is recorded as meta["dissipation_defect"],
     also from k x k data. M_s is W-skew, so the symmetric part of W A_ext
@@ -620,16 +603,11 @@ def extend(op: RestrictedOperator,
     plus a k x k block on the pins) and a dense one is copied once.
     Explicit-column domains get the dense n x n rank-k update.
     """
-    if not isinstance(plan, ExtensionPlan):
-        plan = ExtensionPlan(coupling=plan)
-    dd = deficiency(op, rank_tol=rank_tol)
-    d_p, d_m = dd.d_plus, dd.d_minus
-    if d_p == 0 and d_m == 0:
+    dd = deficiency(op)
+    k = dd.d_plus
+    if k == 0:
         return op  # already maximal: nothing to couple
-    V = plan.matrix(d_p, d_m)
-    smax = np.linalg.svd(V, compute_uv=False)[0]
-    if not smax <= 1.0 + 1e-10:
-        raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
+    V = _coupling_matrix(coupling, k)
 
     CmV = dd.c_minus @ V
     LZ = dd.F @ dd.c_plus + dd.F.T @ CmV
@@ -639,11 +617,11 @@ def extend(op: RestrictedOperator,
     # one LU of L^T Z^T serves Y and both solves for P
     lu = sla.lu_factor(LZ.T)
     Y = sla.lu_solve(lu, (dd.c_plus - CmV).T).T
-    P = sla.lu_solve(lu, sla.lu_solve(lu, np.eye(d_p) - V.T @ V).T)
+    P = sla.lu_solve(lu, sla.lu_solve(lu, np.eye(k) - V.T @ V).T)
     scale = max(_max_abs(Y), _max_abs(P))
     dissipation = _max_abs(0.5 * (Y + Y.T) - P) / scale if scale else 0.0
 
-    M, w = op._skew_completion, op.space.weights
+    M, w = dd.skew_completion, op.space.weights
     if isinstance(op.domain, PinnedDomain):
         pins = op.domain.pins
         action = _pinned_block_update(M, pins, Y / w[pins, None])
@@ -680,9 +658,7 @@ def _pinned_block_update(M, pins: np.ndarray, block: np.ndarray):
     return A
 
 
-def extension_coupling(op: RestrictedOperator,
-                       ext: RestrictedOperator,
-                       rank_tol: float = 1e-8):
+def extension_coupling(op: RestrictedOperator, ext: RestrictedOperator):
     """Recover the defect coupling a full-domain extension realizes.
 
     For each n_plus basis direction z the vector g = (E + A_ext)^{-1} z is
@@ -694,8 +670,9 @@ def extension_coupling(op: RestrictedOperator,
     that does not extend op at all is refused (ValueError, below).
 
     Nothing is factorized: E + A_ext is read through its k boundary
-    columns with the factorization deficiency holds. M_s is W-skew, so H
-    = (E + M_s)^-1 = W^-1 (E - M_s)^-T W is one transpose solve with it.
+    columns with what deficiency holds, the W-skew completion M_s
+    (skew_completion) and the factorization of E - M_s. So H = (E +
+    M_s)^-1 = W^-1 (E - M_s)^-T W is one transpose solve.
     An extension agrees with M_s on {L^T u = 0}, so E + A_ext = E + M_s +
     D L^T with D = (A_ext - M_s) L (the pin columns of the difference on
     a pinned domain), and by Sherman-Morrison-Woodbury
@@ -711,7 +688,7 @@ def extension_coupling(op: RestrictedOperator,
     """
     if not ext.is_full_domain:
         raise ValueError("coupling recovery expects a full-domain extension")
-    dd = deficiency(op, rank_tol=rank_tol)
+    dd = deficiency(op)
     k = dd.d_plus
     if k == 0:
         return np.zeros((0, 0)), 0.0
@@ -723,7 +700,7 @@ def extension_coupling(op: RestrictedOperator,
     def H(b):
         return dd._solve(w * b, True) / w
 
-    HN, HD = np.hsplit(H(np.hstack([Np, A @ Ld - op._skew_completion @ Ld])),
+    HN, HD = np.hsplit(H(np.hstack([Np, A @ Ld - dd.skew_completion @ Ld])),
                        [k])
     lu = sla.lu_factor(np.eye(k) + L.T @ HD)
 

@@ -254,15 +254,14 @@ class ExponentialWitness:
                           stepper_meta={"method": "exponential-witness"})
 
 
-def witness_nonuniqueness(op: RestrictedOperator,
-                          tol: float = 1e-8) -> ExponentialWitness:
+def witness_nonuniqueness(op: RestrictedOperator) -> ExponentialWitness:
     """Extract the smooth exponential witness from the minus defect space.
 
     Raises when the minus defect space is trivial — then every bounded
     generalized solution of the forward problem coincides with the
     (unique) contractive one and there is nothing to exhibit.
     """
-    dd = deficiency(op, rank_tol=tol)
+    dd = deficiency(op)
     if dd.d_minus == 0:
         raise ValueError(
             "forward problem unique: the minus defect space is trivial, "

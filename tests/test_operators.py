@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewflow import operators
 from skewflow.cli import main
 from skewflow.operators import (
-    ExtensionPlan,
     RestrictedOperator,
     cayley,
     check_inclusion_in_adjoint,
@@ -166,13 +166,31 @@ def test_interior_scalar_couplings_are_accretive_extensions():
         assert check_m_dissipative(neg).passed
 
 
-def test_extension_plan_matrix_shapes():
-    plan = ExtensionPlan(coupling=0.5)
-    assert plan.matrix(2, 2).shape == (2, 2)
+def test_extend_validates_its_coupling():
+    # a float and a 0-d array are v times the identity, a k x k array is
+    # taken as it is; another shape, a non-finite entry and sigma_max > 1
+    # are refused
+    op = minimal_derivative_operator(32)
     v = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(ExtensionPlan(coupling=v).matrix(2, 2), v)
-    with pytest.raises(ValueError):
-        ExtensionPlan(coupling=v).matrix(1, 2)
+    assert np.array_equal(operators._coupling_matrix(v, 2), v)
+    for c in (0.5, np.array(0.5), np.float64(0.5), 0.5 * np.eye(2)):
+        assert np.array_equal(operators._coupling_matrix(c, 2),
+                              0.5 * np.eye(2))
+    ref = extend(op, 0.5).dense_action()
+    for c in (np.array(0.5), 0.5 * np.eye(2)):
+        ext = extend(op, c)
+        assert np.array_equal(ext.dense_action(), ref)
+        assert np.array_equal(ext.meta["coupling"], 0.5 * np.eye(2))
+    for c in (np.ones(2), np.eye(3), np.eye(2)[:1], [[[0.5]]]):
+        with pytest.raises(ValueError, match=r"coupling shape .* != "
+                           r"\(codim, codim\) = \(2, 2\)"):
+            extend(op, c)
+    for c in (np.array(np.nan), np.array([[0.5, np.inf], [0.0, 0.5]])):
+        with pytest.raises(ValueError, match="coupling has non-finite"):
+            extend(op, c)
+    for c in (1.5, np.array(-1.5), np.diag([0.5, 1.2])):
+        with pytest.raises(ValueError, match="coupling must be a contraction"):
+            extend(op, c)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +269,7 @@ def test_coupling_roundtrip_reproduces_the_seam_matrix():
     op = minimal_derivative_operator(64)
     ext = seam_extension(op, -1.0)
     V, _ = extension_coupling(op, ext)
-    rebuilt = extend(op, ExtensionPlan(coupling=V))
+    rebuilt = extend(op, V)
     assert np.max(np.abs(rebuilt.dense_action() - ext.dense_action())) < 1e-10
 
 
@@ -264,8 +282,7 @@ def coupling_cases():
     for n in (32, 256):
         op = minimal_derivative_operator(n)
         yield op, [seam_extension(op, 1.0), seam_extension(op, 0.5),
-                   extend(op, ExtensionPlan(coupling=np.array(
-                       [[0.3, -0.2], [0.1, 0.6]])))]
+                   extend(op, np.array([[0.3, -0.2], [0.1, 0.6]]))]
     rng = np.random.default_rng(4)
     n, k = 20, 3
     w = rng.uniform(0.5, 1.5, n)

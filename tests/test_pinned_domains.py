@@ -25,7 +25,6 @@ from scipy.linalg.lapack import dgetrf
 from skewflow import operators, weak
 from skewflow.cli import main
 from skewflow.operators import (
-    ExtensionPlan,
     PinnedDomain,
     RestrictedOperator,
     check_inclusion_in_adjoint,
@@ -191,7 +190,7 @@ def test_a_non_skew_action_on_a_pinned_domain_is_refused(monkeypatch):
         with pytest.raises(ValueError, match=r"not skew on its domain "
                            r"\(max\|S \+ S\^T\| = 6\.000e-01\)"):
             call(op)
-    assert calls == [] and op._deficiency == {}
+    assert calls == [] and op._deficiency is None
     # a skew action on the same domain factorizes once
     deficiency(RestrictedOperator(space=op.space,
                                   action=weighted_ring(w, np.ones(n)),
@@ -338,7 +337,7 @@ def test_extend_matches_the_dense_solve(name, op):
     rng = np.random.default_rng(5)
     for v in couplings(op.codim, rng):
         ext = extend(op, v)
-        V = ExtensionPlan(coupling=v).matrix(op.codim, op.codim)
+        V = operators._coupling_matrix(v, op.codim)
         ref = reference_extend(op, V)
         got = ext.dense_action()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -412,8 +411,8 @@ def test_pinned_extend_is_the_sparse_block_update(name, build, theta):
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
 def test_extend_reads_the_skew_completion_that_deficiency_left(monkeypatch,
                                                                sparse):
-    # deficiency tests the action for a W-skew completion once and keeps
-    # it on the operator; extend reads it there instead of testing again
+    # deficiency tests the action for a W-skew completion once and holds
+    # it; extend reads it there instead of testing again
     calls = []
     real = operators._skew_action
     monkeypatch.setattr(operators, "_skew_action",
@@ -422,8 +421,8 @@ def test_extend_reads_the_skew_completion_that_deficiency_left(monkeypatch,
     if not sparse:
         op = RestrictedOperator(space=op.space, action=op.dense_action(),
                                 domain=op.domain)
-    deficiency(op)
-    assert len(calls) == 1 and op._skew_completion is op.action
+    dd = deficiency(op)
+    assert len(calls) == 1 and dd.skew_completion is op.action
     ext = extend(op, 0.5)
     assert len(calls) == 1
     assert sp.issparse(ext.action) == sparse
@@ -443,7 +442,7 @@ def nk_reference(op):
     of each in W coordinates, the Householder turn onto the DC
     projection and the sign rule; and for a coupling V, Y = L^T W R with
     R = (T - M_s Z)(L^T Z)^-1."""
-    M = op._skew_completion
+    M = deficiency(op).skew_completion
     L = op.constraint_columns().toarray()
     w = op.space.weights
     sw = np.sqrt(w)[:, None]
@@ -511,9 +510,9 @@ def test_boundary_form_matches_the_nk_route(name, build):
     L = op.constraint_columns()
     A = np.random.default_rng(k).standard_normal((k, k))
     for v in (0.5, 0.9 * A / np.linalg.norm(A, 2)):
-        D = extend(op, v).action - op._skew_completion
+        D = extend(op, v).action - dd.skew_completion
         Y = L.T @ (w[:, None] * _as_dense(D @ L))
-        Y_ref = block(ExtensionPlan(coupling=v).matrix(k, k))
+        Y_ref = block(operators._coupling_matrix(v, k))
         assert np.max(np.abs(Y - Y_ref)) <= 1e-13 * np.max(np.abs(Y_ref))
     for got, ref in ((dd.n_plus_basis, Np), (dd.n_minus_basis, Nm)):
         assert np.max(np.abs(got - ref)) <= 1e-10
@@ -569,7 +568,7 @@ def test_extend_records_the_density_ratio():
     op = minimal_derivative_operator(32)
     dd = deficiency(op)
     for v in (0.5, -0.3, np.array([[0.2, 0.5], [-0.1, 0.3]])):
-        V = ExtensionPlan(coupling=v).matrix(2, 2)
+        V = operators._coupling_matrix(v, 2)
         sv = np.linalg.svd(dd.F @ dd.c_plus + dd.F.T @ dd.c_minus @ V,
                            compute_uv=False)
         ratio = extend(op, v).meta["density_ratio"]
@@ -591,14 +590,14 @@ def test_extend_records_the_dissipation_defect(name, op):
     # from the n x k reference bases: within about eps / density_ratio,
     # for inner couplings (P = 0) and strict contractions alike
     k, w = op.codim, op.space.weights
-    deficiency(op)
+    dd = deficiency(op)
     Np, Nm, _ = nk_reference(op)
     L = op.constraint_columns()
     Q = np.linalg.qr(np.random.default_rng(k).standard_normal((k, k)))[0]
     for v in (0.5, -np.eye(k)[::-1], 0.9 * Q[::-1]):
         ext = extend(op, v)
         V = ext.meta["coupling"]
-        Y = L.T @ (w[:, None] * _as_dense((ext.action - op._skew_completion)
+        Y = L.T @ (w[:, None] * _as_dense((ext.action - dd.skew_completion)
                                           @ L))
         LZ = L.T @ (Np + Nm @ V)
         P = np.linalg.solve(LZ.T, np.linalg.solve(LZ.T, np.eye(k) - V.T @ V).T)
@@ -734,14 +733,21 @@ def test_mask_checks_agree_with_the_basis_formulas():
 # the cache
 # ---------------------------------------------------------------------------
 
-def test_deficiency_is_cached_per_rank_tol():
+def test_deficiency_is_cached_once_per_operator(monkeypatch):
+    # one DeficiencyData and one factorization per operator, whatever
+    # rank_tol says: the counts are exact, so it decides nothing
+    calls = []
+    real = operators._shifted_lu
+    monkeypatch.setattr(operators, "_shifted_lu",
+                        lambda a: calls.append(1) or real(a))
     op = minimal_derivative_operator(32)
     dd = deficiency(op)
-    assert deficiency(op) is dd
-    other = deficiency(op, rank_tol=1e-6)
-    assert other is not dd and other.tol_used == 1e-6
-    assert deficiency(op, rank_tol=1e-6) is other
+    assert op._deficiency is dd and deficiency(op) is dd
+    for tol in (1e-6, 1e-8, 1e-12):
+        assert deficiency(op, rank_tol=tol) is dd
+    assert calls == [1]
     assert deficiency(minimal_derivative_operator(32)) is not dd
+    assert calls == [1, 1]
 
 
 def test_cached_bases_are_read_only():
