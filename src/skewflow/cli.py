@@ -70,7 +70,7 @@ class CliError(Exception):
     """Usage or input-format problem (exit code 1)."""
 
 
-# skewness and restriction defects above this fail a check
+# restriction defects above this fail a check
 _SKEW_TOL = 1e-10
 # most floats one stored trajectory ((steps + 1) x dim) or one dense
 # dim x dim action may hold: 256 MiB
@@ -310,10 +310,9 @@ def _dense_size_guard(args, op: RestrictedOperator) -> None:
 
 
 def cmd_analyze(args, op) -> tuple[int, dict]:
-    skew = check_skew_symmetry(op, tol=_SKEW_TOL)
-    # defect counts exist only for an action that is skew on its domain.
-    # deficiency's test is relative (operators._is_skew), so it may still
-    # refuse a defect below _SKEW_TOL; its message goes into the report
+    skew = check_skew_symmetry(op)
+    # defect counts exist only for an action that is skew on its domain;
+    # a refusal by deficiency all the same goes into the report
     dd, message = None, None
     if skew.passed:
         try:
@@ -353,7 +352,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
     else:
         ext = extend(op, theta)
         route = "scalar-coupling"
-    skew = check_skew_symmetry(ext, tol=_SKEW_TOL)
+    skew = check_skew_symmetry(ext)
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
     neg = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
                              domain=None, label=f"-({ext.label})")

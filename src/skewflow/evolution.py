@@ -62,26 +62,35 @@ blocks of rows, with no Python work per row:
   q = |S|_inf and the fill: when q < 1, the Neumann sum of S^j b over
   j <= K, with K the smallest count for which q^(K+1) / (1 - q) <= eps/2
   (so the truncation stays below rounding in the inf-norm), is taken by
-  K Horner products x <- S x + b if K nnz(S) < nnz(L) + nnz(U), the
-  factors' entries as SuperLU stores them; else
-  SuperLU's triangular solve pair runs. The new state is 2x - u for the
-  solution x of (E - dt/2 B) x = u, so no product with B is taken.
+  at most K Horner products x <- S x + b if K nnz(S) < nnz(L) + nnz(U),
+  the factors' entries as SuperLU stores them; else SuperLU's triangular
+  solve pair runs. K is only the cap: a step stops at the first product
+  j after which the rest of its own series, at most
+  q/(1 - q) |x_j - x_{j-1}|, is below eps/2 |b| (``_neumann_sum``), so
+  it keeps the same bound and smooth states pay fewer products. The new
+  state is 2x - u for the solution x of (E - dt/2 B) x = u, so no
+  product with B is taken.
   I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
   sparse action skewflow builds is structurally symmetric) and keeps
   every nonzero diagonal pivot, however small against its column, so the
-  ordering holds at large steps too. On the 64^2 rotation stencil at dt = 2 pi / 2000 the
-  factor has 190k L+U nonzeros (401k under SuperLU's default COLAMD
-  ordering; SuperLU stores them in 225k entries) while S has 18k and
-  q = 0.0092, so K = 7 and the Neumann route runs: a step costs about
-  0.12 ms against 0.28 ms with the solve pair (one BLAS thread). At 32^2
-  the two are close in cost (7 x 4.6k against 40k) and in time (about
-  0.05 ms a step each); at dt = 2 the
-  64^2 stencil has q = 3721 and takes SuperLU. The Horner products run
-  scipy's CSR kernel in place, since at these sizes the dispatch of
-  ``S @ x`` costs more than the product. The set-up, choice of I
-  included, costs about what the whole-matrix LU does (6 ms).
+  ordering holds at large steps too. On the 64^2 rotation stencil at
+  dt = 2 pi / 2000 the factor has 190k L+U nonzeros (401k under
+  SuperLU's default COLAMD ordering; SuperLU stores them in 225k
+  entries) while S has 18k and q = 0.0092, so K = 7 and the Neumann
+  route runs. There the rotating blob's steps stop after 4 products
+  (4.7 on average at 32^2, dt = 2 pi / 1000; 4 at 128^2,
+  dt = 2 pi / 4000, also K = 7), and a step costs about 0.09 ms against
+  0.14 ms with all K products and 0.28 ms with the solve pair (0.04
+  against 0.05 ms at 32^2, 0.31 against 0.49 ms at 128^2; fastest of
+  seven runs, one BLAS thread). Rough data, whose |S^j b| stay near
+  q^j |b|, take all K products, at about the cost of a step without the
+  stop (0.13 against 0.14 ms at 64^2). At dt = 2 the 64^2 stencil has
+  q = 3721 and takes SuperLU. The products, and the two with the coupling
+  blocks, run scipy's CSR kernel in place, since at these sizes the
+  dispatch of ``S @ x`` costs more than the product. The set-up, choice
+  of I included, costs about what the whole-matrix LU does (6 ms).
 """
 from __future__ import annotations
 
@@ -519,6 +528,45 @@ def _neumann_terms(q: float) -> int:
     return terms
 
 
+def _add_product(A, x: np.ndarray, y: np.ndarray):
+    """y += A x for a CSR A, in place, by scipy's compiled kernel: at the
+    sizes a sparse step works on, A @ x spends more time in dispatch and
+    allocation than in the product."""
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, y)
+
+
+def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
+                 x: np.ndarray, y: np.ndarray):
+    """The solution of (E - S) x = b for |S|_inf = q < 1, as
+    (sum_{i <= j} S^i b, j) by j <= terms Horner products x <- S x + b;
+    x and y are work buffers of b's size, and the sum is one of them.
+
+    After the j-th product the rest of the series is at most
+    q/(1 - q) |S^j b| = q/(1 - q) |x_j - x_{j-1}| in the inf-norm, so the
+    sum stops at the first j >= first at which that is <= eps/2 |b|_inf,
+    and at j = terms (_neumann_terms(q)) at the latest: either way it
+    misses the solution by at most eps/2 |b|_inf. The test is taken in
+    the 2-norm, which is safe since |d|_inf <= |d|_2 and
+    |b|_2 / sqrt(m) <= |b|_inf for m entries.
+    """
+    np.copyto(x, b)
+    if not terms:
+        return x, 0
+    limit = (0.5 * np.finfo(float).eps * (1.0 - q) / q) ** 2 * (
+        np.dot(b, b) / b.size)
+    j = 0
+    while j < terms:
+        np.copyto(y, b)
+        _add_product(S, x, y)
+        x, y = y, x
+        j += 1
+        if j >= first:
+            np.subtract(x, y, out=y)
+            if np.dot(y, y) <= limit:
+                break
+    return x, j
+
+
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                   nsteps: int):
     """The nsteps trapezoidal iterates of u under a sparse action, as
@@ -542,9 +590,13 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     solve to within eps/2 |b|_inf; it is taken when its K nnz(S)
     multiply-adds are fewer than the nnz(L) + nnz(U) of the triangular
     solve pair, as SuperLU stores the factors (supernodes included).
-    Otherwise (always when q >= 1) SuperLU solves. route
-    holds what decided: {"sparse_solve": "neumann" or "superlu",
-    "neumann_terms": K (None when q >= 1), "schur_norm_inf": q}.
+    Otherwise (always when q >= 1) SuperLU solves. On the Neumann route
+    K is the cap: each step stops as soon as the rest of its series is
+    below eps/2 |b|_inf (_neumann_sum), checking from one product before
+    where the previous step stopped. route holds what decided and what
+    ran: {"sparse_solve": "neumann" or "superlu", "neumann_terms": K
+    (None when q >= 1), "schur_norm_inf": q, "neumann_products": the
+    most products any step so far took (None on the SuperLU route)}.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
     running iterate is held, so callers that keep no states
@@ -570,33 +622,35 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     # on lu (2.3 MB at 64^2)
     neumann = terms is not None and terms * schur.nnz < lu.nnz
     route = {"sparse_solve": "neumann" if neumann else "superlu",
-             "neumann_terms": terms, "schur_norm_inf": q}
+             "neumann_terms": terms, "schur_norm_inf": q,
+             "neumann_products": 0 if neumann else None}
     order = np.concatenate([np.flatnonzero(elim), np.flatnonzero(keep)])
     v = u[order]
     u_I, u_R = v[:inv.size], v[inv.size:]
     m = u_R.size
 
     def steps():
-        x, y = np.empty(m), np.empty(m)
+        x, y, b = np.empty(m), np.empty(m), np.empty(m)
+        x_I = np.empty(inv.size)
+        first = 1
         for _ in range(nsteps):
-            b = u_R + from_I @ u_I
+            np.copyto(b, u_R)
+            _add_product(from_I, u_I, b)
             if neumann:
-                # Horner, x <- S x + b: scipy's CSR kernel adds S x into
-                # y = b in place, where schur @ x would spend more time
-                # in dispatch and allocation than in the product
-                np.copyto(x, b)
-                for _ in range(terms):
-                    np.copyto(y, b)
-                    csr_matvec(m, m, schur.indptr, schur.indices,
-                               schur.data, x, y)
-                    x, y = y, x
-                x_R = x
+                x_R, used = _neumann_sum(schur, q, terms, b, first, x, y)
+                # the next step checks from one product before this one's
+                # stop, so that its count can fall as well as rise
+                first = max(used - 1, 1)
+                if used > route["neumann_products"]:
+                    route["neumann_products"] = used
             else:
                 x_R = lu.solve(b)
-            x_I = to_I @ x_R
-            x_I += inv * u_I
-            np.subtract(x_R + x_R, u_R, out=u_R)
-            np.subtract(x_I + x_I, u_I, out=u_I)
+            np.multiply(inv, u_I, out=x_I)
+            _add_product(to_I, x_R, x_I)
+            x_R += x_R
+            x_I += x_I
+            np.subtract(x_R, u_R, out=u_R)
+            np.subtract(x_I, u_I, out=u_I)
             yield v
 
     return order, steps(), route
@@ -633,13 +687,16 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       the half-size Schur complement E - S on the rest is factorized
       once; each step is two sparse products and one solve with E - S
       (_cayley_steps), scattered into its row of states. The solve is a
-      truncated Neumann series of K products with S when q = |S|_inf < 1
-      and its K nnz(S) multiply-adds undercut the nnz(L) + nnz(U) of the
-      SuperLU solve pair; K is the smallest with q^(K+1) / (1 - q) <=
-      eps/2, so the series stays within rounding of the solve. Otherwise
-      the SuperLU pair solves. stepper_meta records the decision:
-      "sparse_solve" ("neumann" or "superlu"), "neumann_terms" (K, None
-      when q >= 1) and "schur_norm_inf" (q).
+      Neumann series of at most K products with S when q = |S|_inf < 1
+      and K nnz(S) undercuts the nnz(L) + nnz(U) of the SuperLU solve
+      pair; K is the smallest with q^(K+1) / (1 - q) <= eps/2, and each
+      step stops earlier once q/(1 - q) |S^j b| falls below eps/2 |b|,
+      so the series stays within rounding of the solve either way.
+      Otherwise the SuperLU pair solves. stepper_meta records the
+      decision: "sparse_solve" ("neumann" or "superlu"), "neumann_terms"
+      (K, None when q >= 1), "schur_norm_inf" (q) and
+      "neumann_products" (the most products a step took, None on the
+      SuperLU route).
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an

@@ -182,7 +182,6 @@ def _constraint_columns(op: RestrictedOperator) -> sp.csc_matrix:
 class SkewReport:
     max_defect: float
     passed: bool
-    tol: float
 
 
 def _identity_coords(space: Space, action):
@@ -262,19 +261,22 @@ def _skew_action(op: RestrictedOperator):
     return M, ratio
 
 
-def check_skew_symmetry(op: RestrictedOperator, tol: float = 1e-10) -> SkewReport:
+def check_skew_symmetry(op: RestrictedOperator) -> SkewReport:
     """Largest violation of (Mu, v) + (u, Mv) = 0 over the domain.
 
     Evaluated exactly on the W-orthonormal domain basis U, which bounds
     the defect for arbitrary unit domain vectors: the largest entry of
     G + G^T with G = U^T W M U. Its diagonal doubles as the check that
     (Mu, u) vanishes. A sparse action on a full or pinned domain keeps G
-    sparse.
+    sparse. It passes by _is_skew's scale rule, max|G + G^T| <= 1e-12
+    max(1, max|G|), the rule deficiency applies to the same G, so the
+    check and the defect counts never disagree.
     """
     U = op._basis
     G = U.T @ (sp.diags(op.space.weights) @ (op.action @ U))
     max_defect = _max_abs(G + G.T)
-    return SkewReport(max_defect=max_defect, passed=max_defect <= tol, tol=tol)
+    return SkewReport(max_defect=max_defect,
+                      passed=max_defect <= 1e-12 * max(1.0, _max_abs(G)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +537,18 @@ def _coupling_matrix(coupling, k: int) -> np.ndarray:
     """The k x k matrix V of a coupling: a number (a 0-d array too) v
     stands for v times the identity. ValueError for a non-finite entry,
     a shape other than (k, k) and a largest singular value above 1 +
-    1e-10."""
+    1e-10: |v| for a number, no SVD taken, and 0 for an empty V."""
     V = np.asarray(coupling, dtype=float)
     if not np.isfinite(V).all():
         raise ValueError("coupling has non-finite entries")
     if V.ndim == 0:
+        smax = abs(float(V))
         V = V * np.eye(k)
-    if V.shape != (k, k):
+    elif V.shape != (k, k):
         raise ValueError(f"coupling shape {V.shape} != (codim, codim) = "
                          f"({k}, {k})")
-    smax = np.linalg.svd(V, compute_uv=False)[0]
+    else:
+        smax = np.linalg.svd(V, compute_uv=False).max(initial=0.0)
     if not smax <= 1.0 + 1e-10:
         raise ValueError(f"coupling must be a contraction (sigma_max={smax:.3e})")
     return V
@@ -605,9 +609,9 @@ def extend(op: RestrictedOperator,
     """
     dd = deficiency(op)
     k = dd.d_plus
+    V = _coupling_matrix(coupling, k)
     if k == 0:
         return op  # already maximal: nothing to couple
-    V = _coupling_matrix(coupling, k)
 
     CmV = dd.c_minus @ V
     LZ = dd.F @ dd.c_plus + dd.F.T @ CmV

@@ -237,7 +237,9 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     unit angular speed, so after time 2*pi the exact solution is the
     initial blob again; final_error is the relative cell-Gram distance to
     it and energy_drift the worst norm deviation along the way (the
-    trapezoidal step keeps it at roundoff). States are not stored — only
+    trapezoidal step keeps it at roundoff). neumann_products is the most
+    Neumann products any step took (None when the steps solve with
+    SuperLU; see evolution._cayley_steps). States are not stored — only
     running norms and the final state — so large n stays cheap in memory.
     """
     dt_eff, nsteps = steps_to_horizon(2.0 * np.pi, dt)
@@ -254,7 +256,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
     drift = 0.0
-    order, steps, _ = _cayley_steps(gen, u0, dt_eff, nsteps)
+    order, steps, route = _cayley_steps(gen, u0, dt_eff, nsteps)
     for k, u in enumerate(steps, start=1):
         norm = float(np.sqrt(area * np.dot(u, u)))
         if not np.isfinite(norm):
@@ -268,6 +270,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
         "n": int(n),
         "dt": float(dt_eff),
         "steps": int(nsteps),
+        "neumann_products": route["neumann_products"],
     }
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from skewflow import cli
 from skewflow.cli import canonical_json, main, parse_operator_descriptor
 from skewflow.evolution import evolve_cayley
+from skewflow.operators import check_skew_symmetry, deficiency
 from skewflow.transport import Grid2D, write_stream_file
 
 
@@ -140,8 +142,8 @@ def test_analyze_keeps_its_verdict_on_a_non_skew_action(tmp_path, capsys,
                                                         diagonal):
     # a diagonal entry makes the action non-skew, so it has no defect
     # counts; the skew verdict and the isometry probe are still reported.
-    # 2e-11 passes the skew check's 1e-10 but not deficiency's relative
-    # test, whose refusal becomes the report's message
+    # 2e-11 fails the skew check's 1e-12 relative to max(1, max|G|), the
+    # rule deficiency applies, so the verdict agrees with the counts
     desc = write_descriptor(tmp_path / "m.json", {"operator": {
         "kind": "matrix",
         "data": [[diagonal, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]}})
@@ -149,18 +151,50 @@ def test_analyze_keeps_its_verdict_on_a_non_skew_action(tmp_path, capsys,
     assert main(["analyze", "--input", desc, "--out", str(out)]) == 2
     rep = read_report(out)
     assert "error" not in rep and rep["pass"] is False
-    assert rep["skew"]["pass"] is (diagonal < 1e-10)
+    assert rep["skew"]["pass"] is False
     assert rep["skew"]["max_defect"] == pytest.approx(2 * diagonal)
     assert rep["d_plus"] is None and rep["d_minus"] is None
     assert rep["cayley_isometry_defect"] >= 0.0
     assert "ill_conditioned" not in rep and "rank_tol" not in rep
-    line = capsys.readouterr().out.strip()
-    if diagonal < 1e-10:
-        assert line == ("analyze: fail — the action is not skew on its "
-                        "domain (max|S + S^T| = 2.000e-11)")
-        assert rep["message"] in line
+    assert capsys.readouterr().out.strip() == "analyze: fail"
+    assert "message" not in rep
+
+
+# a defect of 2e-11 on a unit-scale action, and one of 5e-9 on a 1e4-scale
+# action restricted to span(e0, e1): the skew check passes the second and
+# fails the first, as deficiency does
+SKEW_SCALE_CASES = {
+    "unit": ({"operator": {"kind": "matrix", "data": [
+        [1e-11, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]}},
+        None, 2e-11),
+    "scaled": ({"operator": {"kind": "matrix", "data": [
+        [2.5e-9, -1e4, 0.0], [1e4, 0.0, -1e4], [0.0, 1e4, 0.0]]},
+        "domain": {"mode": "columns",
+                   "columns": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+        (1, 1), 5e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKEW_SCALE_CASES))
+def test_analyze_skew_verdict_agrees_with_its_defect_counts(tmp_path, case):
+    raw, counts, defect = SKEW_SCALE_CASES[case]
+    desc = write_descriptor(tmp_path / "m.json", raw)
+    op = parse_operator_descriptor(Path(desc))
+    skew = check_skew_symmetry(op)
+    assert skew.max_defect == pytest.approx(defect)
+    assert skew.passed is (counts is not None)
+    if counts is None:
+        with pytest.raises(ValueError, match="not skew"):
+            deficiency(op)
     else:
-        assert line == "analyze: fail" and "message" not in rep
+        assert (deficiency(op).d_plus, deficiency(op).d_minus) == counts
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", desc, "--out", str(out)]) == (
+        2 if counts is None else 0)
+    rep = read_report(out)
+    assert rep["skew"]["pass"] is skew.passed
+    assert (rep["d_plus"], rep["d_minus"]) == (counts or (None, None))
+    assert rep["pass"] is skew.passed and "message" not in rep
 
 
 def test_witness_refuses_a_non_skew_action_instead_of_calling_it_unique(

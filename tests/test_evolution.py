@@ -12,6 +12,7 @@ from skewflow.evolution import (
     _ROW_BLOCK,
     Trajectory,
     _eliminated_nodes,
+    _neumann_sum,
     _neumann_terms,
     adjoint_generator,
     evolve_cayley,
@@ -1035,6 +1036,43 @@ def test_neumann_terms_is_the_smallest_count_within_half_eps(q):
     assert terms == 0 or q ** terms > tol
 
 
+@pytest.mark.parametrize("q", [0.01, 0.05, 0.3, 0.6])
+def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
+    # after j products the rest of the series is at most
+    # q/(1 - q) |x_j - x_{j-1}|_inf; the sum stops at the first j whose
+    # 2-norm stand-in for that is below eps/2 |b|_2 / sqrt(m), and misses
+    # the solve by at most eps/2 |b|_inf plus the sums' own rounding
+    rng = np.random.default_rng(11)
+    m = 300
+    S = sp.random(m, m, density=0.04, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    S = sp.csr_array(S * (q / np.max(abs(S) @ np.ones(m))))
+    b = rng.standard_normal(m)
+    terms = _neumann_terms(q)
+    x, used = _neumann_sum(S, q, terms, b, 1, np.empty(m), np.empty(m))
+    eps = np.finfo(float).eps
+    # the iterates by the kernel the sum uses, so that both round alike
+    ref, prev, stop = b.copy(), None, terms
+    for j in range(1, terms + 1):
+        prev, ref = ref, b.copy()
+        evolution._add_product(S, prev, ref)
+        if (q / (1 - q)) * np.linalg.norm(ref - prev) <= (
+                0.5 * eps * np.linalg.norm(b) / np.sqrt(m)):
+            stop = j
+            break
+    assert used == stop < terms
+    assert np.array_equal(x, ref)
+    tol = 4 * eps * np.max(np.abs(b))
+    # the solve, refined once so that its own rounding stays below eps
+    A = np.eye(m) - S.toarray()
+    exact = np.linalg.solve(A, b)
+    exact += np.linalg.solve(A, b - A @ exact)
+    assert np.max(np.abs(x - exact)) <= tol
+    # no check is made before the count it is given
+    assert _neumann_sum(S, q, terms, b, stop + 1, np.empty(m),
+                        np.empty(m))[1] == stop + 1
+
+
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
 def test_neumann_steps_solve_to_rounding(case):
     # x = (u_k + u_{k+1}) / 2 solves (E - dt/2 B) x = u_k; the truncated
@@ -1046,6 +1084,9 @@ def test_neumann_steps_solve_to_rounding(case):
     dt = 1e-3
     traj = evolve_cayley(gen, u0, dt, 40)
     assert traj.stepper_meta["sparse_solve"] == "neumann"
+    # rough data keep |S^j b| near q^j |b|, so no step stops before K
+    meta = traj.stepper_meta
+    assert meta["neumann_products"] == meta["neumann_terms"]
     shifted = sp.identity(gen.dim, format="csr") - (dt / 2.0) * gen.action
     eps = np.finfo(float).eps
     for u, u_next in zip(traj.states[:-1], traj.states[1:]):

@@ -193,6 +193,32 @@ def test_extend_validates_its_coupling():
             extend(op, c)
 
 
+def test_a_scalar_coupling_is_validated_without_an_svd(monkeypatch):
+    # sigma_max of v times the identity is |v|
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert np.array_equal(operators._coupling_matrix(-0.5, 176),
+                          -0.5 * np.eye(176))
+    with pytest.raises(ValueError, match=r"sigma_max=1\.500e\+00"):
+        operators._coupling_matrix(1.5, 176)
+
+
+def test_extend_validates_the_coupling_of_a_full_domain_operator():
+    # k = 0: a maximal operator comes back as it is, but only for a
+    # coupling that a restricted operator would take too; an empty V has
+    # sigma_max 0
+    op = RestrictedOperator(space=Space.euclidean(2),
+                            action=np.array([[0.0, -1.0], [1.0, 0.0]]),
+                            domain=None)
+    assert extend(op, 0.5) is op
+    assert extend(op, np.zeros((0, 0))) is op
+    for c, message in ((np.nan, "non-finite"), (5.0, "contraction"),
+                       (np.ones((3, 3)), r"shape \(3, 3\)")):
+        with pytest.raises(ValueError, match=message):
+            extend(op, c)
+
+
 # ---------------------------------------------------------------------------
 # seam extensions and coupling recovery
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewflow.evolution import (adjoint_generator, evolve_cayley,
-                                steps_to_horizon)
+from skewflow.evolution import (_cayley_steps, adjoint_generator,
+                                evolve_cayley, steps_to_horizon)
 from skewflow.operators import check_skew_symmetry, deficiency
 from skewflow.transport import (
     Grid2D,
@@ -215,6 +215,20 @@ def test_rotation_benchmark_takes_the_shared_step_rule():
         assert (res["dt"], res["steps"]) == steps_to_horizon(2 * np.pi, dt)
 
 
+@pytest.mark.parametrize("n, steps", [(32, 1000), (64, 2000)])
+def test_rotation_blobs_stop_the_neumann_sum_before_its_cap(n, steps):
+    # the smooth blob's steps need fewer products than the a-priori count
+    # K from |S|_inf, and stay isometric to rounding
+    dt = 2 * np.pi / steps
+    res = rotation_benchmark(n, dt)
+    op = build_transport_operator(field_from_stream(Grid2D(n, n), RIGID),
+                                  mode="periodic_full")
+    _, _, route = _cayley_steps(adjoint_generator(op), np.zeros(n * n), dt, 0)
+    assert route["sparse_solve"] == "neumann"
+    assert 1 <= res["neumann_products"] < route["neumann_terms"]
+    assert res["energy_drift"] <= 1e-12
+
+
 def test_rotation_benchmark_validates_arguments():
     with pytest.raises(ValueError):
         rotation_benchmark(16, -0.1)
@@ -280,11 +294,16 @@ def test_forward_flow_carries_data_against_the_face_velocity():
 
 
 def test_rotation_script_prints_one_row_per_grid(capsys):
+    # 8^2 at 500 steps solves with SuperLU, 16^2 at 1000 by the Neumann sum
     script = Path(__file__).parents[1] / "scripts" / "rotation_benchmark.py"
     main = runpy.run_path(str(script))["main"]
-    assert main(["--n", "8", "16", "--steps", "64"]) == 0
+    assert main(["--n", "8", "16", "--steps", "500"]) == 0
     header, *rows = capsys.readouterr().out.strip().splitlines()
-    assert header.split() == ["n", "steps", "final", "error", "drift", "ratio"]
-    assert [r.split()[:2] for r in rows] == [["8", "64"], ["16", "128"]]
+    assert header.split() == ["n", "steps", "final", "error", "drift",
+                              "products", "ratio"]
+    assert [r.split()[:2] for r in rows] == [["8", "500"], ["16", "1000"]]
     for r in rows:
         assert float(r.split()[3]) < 1e-10
+    products = rotation_benchmark(16, 2 * np.pi / 1000)["neumann_products"]
+    assert [r.split()[4] for r in rows] == ["-", str(products)]
+    assert products >= 1
