@@ -269,8 +269,8 @@ def check_skew_symmetry(op: RestrictedOperator) -> SkewReport:
     G + G^T with G = U^T W M U. Its diagonal doubles as the check that
     (Mu, u) vanishes. A sparse action on a full or pinned domain keeps G
     sparse. It passes by _is_skew's scale rule, max|G + G^T| <= 1e-12
-    max(1, max|G|), the rule deficiency applies to the same G, so the
-    check and the defect counts never disagree.
+    max(1, max|G|): the rule by which deficiency (_skew_action) accepts
+    the same G, so a passed check comes with defect counts.
     """
     U = op._basis
     G = U.T @ (sp.diags(op.space.weights) @ (op.action @ U))
