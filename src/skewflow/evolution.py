@@ -66,10 +66,10 @@ blocks of rows, with no Python work per row:
   the factors' entries as SuperLU stores them; else SuperLU's triangular
   solve pair runs. K is only the cap: a step stops at the first product
   j after which the rest of its own series, at most
-  q/(1 - q) |x_j - x_{j-1}|, is below eps/2 |b| (``_neumann_sum``), so
-  it keeps the same bound and smooth states pay fewer products. The new
-  state is 2x - u for the solution x of (E - dt/2 B) x = u, so no
-  product with B is taken.
+  q/(1 - q) |x_j - x_{j-1}|_inf, is below eps/2 |b|_inf
+  (``_neumann_sum``), so it keeps the same bound and smooth states pay
+  fewer products. The new state is 2x - u for the solution x of
+  (E - dt/2 B) x = u, so no product with B is taken.
   I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
@@ -80,13 +80,13 @@ blocks of rows, with no Python work per row:
   SuperLU's default COLAMD ordering; SuperLU stores them in 225k
   entries) while S has 18k and q = 0.0092, so K = 7 and the Neumann
   route runs. There the rotating blob's steps stop after 4 products
-  (4.7 on average at 32^2, dt = 2 pi / 1000; 4 at 128^2,
-  dt = 2 pi / 4000, also K = 7), and a step costs about 0.09 ms against
-  0.14 ms with all K products and 0.28 ms with the solve pair (0.04
-  against 0.05 ms at 32^2, 0.31 against 0.49 ms at 128^2; fastest of
-  seven runs, one BLAS thread). Rough data, whose |S^j b| stay near
-  q^j |b|, take all K products, at about the cost of a step without the
-  stop (0.13 against 0.14 ms at 64^2). At dt = 2 the 64^2 stencil has
+  (so too at 32^2, dt = 2 pi / 1000, and at 128^2, dt = 2 pi / 4000,
+  both also K = 7), and a step costs about 0.09 ms against 0.14 ms with
+  all K products and 0.28 ms with the solve pair (0.04 against 0.05 ms
+  at 32^2, 0.33 against 0.50 ms at 128^2; fastest of 63 runs, one BLAS
+  thread). Rough data, whose |S^j b| stay near q^j |b|, take all K
+  products at 64^2 and 128^2 (6 at 32^2), at about the cost of a step
+  without the stop (0.14 ms at 64^2). At dt = 2 the 64^2 stencil has
   q = 3721 and takes SuperLU. The products, and the two with the coupling
   blocks, run scipy's CSR kernel in place, since at these sizes the
   dispatch of ``S @ x`` costs more than the product. The set-up, choice
@@ -114,6 +114,8 @@ _DENSE_EXP_LIMIT = 4096
 _ROW_BLOCK = 128
 # keeps the sign, the exponent and the 25 leading fraction bits of a double
 _HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
+# the (0-based) index of a vector's largest |entry|, one BLAS pass
+_idamax = sla.blas.idamax
 
 
 @dataclass
@@ -545,15 +547,15 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
     q/(1 - q) |S^j b| = q/(1 - q) |x_j - x_{j-1}| in the inf-norm, so the
     sum stops at the first j >= first at which that is <= eps/2 |b|_inf,
     and at j = terms (_neumann_terms(q)) at the latest: either way it
-    misses the solution by at most eps/2 |b|_inf. The test is taken in
-    the 2-norm, which is safe since |d|_inf <= |d|_2 and
-    |b|_2 / sqrt(m) <= |b|_inf for m entries.
+    misses the solution by at most eps/2 |b|_inf. The test is taken as
+    q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf, which squares nothing,
+    so it holds at any finite scale of b; an underflow on its left only
+    drops what is below the smallest double.
     """
     np.copyto(x, b)
     if not terms:
         return x, 0
-    limit = (0.5 * np.finfo(float).eps * (1.0 - q) / q) ** 2 * (
-        np.dot(b, b) / b.size)
+    limit = 0.5 * np.finfo(float).eps * (1.0 - q) * abs(b[_idamax(b)])
     j = 0
     while j < terms:
         np.copyto(y, b)
@@ -562,7 +564,7 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
         j += 1
         if j >= first:
             np.subtract(x, y, out=y)
-            if np.dot(y, y) <= limit:
+            if q * abs(y[_idamax(y)]) <= limit:
                 break
     return x, j
 
@@ -690,8 +692,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       Neumann series of at most K products with S when q = |S|_inf < 1
       and K nnz(S) undercuts the nnz(L) + nnz(U) of the SuperLU solve
       pair; K is the smallest with q^(K+1) / (1 - q) <= eps/2, and each
-      step stops earlier once q/(1 - q) |S^j b| falls below eps/2 |b|,
-      so the series stays within rounding of the solve either way.
+      step stops earlier once q/(1 - q) |S^j b|_inf falls below
+      eps/2 |b|_inf, so the series stays within rounding of the solve
+      either way, at any scale of u0.
       Otherwise the SuperLU pair solves. stepper_meta records the
       decision: "sparse_solve" ("neumann" or "superlu"), "neumann_terms"
       (K, None when q >= 1), "schur_norm_inf" (q) and

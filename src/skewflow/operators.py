@@ -69,10 +69,10 @@ class RestrictedOperator:
     The action may be dense or scipy sparse. meta carries model-specific
     data (grids, seam indices) that higher-level helpers can exploit;
     nothing in this module requires any particular key. deficiency(),
-    constraint_columns() and the skew propagators of the evolution module
-    cache their results on the operator (never in meta, which derived
-    operators copy), so action and domain must not be modified after
-    construction.
+    constraint_columns(), check_skew_symmetry() and the skew propagators
+    of the evolution module cache their results on the operator (never in
+    meta, which derived operators copy), so action and domain must not be
+    modified after construction.
     """
 
     space: Space
@@ -89,6 +89,9 @@ class RestrictedOperator:
     # constraint columns L, filled by constraint_columns()
     _constraints: Optional[sp.csc_matrix] = field(init=False, repr=False,
                                                   compare=False, default=None)
+    # SkewReport, filled by check_skew_symmetry() or deficiency()
+    _skew: Optional[SkewReport] = field(init=False, repr=False,
+                                        compare=False, default=None)
     # real Schur factors (Z, plane starts, frequencies) of a W-skew
     # full-domain action, filled by the evolution module's skew paths
     _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
@@ -178,7 +181,7 @@ def _constraint_columns(op: RestrictedOperator) -> sp.csc_matrix:
 # skewness
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SkewReport:
     max_defect: float
     passed: bool
@@ -214,12 +217,30 @@ def _is_skew(G) -> bool:
     return _skew_ratio(G) <= 1e-12
 
 
+def _domain_gram(op: RestrictedOperator):
+    """(B, S) with B = M U and the domain Gram S = U^T W B on the
+    W-orthonormal domain basis U: (Mu, v) for domain vectors u = U a,
+    v = U b is b^T S a. On full and pinned domains U is the sparse
+    scaled-unit basis, so a sparse action keeps both sparse."""
+    U = op._basis
+    B = op.action @ U
+    return B, U.T @ (sp.diags(op.space.weights) @ B)
+
+
+def _skew_report(S) -> SkewReport:
+    """The skewness verdict on a domain Gram S: max|S + S^T|, passed by
+    _is_skew."""
+    return SkewReport(max_defect=_max_abs(S + S.T), passed=_is_skew(S))
+
+
 def _skew_action(op: RestrictedOperator):
     """(M_s, ratio): a W-skew action M_s that agrees with op's on the
     domain, and the _skew_ratio of the branch that gave it; ValueError
-    when op's action is not skew there.
+    naming max|S + S^T| when op fails check_skew_symmetry, whose verdict
+    on the domain Gram S (_domain_gram) is formed here when no earlier
+    check has cached it.
 
-    The first that applies, in this order:
+    M_s is the first that applies, in this order:
 
     - the action itself, when the whole matrix is W-skew;
     - on a pinned domain, the action with its pinned x pinned block, which
@@ -227,17 +248,21 @@ def _skew_action(op: RestrictedOperator):
       (M_PP - W_P^-1 M_PP^T W_P) / 2. An interior transport stencil whose
       stream does not close periodically is W-skew up to that block (its
       wrapped outer-ring entries);
-    - the completion from the domain alone. With the W-orthonormal
-      domain basis U, B = M U and S = U^T W B (check_skew_symmetry's G),
+    - the completion from the domain alone. With B = M U,
       M_s = (B U^T - U B^T - U skew(S) U^T) W is W-skew, and M_s U = B -
-      U sym(S) is M on the domain when S is skew. An S that fails
-      _is_skew's scale rule raises ValueError naming max|S + S^T|. On
-      full and pinned domains U is the sparse scaled-unit basis, so a
-      sparse action stays sparse.
+      U sym(S) is M on the domain when S is skew. A sparse action on a
+      full or pinned domain stays sparse.
 
     ratio is that of the whole matrix in the first two branches and of S
     in the third; deficiency reports it as completion_residual.
     """
+    S = None
+    if op._skew is None:
+        B, S = _domain_gram(op)
+        op._skew = _skew_report(S)
+    if not op._skew.passed:
+        raise ValueError("the action is not skew on its domain (max|S + "
+                         f"S^T| = {op._skew.max_defect:.3e})")
     M = op.action
     ratio = _skew_ratio(_identity_coords(op.space, M))
     if ratio > 1e-12 and isinstance(op.domain, PinnedDomain):
@@ -249,13 +274,10 @@ def _skew_action(op: RestrictedOperator):
         ratio = _skew_ratio(_identity_coords(op.space, M_s))
         M = M_s if ratio <= 1e-12 else M
     if ratio > 1e-12:
+        if S is None:
+            B, S = _domain_gram(op)
         U, W = op._basis, sp.diags(op.space.weights)
-        B = op.action @ U
-        S = U.T @ (W @ B)
         ratio = _skew_ratio(S)
-        if ratio > 1e-12:
-            raise ValueError("the action is not skew on its domain (max|S + "
-                             f"S^T| = {_max_abs(S + S.T):.3e})")
         M = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
         M = M.tocsr() if sp.issparse(M) else M
     return M, ratio
@@ -266,17 +288,16 @@ def check_skew_symmetry(op: RestrictedOperator) -> SkewReport:
 
     Evaluated exactly on the W-orthonormal domain basis U, which bounds
     the defect for arbitrary unit domain vectors: the largest entry of
-    G + G^T with G = U^T W M U. Its diagonal doubles as the check that
-    (Mu, u) vanishes. A sparse action on a full or pinned domain keeps G
-    sparse. It passes by _is_skew's scale rule, max|G + G^T| <= 1e-12
-    max(1, max|G|): the rule by which deficiency (_skew_action) accepts
-    the same G, so a passed check comes with defect counts.
+    S + S^T for the domain Gram S = U^T W M U (_domain_gram). Its
+    diagonal doubles as the check that (Mu, u) vanishes. It passes by
+    _is_skew, max|S + S^T| <= 1e-12 max(1, max|S|), and the report is
+    cached on op: deficiency (_skew_action) accepts or refuses op by the
+    same report, so a passed check comes with defect counts and a failed
+    one without.
     """
-    U = op._basis
-    G = U.T @ (sp.diags(op.space.weights) @ (op.action @ U))
-    max_defect = _max_abs(G + G.T)
-    return SkewReport(max_defect=max_defect,
-                      passed=max_defect <= 1e-12 * max(1.0, _max_abs(G)))
+    if op._skew is None:
+        op._skew = _skew_report(_domain_gram(op)[1])
+    return op._skew
 
 
 # ---------------------------------------------------------------------------

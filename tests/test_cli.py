@@ -160,10 +160,18 @@ def test_analyze_keeps_its_verdict_on_a_non_skew_action(tmp_path, capsys,
     assert "message" not in rep
 
 
-# a defect of 2e-11 on a unit-scale action, and one of 5e-9 on a 1e4-scale
-# action restricted to span(e0, e1): the skew check passes the second and
-# fails the first, as deficiency does
+# a defect of 2e-11 on a unit-scale action, one of 5e-9 on a 1e4-scale
+# action restricted to span(e0, e1), and one of 2e-10 on span(e0, e1) of
+# an action that is unit-scale there and 1e4-scale off it, skew to 2e-14
+# of its whole scale: the skew check passes the second and fails the
+# others, as deficiency does, since both scale the defect by the domain's
+# own max|S|
 SKEW_SCALE_CASES = {
+    "mixed": ({"operator": {"kind": "matrix", "data": [
+        [1e-10, -1.0, 0.0], [1.0, 0.0, -1e4], [0.0, 1e4, 0.0]]},
+        "domain": {"mode": "columns",
+                   "columns": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+        None, 2e-10),
     "unit": ({"operator": {"kind": "matrix", "data": [
         [1e-11, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]}},
         None, 2e-11),
@@ -254,6 +262,32 @@ def test_extend_seam_theta_one(tmp_path, minimal_desc):
     assert rep["restriction_defect"] <= 1e-10
     V = np.array(rep["coupling_matrix"])
     assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-10
+
+
+@pytest.mark.parametrize("theta", ["1", "-1"])
+def test_extend_unit_scalar_couplings_of_restricted_operators(tmp_path,
+                                                              theta):
+    # at |theta| = 1 the skew verdict decides the exit code: the codim-2
+    # explicit-column ring extends to a skew operator, while the pinned
+    # interior stencil has no dense unit scalar extension
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "ring"
+    assert main(["extend", "--input", str(golden / "weighted.json"),
+                 "--out", str(out), "--theta", theta]) == 0
+    rep = read_report(out)
+    assert rep["route"] == "scalar-coupling" and rep["full_domain"]
+    assert rep["skew"]["pass"] is True and rep["skew"]["max_defect"] < 1e-11
+    assert rep["restriction_defect"] <= 1e-10
+    stream = golden / "stream.csv"
+    (tmp_path / "stream.csv").write_bytes(stream.read_bytes())
+    desc = write_descriptor(tmp_path / "interior.json", {"operator": {
+        "kind": "transport", "stream": "stream.csv",
+        "mode": "interior_domain"}})
+    out = tmp_path / "interior"
+    assert main(["extend", "--input", desc, "--out", str(out),
+                 "--theta", theta]) == 2
+    assert read_report(out) == {"command": "extend", "pass": False,
+                                "error": "extension domain not dense"}
 
 
 def test_extend_rejects_theta_outside_range(tmp_path, minimal_desc, capsys):

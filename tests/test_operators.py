@@ -390,6 +390,26 @@ def test_extend_refuses_an_action_that_is_not_skew_on_its_domain():
             call(op)
 
 
+@pytest.mark.parametrize("domain", ["pinned", "columns"])
+def test_deficiency_judges_skewness_at_the_domains_own_scale(domain):
+    # skew to 2e-14 of the whole matrix's scale 1e4, but by 2e-10 on
+    # span(e0, e1), where it acts at unit scale: the check fails and
+    # deficiency refuses, on either form of that domain
+    m = np.array([[1e-10, -1.0, 0.0], [1.0, 0.0, -1e4], [0.0, 1e4, 0.0]])
+    dom = (operators.PinnedDomain([2]) if domain == "pinned"
+           else np.eye(3)[:, :2])
+    op = RestrictedOperator(Space.euclidean(3), m, domain=dom)
+    rep = check_skew_symmetry(op)
+    assert not rep.passed and rep.max_defect == pytest.approx(2e-10)
+    with pytest.raises(ValueError, match=r"max\|S \+ S\^T\| = 2\.000e-10"):
+        deficiency(op)
+    # scaled to unit size on the domain, the same defect passes both
+    m[0, 1], m[1, 0] = -1e4, 1e4
+    op = RestrictedOperator(Space.euclidean(3), m, domain=dom)
+    assert check_skew_symmetry(op).passed
+    assert (deficiency(op).d_plus, deficiency(op).d_minus) == (1, 1)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.floats(min_value=-0.95, max_value=0.95),
        st.integers(min_value=0, max_value=2**31))
