@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Dump the golden CLI outputs of a source tree, and compare two dumps.
+
+    golden_diff.py dump DIR [CASE ...]
+    golden_diff.py diff A B
+
+dump runs every case of tests/golden/cases.json (or the named ones), each
+in a fresh process with SKEWFLOW_THREADS=1, and writes each case's
+report.json and CSVs to DIR/<case>/ and the exit codes to DIR/exits.json.
+The skewflow that runs is the one on PYTHONPATH (this tree's src/ when it
+is unset), so the output of another checkout comes from
+
+    PYTHONPATH=<checkout>/src python3 scripts/golden_diff.py dump DIR
+
+diff prints one line per file of either dump: "identical" when the bytes
+agree, else the largest absolute and relative deviation of a float with
+its JSON path or CSV cell, and every change of a key, string, bool, int,
+length or file. It exits 1 on any such change, and 0 when at most floats
+moved.
+"""
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def dump(out_dir: Path, names) -> int:
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    unknown = set(names) - {c["name"] for c in cases}
+    if unknown:
+        print(f"unknown case(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    env = {**os.environ, "SKEWFLOW_THREADS": "1"}
+    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    exits = {}
+    for case in cases:
+        if names and case["name"] not in names:
+            continue
+        argv = [sys.executable, "-m", "skewflow.cli", case["command"],
+                "--out", str(out_dir / case["name"]), *case["flags"]]
+        if case["input"] is not None:
+            argv += ["--input", str(GOLDEN / f"{case['input']}.json")]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        exits[case["name"]] = run.returncode
+        print(f"{case['name']}: exit {run.returncode}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "exits.json").write_text(json.dumps(exits, indent=1,
+                                                   sort_keys=True) + "\n")
+    return 0
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+class Deviation:
+    """The largest float deviations of one file, and its other changes."""
+
+    def __init__(self):
+        self.abs = self.rel = (0.0, None)
+        self.changes = []
+
+    def number(self, a: float, b: float, where: str):
+        d = abs(a - b)
+        r = d / max(abs(a), abs(b)) if d else 0.0
+        if d > self.abs[0]:
+            self.abs = (d, where)
+        if r > self.rel[0]:
+            self.rel = (r, where)
+
+    def json(self, a, b, where: str):
+        if (_is_number(a) and _is_number(b)
+                and not (isinstance(a, int) and isinstance(b, int))):
+            # reports write a whole float like an int, so one float side
+            # makes the pair a float
+            self.number(float(a), float(b), where)
+        elif type(a) is not type(b):
+            self.changes.append(f"{where}: {a!r} -> {b!r}")
+        elif isinstance(a, dict):
+            if a.keys() != b.keys():
+                self.changes.append(f"{where}: keys {sorted(a)} -> {sorted(b)}")
+            for k in a.keys() & b.keys():
+                self.json(a[k], b[k], f"{where}.{k}")
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                self.changes.append(f"{where}: length {len(a)} -> {len(b)}")
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.json(x, y, f"{where}[{i}]")
+        elif a != b:
+            self.changes.append(f"{where}: {a!r} -> {b!r}")
+
+    def csv(self, a: str, b: str):
+        (ha, *ra), (hb, *rb) = a.splitlines(), b.splitlines()
+        if ha != hb:
+            self.changes.append("header changed")
+            return
+        if len(ra) != len(rb):
+            self.changes.append(f"rows {len(ra)} -> {len(rb)}")
+        cols = ha.split(",")
+        for i, (x, y) in enumerate(zip(ra, rb), start=1):
+            xs, ys = x.split(","), y.split(",")
+            if len(xs) != len(ys):
+                self.changes.append(f"row {i}: cells {len(xs)} -> {len(ys)}")
+                continue
+            for col, u, v in zip(cols, xs, ys):
+                try:
+                    fu, fv = float(u), float(v)
+                except ValueError:
+                    fu = fv = math.nan
+                if math.isfinite(fu) and math.isfinite(fv):
+                    self.number(fu, fv, f"row {i} {col}")
+                elif u != v:
+                    self.changes.append(f"row {i} {col}: {u!r} -> {v!r}")
+
+    def summary(self) -> str:
+        parts = []
+        if self.abs[1] is not None:
+            parts.append(f"max abs {self.abs[0]:.3e} at {self.abs[1]}, "
+                         f"max rel {self.rel[0]:.3e} at {self.rel[1]}")
+        parts += self.changes
+        return "; ".join(parts) or "equal values, different bytes"
+
+
+def compare(a: Path, b: Path, rel: str) -> tuple[str, bool]:
+    """(the line diff prints for file rel of dumps a and b, whether
+    anything but floats changed)."""
+    for x, y in ((a, b), (b, a)):
+        if not (y / rel).is_file():
+            return f"only in {x}", True
+    ta, tb = (a / rel).read_bytes(), (b / rel).read_bytes()
+    if ta == tb:
+        return "identical", False
+    dev = Deviation()
+    if rel.endswith(".json"):
+        dev.json(json.loads(ta), json.loads(tb), "$")
+    elif rel.endswith(".csv"):
+        dev.csv(ta.decode(), tb.decode())
+    else:
+        dev.changes.append("bytes differ")
+    return dev.summary(), bool(dev.changes)
+
+
+def diff(a: Path, b: Path) -> int:
+    files = sorted({p.relative_to(d).as_posix()
+                    for d in (a, b) for p in d.rglob("*") if p.is_file()})
+    changed = False
+    for rel in files:
+        line, structural = compare(a, b, rel)
+        changed |= structural
+        print(f"{rel}: {line}")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="run the golden cases into DIR")
+    d.add_argument("dir", type=Path)
+    d.add_argument("cases", nargs="*", help="case names (default: all)")
+    c = sub.add_parser("diff", help="compare two dumps")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = ap.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.dir, args.cases)
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -185,9 +185,13 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
     rows. minimal_derivative carries its own restricted domain.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"descriptor file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read descriptor {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"descriptor is not UTF-8 text ({path}): {exc.reason}")
     except json.JSONDecodeError as exc:
         raise CliError(f"descriptor is not valid JSON ({path} line {exc.lineno}): "
                        f"{exc.msg}")
@@ -207,6 +211,9 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
         if not isinstance(n, int) or n < 8:
             raise CliError('operator.n must be an integer >= 8 '
                            'for kind "minimal_derivative"')
+        if n > _MAX_STATE_FLOATS:
+            raise CliError(f"operator.n = {n} exceeds {_MAX_STATE_FLOATS}, "
+                           "the most floats one state may hold")
         return minimal_derivative_operator(n)
 
     if kind == "transport":
@@ -222,6 +229,9 @@ def parse_operator_descriptor(path: Path) -> RestrictedOperator:
             fld = field_from_stream(grid, psi)
             return build_transport_operator(
                 fld, mode=opdesc.get("mode", "periodic_full"))
+        except OSError as exc:
+            raise CliError(f"cannot read stream file {stream_path}: "
+                           f"{exc.strerror}")
         except ValueError as exc:
             raise CliError(f"bad transport descriptor: {exc}")
 
@@ -356,7 +366,7 @@ def cmd_extend(args, op) -> tuple[int, dict]:
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
     neg = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
                              domain=None, label=f"-({ext.label})")
-    mdiss = check_m_dissipative(neg, tol=1e-12, seed=args.seed)
+    mdiss = check_m_dissipative(neg, seed=args.seed)
     payload = {
         "command": "extend",
         "label": ext.label,
@@ -607,6 +617,16 @@ def _nonnegative_float(text: str) -> float:
     return x
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        x = int(text)
+    except ValueError:
+        x = -1
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return x
+
+
 def _unit_interval_float(text: str) -> float:
     x = _finite_float(text)
     if abs(x) > 1:
@@ -620,7 +640,7 @@ _FLAGS = {
                     help="operator descriptor (JSON)"),
     "--out": dict(required=True, type=Path,
                   help="output directory for report.json and CSVs"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_nonnegative_int, default=0),
     "--gs-tol": dict(type=_positive_float, default=1e-5),
     "--dt": dict(type=_positive_float, default=1e-3),
     "--horizon": dict(type=_positive_float, default=2.0),
@@ -685,7 +705,10 @@ def main(argv=None) -> int:
     try:
         op = (parse_operator_descriptor(args.input)
               if "input" in args else None)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot use --out {args.out}: {exc.strerror}")
         code, payload = handler(args, op)
         payload["seed"] = args.seed
         write_report(args.out, payload)

@@ -106,7 +106,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
 from .operators import (RestrictedOperator, _identity_coords, _is_skew,
-                        sparse_shifted_lu)
+                        _shifted_lu, sparse_shifted_lu)
 
 _DENSE_EXP_LIMIT = 4096
 # rows (sample times or steps) per GEMM in the dense trajectories; bounds
@@ -740,9 +740,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
             states[0] = u
         else:
             half = (dt / 2.0) * gen.dense_action()
-            E = np.eye(gen.dim)
-            C = sla.lu_solve(sla.lu_factor(E - half), E + half,
-                             overwrite_b=True)
+            solve = _shifted_lu(half)
+            half.flat[::gen.dim + 1] += 1.0     # now E + dt/2 B
+            C = solve(half, False)
             bad = _power_states(_flush_subnormals(C), states)
             if bad is not None:
                 raise _left_finite(bad)

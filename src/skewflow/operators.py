@@ -452,14 +452,12 @@ def _shifted_lu(action):
 _SOLVE_BLOCK = 256
 
 
-def deficiency(op: RestrictedOperator, rank_tol: float = 1e-8) -> DeficiencyData:
+def deficiency(op: RestrictedOperator) -> DeficiencyData:
     """Defect dimensions and boundary data for the pair of shifted ranges.
 
     d_plus = codim Im(E + M)|_domain, d_minus = codim Im(E - M)|_domain.
     The result is computed once per operator, cached on it and returned
-    with read-only bases on later calls. rank_tol is unused: it is
-    accepted so that callers passing it still run, and every value
-    returns the same cached object.
+    with read-only bases on later calls.
 
     The action is first completed to a W-skew M_s that agrees with it on
     the domain (_skew_action, which raises ValueError when the action is
@@ -519,11 +517,10 @@ class CayleyData:
     h_minus_basis is a W-orthonormal basis of Im(E - M)|_domain, and
     q_images holds the images of exactly the same domain combinations
     under E + M, so column k of q_images is the isometric image of column
-    k of h_minus_basis. operator packages the map as a restricted operator
-    whose action sends span(h_minus_basis) onto span(q_images).
+    k of h_minus_basis: the Cayley map sends h_minus_basis @ a to
+    q_images @ a.
     """
 
-    operator: RestrictedOperator
     h_minus_basis: np.ndarray
     q_images: np.ndarray
 
@@ -538,16 +535,7 @@ def cayley(op: RestrictedOperator) -> CayleyData:
         raise ValueError(
             "E - M lost rank on the domain; the operator is not skew there"
         )
-    q_images = Hp @ C
-    # matrix realization: h |-> q_images (coords of h in the Q basis)
-    A_Q = q_images @ (Q.T * op.space.weights[None, :])
-    cay_op = RestrictedOperator(
-        space=op.space,
-        action=A_Q,
-        domain=Q,
-        label=f"cayley({op.label})" if op.label else "cayley",
-    )
-    return CayleyData(operator=cay_op, h_minus_basis=Q, q_images=q_images)
+    return CayleyData(h_minus_basis=Q, q_images=Hp @ C)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +645,7 @@ def extend(op: RestrictedOperator,
         space=op.space,
         action=action,
         label=f"extend({op.label})" if op.label else "extend",
-        meta={"coupling": V, "base_label": op.label,
-              "density_ratio": float(sv[-1] / sv[0]),
+        meta={"coupling": V, "density_ratio": float(sv[-1] / sv[0]),
               "dissipation_defect": dissipation},
     )
     rdef = restriction_defect(ext, op)
@@ -795,9 +782,13 @@ def seam_extension(op: RestrictedOperator, theta: float) -> RestrictedOperator:
 class MDissipativityReport:
     form_max: float
     ranks: dict
-    dim: int
     passed: bool
-    tol: float
+
+
+# the step sizes h whose resolvents (E - hB)^-1 check_m_dissipative
+# requires, and its form bound relative to max(1, max|G|)
+_RESOLVENT_STEPS = (0.5, 1.0, 2.0)
+_FORM_TOL = 1e-12
 
 
 def _rank(A: np.ndarray) -> int:
@@ -869,18 +860,16 @@ def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
 
 
 def check_m_dissipative(gen: RestrictedOperator,
-                        h_list=(0.5, 1.0, 2.0),
-                        tol: float = 1e-12,
                         seed: int = 0) -> MDissipativityReport:
     """Dissipativity form bound plus surjectivity of E - hB for each h.
 
-    form_max is the largest Rayleigh value (Bu, u)/(u, u) over 64 seeded
-    probes. It passes when form_max <= tol * max(1, max|G|), with G =
-    sqrt(W) B sqrt(W)^-1: the scale rule of the skewness test, so that
-    probe rounding on a large generator is not read as growth. The rank
-    of E - hB must equal the space dimension for every h in h_list for the
-    resolvent at 1/h to exist, which at desk scale is the whole
-    m-dissipativity story.
+    form_max is the largest Rayleigh value (Bu, u)/(u, u) over 64 probes
+    seeded by seed. It passes when form_max <= 1e-12 max(1, max|G|), with
+    G = sqrt(W) B sqrt(W)^-1: the scale rule of the skewness test, so
+    that probe rounding on a large generator is not read as growth. The
+    rank of E - hB must equal the space dimension for h = 0.5, 1 and 2
+    (_RESOLVENT_STEPS) for the resolvent at 1/h to exist, which at desk
+    scale is the whole m-dissipativity story.
 
     The ranks come from one Cholesky certificate first
     (_resolvents_certified), on the rows where sym(G) is nonzero: when
@@ -889,16 +878,10 @@ def check_m_dissipative(gen: RestrictedOperator,
     rank is n and no LU runs. Otherwise each rank costs one LU
     factorization unless E - hB is close enough to singular to need the
     SVD (see _rank). Raises ValueError for a restricted or non-finite
-    generator, an empty h_list, and an h that is not finite and positive.
+    generator.
     """
     if not gen.is_full_domain:
         raise ValueError("m-dissipativity applies to full-domain generators")
-    hs = [float(h) for h in h_list]
-    if not hs:
-        raise ValueError("h_list is empty")
-    # written so that NaN fails too
-    if not all(0.0 < h < np.inf for h in hs):
-        raise ValueError("every step size h must be finite and positive")
     B = gen.dense_action()
     if not np.all(np.isfinite(B)):
         raise ValueError("generator action has non-finite entries")
@@ -906,18 +889,17 @@ def check_m_dissipative(gen: RestrictedOperator,
     form_max = _form_max(B, W, seed)
     G = _identity_coords(gen.space, B)
     g_max = max(float(G.max()), -float(G.min()))
-    ok = form_max <= tol * max(1.0, g_max)
+    ok = form_max <= _FORM_TOL * max(1.0, g_max)
 
-    certified = _resolvents_certified(G, g_max, W, max(hs))
+    certified = _resolvents_certified(G, g_max, W, max(_RESOLVENT_STEPS))
     del G                       # free the factor before any per-h LU
     if certified:
-        ranks = dict.fromkeys(hs, n)
+        ranks = dict.fromkeys(_RESOLVENT_STEPS, n)
     else:
         E = np.eye(n)
-        ranks = {h: _rank(E - h * B) for h in hs}
+        ranks = {h: _rank(E - h * B) for h in _RESOLVENT_STEPS}
     ok = ok and all(r == n for r in ranks.values())
-    return MDissipativityReport(form_max=form_max, ranks=ranks, dim=n,
-                                passed=ok, tol=tol)
+    return MDissipativityReport(form_max=form_max, ranks=ranks, passed=ok)
 
 
 @dataclass

@@ -200,24 +200,6 @@ def build_transport_operator(fld: StreamField,
                               meta=meta)
 
 
-def transport_gs_residual(candidate, u0, op: RestrictedOperator,
-                          family=None, tol: float = 1e-4, seed: int = 0,
-                          n_spatial: int = 8):
-    """Weak-identity residual for transport trajectories (cell Gram).
-
-    Thin adapter over the generic residual engine: transport flows are
-    driven by the metric adjoint of the skew stencil, which is exactly
-    the orientation the weak identity integrates against, so the only
-    transport-specific part is the default family size on cell space.
-    """
-    from .weak import default_family, gs_residual
-
-    if family is None:
-        family = default_family(op, horizon=float(candidate.times[-1]),
-                                n_spatial=n_spatial, seed=seed)
-    return gs_residual(candidate, u0, op, family=family, tol=tol, seed=seed)
-
-
 def gaussian_blob(grid: Grid2D, center, sigma: float) -> np.ndarray:
     """Unit-normalized Gaussian bump sampled at cell centers (flat vector)."""
     cx, cy = center

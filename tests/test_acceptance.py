@@ -32,9 +32,9 @@ from skewflow.transport import (
     field_from_stream,
     gaussian_blob,
     rotation_benchmark,
-    transport_gs_residual,
 )
-from skewflow.weak import gs_residual, splice, witness_nonuniqueness
+from skewflow.weak import (default_family, gs_residual, splice,
+                           witness_nonuniqueness)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_02_deficiency_pair():
     for n in (32, 64, 128):
         op = minimal_derivative_operator(n)
         for tol in (1e-8, 1e-6):
-            dd = deficiency(op, rank_tol=tol)
+            dd = deficiency(op)
             counts[(n, tol)] = (dd.d_plus, dd.d_minus)
         dd = deficiency(op)
         x = op.meta["grid"]
@@ -125,7 +125,7 @@ def test_04_m_dissipative(wrapped64):
     ext = seam_extension(op, 1.0)
     b = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
                            domain=None, label="negated wrap")
-    md = check_m_dissipative(b, h_list=(0.5, 1.0, 2.0), tol=1e-12)
+    md = check_m_dissipative(b)
     inc = check_inclusion_in_adjoint(b, op)
     # restriction to the original domain flips the sign of the action
     U = op.domain_basis()
@@ -286,7 +286,8 @@ def test_11_transport_benchmark():
     gen = adjoint_generator(op)
     u0 = gaussian_blob(g, (0.65, 0.5), 0.12)
     traj = evolve_cayley(gen, u0, 2 * np.pi / 2000, 2000)
-    rep = transport_gs_residual(traj, u0, op, tol=1e-4)
+    rep = gs_residual(traj, u0, op, tol=1e-4, family=default_family(
+        op, horizon=float(traj.times[-1]), n_spatial=8))
 
     ok = (div_ok and res64["energy_drift"] <= 1e-10
           and res64["final_error"] <= 0.05 and ratio >= 3.0 and rep.passed)

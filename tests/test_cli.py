@@ -463,6 +463,54 @@ def test_bad_descriptor_is_a_usage_error_without_report(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+def _unusable_run(tmp_path, case):
+    """(argv, out) of an analyze run whose input or --out cannot be used:
+    each case of test_unusable_files_are_usage_errors_without_report."""
+    out = tmp_path / "out"
+    minimal = {"operator": {"kind": "minimal_derivative", "n": 16}}
+    if case == "input-directory":
+        (tmp_path / "d").mkdir()
+        desc = str(tmp_path / "d")
+    elif case == "stream-directory":
+        (tmp_path / "d").mkdir()
+        desc = write_descriptor(tmp_path / "t.json", {
+            "operator": {"kind": "transport", "stream": "d"}})
+    elif case == "out-is-a-file":
+        desc = write_descriptor(tmp_path / "m.json", minimal)
+        out = tmp_path / "taken"
+        out.write_text("")
+    elif case == "not-utf8":
+        desc = tmp_path / "latin1.json"
+        desc.write_bytes(b'{"label": "\xe9", "operator": '
+                         b'{"kind": "minimal_derivative", "n": 16}}')
+    else:  # huge-minimal-n
+        desc = write_descriptor(tmp_path / "m.json", {
+            "operator": {"kind": "minimal_derivative", "n": 10 ** 12}})
+    return ["analyze", "--input", str(desc), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("case", ["input-directory", "stream-directory",
+                                  "out-is-a-file", "not-utf8",
+                                  "huge-minimal-n"])
+def test_unusable_files_are_usage_errors_without_report(tmp_path, capsys,
+                                                         case):
+    argv, out = _unusable_run(tmp_path, case)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (out / "report.json").exists()
+    # the huge minimal model is refused before anything is allocated
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify", "transport-run"])
 @pytest.mark.parametrize("flaw", ["nan psi", "infinite lx", "fractional nx"])
 def test_malformed_stream_files_are_usage_errors(tmp_path, capsys, command,
@@ -523,6 +571,9 @@ def test_negative_dt_is_a_usage_error(tmp_path, minimal_desc):
     ["extend", "--theta", "1.5"],
     ["extend", "--theta", "-1.5"],
     ["evolve", "--horizon", "two"],
+    ["analyze", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["analyze", "--seed", "1.5"],
     # flags a command does not read are not accepted
     ["analyze", "--method", "exact"],
     ["multiplicity", "--rank-tol", "0.5"],

@@ -9,12 +9,14 @@ moves the last bits still passes while any change of meaning fails.
 """
 import json
 import math
+import runpy
 from pathlib import Path
 
 import pytest
 
 from skewflow.cli import main
 
+ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 RTOL, ATOL = 1e-9, 1e-12
@@ -71,3 +73,45 @@ def test_mismatches_applies_the_float_tolerance_only_to_numbers():
     assert mismatches({"s": "a"}, {"s": "b"}) != []
     assert mismatches({"a": [1.0]}, {"a": [1.0, 2.0]}) != []
     assert mismatches({"a": 1}, {"b": 1}) != []
+
+
+def test_golden_diff_script_finds_what_moved(tmp_path, capsys, monkeypatch):
+    script = runpy.run_path(str(ROOT / "scripts" / "golden_diff.py"))["main"]
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert script(["dump", str(out), "analyze-weighted",
+                       "evolve-rotation"]) == 0
+    capsys.readouterr()
+    assert script(["diff", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "analyze-weighted/report.json: identical",
+        "evolve-rotation/report.json: identical",
+        "evolve-rotation/trajectory.csv: identical",
+        "exits.json: identical",
+    ]
+
+    # a doctored float and a doctored CSV cell are reported with their
+    # places; floats alone do not fail the diff
+    path = b / "analyze-weighted" / "report.json"
+    report = json.loads(path.read_text())
+    report["skew"]["max_defect"] = 1e-3
+    path.write_text(json.dumps(report))
+    path = b / "evolve-rotation" / "trajectory.csv"
+    rows = path.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[3] = "2"
+    rows[3] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    assert script(["diff", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "at $.skew.max_defect" in lines[0]
+    assert "at row 3 c1" in lines[2]
+
+    # a changed key fails it
+    path = b / "evolve-rotation" / "report.json"
+    report = json.loads(path.read_text())
+    report["steps"] = report.pop("nsteps")
+    path.write_text(json.dumps(report))
+    assert script(["diff", str(a), str(b)]) == 1
+    assert "keys" in capsys.readouterr().out.splitlines()[1]

@@ -734,8 +734,7 @@ def test_mask_checks_agree_with_the_basis_formulas():
 # ---------------------------------------------------------------------------
 
 def test_deficiency_is_cached_once_per_operator(monkeypatch):
-    # one DeficiencyData and one factorization per operator, whatever
-    # rank_tol says: the counts are exact, so it decides nothing
+    # one DeficiencyData and one factorization per operator
     calls = []
     real = operators._shifted_lu
     monkeypatch.setattr(operators, "_shifted_lu",
@@ -743,8 +742,6 @@ def test_deficiency_is_cached_once_per_operator(monkeypatch):
     op = minimal_derivative_operator(32)
     dd = deficiency(op)
     assert op._deficiency is dd and deficiency(op) is dd
-    for tol in (1e-6, 1e-8, 1e-12):
-        assert deficiency(op, rank_tol=tol) is dd
     assert calls == [1]
     assert deficiency(minimal_derivative_operator(32)) is not dd
     assert calls == [1, 1]
