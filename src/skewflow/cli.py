@@ -39,10 +39,8 @@ from .operators import (
     check_m_dissipative,
     check_skew_symmetry,
     deficiency,
-    extend,
     extension_coupling,
     restriction_defect,
-    seam_extension,
 )
 from .oracles import (
     gaussian_profile,
@@ -52,12 +50,15 @@ from .oracles import (
 )
 from .spaces import Space, subspace_angle
 from .transport import (
+    START_BLOB,
     build_transport_operator,
     field_from_stream,
+    gaussian_blob,
     read_stream_file,
 )
 from .weak import (
     GS_MIN_STEPS,
+    coupled_extension,
     forward_generator,
     gs_residual,
     semigroup_multiplicity_demo,
@@ -129,11 +130,13 @@ def write_report(out_dir: Path, payload: dict) -> Path:
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
-    """One header line, then each row's floats at 17 significant digits."""
+    """One header line, then each row's cells: a label as it is, a float
+    at 17 significant digits."""
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for row in rows:
-            f.write(",".join(format(v, ".17g") for v in row) + "\n")
+            f.write(",".join(v if isinstance(v, str) else format(v, ".17g")
+                             for v in row) + "\n")
     return path
 
 
@@ -152,12 +155,10 @@ def write_trajectory_csv(out_dir: Path, traj) -> Path:
 
 
 def write_residuals_csv(out_dir: Path, report) -> Path:
-    path = out_dir / "residuals.csv"
-    with open(path, "w", encoding="ascii") as f:
-        f.write("spatial," + ",".join(report.profile_labels) + "\n")
-        for lab, row in zip(report.spatial_labels, report.residuals):
-            f.write(lab + "," + ",".join(format(v, ".17g") for v in row) + "\n")
-    return path
+    return _write_csv(out_dir / "residuals.csv",
+                      "spatial," + ",".join(report.profile_labels),
+                      ([lab, *row] for lab, row in
+                       zip(report.spatial_labels, report.residuals)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,7 @@ def _default_u0(op: RestrictedOperator, seed: int) -> np.ndarray:
     if meta.get("kind") == "minimal_derivative":
         u0 = gaussian_profile(meta["grid"])
     elif meta.get("kind") == "transport":
-        from .transport import gaussian_blob
-        u0 = gaussian_blob(meta["grid"], (0.65, 0.5), 0.12)
+        u0 = gaussian_blob(meta["grid"], *START_BLOB)
     else:
         rng = np.random.default_rng(seed)
         u0 = rng.standard_normal(op.dim)
@@ -300,11 +300,13 @@ def _steps(args, dim: int) -> tuple[float, int]:
     return steps_to_horizon(args.horizon, args.dt)
 
 
-def _weak_steps(args, dim: int) -> tuple[float, int]:
-    """_steps for the commands whose runs gs_residual checks: fewer than
-    weak.GS_MIN_STEPS steps is a usage error, raised before anything is
-    built."""
-    dt, nsteps = _steps(args, dim)
+def _weak_steps(args, op: RestrictedOperator) -> tuple[float, int]:
+    """_steps for the commands whose runs gs_residual checks, after
+    _dense_size_guard on a restricted op: fewer than weak.GS_MIN_STEPS
+    steps is a usage error, raised before anything is built."""
+    if not op.is_full_domain:
+        _dense_size_guard(args, op)
+    dt, nsteps = _steps(args, op.dim)
     if nsteps < GS_MIN_STEPS:
         raise CliError(f"--horizon / --dt gives {nsteps} step(s); the weak "
                        f"residual needs at least {GS_MIN_STEPS}")
@@ -356,12 +358,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
 def cmd_extend(args, op) -> tuple[int, dict]:
     _dense_size_guard(args, op)
     theta = args.theta
-    if "seam" in op.meta:
-        ext = seam_extension(op, theta)
-        route = "seam"
-    else:
-        ext = extend(op, theta)
-        route = "scalar-coupling"
+    ext, route = coupled_extension(op, theta)
     skew = check_skew_symmetry(ext)
     rdef = restriction_defect(ext, op) if not op.is_full_domain else 0.0
     neg = RestrictedOperator(space=ext.space, action=-ext.dense_action(),
@@ -420,9 +417,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 
 
 def cmd_verify(args, op) -> tuple[int, dict]:
-    if not op.is_full_domain:
-        _dense_size_guard(args, op)
-    dt, nsteps = _weak_steps(args, op.dim)
+    dt, nsteps = _weak_steps(args, op)
     gen = forward_generator(op)
     u0 = _default_u0(op, args.seed)
     traj = evolve_cayley(gen, u0, dt, nsteps)
@@ -444,9 +439,7 @@ def cmd_verify(args, op) -> tuple[int, dict]:
 
 
 def cmd_witness(args, op) -> tuple[int, dict]:
-    if not op.is_full_domain:
-        _dense_size_guard(args, op)
-    dt, nsteps = _weak_steps(args, op.dim)
+    dt, nsteps = _weak_steps(args, op)
     # an action that is not skew on its domain is refused here (an error
     # report), not reported unique below
     deficiency(op)
@@ -485,9 +478,7 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 
 
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
-    if not op.is_full_domain:
-        _dense_size_guard(args, op)
-    _weak_steps(args, op.dim)  # the demo takes the same steps
+    _weak_steps(args, op)  # the demo takes the same steps
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
                                            dt=args.dt)
@@ -574,10 +565,7 @@ def cmd_oracle_check(args, op) -> tuple[int, dict]:
                                                 np.exp(-grid), model.space),
         }
     checks["defect_angles"] = angles
-    a32 = max(angles["32"]["n_minus_vs_exp"], angles["32"]["n_plus_vs_exp_neg"])
-    a64 = max(angles["64"]["n_minus_vs_exp"], angles["64"]["n_plus_vs_exp_neg"])
-    a128 = max(angles["128"]["n_minus_vs_exp"],
-               angles["128"]["n_plus_vs_exp_neg"])
+    a32, a64, a128 = (max(a.values()) for a in angles.values())
     ok = (max(checks["shift_theta_+1_defect"],
               checks["shift_theta_-1_defect"],
               checks["shift_theta_+0_defect"]) <= 1e-12
@@ -593,46 +581,22 @@ def cmd_oracle_check(args, op) -> tuple[int, dict]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _finite_float(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return x
+def _number(cast, test, what: str):
+    """argparse type: text cast to a finite number that passes test, else
+    the refusal "'<text>' is not <what>"."""
+    def parse(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = math.nan
+        # false for NaN, and exact for an int of any size
+        if not (-math.inf < x < math.inf and test(x)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return x
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    x = _finite_float(text)
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return x
-
-
-def _nonnegative_float(text: str) -> float:
-    x = _finite_float(text)
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return x
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        x = int(text)
-    except ValueError:
-        x = -1
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
-    return x
-
-
-def _unit_interval_float(text: str) -> float:
-    x = _finite_float(text)
-    if abs(x) > 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in [-1, 1]")
-    return x
-
+_positive = _number(float, lambda x: x > 0, "a finite number > 0")
 
 # argparse spec of every flag a command can take
 _FLAGS = {
@@ -640,14 +604,16 @@ _FLAGS = {
                     help="operator descriptor (JSON)"),
     "--out": dict(required=True, type=Path,
                   help="output directory for report.json and CSVs"),
-    "--seed": dict(type=_nonnegative_int, default=0),
-    "--gs-tol": dict(type=_positive_float, default=1e-5),
-    "--dt": dict(type=_positive_float, default=1e-3),
-    "--horizon": dict(type=_positive_float, default=2.0),
+    "--seed": dict(type=_number(int, lambda x: x >= 0, "an integer >= 0"),
+                   default=0),
+    "--gs-tol": dict(type=_positive, default=1e-5),
+    "--dt": dict(type=_positive, default=1e-3),
+    "--horizon": dict(type=_positive, default=2.0),
     "--method": dict(choices=("exact", "cayley"), default="cayley"),
-    "--theta": dict(type=_unit_interval_float, required=True,
-                    help="coupling parameter in [-1, 1]"),
-    "--t0": dict(type=_nonnegative_float, default=0.5,
+    "--theta": dict(type=_number(float, lambda x: abs(x) <= 1, "in [-1, 1]"),
+                    required=True, help="coupling parameter in [-1, 1]"),
+    "--t0": dict(type=_number(float, lambda x: x >= 0, "a finite number >= 0"),
+                 default=0.5,
                  help="splice time for the spliced witness (>= 0)"),
 }
 

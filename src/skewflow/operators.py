@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgecon, dgetrf, dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .spaces import Space, orthonormalize
 
@@ -791,28 +791,6 @@ _RESOLVENT_STEPS = (0.5, 1.0, 2.0)
 _FORM_TOL = 1e-12
 
 
-def _rank(A: np.ndarray) -> int:
-    """Rank of a square matrix: its size when one LU factorization and
-    LAPACK's 1-norm estimate rcond show it far from singular, else
-    matrix_rank's SVD count.
-
-    matrix_rank counts A as singular when sigma_min <= n eps sigma_max,
-    i.e. kappa_2 >= 1/(n eps). Since kappa_2 <= n kappa_1 and the
-    estimate of |A^-1|_1 is rarely low by more than a factor 10,
-    rcond >= 10 n^2 eps keeps A clear of that cut. getrf is called
-    directly, so an exactly singular A (info > 0) reaches the SVD
-    without a LinAlgWarning.
-    """
-    n = A.shape[0]
-    anorm = float(np.max(np.sum(np.abs(A), axis=0)))
-    lu, _, info = dgetrf(A)
-    if info == 0:
-        rcond, info = dgecon(lu, anorm, norm="1")
-        if info == 0 and rcond >= 10.0 * n * n * np.finfo(float).eps:
-            return n
-    return int(np.linalg.matrix_rank(A))
-
-
 def _form_max(B: np.ndarray, w: np.ndarray, seed: int) -> float:
     """Largest Rayleigh value (Bu, u)/(u, u) over 64 seeded probes."""
     probes = np.random.default_rng(seed).standard_normal((B.shape[0], 64))
@@ -832,9 +810,9 @@ def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
     gives ((E - hG)u, u) >= (1 - h delta)|u|^2 >= |u|^2 / 2, so
     sigma_min(E - hG) >= 1/2 and cond_2(E - hB) <= (1 + h_max |G|_2) 2
     (max w / min w), with |G|_2 <= n g_max. While that bound stays below
-    1 / (2 n eps), matrix_rank's SVD counts all n singular values, so
-    _rank would return n as well. Above it, or when dpotrf meets a
-    nonpositive pivot, the answer is False and the caller ranks each h.
+    1 / (2 n eps), matrix_rank's SVD counts all n singular values. Above
+    it, or when dpotrf meets a nonpositive pivot, the answer is False and
+    the caller ranks each h.
 
     Only the support of sym(G) is factored: with P the rows where G + G^T
     has an entry other than exactly zero, delta E - (G + G^T)/2 is delta
@@ -875,9 +853,8 @@ def check_m_dissipative(gen: RestrictedOperator,
     (_resolvents_certified), on the rows where sym(G) is nonzero: when
     delta E - (G + G^T)/2 with delta = 1 / (2 max h) is positive definite
     and a condition bound rules out a numerically singular E - hB, every
-    rank is n and no LU runs. Otherwise each rank costs one LU
-    factorization unless E - hB is close enough to singular to need the
-    SVD (see _rank). Raises ValueError for a restricted or non-finite
+    rank is n and no SVD runs. Otherwise each rank is matrix_rank's SVD
+    count of E - hB. Raises ValueError for a restricted or non-finite
     generator.
     """
     if not gen.is_full_domain:
@@ -892,12 +869,13 @@ def check_m_dissipative(gen: RestrictedOperator,
     ok = form_max <= _FORM_TOL * max(1.0, g_max)
 
     certified = _resolvents_certified(G, g_max, W, max(_RESOLVENT_STEPS))
-    del G                       # free the factor before any per-h LU
+    del G                       # free the factor before any per-h SVD
     if certified:
         ranks = dict.fromkeys(_RESOLVENT_STEPS, n)
     else:
         E = np.eye(n)
-        ranks = {h: _rank(E - h * B) for h in _RESOLVENT_STEPS}
+        ranks = {h: int(np.linalg.matrix_rank(E - h * B))
+                 for h in _RESOLVENT_STEPS}
     ok = ok and all(r == n for r in ranks.values())
     return MDissipativityReport(form_max=form_max, ranks=ranks, passed=ok)
 
@@ -906,18 +884,20 @@ def check_m_dissipative(gen: RestrictedOperator,
 class InclusionReport:
     max_defect: float
     passed: bool
-    tol: float
+
+
+# the largest inclusion defect check_inclusion_in_adjoint passes
+_INCLUSION_TOL = 1e-8
 
 
 def check_inclusion_in_adjoint(gen: RestrictedOperator,
-                               op: RestrictedOperator,
-                               tol: float = 1e-10) -> InclusionReport:
+                               op: RestrictedOperator) -> InclusionReport:
     """Verify (B u, v) = (u, M v) for all v in op's domain, u arbitrary.
 
     This is the weak statement that B acts inside the adjoint of op; it is
     checked on 32 unit probes u (seed 0) against the full W-orthonormal
     domain basis, so the reported defect bounds the bilinear identity on
-    unit pairs.
+    unit pairs. It passes when that defect is at most _INCLUSION_TOL.
     """
     n = gen.dim
     if op.space.dim != n:
@@ -930,7 +910,7 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
     rhs = ((W * probes).T @ op.action) @ U         # (u, Mv)
     max_defect = _max_abs(lhs - rhs)
     return InclusionReport(max_defect=max_defect,
-                           passed=max_defect <= tol, tol=tol)
+                           passed=max_defect <= _INCLUSION_TOL)
 
 
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:

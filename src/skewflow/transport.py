@@ -200,6 +200,10 @@ def build_transport_operator(fld: StreamField,
                               meta=meta)
 
 
+# (center, sigma) of the blob rotation_benchmark and CLI flows start from
+START_BLOB = ((0.65, 0.5), 0.12)
+
+
 def gaussian_blob(grid: Grid2D, center, sigma: float) -> np.ndarray:
     """Unit-normalized Gaussian bump sampled at cell centers (flat vector)."""
     cx, cy = center
@@ -212,8 +216,7 @@ def gaussian_blob(grid: Grid2D, center, sigma: float) -> np.ndarray:
 
 
 def rotation_benchmark(n: int, dt: float) -> dict:
-    """Rigid rotation of a Gaussian blob (sigma 0.12, centred at
-    (0.65, 0.5)) through one full revolution.
+    """Rigid rotation of the START_BLOB Gaussian through one revolution.
 
     The stream function -r^2/2 about the box center rotates everything at
     unit angular speed, so after time 2*pi the exact solution is the
@@ -234,7 +237,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     op = build_transport_operator(fld, mode="periodic_full")
     gen = adjoint_generator(op)
 
-    u0 = gaussian_blob(grid, (0.65, 0.5), 0.12)
+    u0 = gaussian_blob(grid, *START_BLOB)
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
     drift = 0.0

@@ -291,7 +291,7 @@ def splice(witness: ExponentialWitness, gen: RestrictedOperator,
         raise ValueError("splice time must be finite and nonnegative")
     if not np.array_equal(semigroup.states[0], witness.u0):
         raise ValueError("the semigroup run must start at the witness vector")
-    rep = check_inclusion_in_adjoint(gen, witness.op, tol=1e-8)
+    rep = check_inclusion_in_adjoint(gen, witness.op)
     if not rep.passed:
         raise ValueError(
             "generator does not act inside the weak adjoint pairing "
@@ -323,25 +323,42 @@ class MultiplicityDemo:
     labels: tuple = ("theta=+1", "theta=-1")
 
 
+def coupled_extension(op: RestrictedOperator, theta: Optional[float]
+                      ) -> tuple[RestrictedOperator, str]:
+    """(ext, route): the full-domain extension of a restricted op with
+    coupling theta. A seam model takes seam_extension ("seam"; theta None
+    is the wrap, theta = 1), any other op extend(op, theta)
+    ("scalar-coupling"), or for theta None the W-skew completion M_s that
+    deficiency holds ("skew-completion"), which exists on every operator,
+    where a scalar coupling can leave the extension domain not dense."""
+    if "seam" in op.meta:
+        return seam_extension(op, 1.0 if theta is None else theta), "seam"
+    if theta is not None:
+        return extend(op, theta), "scalar-coupling"
+    ext = RestrictedOperator(space=op.space,
+                             action=deficiency(op).skew_completion,
+                             label=f"skew_completion({op.label})")
+    return ext, "skew-completion"
+
+
 def forward_generator(op: RestrictedOperator,
-                      theta: float = 1.0) -> RestrictedOperator:
+                      theta: Optional[float] = None) -> RestrictedOperator:
     """The contractive forward generator attached to op.
 
     A full-domain operator drives its own forward problem through the
-    metric adjoint. A restricted operator is first extended with coupling
-    theta: the closed-form seam extension when it carries seam metadata,
-    the scalar coupling through the defect pair (extend) otherwise. The
-    generator is then -A_ext, which is dissipative for every |theta| <= 1
+    metric adjoint. A restricted operator is first extended by
+    coupled_extension(op, theta) (its route goes to meta["route"]), and
+    the generator is -A_ext, which is dissipative for every |theta| <= 1
     and acts inside the adjoint of op: (-A_ext u, v) = (u, Mv) for v in
-    op's domain. At |theta| = 1 the extension is skew and -A_ext is its
-    metric adjoint, which the label then names."""
+    op's domain. For theta None and at |theta| = 1 the extension is skew
+    and -A_ext is its metric adjoint, which the label then names."""
     if op.is_full_domain:
         return adjoint_generator(op)
-    ext = (seam_extension if "seam" in op.meta else extend)(op, theta)
-    name = "adjoint" if abs(theta) == 1.0 else "-"
+    ext, route = coupled_extension(op, theta)
+    name = "-" if theta is not None and abs(theta) != 1.0 else "adjoint"
     return RestrictedOperator(space=ext.space, action=-ext.action,
                               domain=None, label=f"{name}({ext.label})",
-                              meta=dict(ext.meta))
+                              meta=dict(ext.meta, route=route))
 
 
 def semigroup_multiplicity_demo(op: RestrictedOperator,
@@ -380,8 +397,7 @@ def semigroup_multiplicity_demo(op: RestrictedOperator,
     diff = tp.states - tm.states
     w = op.space.weights
     dists = np.sqrt(np.einsum("kj,j,kj->k", diff, w, diff))
-    labels = (("theta=+1", "theta=-1") if "seam" in op.meta
-              else ("coupling=+1", "coupling=-1"))
+    name = "theta" if gen_p.meta["route"] == "seam" else "coupling"
     return MultiplicityDemo(traj_plus=tp, traj_minus=tm,
                             separation=float(np.max(dists)), distances=dists,
-                            u0=u0, labels=labels)
+                            u0=u0, labels=(f"{name}=+1", f"{name}=-1"))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewflow import cli
+from skewflow import weak
 from skewflow.cli import canonical_json, main, parse_operator_descriptor
 from skewflow.evolution import evolve_cayley
 from skewflow.operators import check_skew_symmetry, deficiency
@@ -228,7 +228,7 @@ def test_an_arithmetic_error_is_a_failed_verdict(tmp_path, capsys,
     # stderr line and an error report, as for a ValueError
     def refuse(*args, **kwargs):
         raise ArithmeticError("extension leaves the pinned block (1e-06)")
-    monkeypatch.setattr(cli, "extend", refuse)
+    monkeypatch.setattr(weak, "extend", refuse)
     out = tmp_path / "out"
     assert main(["extend", "--input", rotation_desc, "--out", str(out),
                  "--theta", "-1"]) == 2
@@ -288,6 +288,21 @@ def test_extend_unit_scalar_couplings_of_restricted_operators(tmp_path,
                  "--theta", theta]) == 2
     assert read_report(out) == {"command": "extend", "pass": False,
                                 "error": "extension domain not dense"}
+
+
+@pytest.mark.parametrize("command", ["verify", "witness"])
+def test_interior_through_flow_runs_on_the_skew_completion(tmp_path,
+                                                           command):
+    # psi = y on a 12^2 interior domain: the unit scalar couplings leave
+    # the extension domain not dense, the default generator -M_s does not
+    write_stream_file(tmp_path / "psi.csv", lambda x, y: y + 0.0 * x,
+                      Grid2D(nx=12, ny=12))
+    desc = write_descriptor(tmp_path / "through.json", {"operator": {
+        "kind": "transport", "stream": "psi.csv",
+        "mode": "interior_domain"}})
+    out = tmp_path / "out"
+    assert main([command, "--input", desc, "--out", str(out)]) == 0
+    assert read_report(out)["pass"] is True
 
 
 def test_extend_rejects_theta_outside_range(tmp_path, minimal_desc, capsys):

@@ -20,36 +20,23 @@ ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 RTOL, ATOL = 1e-9, 1e-12
+GOLDEN_DIFF = runpy.run_path(str(ROOT / "scripts" / "golden_diff.py"))
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+class _Tolerant(GOLDEN_DIFF["Deviation"]):
+    """golden_diff.py's walk, with each float pair outside the tolerance
+    recorded as a change."""
+
+    def number(self, a, b, where):
+        if not math.isclose(a, b, rel_tol=RTOL, abs_tol=ATOL):
+            self.changes.append(f"{where}: {a!r} != {b!r}")
 
 
 def mismatches(got, want, where="report"):
     """Paths at which got differs from want, under the float tolerance."""
-    if _is_number(got) and _is_number(want):
-        # canonical_json writes a whole float like an int, so a float on
-        # either side makes the pair a float comparison
-        if isinstance(got, int) and isinstance(want, int):
-            same = got == want
-        else:
-            same = math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL)
-    elif type(got) is not type(want):
-        same = False
-    elif isinstance(want, dict):
-        if got.keys() != want.keys():
-            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want
-                for m in mismatches(got[k], want[k], f"{where}.{k}")]
-    elif isinstance(want, list):
-        if len(got) != len(want):
-            return [f"{where}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]")]
-    else:
-        same = got == want
-    return [] if same else [f"{where}: {got!r} != {want!r}"]
+    dev = _Tolerant()
+    dev.json(got, want, where)
+    return dev.changes
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])

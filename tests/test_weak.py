@@ -6,7 +6,14 @@ import pytest
 
 from skewflow.cli import parse_operator_descriptor
 from skewflow.evolution import Trajectory, adjoint_generator, evolve_cayley
-from skewflow.operators import RestrictedOperator, extend, seam_extension
+from skewflow.operators import (
+    RestrictedOperator,
+    check_inclusion_in_adjoint,
+    check_skew_symmetry,
+    deficiency,
+    extend,
+    seam_extension,
+)
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
 from skewflow.spaces import Space
 from skewflow.transport import (
@@ -440,6 +447,22 @@ def test_forward_generator_routes():
         np.testing.assert_array_equal(
             forward_generator(ring, theta).dense_action(),
             -extend(ring, theta).dense_action())
+
+
+def test_forward_generator_without_seam_data_is_the_skew_completion():
+    # the 12^2 interior through-flow has no unit scalar extension, but its
+    # skew completion M_s extends it on every operator
+    grid = Grid2D(12, 12)
+    op = build_transport_operator(
+        field_from_stream(grid, lambda x, y: y + 0.0 * x),
+        mode="interior_domain")
+    with pytest.raises(ValueError, match="extension domain not dense"):
+        extend(op, 1.0)
+    gen = forward_generator(op)
+    assert gen.is_full_domain and gen.meta["route"] == "skew-completion"
+    assert (gen.action + deficiency(op).skew_completion).count_nonzero() == 0
+    assert check_skew_symmetry(gen).passed
+    assert check_inclusion_in_adjoint(gen, op).passed
 
 
 @pytest.mark.parametrize("theta", [1.0, -1.0])
