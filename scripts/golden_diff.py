@@ -3,6 +3,7 @@
 
     golden_diff.py dump DIR [CASE ...]
     golden_diff.py diff A B
+    golden_diff.py gate REV [CASE ...]
 
 dump runs every case of tests/golden/cases.json (or the named ones), each
 in a fresh process with SKEWFLOW_THREADS=1, and writes each case's
@@ -17,6 +18,12 @@ agree, else the largest absolute and relative deviation of a float with
 its JSON path or CSV cell, and every change of a key, string, bool, int,
 length or file. It exits 1 on any such change, and 0 when at most floats
 moved.
+
+gate checks REV out with `git worktree add` into a temporary directory,
+dumps the cases there and in this working tree (both with this tree's
+cases and inputs), prints the diff of the two dumps and the net line
+count of src/skewflow/*.py (as `wc -l` counts them), removes the
+worktree, and exits as diff does. It needs only the local repository.
 """
 import argparse
 import json
@@ -24,20 +31,26 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 
-def dump(out_dir: Path, names) -> int:
+def dump(out_dir: Path, names, src=None) -> int:
+    """Run the cases into out_dir with the skewflow under src, else the
+    one on PYTHONPATH (this tree's src/ when it is unset)."""
     cases = json.loads((GOLDEN / "cases.json").read_text())
     unknown = set(names) - {c["name"] for c in cases}
     if unknown:
         print(f"unknown case(s): {', '.join(sorted(unknown))}", file=sys.stderr)
         return 1
     env = {**os.environ, "SKEWFLOW_THREADS": "1"}
-    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    if src is None:
+        env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    else:
+        env["PYTHONPATH"] = str(src)
     exits = {}
     for case in cases:
         if names and case["name"] not in names:
@@ -157,6 +170,39 @@ def diff(a: Path, b: Path) -> int:
     return 1 if changed else 0
 
 
+def source_lines(root: Path) -> int:
+    """The lines of root/src/skewflow/*.py, counted as `wc -l` does."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (root / "src" / "skewflow").glob("*.py"))
+
+
+def gate(rev: str, names) -> int:
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkout = tmp / "rev"
+        add = subprocess.run([*git, "add", "--detach", "--quiet",
+                              str(checkout), rev],
+                             capture_output=True, text=True)
+        if add.returncode:
+            print(f"cannot check out {rev}: {add.stderr.strip()}",
+                  file=sys.stderr)
+            return 1
+        try:
+            for side, src in (("rev", checkout / "src"),
+                              ("tree", ROOT / "src")):
+                if dump(tmp / f"dump-{side}", names, src):
+                    return 1
+            before, after = source_lines(checkout), source_lines(ROOT)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(checkout)],
+                           check=True)
+        code = diff(tmp / "dump-rev", tmp / "dump-tree")
+    print(f"src/skewflow/*.py: {before} -> {after} lines "
+          f"({after - before:+d})")
+    return code
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -166,9 +212,14 @@ def main(argv=None) -> int:
     c = sub.add_parser("diff", help="compare two dumps")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
+    g = sub.add_parser("gate", help="compare REV's dump with this tree's")
+    g.add_argument("rev")
+    g.add_argument("cases", nargs="*", help="case names (default: all)")
     args = ap.parse_args(argv)
     if args.command == "dump":
         return dump(args.dir, args.cases)
+    if args.command == "gate":
+        return gate(args.rev, args.cases)
     return diff(args.a, args.b)
 
 

@@ -3,8 +3,8 @@
 
 Carries a Gaussian blob once around the box center and reports the
 relative error against the exact return to the start, the energy drift
-of the trapezoidal stepper, and the most Neumann products any step took
-("-" where the steps solve with SuperLU instead).
+of the trapezoidal stepper, and the most and the mean Neumann products
+per step ("-" where the steps solve with SuperLU instead).
 """
 import argparse
 
@@ -23,16 +23,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(f"{'n':>5} {'steps':>7} {'final error':>12} {'drift':>10} "
-          f"{'products':>8} {'ratio':>7}")
+          f"{'products':>8} {'mean':>6} {'ratio':>7}")
     prev = None
     steps = args.steps
     for n in args.n:
         res = rotation_benchmark(n, 2.0 * np.pi / steps)
         ratio = "" if prev is None else f"{prev / res['final_error']:.2f}"
-        products = res["neumann_products"]
+        products, mean = res["neumann_products"], res["neumann_products_mean"]
         products = "-" if products is None else str(products)
+        mean = "-" if mean is None else f"{mean:.2f}"
         print(f"{n:>5} {res['steps']:>7} {res['final_error']:>12.5f} "
-              f"{res['energy_drift']:>10.1e} {products:>8} {ratio:>7}")
+              f"{res['energy_drift']:>10.1e} {products:>8} {mean:>6} "
+              f"{ratio:>7}")
         prev = res["final_error"]
         steps *= 2
     return 0

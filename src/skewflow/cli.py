@@ -35,6 +35,7 @@ import numpy as np
 from .evolution import (adjoint_generator, evolve_cayley, evolve_exact,
                         steps_to_horizon)
 from .operators import (
+    PinnedDomain,
     RestrictedOperator,
     check_m_dissipative,
     check_skew_symmetry,
@@ -300,17 +301,30 @@ def _steps(args, dim: int) -> tuple[float, int]:
     return steps_to_horizon(args.horizon, args.dt)
 
 
-def _weak_steps(args, op: RestrictedOperator) -> tuple[float, int]:
+def _weak_steps(args, op: RestrictedOperator,
+                dense: bool = True) -> tuple[float, int]:
     """_steps for the commands whose runs gs_residual checks, after
-    _dense_size_guard on a restricted op: fewer than weak.GS_MIN_STEPS
-    steps is a usage error, raised before anything is built."""
-    if not op.is_full_domain:
+    _dense_size_guard on a restricted op unless dense is false: verify
+    passes _dense_generator(op), while witness and multiplicity keep the
+    guard on every restricted op (on a sparse pinned one they build no
+    dense action either, but hold three stored trajectories). Fewer than
+    weak.GS_MIN_STEPS steps is a usage error, raised before anything is
+    built."""
+    if dense and not op.is_full_domain:
         _dense_size_guard(args, op)
     dt, nsteps = _steps(args, op.dim)
     if nsteps < GS_MIN_STEPS:
         raise CliError(f"--horizon / --dt gives {nsteps} step(s); the weak "
                        f"residual needs at least {GS_MIN_STEPS}")
     return dt, nsteps
+
+
+def _dense_generator(op: RestrictedOperator) -> bool:
+    """Whether forward_generator(op) is a dense action: on the seam route,
+    on explicit-column domains and for a dense action; the skew
+    completion of a sparse action on a pinned domain stays sparse."""
+    return ("seam" in op.meta or not isinstance(op.domain, PinnedDomain)
+            or isinstance(op.action, np.ndarray))
 
 
 def _dense_size_guard(args, op: RestrictedOperator) -> None:
@@ -417,7 +431,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 
 
 def cmd_verify(args, op) -> tuple[int, dict]:
-    dt, nsteps = _weak_steps(args, op)
+    dt, nsteps = _weak_steps(args, op, _dense_generator(op))
     gen = forward_generator(op)
     u0 = _default_u0(op, args.seed)
     traj = evolve_cayley(gen, u0, dt, nsteps)

@@ -64,12 +64,21 @@ blocks of rows, with no Python work per row:
   (so the truncation stays below rounding in the inf-norm), is taken by
   at most K Horner products x <- S x + b if K nnz(S) < nnz(L) + nnz(U),
   the factors' entries as SuperLU stores them; else SuperLU's triangular
-  solve pair runs. K is only the cap: a step stops at the first product
-  j after which the rest of its own series, at most
-  q/(1 - q) |x_j - x_{j-1}|_inf, is below eps/2 |b|_inf
-  (``_neumann_sum``), so it keeps the same bound and smooth states pay
-  fewer products. The new state is 2x - u for the solution x of
-  (E - dt/2 B) x = u, so no product with B is taken.
+  solve pair runs. The rule compares the cap K, not the products the
+  steps then take, so the 77^2 interior ``verify`` (K = 14) stays on
+  SuperLU; a rule from measured products would be the next step. K is
+  only the cap: a step stops at the first product j after which its
+  distance to the solve, at most q/(1 - q) |x_j - x_{j-1}|_inf from any
+  start (Banach's a-posteriori bound), is below eps/2 |b|_inf
+  (``_neumann_sum``). The first ``_WARM_DEPTH`` = p = 8 steps start from
+  b; each later one starts from the polynomial extrapolation
+  sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i} of the last p solves, which
+  one GEMV against a p-row ring forms, and which the steps' common
+  propagator puts near rounding of the new solve. A start that K
+  products do not certify, or that is not finite, is dropped and the
+  step runs from b, where K products certify it a priori. The new
+  state is 2x - u for the solution x of (E - dt/2 B) x = u, so no
+  product with B is taken.
   I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
@@ -79,21 +88,23 @@ blocks of rows, with no Python work per row:
   dt = 2 pi / 2000 the factor has 190k L+U nonzeros (401k under
   SuperLU's default COLAMD ordering; SuperLU stores them in 225k
   entries) while S has 18k and q = 0.0092, so K = 7 and the Neumann
-  route runs. There the rotating blob's steps stop after 4 products
-  (so too at 32^2, dt = 2 pi / 1000, and at 128^2, dt = 2 pi / 4000,
-  both also K = 7), and a step costs about 0.09 ms against 0.14 ms with
-  all K products and 0.28 ms with the solve pair (0.04 against 0.05 ms
-  at 32^2, 0.33 against 0.50 ms at 128^2; fastest of 63 runs, one BLAS
-  thread). Rough data, whose |S^j b| stay near q^j |b|, take all K
-  products at 64^2 and 128^2 (6 at 32^2), at about the cost of a step
-  without the stop (0.14 ms at 64^2). At dt = 2 the 64^2 stencil has
-  q = 3721 and takes SuperLU. The products, and the two with the coupling
-  blocks, run scipy's CSR kernel in place, since at these sizes the
-  dispatch of ``S @ x`` costs more than the product. The set-up, choice
-  of I included, costs about what the whole-matrix LU does (6 ms).
+  route runs. There the rotating blob's steps take 2.01 products on
+  average (2.02 at 32^2, dt = 2 pi / 1000, and 2.00 at 128^2,
+  dt = 2 pi / 4000, both also K = 7), against 4 from b, and a step
+  costs 0.067 ms against 0.096 ms from b (0.030 against 0.039 ms at
+  32^2, 0.29 against 0.41 ms at 128^2; fastest of 15 interleaved runs,
+  one BLAS thread) and 0.28 ms with the solve pair. Rough data, whose
+  |S^j b| stay near q^j |b|, take all K products from b; white noise on
+  the 64^2 stencil averages 5.01 (7 from b). At dt = 2 the 64^2 stencil
+  has q = 3721 and takes SuperLU. The products, and the two with the
+  coupling blocks, run scipy's CSR kernel in place, since at these
+  sizes the dispatch of ``S @ x`` costs more than the product. The
+  set-up, choice of I included, costs about what the whole-matrix LU
+  does (6 ms).
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -114,8 +125,21 @@ _DENSE_EXP_LIMIT = 4096
 _ROW_BLOCK = 128
 # keeps the sign, the exponent and the 25 leading fraction bits of a double
 _HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
-# the (0-based) index of a vector's largest |entry|, one BLAS pass
+# the (0-based) index of a vector's largest |entry|, one BLAS pass; it
+# passes over NaN entries
 _idamax = sla.blas.idamax
+# the sum of a vector's |entries|, one BLAS pass; NaN and overflow make it
+# non-finite
+_dasum = sla.blas.dasum
+_EPS = float(np.finfo(float).eps)
+# the sparse Cayley steps start their Neumann sums from the value at k of
+# the polynomial through the last p = _WARM_DEPTH solves,
+# sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i}; with x_j in row j % p of a
+# ring, row k % p of _WARM_TABLE holds these weights
+_WARM_DEPTH = 8
+_WARM_TABLE = np.array([np.roll([(-1) ** (i + 1) * math.comb(_WARM_DEPTH, i)
+                                 for i in range(_WARM_DEPTH, 0, -1)], r)
+                        for r in range(_WARM_DEPTH)], dtype=float)
 
 
 @dataclass
@@ -400,7 +424,7 @@ def _uniform_step(ts: np.ndarray):
         return None
     d = ts[-1] / (ts.size - 1)
     gap = np.max(np.abs(ts - d * np.arange(ts.size)))
-    return float(d) if gap <= 4.0 * np.finfo(float).eps * ts[-1] else None
+    return float(d) if gap <= 4.0 * _EPS * ts[-1] else None
 
 
 def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
@@ -520,7 +544,7 @@ def _neumann_terms(q: float) -> int:
     |S| <= q."""
     if q == 0.0:
         return 0
-    tol = 0.5 * np.finfo(float).eps * (1.0 - q)
+    tol = 0.5 * _EPS * (1.0 - q)
     terms = max(0, int(np.ceil(np.log(tol) / np.log(q))) - 1)
     # the logarithms can put the ceiling one off either way
     while terms > 0 and q ** terms <= tol:
@@ -538,24 +562,34 @@ def _add_product(A, x: np.ndarray, y: np.ndarray):
 
 
 def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
-                 x: np.ndarray, y: np.ndarray):
-    """The solution of (E - S) x = b for |S|_inf = q < 1, as
-    (sum_{i <= j} S^i b, j) by j <= terms Horner products x <- S x + b;
-    x and y are work buffers of b's size, and the sum is one of them.
+                 x: np.ndarray, y: np.ndarray, start=None):
+    """The solution of (E - S) x = b for |S|_inf = q < 1 by at most terms
+    products x <- S x + b, from x_0 = start, or from b when start is None
+    (then x_j = sum_{i <= j} S^i b, Horner), as (x, j, certified); x and y
+    are work buffers of b's size, and the result is one of them.
 
-    After the j-th product the rest of the series is at most
-    q/(1 - q) |S^j b| = q/(1 - q) |x_j - x_{j-1}| in the inf-norm, so the
-    sum stops at the first j >= first at which that is <= eps/2 |b|_inf,
-    and at j = terms (_neumann_terms(q)) at the latest: either way it
-    misses the solution by at most eps/2 |b|_inf. The test is taken as
+    After the j-th product x_j - x* = S (x_{j-1} - x*), so x_j misses the
+    solution by at most q/(1 - q) |x_j - x_{j-1}|_inf from any start
+    (Banach's a-posteriori bound). The sum stops, certified, at the first
+    j >= first at which that is <= eps/2 |b|_inf. From b it stops at
+    j = terms (_neumann_terms(q)) at the latest, certified by the a-priori
+    bound q^(terms+1)/(1 - q) |b|_inf <= eps/2 |b|_inf; from another start
+    that is not certified, and neither is a start with a non-finite entry,
+    which is refused before any product (_idamax would pass over the NaN
+    the products make of it). The test is taken as
     q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf, which squares nothing,
     so it holds at any finite scale of b; an underflow on its left only
     drops what is below the smallest double.
     """
-    np.copyto(x, b)
+    if start is None:
+        np.copyto(x, b)
+    elif not math.isfinite(_dasum(start)):
+        return x, 0, False
+    elif start is not x:
+        np.copyto(x, start)
     if not terms:
-        return x, 0
-    limit = 0.5 * np.finfo(float).eps * (1.0 - q) * abs(b[_idamax(b)])
+        return x, 0, start is None
+    limit = 0.5 * _EPS * (1.0 - q) * abs(b[_idamax(b)])
     j = 0
     while j < terms:
         np.copyto(y, b)
@@ -565,8 +599,8 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
         if j >= first:
             np.subtract(x, y, out=y)
             if q * abs(y[_idamax(y)]) <= limit:
-                break
-    return x, j
+                return x, j, True
+    return x, j, start is None
 
 
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
@@ -592,17 +626,26 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     solve to within eps/2 |b|_inf; it is taken when its K nnz(S)
     multiply-adds are fewer than the nnz(L) + nnz(U) of the triangular
     solve pair, as SuperLU stores the factors (supernodes included).
-    Otherwise (always when q >= 1) SuperLU solves. On the Neumann route
-    K is the cap: each step stops as soon as the rest of its series is
-    below eps/2 |b|_inf (_neumann_sum), checking from one product before
-    where the previous step stopped. route holds what decided and what
-    ran: {"sparse_solve": "neumann" or "superlu", "neumann_terms": K
-    (None when q >= 1), "schur_norm_inf": q, "neumann_products": the
-    most products any step so far took (None on the SuperLU route)}.
+    Otherwise (always when q >= 1) SuperLU solves. The rule compares the
+    cap K, not the products the steps then take.
+
+    On the Neumann route K is the cap, and each step stops once the
+    a-posteriori bound puts it within eps/2 |b|_inf (_neumann_sum). The
+    first p = _WARM_DEPTH steps start from b, each checking from one
+    product before where the previous such step stopped; step k >= p
+    starts from the extrapolation of the last p solves x_R (held before
+    they are doubled, in a p-row ring weighed by row k % p of
+    _WARM_TABLE). A start that K products do not certify is dropped and
+    the step runs from b, whose a-priori bound certifies it at K. route
+    holds what decided and what ran: {"sparse_solve": "neumann" or
+    "superlu", "neumann_terms": K (None when q >= 1), "schur_norm_inf":
+    q, "neumann_products": the most products any step so far took, a
+    dropped start's included, and "neumann_products_mean": their mean
+    per step so far (both None on the SuperLU route)}.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
-    running iterate is held, so callers that keep no states
-    (transport.rotation_benchmark) stay O(n) in memory.
+    running iterate and the ring are held, so callers that keep no
+    states (transport.rotation_benchmark) stay O(n) in memory.
     """
     half = (dt / 2.0) * gen.action.tocsr()
     elim = _eliminated_nodes(half)
@@ -625,7 +668,8 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     neumann = terms is not None and terms * schur.nnz < lu.nnz
     route = {"sparse_solve": "neumann" if neumann else "superlu",
              "neumann_terms": terms, "schur_norm_inf": q,
-             "neumann_products": 0 if neumann else None}
+             "neumann_products": 0 if neumann else None,
+             "neumann_products_mean": 0.0 if neumann else None}
     order = np.concatenate([np.flatnonzero(elim), np.flatnonzero(keep)])
     v = u[order]
     u_I, u_R = v[:inv.size], v[inv.size:]
@@ -633,18 +677,32 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
 
     def steps():
         x, y, b = np.empty(m), np.empty(m), np.empty(m)
+        ring = np.empty((_WARM_DEPTH, m)) if neumann else None
         x_I = np.empty(inv.size)
-        first = 1
-        for _ in range(nsteps):
+        first, total = 1, 0
+        for k in range(nsteps):
             np.copyto(b, u_R)
             _add_product(from_I, u_I, b)
             if neumann:
-                x_R, used = _neumann_sum(schur, q, terms, b, first, x, y)
-                # the next step checks from one product before this one's
-                # stop, so that its count can fall as well as rise
-                first = max(used - 1, 1)
-                if used > route["neumann_products"]:
-                    route["neumann_products"] = used
+                used, certified = 0, False
+                slot = k % _WARM_DEPTH
+                if k >= _WARM_DEPTH:
+                    np.dot(_WARM_TABLE[slot], ring, out=x)
+                    x_R, used, certified = _neumann_sum(
+                        schur, q, terms, b, 1, x, y, start=x)
+                if not certified:
+                    x_R, cold, _ = _neumann_sum(schur, q, terms, b, first,
+                                                x, y)
+                    # the next such step checks from one product before
+                    # this one's stop, so that its count can fall as well
+                    # as rise
+                    first = max(cold - 1, 1)
+                    used += cold
+                ring[slot] = x_R
+                total += used
+                route["neumann_products"] = max(route["neumann_products"],
+                                                used)
+                route["neumann_products_mean"] = total / (k + 1)
             else:
                 x_R = lu.solve(b)
             np.multiply(inv, u_I, out=x_I)
@@ -691,15 +749,18 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       (_cayley_steps), scattered into its row of states. The solve is a
       Neumann series of at most K products with S when q = |S|_inf < 1
       and K nnz(S) undercuts the nnz(L) + nnz(U) of the SuperLU solve
-      pair; K is the smallest with q^(K+1) / (1 - q) <= eps/2, and each
-      step stops earlier once q/(1 - q) |S^j b|_inf falls below
+      pair; K is the smallest with q^(K+1) / (1 - q) <= eps/2. Each step
+      stops earlier once q/(1 - q) |x_j - x_{j-1}|_inf falls below
       eps/2 |b|_inf, so the series stays within rounding of the solve
-      either way, at any scale of u0.
+      either way, at any scale of u0. After the first 8 steps a step
+      starts from the extrapolation of the last 8 solves, which smooth
+      data certify in about 2 products (4 from b for the rotating
+      blob); a start K products do not certify is dropped for b.
       Otherwise the SuperLU pair solves. stepper_meta records the
       decision: "sparse_solve" ("neumann" or "superlu"), "neumann_terms"
-      (K, None when q >= 1), "schur_norm_inf" (q) and
-      "neumann_products" (the most products a step took, None on the
-      SuperLU route).
+      (K, None when q >= 1), "schur_norm_inf" (q), "neumann_products"
+      (the most products a step took) and "neumann_products_mean" (their
+      mean per step; both None on the SuperLU route).
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an

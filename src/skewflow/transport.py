@@ -223,8 +223,9 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     initial blob again; final_error is the relative cell-Gram distance to
     it and energy_drift the worst norm deviation along the way (the
     trapezoidal step keeps it at roundoff). neumann_products is the most
-    Neumann products any step took (None when the steps solve with
-    SuperLU; see evolution._cayley_steps). States are not stored — only
+    Neumann products any step took and neumann_products_mean their mean
+    per step (both None when the steps solve with SuperLU; see
+    evolution._cayley_steps). States are not stored — only
     running norms and the final state — so large n stays cheap in memory.
     """
     dt_eff, nsteps = steps_to_horizon(2.0 * np.pi, dt)
@@ -256,6 +257,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
         "dt": float(dt_eff),
         "steps": int(nsteps),
         "neumann_products": route["neumann_products"],
+        "neumann_products_mean": route["neumann_products_mean"],
     }
 
 

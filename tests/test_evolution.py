@@ -1022,6 +1022,7 @@ def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
     meta = traj.stepper_meta
     assert meta["sparse_solve"] == ("neumann" if dt == 1e-3 else "superlu")
     assert (meta["neumann_terms"] is None) == (meta["schur_norm_inf"] >= 1.0)
+    assert (meta["neumann_products_mean"] is None) == (dt != 1e-3)
     if dt == 1e-3:
         assert 1 <= meta["neumann_terms"] <= 8
     if dt == 1e-2:
@@ -1036,20 +1037,32 @@ def test_neumann_terms_is_the_smallest_count_within_half_eps(q):
     assert terms == 0 or q ** terms > tol
 
 
+def neumann_system(q, m=300, seed=11):
+    """A seeded sparse S with |S|_inf = q, a right-hand side b, and the
+    solve of (E - S) x = b, refined once so that its own rounding stays
+    below eps."""
+    rng = np.random.default_rng(seed)
+    S = sp.random(m, m, density=0.04, format="csr", random_state=rng,
+                  data_rvs=rng.standard_normal)
+    S = sp.csr_array(S * (q / np.max(abs(S) @ np.ones(m))))
+    b = rng.standard_normal(m)
+    A = np.eye(m) - S.toarray()
+    exact = np.linalg.solve(A, b)
+    exact += np.linalg.solve(A, b - A @ exact)
+    return S, b, exact
+
+
 @pytest.mark.parametrize("q", [0.01, 0.05, 0.3, 0.6])
 def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     # after j products the rest of the series is at most
     # q/(1 - q) |x_j - x_{j-1}|_inf; the sum stops at the first j at which
     # that is below eps/2 |b|_inf, and misses the solve by at most
     # eps/2 |b|_inf plus the sums' own rounding
-    rng = np.random.default_rng(11)
-    m = 300
-    S = sp.random(m, m, density=0.04, format="csr", random_state=rng,
-                  data_rvs=rng.standard_normal)
-    S = sp.csr_array(S * (q / np.max(abs(S) @ np.ones(m))))
-    b = rng.standard_normal(m)
+    S, b, exact = neumann_system(q)
+    m = b.size
     terms = _neumann_terms(q)
-    x, used = _neumann_sum(S, q, terms, b, 1, np.empty(m), np.empty(m))
+    x, used, certified = _neumann_sum(S, q, terms, b, 1, np.empty(m),
+                                      np.empty(m))
     eps = np.finfo(float).eps
     # the iterates by the kernel the sum uses, so that both round alike;
     # passes lists every count whose rest is below rounding
@@ -1062,18 +1075,75 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
             passes.append(j)
     stop = passes[0]
     assert used == stop < terms
+    assert certified
     assert np.array_equal(x, iterates[stop])
     tol = 4 * eps * np.max(np.abs(b))
-    # the solve, refined once so that its own rounding stays below eps
-    A = np.eye(m) - S.toarray()
-    exact = np.linalg.solve(A, b)
-    exact += np.linalg.solve(A, b - A @ exact)
     assert np.max(np.abs(x - exact)) <= tol
     # no check is made before the count it is given: |S^j b| need not
-    # fall with j, so the next stop is the next count that passes
+    # fall with j, so the next stop is the next count that passes; from b
+    # the cap is certified too
     later = next((j for j in passes if j > stop), terms)
     assert _neumann_sum(S, q, terms, b, stop + 1, np.empty(m),
-                        np.empty(m))[1] == later
+                        np.empty(m))[1:] == (later, True)
+
+
+# starts for the Neumann sum, from the system's b and refined solve
+NEUMANN_STARTS = {
+    "solve": lambda b, exact, rng: exact.copy(),
+    "near": lambda b, exact, rng: exact + 1e-14 * rng.standard_normal(b.size),
+    "zero": lambda b, exact, rng: np.zeros(b.size),
+    "noise": lambda b, exact, rng: rng.standard_normal(b.size),
+    "huge": lambda b, exact, rng: 1e300 * rng.standard_normal(b.size),
+    "edge": lambda b, exact, rng: 1e307 * rng.standard_normal(b.size),
+    "inf": lambda b, exact, rng: np.where(np.arange(b.size) == 7, np.inf,
+                                          exact),
+    "nan": lambda b, exact, rng: np.where(np.arange(b.size) == 7, np.nan,
+                                          exact),
+}
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3])
+@pytest.mark.parametrize("start", sorted(NEUMANN_STARTS))
+def test_neumann_sum_from_any_start_is_certified_or_says_not(start, q):
+    # x_j - x* = S (x_{j-1} - x*), so from any start x_j misses the solve
+    # by at most q/(1 - q) |x_j - x_{j-1}|_inf (Banach's a-posteriori
+    # bound): a certified sum is within eps/2 |b|_inf of the refined solve
+    # (plus the sums' own rounding), and one that is not says so
+    S, b, exact = neumann_system(q)
+    m = b.size
+    terms = _neumann_terms(q)
+    guess = NEUMANN_STARTS[start](b, exact, np.random.default_rng(3))
+    kept = guess.copy()
+    x, used, certified = _neumann_sum(S, q, terms, b, 1, np.empty(m),
+                                      np.empty(m), start=guess)
+    assert np.array_equal(guess, kept, equal_nan=True)
+    if certified:
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(b))
+        assert np.max(np.abs(x - exact)) <= tol
+        assert 1 <= used <= terms
+    cold = _neumann_sum(S, q, terms, b, 1, np.empty(m), np.empty(m))[1]
+    if start in ("solve", "near"):
+        # a start near rounding of the solve is certified in fewer
+        # products than b
+        assert certified and used < cold
+    elif start == "huge":
+        # q^K 1e300 stays far above eps/2 |b|_inf
+        assert not certified and used == terms
+    elif start in ("edge", "inf", "nan"):
+        # no product can mend a non-finite start, and the NaN it would
+        # spread could hide from the stop test: refused at once, and so
+        # is a finite one whose |entries| sum beyond the largest double
+        assert not certified and used == 0
+
+
+def assert_steps_solve_to_rounding(gen, traj, dt):
+    """x = (u_k + u_{k+1}) / 2 solves (E - dt/2 B) x = u_k to within a few
+    eps |u_k|_inf at every step."""
+    shifted = sp.identity(gen.dim, format="csr") - (dt / 2.0) * gen.action
+    eps = np.finfo(float).eps
+    for u, u_next in zip(traj.states[:-1], traj.states[1:]):
+        r = shifted @ (0.5 * (u + u_next)) - u
+        assert np.max(np.abs(r)) <= 4.0 * eps * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
@@ -1087,17 +1157,54 @@ def test_neumann_steps_solve_to_rounding(case):
     dt = 1e-3
     traj = evolve_cayley(gen, u0, dt, 40)
     assert traj.stepper_meta["sparse_solve"] == "neumann"
-    # rough data keep |S^j b| near q^j |b|, so their steps take the cap
-    # K; the cellular stencil's rows sum to a third of q = |S|_inf at the
-    # median, and there they stop one product short of it
+    # rough data keep |S^j b| near q^j |b|, so the steps that start from
+    # b (the first _WARM_DEPTH) take the cap K; the cellular stencil's
+    # rows sum to a third of q = |S|_inf at the median, and there they
+    # stop one product short of it. The later steps start from the
+    # extrapolation of the previous solves and take fewer
     meta = traj.stepper_meta
     short = 1 if case == "cellular-32" else 0
     assert meta["neumann_products"] == meta["neumann_terms"] - short
-    shifted = sp.identity(gen.dim, format="csr") - (dt / 2.0) * gen.action
-    eps = np.finfo(float).eps
-    for u, u_next in zip(traj.states[:-1], traj.states[1:]):
-        r = shifted @ (0.5 * (u + u_next)) - u
-        assert np.max(np.abs(r)) <= 4.0 * eps * np.max(np.abs(u))
+    assert 1 <= meta["neumann_products_mean"] < meta["neumann_products"]
+    assert_steps_solve_to_rounding(gen, traj, dt)
+
+
+@pytest.mark.parametrize("case", ["off", "overflow"])
+def test_uncertified_starts_restart_from_b(case, monkeypatch):
+    # a start the cap cannot certify is dropped, and the step runs from b,
+    # whose a-priori bound certifies it at K: tripled extrapolation
+    # weights leave the start about 2 |x| off, which rough data do not
+    # shed in K products, and at 1e307 the extrapolation overflows
+    gen, _ = rotation_stencil(48)
+    u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    dt = 1e-3
+    if case == "off":
+        monkeypatch.setattr(evolution, "_WARM_TABLE",
+                            3.0 * evolution._WARM_TABLE)
+    else:
+        u0 = u0 * (1e307 / np.max(np.abs(u0)))
+    calls = []
+    real = evolution._neumann_sum
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((kwargs.get("start") is not None, out[2]))
+        return out
+
+    monkeypatch.setattr(evolution, "_neumann_sum", spy)
+    nsteps = 30
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    warm = evolution._WARM_DEPTH
+    assert calls == ([(False, True)] * warm
+                     + [(True, False), (False, True)] * (nsteps - warm))
+    meta = traj.stepper_meta
+    if case == "off":
+        # a dropped start's products count
+        assert meta["neumann_products"] > meta["neumann_terms"]
+    else:
+        assert meta["neumann_products"] == meta["neumann_terms"]
+    assert np.isfinite(traj.states).all()
+    assert_steps_solve_to_rounding(gen, traj, dt)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160, 2.0 ** -531, 2.0 ** 531])

@@ -9,7 +9,9 @@ moves the last bits still passes while any change of meaning fails.
 """
 import json
 import math
+import re
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,34 @@ def test_golden_diff_script_finds_what_moved(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(report))
     assert script(["diff", str(a), str(b)]) == 1
     assert "keys" in capsys.readouterr().out.splitlines()[1]
+
+
+def test_golden_diff_gate_compares_a_revision_with_the_tree(capsys):
+    # REV = HEAD: both sides dump the two cases in fresh processes (about
+    # 3 s on 2 shared cores), and the temporary worktree is gone after
+    script = GOLDEN_DIFF["main"]
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    worktrees = git("worktree", "list", "--porcelain")
+    assert script(["gate", "HEAD", "analyze-weighted",
+                   "evolve-rotation"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert git("worktree", "list", "--porcelain") == worktrees
+    files = ["analyze-weighted/report.json", "evolve-rotation/report.json",
+             "evolve-rotation/trajectory.csv", "exits.json"]
+    compared = [line for line in lines if line.split(":")[0] in files]
+    assert [line.split(":")[0] for line in compared] == files
+    if not subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", "HEAD",
+                           "--", "src"]).returncode:
+        assert all(line.endswith(": identical") for line in compared)
+    count = re.fullmatch(r"src/skewflow/\*\.py: (\d+) -> (\d+) lines "
+                         r"\(([+-]\d+)\)", lines[-1])
+    before, after, net = map(int, count.groups())
+    assert after == GOLDEN_DIFF["source_lines"](ROOT)
+    assert net == after - before
+
+    assert script(["gate", "no-such-revision"]) == 1
+    assert "cannot check out no-such-revision" in capsys.readouterr().err

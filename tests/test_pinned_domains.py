@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgWarning
 
 from skewflow import operators, weak
-from skewflow.cli import main
+from skewflow.cli import _dense_generator, main
 from skewflow.operators import (
     PinnedDomain,
     RestrictedOperator,
@@ -1012,7 +1012,10 @@ def test_analyze_on_the_wrapped_model_at_4096_stays_small(tmp_path):
                                      "multiplicity"])
 def test_dense_commands_refuse_a_77_squared_interior_operator(
         tmp_path, capsys, command):
-    # 77^2 = 5929 cells: one dense action would be 268 MiB
+    # 77^2 = 5929 cells: one dense action would be 268 MiB. verify builds
+    # none (its generator is the sparse skew completion -M_s), so it runs:
+    # its 2001 stored states are 90.5 MiB, and the whole run took 2.0 s
+    # with a 102 MiB tracemalloc peak (one BLAS thread, 2 shared cores)
     g = Grid2D(77, 77)
     write_stream_file(tmp_path / "stream.csv",
                       lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y)
@@ -1023,18 +1026,57 @@ def test_dense_commands_refuse_a_77_squared_interior_operator(
                                              "mode": "interior_domain"}}))
     flags = ["--theta", "0.5"] if command == "extend" else []
     tracemalloc.start()
+    start = time.perf_counter()
     try:
         code = main([command, "--input", str(desc),
                      "--out", str(tmp_path / "out"), *flags])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    if command == "verify":
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["pass"] and report["max_residual"] <= 1e-5
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert elapsed < 20.0, f"{elapsed:.1f} s"
+        return
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "5929 x 5929" in err[0]
     assert not (tmp_path / "out" / "report.json").exists()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_verify_keeps_the_guard_where_its_generator_is_dense(tmp_path,
+                                                             capsys):
+    # the seam model's forward generator is the dense seam extension, at
+    # n = 6000 275 MiB: refused before anything is built
+    desc = tmp_path / "minimal.json"
+    desc.write_text(json.dumps({"operator": {"kind": "minimal_derivative",
+                                             "n": 6000}}))
+    code = main(["verify", "--input", str(desc),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "6000 x 6000" in err[0]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_dense_generator_names_what_forward_generator_densifies():
+    interior = interior_transport(8)
+    assert not _dense_generator(interior)
+    assert _dense_generator(minimal_derivative_operator(16))
+    explicit = RestrictedOperator(space=interior.space,
+                                  action=interior.action,
+                                  domain=interior.domain_basis())
+    dense = RestrictedOperator(space=interior.space,
+                               action=interior.dense_action(),
+                               domain=interior.domain)
+    assert _dense_generator(explicit) and _dense_generator(dense)
+    # on a sparse pinned domain the generator is the sparse -M_s
+    assert sp.issparse(weak.forward_generator(interior).action)
 
 
 def test_multiplicity_on_a_2d_grid_starts_from_the_first_domain_vector(
