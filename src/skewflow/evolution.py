@@ -93,14 +93,14 @@ blocks of rows, with no Python work per row:
   dt = 2 pi / 4000, both also K = 7), against 4 from b, and a step
   costs 0.067 ms against 0.096 ms from b (0.030 against 0.039 ms at
   32^2, 0.29 against 0.41 ms at 128^2; fastest of 15 interleaved runs,
-  one BLAS thread) and 0.28 ms with the solve pair. Rough data, whose
-  |S^j b| stay near q^j |b|, take all K products from b; white noise on
-  the 64^2 stencil averages 5.01 (7 from b). At dt = 2 the 64^2 stencil
-  has q = 3721 and takes SuperLU. The products, and the two with the
-  coupling blocks, run scipy's CSR kernel in place, since at these
-  sizes the dispatch of ``S @ x`` costs more than the product. The
-  set-up, choice of I included, costs about what the whole-matrix LU
-  does (6 ms).
+  4 at 128^2, one BLAS thread) and 0.28 ms with the solve pair. Rough
+  data, whose |S^j b| stay near q^j |b|, take all K products from b;
+  white noise on the 64^2 stencil averages 5.01 (7 from b). At dt = 2
+  the 64^2 stencil has q = 3721 and takes SuperLU. The products, and the
+  two with the coupling blocks, run scipy's CSR kernel in place, since
+  at these sizes the dispatch of ``S @ x`` costs more than the product.
+  The set-up, choice of I included, costs about what the whole-matrix
+  LU does (6 ms).
 """
 from __future__ import annotations
 
@@ -574,9 +574,10 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
     j >= first at which that is <= eps/2 |b|_inf. From b it stops at
     j = terms (_neumann_terms(q)) at the latest, certified by the a-priori
     bound q^(terms+1)/(1 - q) |b|_inf <= eps/2 |b|_inf; from another start
-    that is not certified, and neither is a start with a non-finite entry,
-    which is refused before any product (_idamax would pass over the NaN
-    the products make of it). The test is taken as
+    that is not certified. A start whose |entries| do not sum to a finite
+    number (a NaN or inf entry, or a sum past the largest double) is
+    refused before any product: _idamax would pass over the NaN that the
+    products make of it. The test is taken as
     q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf, which squares nothing,
     so it holds at any finite scale of b; an underflow on its left only
     drops what is below the smallest double.
