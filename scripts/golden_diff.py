@@ -21,14 +21,18 @@ moved.
 
 gate checks REV out with `git worktree add` into a temporary directory,
 dumps the cases there and in this working tree (both with this tree's
-cases and inputs), prints the diff of the two dumps and the net line
-count of src/skewflow/*.py (as `wc -l` counts them), removes the
-worktree, and exits as diff does. It needs only the local repository.
+cases and inputs), prints the diff of the two dumps, the settable-value
+count of both sides (settable_values) and the net line count of
+src/skewflow/*.py (as `wc -l` counts them), removes the worktree, and
+exits as diff does. It needs only the local repository.
 """
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -176,6 +180,54 @@ def source_lines(root: Path) -> int:
                for p in (root / "src" / "skewflow").glob("*.py"))
 
 
+def _defaulted(func) -> int:
+    return sum(p.default is not p.empty
+               for p in inspect.signature(func).parameters.values())
+
+
+def settable_values() -> int:
+    """The values a user of the importable skewflow can set: the option
+    slots of skewflow.cli.build_parser() (every option of every
+    subcommand, -h excluded), plus the parameters with a default of the
+    public functions of skewflow's modules and of the methods (public
+    ones and __init__) of their public classes."""
+    import skewflow
+    from skewflow.cli import build_parser
+
+    parsers = [build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    count = sum(bool(a.option_strings)
+                and not isinstance(a, argparse._HelpAction)
+                for p in parsers for a in p._actions)
+    for info in pkgutil.iter_modules(skewflow.__path__):
+        module = importlib.import_module(f"skewflow.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                count += _defaulted(obj)
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if ((attr == "__init__" or not attr.startswith("_"))
+                            and inspect.isfunction(member)):
+                        count += _defaulted(member)
+    return count
+
+
+def _settable_values_of(src: Path) -> int:
+    """settable_values() of the skewflow under src, in a fresh process."""
+    code = ("import runpy, sys; "
+            "print(runpy.run_path(sys.argv[1])['settable_values']())")
+    run = subprocess.run([sys.executable, "-c", code, __file__],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout)
+
+
 def gate(rev: str, names) -> int:
     git = ["git", "-C", str(ROOT), "worktree"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,15 +241,18 @@ def gate(rev: str, names) -> int:
                   file=sys.stderr)
             return 1
         try:
+            settable = []
             for side, src in (("rev", checkout / "src"),
                               ("tree", ROOT / "src")):
                 if dump(tmp / f"dump-{side}", names, src):
                     return 1
+                settable.append(_settable_values_of(src))
             before, after = source_lines(checkout), source_lines(ROOT)
         finally:
             subprocess.run([*git, "remove", "--force", str(checkout)],
                            check=True)
         code = diff(tmp / "dump-rev", tmp / "dump-tree")
+    print("settable values: {} -> {}".format(*settable))
     print(f"src/skewflow/*.py: {before} -> {after} lines "
           f"({after - before:+d})")
     return code

@@ -290,29 +290,29 @@ def _default_u0(op: RestrictedOperator, seed: int) -> np.ndarray:
 # commands
 # ---------------------------------------------------------------------------
 
-def _steps(args, dim: int) -> tuple[float, int]:
+def _steps(args, dim: int, kept: int = 1) -> tuple[float, int]:
     """The step that lands on --horizon exactly and the step count
-    (evolution.steps_to_horizon). A run whose stored states would exceed
-    _MAX_STATE_FLOATS is a usage error, raised before anything is built."""
+    (evolution.steps_to_horizon). A run whose kept trajectories of
+    stored states would exceed _MAX_STATE_FLOATS is a usage error,
+    raised before anything is built."""
     ratio = args.horizon / args.dt
-    if (ratio + 1.0) * dim > _MAX_STATE_FLOATS:
+    if kept * (ratio + 1.0) * dim > _MAX_STATE_FLOATS:
+        held = f" in {kept} trajectories" if kept > 1 else ""
         raise CliError(f"--horizon / --dt = {ratio:.3g} steps of a "
-                       f"{dim}-vector exceeds {_MAX_STATE_FLOATS} stored floats")
+                       f"{dim}-vector{held} exceeds {_MAX_STATE_FLOATS} "
+                       "stored floats")
     return steps_to_horizon(args.horizon, args.dt)
 
 
-def _weak_steps(args, op: RestrictedOperator,
-                dense: bool = True) -> tuple[float, int]:
-    """_steps for the commands whose runs gs_residual checks, after
-    _dense_size_guard on a restricted op unless dense is false: verify
-    passes _dense_generator(op), while witness and multiplicity keep the
-    guard on every restricted op (on a sparse pinned one they build no
-    dense action either, but hold three stored trajectories). Fewer than
+def _weak_steps(args, op: RestrictedOperator, kept: int) -> tuple[float, int]:
+    """_steps for the commands whose runs gs_residual checks, kept
+    trajectories at a time, after _dense_size_guard on a restricted op
+    whose forward generator is dense (_dense_generator). Fewer than
     weak.GS_MIN_STEPS steps is a usage error, raised before anything is
     built."""
-    if dense and not op.is_full_domain:
+    if not op.is_full_domain and _dense_generator(op):
         _dense_size_guard(args, op)
-    dt, nsteps = _steps(args, op.dim)
+    dt, nsteps = _steps(args, op.dim, kept)
     if nsteps < GS_MIN_STEPS:
         raise CliError(f"--horizon / --dt gives {nsteps} step(s); the weak "
                        f"residual needs at least {GS_MIN_STEPS}")
@@ -431,7 +431,7 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
 
 
 def cmd_verify(args, op) -> tuple[int, dict]:
-    dt, nsteps = _weak_steps(args, op, _dense_generator(op))
+    dt, nsteps = _weak_steps(args, op, 1)
     gen = forward_generator(op)
     u0 = _default_u0(op, args.seed)
     traj = evolve_cayley(gen, u0, dt, nsteps)
@@ -453,7 +453,8 @@ def cmd_verify(args, op) -> tuple[int, dict]:
 
 
 def cmd_witness(args, op) -> tuple[int, dict]:
-    dt, nsteps = _weak_steps(args, op)
+    # the semigroup, witness and splice trajectories
+    dt, nsteps = _weak_steps(args, op, 3)
     # an action that is not skew on its domain is refused here (an error
     # report), not reported unique below
     deficiency(op)
@@ -492,7 +493,9 @@ def cmd_witness(args, op) -> tuple[int, dict]:
 
 
 def cmd_multiplicity(args, op) -> tuple[int, dict]:
-    _weak_steps(args, op)  # the demo takes the same steps
+    # the demo takes the same steps, and holds two branches and their
+    # difference
+    _weak_steps(args, op, 3)
     try:
         demo = semigroup_multiplicity_demo(op, horizon=args.horizon,
                                            dt=args.dt)

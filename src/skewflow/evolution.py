@@ -66,19 +66,23 @@ blocks of rows, with no Python work per row:
   the factors' entries as SuperLU stores them; else SuperLU's triangular
   solve pair runs. The rule compares the cap K, not the products the
   steps then take, so the 77^2 interior ``verify`` (K = 14) stays on
-  SuperLU; a rule from measured products would be the next step. K is
-  only the cap: a step stops at the first product j after which its
-  distance to the solve, at most q/(1 - q) |x_j - x_{j-1}|_inf from any
-  start (Banach's a-posteriori bound), is below eps/2 |b|_inf
-  (``_neumann_sum``). The first ``_WARM_DEPTH`` = p = 8 steps start from
-  b; each later one starts from the polynomial extrapolation
-  sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i} of the last p solves, which
-  one GEMV against a p-row ring forms, and which the steps' common
-  propagator puts near rounding of the new solve. A start that K
-  products do not certify, or that is not finite, is dropped and the
-  step runs from b, where K products certify it a priori. The new
-  state is 2x - u for the solution x of (E - dt/2 B) x = u, so no
-  product with B is taken.
+  SuperLU; a rule from measured products would be the next step. On
+  the Neumann route a step makes one attempt of at most K products and
+  ends in one of two ways. The attempt is kept once, after a product j,
+  its distance to the solve, at most q/(1 - q) |x_j - x_{j-1}|_inf from
+  any start (Banach's a-posteriori bound), is below eps/2 |b|_inf
+  (``_neumann_sum``); otherwise the SuperLU factor, which the route
+  rule has built, solves the step. The first ``_WARM_DEPTH`` = p = 8
+  attempts start from b; each later one starts from the polynomial
+  extrapolation sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i} of the last p
+  solves, which one GEMV against a p-row ring forms, and which the
+  steps' common propagator puts near rounding of the new solve. A
+  dropped attempt costs at most K products and one solve pair, less
+  than two solve pairs since K nnz(S) < nnz(L) + nnz(U). A start whose
+  |entries| do not sum to a finite number is refused before any
+  product, so a step whose b has |entries| summing past the largest
+  double is solved by SuperLU alone. The new state is 2x - u for the
+  solution x of (E - dt/2 B) x = u, so no product with B is taken.
   I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
   per node. The factorization (``operators.sparse_shifted_lu``) uses a
   minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
@@ -561,35 +565,31 @@ def _add_product(A, x: np.ndarray, y: np.ndarray):
     csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, y)
 
 
-def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
-                 x: np.ndarray, y: np.ndarray, start=None):
-    """The solution of (E - S) x = b for |S|_inf = q < 1 by at most terms
-    products x <- S x + b, from x_0 = start, or from b when start is None
-    (then x_j = sum_{i <= j} S^i b, Horner), as (x, j, certified); x and y
-    are work buffers of b's size, and the result is one of them.
+def _neumann_sum(S, q: float, terms: int, b: np.ndarray, start: np.ndarray,
+                 x: np.ndarray, y: np.ndarray):
+    """One attempt at the solution of (E - S) x = b for |S|_inf = q < 1:
+    at most terms products x <- S x + b from x_0 = start, as
+    (x, j, certified); x and y are work buffers of b's size, start may be
+    b or x, and the result is one of the buffers.
 
     After the j-th product x_j - x* = S (x_{j-1} - x*), so x_j misses the
     solution by at most q/(1 - q) |x_j - x_{j-1}|_inf from any start
-    (Banach's a-posteriori bound). The sum stops, certified, at the first
-    j >= first at which that is <= eps/2 |b|_inf. From b it stops at
-    j = terms (_neumann_terms(q)) at the latest, certified by the a-priori
-    bound q^(terms+1)/(1 - q) |b|_inf <= eps/2 |b|_inf; from another start
-    that is not certified. A start whose |entries| do not sum to a finite
-    number (a NaN or inf entry, or a sum past the largest double) is
-    refused before any product: _idamax would pass over the NaN that the
-    products make of it. The test is taken as
-    q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf, which squares nothing,
-    so it holds at any finite scale of b; an underflow on its left only
-    drops what is below the smallest double.
+    (Banach's a-posteriori bound). The attempt stops, certified, at the
+    first j at which that is <= eps/2 |b|_inf, and ends uncertified when
+    terms products do not get there. b itself is the first iterate from
+    zero, whose test q |b|_inf <= eps/2 (1 - q) |b|_inf is what
+    terms = 0 (_neumann_terms) means: from b, no product is then needed.
+    A start whose |entries| do not sum to a finite number (a NaN or inf
+    entry, or a sum past the largest double) is refused before any
+    product: _idamax would pass over the NaN that the products make of
+    it. The test is taken as q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf,
+    which squares nothing, so it holds at any finite scale of b; an
+    underflow on its left only drops what is below the smallest double.
     """
-    if start is None:
-        np.copyto(x, b)
-    elif not math.isfinite(_dasum(start)):
+    if not math.isfinite(_dasum(start)):
         return x, 0, False
-    elif start is not x:
+    if start is not x:
         np.copyto(x, start)
-    if not terms:
-        return x, 0, start is None
     limit = 0.5 * _EPS * (1.0 - q) * abs(b[_idamax(b)])
     j = 0
     while j < terms:
@@ -597,11 +597,10 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, first: int,
         _add_product(S, x, y)
         x, y = y, x
         j += 1
-        if j >= first:
-            np.subtract(x, y, out=y)
-            if q * abs(y[_idamax(y)]) <= limit:
-                return x, j, True
-    return x, j, start is None
+        np.subtract(x, y, out=y)
+        if q * abs(y[_idamax(y)]) <= limit:
+            return x, j, True
+    return x, j, not terms and start is b
 
 
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
@@ -621,27 +620,26 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     x_I = D^-1 (u_I + h B_IR x_R), then sets u = 2x - u, since
     (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E; no product with B is taken.
 
-    x_R comes by one of two routes, chosen once. With q = |S|_inf < 1
-    and K = _neumann_terms(q), the truncated Neumann series
-    x_R = sum_{j <= K} S^j b (K products x <- S x + b, Horner) is the
-    solve to within eps/2 |b|_inf; it is taken when its K nnz(S)
+    x_R comes by one of two routes, chosen once. With q = |S|_inf < 1,
+    K = _neumann_terms(q) is the count of products x <- S x + b after
+    which the Neumann series from b is within eps/2 |b|_inf a priori. K
+    caps each attempt, and the Neumann route is taken when K nnz(S)
     multiply-adds are fewer than the nnz(L) + nnz(U) of the triangular
     solve pair, as SuperLU stores the factors (supernodes included).
-    Otherwise (always when q >= 1) SuperLU solves. The rule compares the
-    cap K, not the products the steps then take.
+    Otherwise (always when q >= 1) SuperLU solves every step. The rule
+    compares the cap K, not the products the steps then take.
 
-    On the Neumann route K is the cap, and each step stops once the
-    a-posteriori bound puts it within eps/2 |b|_inf (_neumann_sum). The
-    first p = _WARM_DEPTH steps start from b, each checking from one
-    product before where the previous such step stopped; step k >= p
-    starts from the extrapolation of the last p solves x_R (held before
-    they are doubled, in a p-row ring weighed by row k % p of
-    _WARM_TABLE). A start that K products do not certify is dropped and
-    the step runs from b, whose a-priori bound certifies it at K. route
+    On the Neumann route each step makes one attempt of at most K
+    products (_neumann_sum), kept only when the a-posteriori bound puts
+    it within eps/2 |b|_inf; any other attempt, one that reaches K or
+    whose start is refused, is dropped and SuperLU solves the step. The
+    first p = _WARM_DEPTH attempts start from b; step k >= p starts from
+    the extrapolation of the last p solves x_R (held before they are
+    doubled, in a p-row ring weighed by row k % p of _WARM_TABLE). route
     holds what decided and what ran: {"sparse_solve": "neumann" or
     "superlu", "neumann_terms": K (None when q >= 1), "schur_norm_inf":
     q, "neumann_products": the most products any step so far took, a
-    dropped start's included, and "neumann_products_mean": their mean
+    dropped attempt's included, and "neumann_products_mean": their mean
     per step so far (both None on the SuperLU route)}.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
@@ -680,25 +678,18 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
         x, y, b = np.empty(m), np.empty(m), np.empty(m)
         ring = np.empty((_WARM_DEPTH, m)) if neumann else None
         x_I = np.empty(inv.size)
-        first, total = 1, 0
+        total = 0
         for k in range(nsteps):
             np.copyto(b, u_R)
             _add_product(from_I, u_I, b)
             if neumann:
-                used, certified = 0, False
                 slot = k % _WARM_DEPTH
-                if k >= _WARM_DEPTH:
-                    np.dot(_WARM_TABLE[slot], ring, out=x)
-                    x_R, used, certified = _neumann_sum(
-                        schur, q, terms, b, 1, x, y, start=x)
+                start = (b if k < _WARM_DEPTH
+                         else np.dot(_WARM_TABLE[slot], ring, out=x))
+                x_R, used, certified = _neumann_sum(schur, q, terms, b, start,
+                                                    x, y)
                 if not certified:
-                    x_R, cold, _ = _neumann_sum(schur, q, terms, b, first,
-                                                x, y)
-                    # the next such step checks from one product before
-                    # this one's stop, so that its count can fall as well
-                    # as rise
-                    first = max(cold - 1, 1)
-                    used += cold
+                    x_R = lu.solve(b)
                 ring[slot] = x_R
                 total += used
                 route["neumann_products"] = max(route["neumann_products"],
@@ -747,17 +738,19 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     - sparse: the nodes of an independent set are eliminated first and
       the half-size Schur complement E - S on the rest is factorized
       once; each step is two sparse products and one solve with E - S
-      (_cayley_steps), scattered into its row of states. The solve is a
-      Neumann series of at most K products with S when q = |S|_inf < 1
-      and K nnz(S) undercuts the nnz(L) + nnz(U) of the SuperLU solve
-      pair; K is the smallest with q^(K+1) / (1 - q) <= eps/2. Each step
-      stops earlier once q/(1 - q) |x_j - x_{j-1}|_inf falls below
-      eps/2 |b|_inf, so the series stays within rounding of the solve
-      either way, at any scale of u0. After the first 8 steps a step
-      starts from the extrapolation of the last 8 solves, which smooth
-      data certify in about 2 products (4 from b for the rotating
-      blob); a start K products do not certify is dropped for b.
-      Otherwise the SuperLU pair solves. stepper_meta records the
+      (_cayley_steps), scattered into its row of states. The solve is
+      one attempt at the Neumann series, of at most K products with S,
+      when q = |S|_inf < 1 and K nnz(S) undercuts the nnz(L) + nnz(U) of
+      the SuperLU solve pair; K is the smallest with
+      q^(K+1) / (1 - q) <= eps/2. The attempt is kept once
+      q/(1 - q) |x_j - x_{j-1}|_inf falls below eps/2 |b|_inf, which
+      puts it within rounding of the solve at any scale of u0. The first
+      8 attempts start from b and each later one from the extrapolation
+      of the last 8 solves, which smooth data certify in about 2
+      products (4 from b for the rotating blob). An attempt that K
+      products do not certify, or whose start is refused as not finite,
+      is dropped and the SuperLU pair solves the step, as it solves
+      every step off the Neumann route. stepper_meta records the
       decision: "sparse_solve" ("neumann" or "superlu"), "neumann_terms"
       (K, None when q >= 1), "schur_norm_inf" (q), "neumann_products"
       (the most products a step took) and "neumann_products_mean" (their

@@ -1061,7 +1061,7 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     S, b, exact = neumann_system(q)
     m = b.size
     terms = _neumann_terms(q)
-    x, used, certified = _neumann_sum(S, q, terms, b, 1, np.empty(m),
+    x, used, certified = _neumann_sum(S, q, terms, b, b, np.empty(m),
                                       np.empty(m))
     eps = np.finfo(float).eps
     # the iterates by the kernel the sum uses, so that both round alike;
@@ -1079,12 +1079,26 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     assert np.array_equal(x, iterates[stop])
     tol = 4 * eps * np.max(np.abs(b))
     assert np.max(np.abs(x - exact)) <= tol
-    # no check is made before the count it is given: |S^j b| need not
-    # fall with j, so the next stop is the next count that passes; from b
-    # the cap is certified too
-    later = next((j for j in passes if j > stop), terms)
-    assert _neumann_sum(S, q, terms, b, stop + 1, np.empty(m),
-                        np.empty(m))[1:] == (later, True)
+    # a cap reached before the test passes is reported uncertified, from
+    # b too
+    x, used, certified = _neumann_sum(S, q, stop - 1, b, b, np.empty(m),
+                                      np.empty(m))
+    assert (used, certified) == (stop - 1, False)
+    assert np.array_equal(x, iterates[stop - 1])
+
+
+def test_neumann_sum_with_no_terms_certifies_b_alone():
+    # K = 0 means q/(1 - q) <= eps/2, the test on b as the first iterate
+    # from zero: b is the answer with no product, and any other start is
+    # uncertified
+    S, b, _ = neumann_system(1e-17)
+    m = b.size
+    assert _neumann_terms(1e-17) == _neumann_terms(0.0) == 0
+    x, used, certified = _neumann_sum(S, 1e-17, 0, b, b, np.empty(m),
+                                      np.empty(m))
+    assert (used, certified) == (0, True) and np.array_equal(x, b)
+    assert _neumann_sum(S, 1e-17, 0, b, b.copy(), np.empty(m),
+                        np.empty(m))[1:] == (0, False)
 
 
 # starts for the Neumann sum, from the system's b and refined solve
@@ -1114,14 +1128,14 @@ def test_neumann_sum_from_any_start_is_certified_or_says_not(start, q):
     terms = _neumann_terms(q)
     guess = NEUMANN_STARTS[start](b, exact, np.random.default_rng(3))
     kept = guess.copy()
-    x, used, certified = _neumann_sum(S, q, terms, b, 1, np.empty(m),
-                                      np.empty(m), start=guess)
+    x, used, certified = _neumann_sum(S, q, terms, b, guess, np.empty(m),
+                                      np.empty(m))
     assert np.array_equal(guess, kept, equal_nan=True)
     if certified:
         tol = 4 * np.finfo(float).eps * np.max(np.abs(b))
         assert np.max(np.abs(x - exact)) <= tol
         assert 1 <= used <= terms
-    cold = _neumann_sum(S, q, terms, b, 1, np.empty(m), np.empty(m))[1]
+    cold = _neumann_sum(S, q, terms, b, b, np.empty(m), np.empty(m))[1]
     if start in ("solve", "near"):
         # a start near rounding of the solve is certified in fewer
         # products than b
@@ -1169,42 +1183,94 @@ def test_neumann_steps_solve_to_rounding(case):
     assert_steps_solve_to_rounding(gen, traj, dt)
 
 
-@pytest.mark.parametrize("case", ["off", "overflow"])
-def test_uncertified_starts_restart_from_b(case, monkeypatch):
-    # a start the cap cannot certify is dropped, and the step runs from b,
-    # whose a-priori bound certifies it at K: tripled extrapolation
-    # weights leave the start about 2 |x| off, which rough data do not
-    # shed in K products, and at 1e307 the extrapolation overflows
+@pytest.mark.parametrize("case", ["off", "overflow", "cap"])
+def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
+    # each step makes one attempt, and one the test does not certify is
+    # followed by one solve with the SuperLU factor the route rule built:
+    # tripled extrapolation weights leave the start about 2 |x| off, which
+    # rough data do not shed in K products; at 1e307 the |entries| of b
+    # sum past the largest double, so b itself is refused; and a cap
+    # K = 2 below what rough data need leaves their steps from b
+    # uncertified (trusted a priori, that cap missed the solve by 7e4 eps)
     gen, _ = rotation_stencil(48)
     u0 = np.random.default_rng(5).standard_normal(gen.dim)
     dt = 1e-3
     if case == "off":
         monkeypatch.setattr(evolution, "_WARM_TABLE",
                             3.0 * evolution._WARM_TABLE)
-    else:
+    elif case == "overflow":
         u0 = u0 * (1e307 / np.max(np.abs(u0)))
-    calls = []
-    real = evolution._neumann_sum
+    else:
+        monkeypatch.setattr(evolution, "_neumann_terms", lambda q: 2)
+    events = []
+    real_sum, real_lu = evolution._neumann_sum, evolution.sparse_shifted_lu
 
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((kwargs.get("start") is not None, out[2]))
+    def attempt(*args):
+        out = real_sum(*args)
+        events.append(out[2])
         return out
 
-    monkeypatch.setattr(evolution, "_neumann_sum", spy)
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            events.append("solve")
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(evolution, "_neumann_sum", attempt)
+    monkeypatch.setattr(evolution, "sparse_shifted_lu",
+                        lambda A: Factor(real_lu(A)))
     nsteps = 30
     traj = evolve_cayley(gen, u0, dt, nsteps)
-    warm = evolution._WARM_DEPTH
-    assert calls == ([(False, True)] * warm
-                     + [(True, False), (False, True)] * (nsteps - warm))
     meta = traj.stepper_meta
+    assert meta["sparse_solve"] == "neumann"
+    attempts = [e for e in events if e != "solve"]
+    assert len(attempts) == nsteps
+    assert events == [e for a in attempts
+                      for e in ([a] if a else [a, "solve"])]
+    warm = evolution._WARM_DEPTH
     if case == "off":
-        # a dropped start's products count
-        assert meta["neumann_products"] > meta["neumann_terms"]
+        # every warm attempt runs to the cap, and its products count
+        assert not any(attempts[warm:])
+        assert meta["neumann_products"] == meta["neumann_terms"] == 4
+        assert meta["neumann_products_mean"] == 4.0
+    elif case == "overflow":
+        assert not any(attempts)
+        assert (meta["neumann_products"], meta["neumann_products_mean"]) == (
+            0, 0.0)
     else:
-        assert meta["neumann_products"] == meta["neumann_terms"]
+        assert meta["neumann_terms"] == 2 and not any(attempts[:warm])
     assert np.isfinite(traj.states).all()
     assert_steps_solve_to_rounding(gen, traj, dt)
+
+
+def test_a_zero_schur_term_steps_exactly():
+    # B maps the odd nodes of a path into the even ones only, so the even
+    # nodes are eliminated and S = 0 on the odd ones: q = 0 gives K = 0,
+    # the first steps keep b with no product and the warm ones, which no
+    # product can certify, take the SuperLU solve with E. Either way
+    # x_R = b exactly, so the odd entries never move
+    n = 41
+    rng = np.random.default_rng(2)
+    even = np.arange(0, n, 2)
+    B = sp.lil_matrix((n, n))
+    B[even[1:], even[1:] - 1] = rng.standard_normal(even.size - 1)
+    B[even[:-1], even[:-1] + 1] = rng.standard_normal(even.size - 1)
+    gen = RestrictedOperator(space=Space.euclidean(n), action=B.tocsr(),
+                             domain=None)
+    u0 = rng.standard_normal(n)
+    dt = 0.1
+    traj = evolve_cayley(gen, u0, dt, 20)
+    meta = traj.stepper_meta
+    assert meta["sparse_solve"] == "neumann"
+    assert (meta["schur_norm_inf"], meta["neumann_terms"]) == (0.0, 0)
+    assert (meta["neumann_products"], meta["neumann_products_mean"]) == (
+        0, 0.0)
+    assert np.array_equal(traj.states[:, 1::2],
+                          np.broadcast_to(u0[1::2], (21, n // 2)))
+    ref = reference_sparse_cayley(gen, u0, dt, 20)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160, 2.0 ** -531, 2.0 ** 531])

@@ -124,14 +124,22 @@ def test_golden_diff_gate_compares_a_revision_with_the_tree(capsys):
              "evolve-rotation/trajectory.csv", "exits.json"]
     compared = [line for line in lines if line.split(":")[0] in files]
     assert [line.split(":")[0] for line in compared] == files
-    if not subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", "HEAD",
-                           "--", "src"]).returncode:
+    unchanged = not subprocess.run(["git", "-C", str(ROOT), "diff",
+                                    "--quiet", "HEAD", "--", "src"]).returncode
+    if unchanged:
         assert all(line.endswith(": identical") for line in compared)
     count = re.fullmatch(r"src/skewflow/\*\.py: (\d+) -> (\d+) lines "
                          r"\(([+-]\d+)\)", lines[-1])
     before, after, net = map(int, count.groups())
     assert after == GOLDEN_DIFF["source_lines"](ROOT)
     assert net == after - before
+    # the settable values of both sides: CLI option slots plus defaulted
+    # parameters of public functions and methods
+    settable = re.fullmatch(r"settable values: (\d+) -> (\d+)", lines[-2])
+    before, after = map(int, settable.groups())
+    assert after == GOLDEN_DIFF["settable_values"]() > 0
+    if unchanged:
+        assert before == after
 
     assert script(["gate", "no-such-revision"]) == 1
     assert "cannot check out no-such-revision" in capsys.readouterr().err

@@ -1012,10 +1012,14 @@ def test_analyze_on_the_wrapped_model_at_4096_stays_small(tmp_path):
                                      "multiplicity"])
 def test_dense_commands_refuse_a_77_squared_interior_operator(
         tmp_path, capsys, command):
-    # 77^2 = 5929 cells: one dense action would be 268 MiB. verify builds
-    # none (its generator is the sparse skew completion -M_s), so it runs:
-    # its 2001 stored states are 90.5 MiB, and the whole run took 2.0 s
-    # with a 102 MiB tracemalloc peak (one BLAS thread, 2 shared cores)
+    # 77^2 = 5929 cells: one dense action would be 268 MiB. extend is
+    # refused for it. The weak commands build none (their generator is the
+    # sparse skew completion -M_s), so they are bounded by the states they
+    # keep: verify's 2001 are 90.5 MiB, and its run took 2.0 s with a
+    # 102 MiB tracemalloc peak. witness and multiplicity keep three
+    # trajectories, 271 MiB at the default horizon: refused, and run at
+    # --horizon 0.05 (witness 2.4 s, 66 MiB; multiplicity 0.5 s, 39 MiB;
+    # one BLAS thread, 2 shared cores)
     g = Grid2D(77, 77)
     write_stream_file(tmp_path / "stream.csv",
                       lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y)
@@ -1024,7 +1028,17 @@ def test_dense_commands_refuse_a_77_squared_interior_operator(
     desc.write_text(json.dumps({"operator": {"kind": "transport",
                                              "stream": "stream.csv",
                                              "mode": "interior_domain"}}))
-    flags = ["--theta", "0.5"] if command == "extend" else []
+    flags = {"extend": ["--theta", "0.5"],
+             "witness": ["--horizon", "0.05", "--t0", "0.02"],
+             "multiplicity": ["--horizon", "0.05"]}.get(command, [])
+    if command in ("witness", "multiplicity"):
+        assert main([command, "--input", str(desc),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "5929-vector in 3 trajectories" in err[0]
+        assert "stored floats" in err[0]
+        assert not (tmp_path / "out" / "report.json").exists()
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -1034,12 +1048,23 @@ def test_dense_commands_refuse_a_77_squared_interior_operator(
     finally:
         tracemalloc.stop()
     elapsed = time.perf_counter() - start
-    if command == "verify":
-        assert code == 0
+    if command != "extend":
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["pass"] and report["max_residual"] <= 1e-5
         assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert elapsed < 20.0, f"{elapsed:.1f} s"
+    if command == "verify":
+        assert code == 0
+        assert report["pass"] and report["max_residual"] <= 1e-5
+        return
+    if command == "witness":
+        assert code == 0 and report["pass"] and not report["unique"]
+        assert max(report["witness_residual"],
+                   report["semigroup_residual"]) <= 1e-5
+        return
+    if command == "multiplicity":
+        # a verdict on the interior domain, not a refusal
+        assert code == 2 and not report["pass"]
+        assert report["message"] == "extension domain not dense"
         return
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -1061,6 +1086,22 @@ def test_verify_keeps_the_guard_where_its_generator_is_dense(tmp_path,
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "6000 x 6000" in err[0]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["witness", "multiplicity"])
+def test_weak_commands_keep_the_guard_where_their_generator_is_dense(
+        tmp_path, capsys, command):
+    # as for verify: the guard runs before the bound on the stored states
+    desc = tmp_path / "minimal.json"
+    desc.write_text(json.dumps({"operator": {"kind": "minimal_derivative",
+                                             "n": 6000}}))
+    code = main([command, "--input", str(desc),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {command} builds a dense 6000 x 6000 action, "
+                   "more than 33554432 floats"]
     assert not (tmp_path / "out" / "report.json").exists()
 
 
