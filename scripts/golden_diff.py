@@ -21,10 +21,12 @@ moved.
 
 gate checks REV out with `git worktree add` into a temporary directory,
 dumps the cases there and in this working tree (both with this tree's
-cases and inputs), prints the diff of the two dumps, the settable-value
-count of both sides (settable_values) and the net line count of
+cases and inputs), together with the gate-only invocations of
+GATE_CASES, prints the diff of the two dumps, the settable-value count
+of both sides (settable_values) and the net line count of
 src/skewflow/*.py (as `wc -l` counts them), removes the worktree, and
-exits as diff does. It needs only the local repository.
+exits as diff does. Named cases may be golden or gate-only ones. It
+needs only the local repository.
 """
 import argparse
 import importlib
@@ -40,12 +42,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+# invocations that only gate runs, on both sides like the golden cases,
+# with no stored report; each input is the descriptor itself
+GATE_CASES = [
+    # the dense Schur fill at the benchmark's size: 2001 Cayley rows at
+    # n = 256, four mirrored windows of up to 511 rows
+    {"name": "verify-minimal-256", "command": "verify",
+     "input": {"operator": {"kind": "minimal_derivative", "n": 256}},
+     "flags": []},
+]
 
 
-def dump(out_dir: Path, names, src=None) -> int:
-    """Run the cases into out_dir with the skewflow under src, else the
-    one on PYTHONPATH (this tree's src/ when it is unset)."""
-    cases = json.loads((GOLDEN / "cases.json").read_text())
+def dump(out_dir: Path, names, src=None, extra=()) -> int:
+    """Run the golden cases, then those of extra (whose inputs are paths),
+    into out_dir with the skewflow under src, else the one on PYTHONPATH
+    (this tree's src/ when it is unset)."""
+    cases = [*json.loads((GOLDEN / "cases.json").read_text()), *extra]
     unknown = set(names) - {c["name"] for c in cases}
     if unknown:
         print(f"unknown case(s): {', '.join(sorted(unknown))}", file=sys.stderr)
@@ -61,7 +73,9 @@ def dump(out_dir: Path, names, src=None) -> int:
             continue
         argv = [sys.executable, "-m", "skewflow.cli", case["command"],
                 "--out", str(out_dir / case["name"]), *case["flags"]]
-        if case["input"] is not None:
+        if isinstance(case["input"], Path):
+            argv += ["--input", str(case["input"])]
+        elif case["input"] is not None:
             argv += ["--input", str(GOLDEN / f"{case['input']}.json")]
         run = subprocess.run(argv, env=env, capture_output=True, text=True)
         exits[case["name"]] = run.returncode
@@ -232,6 +246,11 @@ def gate(rev: str, names) -> int:
     git = ["git", "-C", str(ROOT), "worktree"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        extra = []
+        for case in GATE_CASES:
+            path = tmp / f"{case['name']}.json"
+            path.write_text(json.dumps(case["input"]))
+            extra.append({**case, "input": path})
         checkout = tmp / "rev"
         add = subprocess.run([*git, "add", "--detach", "--quiet",
                               str(checkout), rev],
@@ -244,7 +263,7 @@ def gate(rev: str, names) -> int:
             settable = []
             for side, src in (("rev", checkout / "src"),
                               ("tree", ROOT / "src")):
-                if dump(tmp / f"dump-{side}", names, src):
+                if dump(tmp / f"dump-{side}", names, src, extra):
                     return 1
                 settable.append(_settable_values_of(src))
             before, after = source_lines(checkout), source_lines(ROOT)

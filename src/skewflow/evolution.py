@@ -23,16 +23,22 @@ blocks of rows, with no Python work per row:
   phi = 2 atan(b dt/2), so no step is solved for and the norm does not
   drift with the step count; ``evolve_exact`` turns it by phi = d b when
   its times form a uniform grid t_k = k d (the CLI's dt k, or a
-  linspace). On such a grid the rows c +- i (i < ``_ROW_BLOCK``) are
-  P_i +- Q_i around a centre c, with P = cos(i phi) [A_c; z] and
+  linspace). On such a grid the rows c +- i (i < ``_HALF_WINDOW`` = 256)
+  are P_i +- Q_i around a centre c, with P = cos(i phi) [A_c; z] and
   Q = sin(i phi) B_c, where A_c and B_c are the halves turned once by
-  c phi: two GEMMs with K = m+1 and m give 2 ``_ROW_BLOCK`` - 1 rows,
-  about m n multiply-adds per row (``_skew_schur_states``). The phases
-  i phi and c phi are formed exactly (``_turns``), so their error does
-  not grow with the step count. At other times each block of
-  ``_ROW_BLOCK`` rows is one GEMM of [cos t b | 1 | sin t b] against
-  both halves, 2m n multiply-adds per row. O(T n^2) either way, with
-  temporaries that do not grow with T;
+  c phi: two GEMMs with K = m+1 and m give 511 rows, about m n
+  multiply-adds per row (``_skew_schur_states``). The phases c phi are
+  formed exactly (``_turns``); the table of i phi is one angle addition
+  of two such tables of about sqrt(256) rows each (``_turn_table``),
+  which adds about 2 ulp, so no phase error grows with the step count.
+  Turning the halves costs six elementwise passes over m x n per
+  centre, so the window of 511 rows, against 255 at a half-window of
+  128, halves that cost: at n = 256 the fill of 10^4 Cayley rows took
+  22.3 ms against 25.9 ms, and at n = 1024 326 ms against 403 ms
+  (fastest of 15 and 3 runs, one BLAS thread). At other times each
+  block of ``_ROW_BLOCK`` rows is one GEMM of [cos t b | 1 | sin t b]
+  against both halves, 2m n multiply-adds per row. O(T n^2) either
+  way, with temporaries that do not grow with T;
 - non-skew ``evolve_exact``: on a uniform grid of T intervals with
   8 T >= n, one scaling-and-squaring exponential P = e^{dB}, O(n^3),
   then the states by the doubling fill below; otherwise one
@@ -76,7 +82,9 @@ blocks of rows, with no Python work per row:
   attempts start from b; each later one starts from the polynomial
   extrapolation sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i} of the last p
   solves, which one GEMV against a p-row ring forms, and which the
-  steps' common propagator puts near rounding of the new solve. A
+  steps' common propagator puts near rounding of the new solve. With
+  K = 0 every attempt starts from b, which the test certifies with no
+  product, since no product could certify an extrapolated start. A
   dropped attempt costs at most K products and one solve pair, less
   than two solve pairs since K nnz(S) < nnz(L) + nnz(U). A start whose
   |entries| do not sum to a finite number is refused before any
@@ -127,6 +135,9 @@ _DENSE_EXP_LIMIT = 4096
 # rows (sample times or steps) per GEMM in the dense trajectories; bounds
 # their temporaries at _ROW_BLOCK x n whatever the row count
 _ROW_BLOCK = 128
+# the half-window of the uniform-grid Schur fill: the rows c +- i,
+# i < 256, share one turn of the halves by c phi, 511 rows per centre
+_HALF_WINDOW = 256
 # keeps the sign, the exponent and the 25 leading fraction bits of a double
 _HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
 # the (0-based) index of a vector's largest |entry|, one BLAS pass; it
@@ -278,6 +289,20 @@ def _turns(k, rate: np.ndarray):
     return ca * cb - sa * sb, sa * cb + ca * sb
 
 
+def _turn_table(rows: int, rate: np.ndarray):
+    """cos and sin of i rate for i < rows, as two (rows, m) arrays, by one
+    angle addition: i = a s + b with s = ceil(sqrt(rows)) and b < s, so
+    two _turns tables of about sqrt(rows) rows each give every row. Each
+    phase a s rate and b rate is formed exactly, and the addition adds
+    about 2 ulp, whatever rows is."""
+    s = math.isqrt(rows - 1) + 1
+    ca, sa = (x[:, None] for x in _turns(np.arange(0, rows, s)[:, None], rate))
+    cb, sb = _turns(np.arange(s)[:, None], rate)
+    shape = (ca.shape[0] * s, rate.size)
+    return ((ca * cb - sa * sb).reshape(shape)[:rows],
+            (sa * cb + ca * sb).reshape(shape)[:rows])
+
+
 def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
                        rate: np.ndarray, times=None) -> None:
     """Write the rotated states of v0, mapped back by 1/sw, into out's rows.
@@ -292,16 +317,17 @@ def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
 
     Off the grid, each block of _ROW_BLOCK rows is one GEMM of
     [cos | 1 | sin] against both halves (K = 2m+1). On the grid, the rows
-    c - i and c + i (i < r = _ROW_BLOCK) share the centre c: with
+    c - i and c + i (i < r = _HALF_WINDOW) share the centre c: with
     A_c = cos(c rate) A + sin(c rate) B and B_c = cos(c rate) B
     - sin(c rate) A, row c + i is P_i + Q_i and row c - i is P_i - Q_i,
     where P = cos(i rate) [A_c; z] and Q = sin(i rate) B_c. So two GEMMs
-    with K = m+1 and m give 2r - 1 rows, half the multiply-adds per row.
-    cos and sin of i rate form one table; those of c rate are taken
-    directly for each centre. Both come from _turns, which forms the
-    phase k rate exactly, so its error does not grow with the row count.
-    The last centre sits in the middle of the rows left, never past the
-    last row, and no temporary grows with the row count.
+    with K = m+1 and m give 2r - 1 = 511 rows, half the multiply-adds
+    per row; the six m x n passes that turn A and B are paid once per
+    centre. cos and sin of i rate form one table (_turn_table); those of
+    c rate are taken for each centre by _turns, which forms the phase
+    k rate exactly. So no phase error grows with the row count. The last
+    centre sits in the middle of the rows left, never past the last row,
+    and no temporary grows with the row count.
 
     A ValueError names the first row whose phase is not finite (all of
     them are when the last row's is, since the phases grow with k).
@@ -335,9 +361,9 @@ def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
             np.sin(angle, out=block[:, m + 1:])
             np.matmul(block, fold, out=out[lo:lo + block.shape[0]])
         return
-    r = min(_ROW_BLOCK, rows // 2 + 1)
+    r = min(_HALF_WINDOW, rows // 2 + 1)
     cos_i = np.ones((r, m + 1))
-    cos_i[:, :m], sin_i = _turns(np.arange(r)[:, None], rate)
+    cos_i[:, :m], sin_i = _turn_table(r, rate)
     turned = np.empty_like(fold)
     turned[m] = fold[m]
     A_c, B_c = turned[:m], turned[m + 1:]
@@ -439,10 +465,11 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     metric) are detected and routed through the real Schur factorization,
     giving exactly orthogonal propagators: one factorization (cached on
     the generator, shared with evolve_cayley), then on a uniform grid the
-    rows mirrored around block centres as evolve_cayley fills them, with
-    the plane angles k d b, and at other times one GEMM per block of
-    sample times, with cos and sin of each t b. A sample whose angle t b
-    is not finite raises ValueError, naming the first such sample.
+    rows mirrored around centres, 511 rows per centre, as evolve_cayley
+    fills them, with the plane angles k d b, and at other times one GEMM
+    per block of sample times, with cos and sin of each t b. A sample
+    whose angle t b is not finite raises ValueError, naming the first
+    such sample.
 
     Anything else is carried from each sample to the next. On a uniform
     grid of T intervals with 8 T >= n, by the step matrix P = e^{dB},
@@ -635,12 +662,14 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     whose start is refused, is dropped and SuperLU solves the step. The
     first p = _WARM_DEPTH attempts start from b; step k >= p starts from
     the extrapolation of the last p solves x_R (held before they are
-    doubled, in a p-row ring weighed by row k % p of _WARM_TABLE). route
-    holds what decided and what ran: {"sparse_solve": "neumann" or
-    "superlu", "neumann_terms": K (None when q >= 1), "schur_norm_inf":
-    q, "neumann_products": the most products any step so far took, a
-    dropped attempt's included, and "neumann_products_mean": their mean
-    per step so far (both None on the SuperLU route)}.
+    doubled, in a p-row ring weighed by row k % p of _WARM_TABLE), except
+    at K = 0, where every attempt starts from b, certified with no
+    product and no solve. route holds what decided and what ran:
+    {"sparse_solve": "neumann" or "superlu", "neumann_terms": K (None
+    when q >= 1), "schur_norm_inf": q, "neumann_products": the most
+    products any step so far took, a dropped attempt's included, and
+    "neumann_products_mean": their mean per step so far (both None on
+    the SuperLU route)}.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
     running iterate and the ring are held, so callers that keep no
@@ -684,7 +713,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
             _add_product(from_I, u_I, b)
             if neumann:
                 slot = k % _WARM_DEPTH
-                start = (b if k < _WARM_DEPTH
+                start = (b if k < _WARM_DEPTH or not terms
                          else np.dot(_WARM_TABLE[slot], ring, out=x))
                 x_R, used, certified = _neumann_sum(schur, q, terms, b, start,
                                                     x, y)
@@ -725,12 +754,14 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       frequency b by phi = 2 atan(b dt/2), so the state after k steps
       has the angles k phi. Every state comes from the Schur factors
       (cached on the generator, shared with evolve_exact): the steps
-      c - i and c + i (i < _ROW_BLOCK) around a centre c are P_i -+ Q_i,
-      from two GEMMs against the cos and the sin half of the folded
-      factors, turned once by c phi (_skew_schur_states, shared with
-      evolve_exact on uniform grids). The phases are formed exactly
-      (_turns), no step is solved for, and the norm does not drift with
-      the step count;
+      c - i and c + i (i < _HALF_WINDOW = 256) around a centre c are
+      P_i -+ Q_i, from two GEMMs against the cos and the sin half of the
+      folded factors, turned once by c phi (_skew_schur_states, shared
+      with evolve_exact on uniform grids). The phases c phi are formed
+      exactly (_turns) and those of i phi by one angle addition of two
+      exact tables (_turn_table, about 2 ulp), so no phase error grows
+      with the step count; no step is solved for, and the norm does not
+      drift with the step count;
     - dense otherwise: the step matrix (E - dt/2 B)^-1 (E + dt/2 B) is
       formed once, flushed of subnormal entries, and the states are
       filled by GEMMs against its doubled powers (_power_states, shared
@@ -747,7 +778,8 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       puts it within rounding of the solve at any scale of u0. The first
       8 attempts start from b and each later one from the extrapolation
       of the last 8 solves, which smooth data certify in about 2
-      products (4 from b for the rotating blob). An attempt that K
+      products (4 from b for the rotating blob); at K = 0 every attempt
+      starts from b, certified with no product. An attempt that K
       products do not certify, or whose start is refused as not finite,
       is dropped and the SuperLU pair solves the step, as it solves
       every step off the Neumann route. stepper_meta records the

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from skewflow import evolution
 from skewflow.evolution import (
+    _HALF_WINDOW,
     _ROW_BLOCK,
     Trajectory,
     _eliminated_nodes,
@@ -639,7 +640,8 @@ def test_schur_cayley_matches_the_stepped_loop(name, dt):
     assert max_relative_distance(gen, traj.states, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("nsteps", [1, 5, _ROW_BLOCK, 2 * _ROW_BLOCK + 7])
+@pytest.mark.parametrize("nsteps", [1, 5, _HALF_WINDOW // 2, _HALF_WINDOW,
+                                    _HALF_WINDOW + 7, 2 * _HALF_WINDOW + 7])
 @pytest.mark.parametrize("dt", [1e-2, 2.0])
 @pytest.mark.parametrize("name", ["weighted", "odd", "wrapped"])
 def test_schur_cayley_phases_match_the_per_step_formula(name, dt, nsteps):
@@ -669,16 +671,18 @@ def mirrored_fill(gen, u0, phi, rows):
     return out
 
 
-R = _ROW_BLOCK
+W = _HALF_WINDOW
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, R, 2 * R - 1, 2 * R, 2 * R + 1,
-                                  4 * R + 3])
+@pytest.mark.parametrize("rows", [1, 2, 3, W // 2, W - 1, W, W + 1, 2 * W - 1,
+                                  2 * W, 2 * W + 1, 2 * W + 3, 4 * W + 3])
 @pytest.mark.parametrize("name", ["weighted", "odd", "wrapped"])
 def test_mirrored_fill_matches_the_per_row_rotation(name, rows):
-    # rows c +- i around each centre c: whole groups of 2R - 1 rows, then
-    # a last group of 1, 2, 3, R, none, 1, 2 or 5 rows centred in what is
-    # left; odd has a zero mode, a plane of frequency 0
+    # rows c +- i around each centre c: whole groups of 2W - 1 rows, then
+    # a last group centred in what is left. Up to W + 1 rows make one
+    # group narrower than W, 2W - 1 one whole group, and 2W, 2W + 1,
+    # 2W + 3 and 4W + 3 leave 1, 2, 4 and 5 rows after whole groups; odd
+    # has a zero mode, a plane of frequency 0
     if name == "wrapped":
         _, gen, u0 = wrapped_generator(n=128)
     else:
@@ -699,11 +703,25 @@ def test_mirrored_fill_of_a_zero_generator_keeps_u0():
     gen = RestrictedOperator(space=Space(dim=7, weights=np.arange(1.0, 8.0)),
                              action=np.zeros((7, 7)), domain=None)
     u0 = np.random.default_rng(8).standard_normal(7)
-    for traj in (evolve_cayley(gen, u0, 0.1, 2 * R + 1),
+    for traj in (evolve_cayley(gen, u0, 0.1, 2 * W + 1),
                  evolve_exact(gen, u0, np.linspace(0.0, 1.0, 9)),
                  evolve_exact(gen, u0, [0.3, 0.7, 2.0])):
         assert traj.stepper_meta["schur_rotation"] is True
         assert np.max(np.abs(traj.states - u0)) <= 1e-15
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, W // 2 + 1, W])
+@pytest.mark.parametrize("base", [np.pi, 1e3])
+def test_turn_table_matches_the_exact_phases(base, rows):
+    # the angle addition of two exact tables against each phase i rate
+    # formed exactly (_turns): the addition adds a few ulp, not an error
+    # that grows with i
+    rate = base * (1.0 - 1e-3 * np.random.default_rng(3).random(300))
+    got = evolution._turn_table(rows, rate)
+    ref = evolution._turns(np.arange(rows)[:, None], rate)
+    for x, y in zip(got, ref):
+        assert x.shape == (rows, rate.size)
+        assert np.max(np.abs(x - y)) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("theta", [1.0, -1.0])
@@ -753,13 +771,13 @@ def test_exact_schur_overflow_names_the_first_bad_sample(times, bad):
 
 
 def test_mirrored_fill_puts_no_centre_past_the_last_row():
-    # 2R rows: one whole group and a last row that is its own centre; a
-    # centre placed R - 1 rows past it would turn by 1.5 x the last
+    # 2W rows: one whole group and a last row that is its own centre; a
+    # centre placed W - 1 rows past it would turn by 1.5 x the last
     # row's phase, which overflows here
     gen = seam_extension(minimal_derivative_operator(16), 1.0)
     top = float(np.max(np.abs(evolution._schur_planes(
         gen, _identity_coords(gen.space, gen.dense_action()))[2])))
-    times = np.linspace(0.0, 0.9 * np.finfo(float).max / top, 2 * R)
+    times = np.linspace(0.0, 0.9 * np.finfo(float).max / top, 2 * W)
     u0 = np.random.default_rng(9).standard_normal(16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1245,12 +1263,26 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     assert_steps_solve_to_rounding(gen, traj, dt)
 
 
-def test_a_zero_schur_term_steps_exactly():
+def test_a_zero_schur_term_steps_exactly(monkeypatch):
     # B maps the odd nodes of a path into the even ones only, so the even
     # nodes are eliminated and S = 0 on the odd ones: q = 0 gives K = 0,
-    # the first steps keep b with no product and the warm ones, which no
-    # product can certify, take the SuperLU solve with E. Either way
-    # x_R = b exactly, so the odd entries never move
+    # and every step starts from b, which the test certifies with no
+    # product and no SuperLU solve (an extrapolated start could not be
+    # certified without a product). So x_R = b exactly, and the odd
+    # entries never move
+    solves = []
+    real_lu = evolution.sparse_shifted_lu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            solves.append(b)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(evolution, "sparse_shifted_lu",
+                        lambda A: Factor(real_lu(A)))
     n = 41
     rng = np.random.default_rng(2)
     even = np.arange(0, n, 2)
@@ -1267,6 +1299,7 @@ def test_a_zero_schur_term_steps_exactly():
     assert (meta["schur_norm_inf"], meta["neumann_terms"]) == (0.0, 0)
     assert (meta["neumann_products"], meta["neumann_products_mean"]) == (
         0, 0.0)
+    assert solves == []
     assert np.array_equal(traj.states[:, 1::2],
                           np.broadcast_to(u0[1::2], (21, n // 2)))
     ref = reference_sparse_cayley(gen, u0, dt, 20)

@@ -107,8 +107,10 @@ def test_golden_diff_script_finds_what_moved(tmp_path, capsys, monkeypatch):
 
 
 def test_golden_diff_gate_compares_a_revision_with_the_tree(capsys):
-    # REV = HEAD: both sides dump the two cases in fresh processes (about
-    # 3 s on 2 shared cores), and the temporary worktree is gone after
+    # REV = HEAD: both sides dump two golden cases and the gate-only
+    # verify at n = 256 in fresh processes (about 3.3 s on 2 shared
+    # cores, 1.1 s of it the gate-only case), and the temporary worktree
+    # is gone after
     script = GOLDEN_DIFF["main"]
 
     def git(*args):
@@ -116,12 +118,14 @@ def test_golden_diff_gate_compares_a_revision_with_the_tree(capsys):
                               capture_output=True, text=True).stdout
 
     worktrees = git("worktree", "list", "--porcelain")
-    assert script(["gate", "HEAD", "analyze-weighted",
-                   "evolve-rotation"]) == 0
+    assert script(["gate", "HEAD", "analyze-weighted", "evolve-rotation",
+                   "verify-minimal-256"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert git("worktree", "list", "--porcelain") == worktrees
     files = ["analyze-weighted/report.json", "evolve-rotation/report.json",
-             "evolve-rotation/trajectory.csv", "exits.json"]
+             "evolve-rotation/trajectory.csv", "exits.json",
+             "verify-minimal-256/report.json",
+             "verify-minimal-256/residuals.csv"]
     compared = [line for line in lines if line.split(":")[0] in files]
     assert [line.split(":")[0] for line in compared] == files
     unchanged = not subprocess.run(["git", "-C", str(ROOT), "diff",
