@@ -1168,6 +1168,23 @@ def test_neumann_sum_from_any_start_is_certified_or_says_not(start, q):
         assert not certified and used == 0
 
 
+def spy_on_superlu_solves(monkeypatch, events):
+    """Append "solve" to events at each solve with the factor that
+    sparse_shifted_lu returns to the sparse Cayley steps."""
+    real_lu = evolution.sparse_shifted_lu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            events.append("solve")
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(evolution, "sparse_shifted_lu",
+                        lambda A: Factor(real_lu(A)))
+
+
 def assert_steps_solve_to_rounding(gen, traj, dt):
     """x = (u_k + u_{k+1}) / 2 solves (E - dt/2 B) x = u_k to within a few
     eps |u_k|_inf at every step."""
@@ -1221,24 +1238,15 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     else:
         monkeypatch.setattr(evolution, "_neumann_terms", lambda q: 2)
     events = []
-    real_sum, real_lu = evolution._neumann_sum, evolution.sparse_shifted_lu
+    real_sum = evolution._neumann_sum
 
     def attempt(*args):
         out = real_sum(*args)
         events.append(out[2])
         return out
 
-    class Factor:
-        def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
-
-        def solve(self, b):
-            events.append("solve")
-            return self.lu.solve(b)
-
     monkeypatch.setattr(evolution, "_neumann_sum", attempt)
-    monkeypatch.setattr(evolution, "sparse_shifted_lu",
-                        lambda A: Factor(real_lu(A)))
+    spy_on_superlu_solves(monkeypatch, events)
     nsteps = 30
     traj = evolve_cayley(gen, u0, dt, nsteps)
     meta = traj.stepper_meta
@@ -1271,18 +1279,7 @@ def test_a_zero_schur_term_steps_exactly(monkeypatch):
     # certified without a product). So x_R = b exactly, and the odd
     # entries never move
     solves = []
-    real_lu = evolution.sparse_shifted_lu
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
-
-        def solve(self, b):
-            solves.append(b)
-            return self.lu.solve(b)
-
-    monkeypatch.setattr(evolution, "sparse_shifted_lu",
-                        lambda A: Factor(real_lu(A)))
+    spy_on_superlu_solves(monkeypatch, solves)
     n = 41
     rng = np.random.default_rng(2)
     even = np.arange(0, n, 2)
