@@ -43,13 +43,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # invocations that only gate runs, on both sides like the golden cases,
-# with no stored report; each input is the descriptor itself
+# with no stored report; each input is the descriptor itself, naming a
+# stream file by its absolute path
 GATE_CASES = [
     # the dense Schur fill at the benchmark's size: 2001 Cayley rows at
     # n = 256, four mirrored windows of up to 511 rows
     {"name": "verify-minimal-256", "command": "verify",
      "input": {"operator": {"kind": "minimal_derivative", "n": 256}},
      "flags": []},
+    # sparse Cayley steps with |S|_inf = 0.0022 < 1 (K = 6) on the golden
+    # 16^2 stream's interior -M_s: a route rule that compares the cap K
+    # with nnz(L + U) solves them by SuperLU, the rule from measured
+    # products by certified Neumann attempts, so the two differ at
+    # rounding level
+    {"name": "verify-interior-16", "command": "verify",
+     "input": {"operator": {"kind": "transport",
+                            "stream": str(GOLDEN / "stream.csv"),
+                            "mode": "interior_domain"}},
+     "flags": ["--dt", "0.02"]},
 ]
 
 

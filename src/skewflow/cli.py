@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import (adjoint_generator, evolve_cayley, evolve_exact,
-                        steps_to_horizon)
+from .evolution import (_DENSE_EXP_LIMIT, adjoint_generator, evolve_cayley,
+                        evolve_exact, steps_to_horizon)
 from .operators import (
     PinnedDomain,
     RestrictedOperator,
@@ -350,9 +350,7 @@ def cmd_analyze(args, op) -> tuple[int, dict]:
     U = op.domain_vector(rng.standard_normal((32, op.domain_dim)).T)
     MU = op.action @ U
     norms = op.space.norms
-    # an overflow here is refused when the report is rendered
-    with np.errstate(over="ignore", invalid="ignore"):
-        iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
+    iso = float(np.max(np.abs(norms(U + MU) - norms(U - MU)) / norms(U)))
     payload = {
         "command": "analyze",
         "label": op.label,
@@ -403,6 +401,10 @@ def cmd_evolve(args, op) -> tuple[int, dict]:
     if not op.is_full_domain:
         raise CliError("evolve needs a full-domain generator — "
                        "extend the operator first")
+    if args.method == "exact" and op.dim > _DENSE_EXP_LIMIT:
+        raise CliError(f"evolve --method exact forms a dense {op.dim} x "
+                       f"{op.dim} exponential; the limit is "
+                       f"{_DENSE_EXP_LIMIT}")
     dt, nsteps = _steps(args, op.dim)
     u0 = _default_u0(op, args.seed)
     if args.method == "exact":
@@ -686,15 +688,21 @@ def main(argv=None) -> int:
 
     handler = COMMANDS[args.command][0]
     try:
-        op = (parse_operator_descriptor(args.input)
-              if "input" in args else None)
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot use --out {args.out}: {exc.strerror}")
-        code, payload = handler(args, op)
-        payload["seed"] = args.seed
-        write_report(args.out, payload)
+        # floating-point overflow and invalid results reach the verdict
+        # as non-finite values, which the steppers name and a report
+        # refuses to render, so numpy's warnings would only add stderr
+        # lines before the one that says what went wrong
+        with np.errstate(all="ignore"):
+            op = (parse_operator_descriptor(args.input)
+                  if "input" in args else None)
+            try:
+                args.out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CliError(f"cannot use --out {args.out}: "
+                               f"{exc.strerror}")
+            code, payload = handler(args, op)
+            payload["seed"] = args.seed
+            write_report(args.out, payload)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

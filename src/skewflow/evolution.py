@@ -59,60 +59,34 @@ blocks of rows, with no Python work per row:
   them down the FPU's slow path;
 - sparse ``evolve_cayley``: an independent set I of B's off-diagonal
   pattern is eliminated first, exactly, since E - dt/2 B is diagonal
-  on I; on a periodic transport stencil over an even grid I is one
-  colour of the grid, n/2 nodes. What is left is E - S on the other
-  nodes, S the Schur term, and one SuperLU factorization of it follows
-  (a singular E - dt/2 B fails there, whichever route then steps).
-  Each step is two sparse products with the blocks that couple I to the
-  rest and one solve with E - S, by one of two routes chosen once from
-  q = |S|_inf and the fill: when q < 1, the Neumann sum of S^j b over
-  j <= K, with K the smallest count for which q^(K+1) / (1 - q) <= eps/2
-  (so the truncation stays below rounding in the inf-norm), is taken by
-  at most K Horner products x <- S x + b if K nnz(S) < nnz(L) + nnz(U),
-  the factors' entries as SuperLU stores them; else SuperLU's triangular
-  solve pair runs. The rule compares the cap K, not the products the
-  steps then take, so the 77^2 interior ``verify`` (K = 14) stays on
-  SuperLU; a rule from measured products would be the next step. On
-  the Neumann route a step makes one attempt of at most K products and
-  ends in one of two ways. The attempt is kept once, after a product j,
-  its distance to the solve, at most q/(1 - q) |x_j - x_{j-1}|_inf from
-  any start (Banach's a-posteriori bound), is below eps/2 |b|_inf
-  (``_neumann_sum``); otherwise the SuperLU factor, which the route
-  rule has built, solves the step. The first ``_WARM_DEPTH`` = p = 8
-  attempts start from b; each later one starts from the polynomial
-  extrapolation sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i} of the last p
-  solves, which one GEMV against a p-row ring forms, and which the
-  steps' common propagator puts near rounding of the new solve. With
-  K = 0 every attempt starts from b, which the test certifies with no
-  product, since no product could certify an extrapolated start. A
-  dropped attempt costs at most K products and one solve pair, less
-  than two solve pairs since K nnz(S) < nnz(L) + nnz(U). A start whose
-  |entries| do not sum to a finite number is refused before any
-  product, so a step whose b has |entries| summing past the largest
-  double is solved by SuperLU alone. The new state is 2x - u for the
-  solution x of (E - dt/2 B) x = u, so no product with B is taken.
-  I is chosen by a BFS in ``scipy.sparse.csgraph``, with no Python work
-  per node. The factorization (``operators.sparse_shifted_lu``) uses a
-  minimum-degree ordering on A^T + A in SuperLU's symmetric mode (every
-  sparse action skewflow builds is structurally symmetric) and keeps
-  every nonzero diagonal pivot, however small against its column, so the
-  ordering holds at large steps too. On the 64^2 rotation stencil at
-  dt = 2 pi / 2000 the factor has 190k L+U nonzeros (401k under
-  SuperLU's default COLAMD ordering; SuperLU stores them in 225k
-  entries) while S has 18k and q = 0.0092, so K = 7 and the Neumann
-  route runs. There the rotating blob's steps take 2.01 products on
-  average (2.02 at 32^2, dt = 2 pi / 1000, and 2.00 at 128^2,
-  dt = 2 pi / 4000, both also K = 7), against 4 from b, and a step
-  costs 0.067 ms against 0.096 ms from b (0.030 against 0.039 ms at
-  32^2, 0.29 against 0.41 ms at 128^2; fastest of 15 interleaved runs,
-  4 at 128^2, one BLAS thread) and 0.28 ms with the solve pair. Rough
-  data, whose |S^j b| stay near q^j |b|, take all K products from b;
-  white noise on the 64^2 stencil averages 5.01 (7 from b). At dt = 2
-  the 64^2 stencil has q = 3721 and takes SuperLU. The products, and the
-  two with the coupling blocks, run scipy's CSR kernel in place, since
-  at these sizes the dispatch of ``S @ x`` costs more than the product.
-  The set-up, choice of I included, costs about what the whole-matrix
-  LU does (6 ms).
+  on I (on a periodic transport stencil over an even grid, one colour
+  of the grid, n/2 nodes, chosen by a BFS in ``scipy.sparse.csgraph``
+  with no Python work per node). What is left is E - S on the other
+  nodes, S the Schur term. Each step is two sparse products with the
+  blocks that couple I to the rest, one solve with E - S and O(n)
+  vector work, with no product with B (``_cayley_steps``). With
+  q = |S|_inf >= 1 the solve is SuperLU's triangular pair,
+  O(nnz(L) + nnz(U)) a step after one factorization up front
+  (``operators.sparse_shifted_lu``: minimum-degree ordering on A^T + A
+  in SuperLU's symmetric mode, every nonzero diagonal pivot kept, so
+  the ordering holds at large steps too). With q < 1 no factor is
+  built up front: each step makes one attempt of at most K Horner
+  products x <- S x + b, O(nnz(S)) each, with K the smallest count for
+  which q^(K+1) / (1 - q) <= eps/2, kept once Banach's a-posteriori
+  bound certifies it to eps/2 |b|_inf (``_neumann_sum``). The attempts
+  after the p-th (p = ``_WARM_DEPTH`` = 8) start from the polynomial
+  extrapolation of the last p solves, one GEMV against a p-row ring,
+  which smooth data certify in about two products. A dropped attempt
+  is solved by SuperLU, the factor built at the first one. At step 2p
+  the ring-started steps are measured: the factor is built when they
+  averaged more than K/2 products, and once it exists the solve pair
+  takes every later step if nnz(L + U) undercuts their cost, mean
+  products x nnz(S) + dropped share x nnz(L + U). So a run of T steps
+  costs O(T (P nnz(S) + n)) on the attempts, P their mean products,
+  and the factorization only where a step needs it or the attempts
+  cost more than half the cap. The three sparse products run scipy's
+  CSR kernel in place with its arguments bound once, since at these
+  sizes the dispatch of ``S @ x`` costs more than the product.
 """
 from __future__ import annotations
 
@@ -585,19 +559,21 @@ def _neumann_terms(q: float) -> int:
     return terms
 
 
-def _add_product(A, x: np.ndarray, y: np.ndarray):
-    """y += A x for a CSR A, in place, by scipy's compiled kernel: at the
-    sizes a sparse step works on, A @ x spends more time in dispatch and
-    allocation than in the product."""
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, y)
+def _csr_args(A) -> tuple:
+    """The CSR matrix A as the leading arguments of scipy's compiled
+    kernel y += A x, csr_matvec(*args, x, y), bound once: at the sizes a
+    sparse step works on, A @ x spends more time in dispatch and
+    allocation than in the product, and so does reading A's shape and
+    arrays anew for each product."""
+    return (A.shape[0], A.shape[1], A.indptr, A.indices, A.data)
 
 
-def _neumann_sum(S, q: float, terms: int, b: np.ndarray, start: np.ndarray,
-                 x: np.ndarray, y: np.ndarray):
-    """One attempt at the solution of (E - S) x = b for |S|_inf = q < 1:
-    at most terms products x <- S x + b from x_0 = start, as
-    (x, j, certified); x and y are work buffers of b's size, start may be
-    b or x, and the result is one of the buffers.
+def _neumann_sum(S: tuple, q: float, terms: int, b: np.ndarray,
+                 start: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """One attempt at the solution of (E - S) x = b for |S|_inf = q < 1,
+    S given as its _csr_args: at most terms products x <- S x + b from
+    x_0 = start, as (x, j, certified); x and y are work buffers of b's
+    size, start may be b or x, and the result is one of the buffers.
 
     After the j-th product x_j - x* = S (x_{j-1} - x*), so x_j misses the
     solution by at most q/(1 - q) |x_j - x_{j-1}|_inf from any start
@@ -612,22 +588,25 @@ def _neumann_sum(S, q: float, terms: int, b: np.ndarray, start: np.ndarray,
     it. The test is taken as q |x_j - x_{j-1}|_inf <= eps/2 (1 - q) |b|_inf,
     which squares nothing, so it holds at any finite scale of b; an
     underflow on its left only drops what is below the smallest double.
+    An empty b (q = 0, terms = 0) is certified as it is.
     """
-    if not math.isfinite(_dasum(start)):
+    if start.size and not math.isfinite(_dasum(start)):
         return x, 0, False
     if start is not x:
         np.copyto(x, start)
+    if not terms:
+        return x, 0, start is b
     limit = 0.5 * _EPS * (1.0 - q) * abs(b[_idamax(b)])
     j = 0
     while j < terms:
         np.copyto(y, b)
-        _add_product(S, x, y)
+        csr_matvec(*S, x, y)
         x, y = y, x
         j += 1
         np.subtract(x, y, out=y)
         if q * abs(y[_idamax(y)]) <= limit:
             return x, j, True
-    return x, j, not terms and start is b
+    return x, j, False
 
 
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
@@ -640,40 +619,57 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     With h = dt/2, I the nodes of _eliminated_nodes, R the rest and
     D = 1 - h diag(B) on I, E - hB is diagonal on I, so eliminating I
     first is exact. What is left is E - S on R, with the Schur term
-    S = h B_RR + h^2 B_RI D^-1 B_IR, factorized once by
-    operators.sparse_shifted_lu (a failure raises ValueError). A step
-    solves (E - hB) x = u by
+    S = h B_RR + h^2 B_RI D^-1 B_IR. A step solves (E - hB) x = u by
     x_R = (E - S)^-1 b with b = u_R + h B_RI D^-1 u_I, and
     x_I = D^-1 (u_I + h B_IR x_R), then sets u = 2x - u, since
     (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E; no product with B is taken.
 
-    x_R comes by one of two routes, chosen once. With q = |S|_inf < 1,
-    K = _neumann_terms(q) is the count of products x <- S x + b after
-    which the Neumann series from b is within eps/2 |b|_inf a priori. K
-    caps each attempt, and the Neumann route is taken when K nnz(S)
-    multiply-adds are fewer than the nnz(L) + nnz(U) of the triangular
-    solve pair, as SuperLU stores the factors (supernodes included).
-    Otherwise (always when q >= 1) SuperLU solves every step. The rule
-    compares the cap K, not the products the steps then take.
+    x_R comes by one of two routes, from q = |S|_inf and the measured
+    cost of the steps:
 
-    On the Neumann route each step makes one attempt of at most K
-    products (_neumann_sum), kept only when the a-posteriori bound puts
-    it within eps/2 |b|_inf; any other attempt, one that reaches K or
-    whose start is refused, is dropped and SuperLU solves the step. The
-    first p = _WARM_DEPTH attempts start from b; step k >= p starts from
-    the extrapolation of the last p solves x_R (held before they are
-    doubled, in a p-row ring weighed by row k % p of _WARM_TABLE), except
-    at K = 0, where every attempt starts from b, certified with no
-    product and no solve. route holds what decided and what ran:
-    {"sparse_solve": "neumann" or "superlu", "neumann_terms": K (None
-    when q >= 1), "schur_norm_inf": q, "neumann_products": the most
-    products any step so far took, a dropped attempt's included, and
-    "neumann_products_mean": their mean per step so far (both None on
-    the SuperLU route)}.
+    - q >= 1, or q not finite: operators.sparse_shifted_lu factorizes
+      E - S before the first step (a failure, a non-finite S included,
+      raises ValueError), and SuperLU's triangular solve pair solves
+      every step, nnz(L) + nnz(U) multiply-adds as SuperLU stores the
+      factors (supernodes included).
+    - q < 1: E - S is strictly diagonally dominant by rows, so no factor
+      is built up front. Each step makes one attempt of at most
+      K = _neumann_terms(q) products x <- S x + b, nnz(S) multiply-adds
+      each (_neumann_sum), kept only when Banach's a-posteriori bound
+      puts it within eps/2 |b|_inf of the solve. The first
+      p = _WARM_DEPTH attempts start from b; step k >= p starts from the
+      extrapolation of the last p solves x_R (held before they are
+      doubled, in a p-row ring weighed by row k % p of _WARM_TABLE),
+      except at K = 0, where every attempt starts from b, certified with
+      no product. An attempt that K products do not certify, or whose
+      start is refused as not finite, is dropped, and the SuperLU pair
+      solves the step; the factor is built at the first such step.
+      At step 2p, the one checkpoint, the factor is also built when the
+      ring-started steps p .. 2p-1 took more than K/2 products on
+      average; and once it exists, their measured cost per step, mean
+      products x nnz(S) + dropped share x nnz(L + U), is compared with
+      nnz(L + U): if the solve pair is cheaper, it solves every later
+      step, with no attempt.
+
+    A step's cost is thus O(nnz(S)) per product, about two from the
+    extrapolation for smooth data, against O(nnz(L + U)) per solve,
+    plus two products with the blocks that couple I to R and O(n)
+    vector work; the set-up is the elimination, plus the factorization
+    only where a step needs it.
+
+    route holds what decided and what ran: {"sparse_solve": "neumann"
+    (q < 1) or "superlu", "neumann_terms": K (None when q >= 1),
+    "schur_norm_inf": q, "neumann_products": the most products an
+    attempt took, a dropped one's included, "neumann_products_mean": their
+    mean per attempt (both None on the SuperLU route), and
+    "switch_step": the step from which the solve pair replaced the
+    attempts (None when it did not)}. Its counts are final once steps is
+    exhausted.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
-    running iterate and the ring are held, so callers that keep no
-    states (transport.rotation_benchmark) stay O(n) in memory.
+    running iterate, two buffers of its size and the ring are held, so
+    callers that keep no states (transport.rotation_benchmark) stay
+    O(n) in memory.
     """
     half = (dt / 2.0) * gen.action.tocsr()
     elim = _eliminated_nodes(half)
@@ -681,58 +677,80 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     inv = 1.0 / (1.0 - half.diagonal()[elim])
     scale = sp.diags(inv)
     rows_I, rows_R = half[elim], half[keep]
-    # csr_array, not csr_matrix: a product with a vector dispatches in
-    # about half the time (6 against 12 us at 512 rows), and the steps
-    # take several such products
     to_I = sp.csr_array(scale @ rows_I[:, keep])     # D^-1 h B_IR
     from_I = sp.csr_array(rows_R[:, elim] @ scale)   # h B_RI D^-1
     schur = sp.csr_array(rows_R[:, keep] + from_I @ rows_I[:, keep])
-    lu = sparse_shifted_lu(schur)
     q = float(np.max(abs(schur) @ np.ones(schur.shape[1]), initial=0.0))
-    terms = _neumann_terms(q) if q < 1.0 else None
-    # lu.nnz counts L and U as SuperLU stores them, which its solve reads;
-    # lu.L and lu.U would build CSC copies of both factors and keep them
-    # on lu (2.3 MB at 64^2)
-    neumann = terms is not None and terms * schur.nnz < lu.nnz
+    neumann = q < 1.0
+    terms = _neumann_terms(q) if neumann else None
+    lu = None if neumann else sparse_shifted_lu(schur)
     route = {"sparse_solve": "neumann" if neumann else "superlu",
              "neumann_terms": terms, "schur_norm_inf": q,
              "neumann_products": 0 if neumann else None,
-             "neumann_products_mean": 0.0 if neumann else None}
+             "neumann_products_mean": 0.0 if neumann else None,
+             "switch_step": None}
     order = np.concatenate([np.flatnonzero(elim), np.flatnonzero(keep)])
     v = u[order]
-    u_I, u_R = v[:inv.size], v[inv.size:]
-    m = u_R.size
+    ni = inv.size
+    u_I, u_R = v[:ni], v[ni:]
+    S, F, T = _csr_args(schur), _csr_args(from_I), _csr_args(to_I)
 
     def steps():
-        x, y, b = np.empty(m), np.empty(m), np.empty(m)
-        ring = np.empty((_WARM_DEPTH, m)) if neumann else None
-        x_I = np.empty(inv.size)
-        total = 0
+        nonlocal lu
+        # (x_I, x_R) pairs: x_R runs in the tails, the Neumann buffers
+        X, Y = np.empty(v.size), np.empty(v.size)
+        (X_I, x), (Y_I, y) = (X[:ni], X[ni:]), (Y[:ni], Y[ni:])
+        b = np.empty(u_R.size)
+        ring = np.empty((_WARM_DEPTH, u_R.size)) if neumann else None
+        solve_all, switch = not neumann, None
+        total = most = dropped = 0
+        # the next step at which the checkpoint's counts are read
+        check = _WARM_DEPTH if neumann else -1
         for k in range(nsteps):
             np.copyto(b, u_R)
-            _add_product(from_I, u_I, b)
-            if neumann:
+            csr_matvec(*F, u_I, b)
+            if k == check:
+                if k == _WARM_DEPTH:
+                    base, check = (total, dropped), 2 * _WARM_DEPTH
+                else:
+                    check = -1
+                    mean = (total - base[0]) / _WARM_DEPTH
+                    share = (dropped - base[1]) / _WARM_DEPTH
+                    if lu is None and mean > terms / 2:
+                        lu = sparse_shifted_lu(schur)
+                    # lu.nnz counts L and U as SuperLU stores them, which
+                    # its solve reads; lu.L and lu.U would build CSC
+                    # copies of both factors and keep them on lu
+                    if (lu is not None
+                            and lu.nnz < mean * schur.nnz + share * lu.nnz):
+                        solve_all, switch = True, k
+            if solve_all:
+                x_R = x
+                np.copyto(x_R, lu.solve(b))
+            else:
                 slot = k % _WARM_DEPTH
                 start = (b if k < _WARM_DEPTH or not terms
                          else np.dot(_WARM_TABLE[slot], ring, out=x))
-                x_R, used, certified = _neumann_sum(schur, q, terms, b, start,
+                x_R, used, certified = _neumann_sum(S, q, terms, b, start,
                                                     x, y)
                 if not certified:
-                    x_R = lu.solve(b)
+                    if lu is None:
+                        lu = sparse_shifted_lu(schur)
+                    np.copyto(x_R, lu.solve(b))
+                    dropped += 1
                 ring[slot] = x_R
                 total += used
-                route["neumann_products"] = max(route["neumann_products"],
-                                                used)
-                route["neumann_products_mean"] = total / (k + 1)
-            else:
-                x_R = lu.solve(b)
+                if used > most:
+                    most = used
+            full, x_I = (X, X_I) if x_R is x else (Y, Y_I)
             np.multiply(inv, u_I, out=x_I)
-            _add_product(to_I, x_R, x_I)
-            x_R += x_R
-            x_I += x_I
-            np.subtract(x_R, u_R, out=u_R)
-            np.subtract(x_I, u_I, out=u_I)
+            csr_matvec(*T, x_R, x_I)
+            full += full
+            np.subtract(full, v, out=v)
             yield v
+        if neumann and nsteps:
+            route.update(neumann_products=most, switch_step=switch,
+                         neumann_products_mean=total / (switch or nsteps))
 
     return order, steps(), route
 
@@ -766,27 +784,25 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       formed once, flushed of subnormal entries, and the states are
       filled by GEMMs against its doubled powers (_power_states, shared
       with evolve_exact's step matrix e^{dB});
-    - sparse: the nodes of an independent set are eliminated first and
-      the half-size Schur complement E - S on the rest is factorized
-      once; each step is two sparse products and one solve with E - S
-      (_cayley_steps), scattered into its row of states. The solve is
-      one attempt at the Neumann series, of at most K products with S,
-      when q = |S|_inf < 1 and K nnz(S) undercuts the nnz(L) + nnz(U) of
-      the SuperLU solve pair; K is the smallest with
-      q^(K+1) / (1 - q) <= eps/2. The attempt is kept once
-      q/(1 - q) |x_j - x_{j-1}|_inf falls below eps/2 |b|_inf, which
-      puts it within rounding of the solve at any scale of u0. The first
-      8 attempts start from b and each later one from the extrapolation
-      of the last 8 solves, which smooth data certify in about 2
-      products (4 from b for the rotating blob); at K = 0 every attempt
-      starts from b, certified with no product. An attempt that K
-      products do not certify, or whose start is refused as not finite,
-      is dropped and the SuperLU pair solves the step, as it solves
-      every step off the Neumann route. stepper_meta records the
-      decision: "sparse_solve" ("neumann" or "superlu"), "neumann_terms"
-      (K, None when q >= 1), "schur_norm_inf" (q), "neumann_products"
-      (the most products a step took) and "neumann_products_mean" (their
-      mean per step; both None on the SuperLU route).
+    - sparse: the nodes of an independent set are eliminated first,
+      and each step is two sparse products and one solve with the
+      half-size Schur complement E - S on the rest (_cayley_steps),
+      scattered into its row of states. With q = |S|_inf >= 1 SuperLU
+      factorizes E - S once and solves every step. With q < 1 each step
+      makes one attempt of at most K products x <- S x + b (K the
+      smallest with q^(K+1) / (1 - q) <= eps/2), kept once Banach's
+      a-posteriori bound puts it within eps/2 |b|_inf of the solve, at
+      any scale of u0; attempts after the 8th start from the
+      extrapolation of the last 8 solves (about 2 products for smooth
+      data). A dropped attempt is solved by SuperLU, its factor built at
+      the first one; at step 16 the measured cost of steps 8 .. 15
+      decides whether the solve pair takes over for the rest of the run.
+      stepper_meta records "sparse_solve" ("neumann" for q < 1, else
+      "superlu"), "neumann_terms" (K, None when q >= 1),
+      "schur_norm_inf" (q), "neumann_products" and
+      "neumann_products_mean" (the most and the mean products per
+      attempt, None when q >= 1) and "switch_step" (the step from which
+      the solve pair took over, else None).
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an
@@ -811,7 +827,9 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
         # non-finite rows are caught block by block below
         with np.errstate(over="ignore", invalid="ignore"):
             for k, v in enumerate(steps, start=1):
-                np.take(v, back, out=states[k])
+                # back is a permutation, so the clip never acts; under
+                # mode="raise" numpy would buffer the output
+                v.take(back, out=states[k], mode="clip")
                 if k - lo + 1 == _ROW_BLOCK or k == nsteps:
                     finite = np.isfinite(states[lo:k + 1]).all(axis=1)
                     if not finite.all():

@@ -224,8 +224,8 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     it and energy_drift the worst norm deviation along the way (the
     trapezoidal step keeps it at roundoff). neumann_products is the most
     Neumann products any step took and neumann_products_mean their mean
-    per step (both None when the steps solve with SuperLU; see
-    evolution._cayley_steps). States are not stored — only
+    per attempt (both None when |S|_inf >= 1 puts every step on SuperLU;
+    see evolution._cayley_steps). States are not stored — only
     running norms and the final state — so large n stays cheap in memory.
     """
     dt_eff, nsteps = steps_to_horizon(2.0 * np.pi, dt)

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewflow import weak
+from skewflow import cli, weak
 from skewflow.cli import canonical_json, main, parse_operator_descriptor
 from skewflow.evolution import evolve_cayley
 from skewflow.operators import check_skew_symmetry, deficiency
@@ -661,3 +664,45 @@ def test_evolve_exact_samples_on_the_dt_grid(tmp_path, rotation_desc):
     assert (rep["dt"], rep["nsteps"], rep["horizon"]) == (0.5, 2, 1.0)
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+
+def test_evolve_exact_above_the_dense_limit_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    # 66^2 = 4356 cells is past evolution._DENSE_EXP_LIMIT = 4096: the
+    # exact flow would form a dense exponential, so it is refused before
+    # any state or exponential is built, with exit 1 and no report
+    def never(*args, **kwargs):
+        raise AssertionError("evolve_exact ran")
+    monkeypatch.setattr(cli, "evolve_exact", never)
+    closed = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) / np.pi
+    write_stream_file(tmp_path / "psi.csv", closed, Grid2D(nx=66, ny=66))
+    desc = write_descriptor(tmp_path / "t.json", {
+        "operator": {"kind": "transport", "stream": "psi.csv",
+                     "mode": "periodic_full"}})
+    out = tmp_path / "out"
+    assert main(["evolve", "--input", desc, "--out", str(out),
+                 "--method", "exact", "--horizon", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: evolve --method exact forms a dense 4356 x 4356 "
+        "exponential; the limit is 4096"]
+    assert not (out / "report.json").exists()
+
+
+def test_numpy_warnings_do_not_reach_stderr(tmp_path):
+    # the isometry probe of analyze overflows on this matrix; the report
+    # refuses the non-finite value, and that refusal is the one stderr
+    # line. A fresh process, since pytest would capture the warning
+    desc = write_descriptor(tmp_path / "huge.json", {
+        "operator": {"kind": "matrix", "data": [[0.0, -1e308],
+                                                [1e308, 0.0]]}})
+    src = Path(__file__).parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "skewflow.cli", "analyze",
+                          "--input", desc, "--out", str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        "error: cannot write the report: non-finite value in report payload"]
+    assert run.stdout == ""

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from skewflow.evolution import (
     _HALF_WINDOW,
     _ROW_BLOCK,
     Trajectory,
+    _csr_args,
     _eliminated_nodes,
     _neumann_sum,
     _neumann_terms,
@@ -33,7 +35,9 @@ from skewflow.transport import (
     build_transport_operator,
     field_from_stream,
     gaussian_blob,
+    read_stream_file,
 )
+from skewflow.weak import forward_generator
 
 
 def rotation():
@@ -1034,13 +1038,14 @@ def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
     assert np.array_equal(traj.states[0], u0)
     ref = reference_sparse_cayley(gen, u0, dt, 40)
     assert max_relative_distance(gen, traj.states, ref) <= 1e-12
-    # every case takes the Neumann route at dt = 1e-3. At 1e-2 each has
-    # |S|_inf < 1 too, but its 8 to 14 products cost more than the
-    # triangular solves; at 0.1 and 2, |S|_inf >= 1 everywhere
+    # every case has |S|_inf < 1 at dt = 1e-3 and 1e-2 and takes the
+    # Neumann attempts, whose measured products stay cheaper than the
+    # triangular solves at both; at 0.1 and 2, |S|_inf >= 1 everywhere
     meta = traj.stepper_meta
-    assert meta["sparse_solve"] == ("neumann" if dt == 1e-3 else "superlu")
+    assert meta["sparse_solve"] == ("neumann" if dt <= 1e-2 else "superlu")
     assert (meta["neumann_terms"] is None) == (meta["schur_norm_inf"] >= 1.0)
-    assert (meta["neumann_products_mean"] is None) == (dt != 1e-3)
+    assert (meta["neumann_products_mean"] is None) == (dt > 1e-2)
+    assert meta["switch_step"] is None
     if dt == 1e-3:
         assert 1 <= meta["neumann_terms"] <= 8
     if dt == 1e-2:
@@ -1056,9 +1061,9 @@ def test_neumann_terms_is_the_smallest_count_within_half_eps(q):
 
 
 def neumann_system(q, m=300, seed=11):
-    """A seeded sparse S with |S|_inf = q, a right-hand side b, and the
-    solve of (E - S) x = b, refined once so that its own rounding stays
-    below eps."""
+    """A seeded sparse S with |S|_inf = q (as the _csr_args _neumann_sum
+    takes), a right-hand side b, and the solve of (E - S) x = b, refined
+    once so that its own rounding stays below eps."""
     rng = np.random.default_rng(seed)
     S = sp.random(m, m, density=0.04, format="csr", random_state=rng,
                   data_rvs=rng.standard_normal)
@@ -1067,7 +1072,7 @@ def neumann_system(q, m=300, seed=11):
     A = np.eye(m) - S.toarray()
     exact = np.linalg.solve(A, b)
     exact += np.linalg.solve(A, b - A @ exact)
-    return S, b, exact
+    return _csr_args(S), b, exact
 
 
 @pytest.mark.parametrize("q", [0.01, 0.05, 0.3, 0.6])
@@ -1087,7 +1092,7 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     iterates, passes = [b.copy()], []
     for j in range(1, terms + 1):
         iterates.append(b.copy())
-        evolution._add_product(S, iterates[-2], iterates[-1])
+        evolution.csr_matvec(*S, iterates[-2], iterates[-1])
         if q * np.max(np.abs(iterates[-1] - iterates[-2])) <= (
                 0.5 * eps * (1 - q) * np.max(np.abs(b))):
             passes.append(j)
@@ -1169,9 +1174,13 @@ def test_neumann_sum_from_any_start_is_certified_or_says_not(start, q):
 
 
 def spy_on_superlu_solves(monkeypatch, events):
-    """Append "solve" to events at each solve with the factor that
-    sparse_shifted_lu returns to the sparse Cayley steps."""
+    """Append "factor" to events when sparse_shifted_lu factorizes for the
+    sparse Cayley steps, and "solve" at each solve with that factor."""
     real_lu = evolution.sparse_shifted_lu
+
+    def factor(A):
+        events.append("factor")
+        return Factor(real_lu(A))
 
     class Factor:
         def __init__(self, lu):
@@ -1181,8 +1190,7 @@ def spy_on_superlu_solves(monkeypatch, events):
             events.append("solve")
             return self.lu.solve(b)
 
-    monkeypatch.setattr(evolution, "sparse_shifted_lu",
-                        lambda A: Factor(real_lu(A)))
+    monkeypatch.setattr(evolution, "sparse_shifted_lu", factor)
 
 
 def assert_steps_solve_to_rounding(gen, traj, dt):
@@ -1221,12 +1229,13 @@ def test_neumann_steps_solve_to_rounding(case):
 @pytest.mark.parametrize("case", ["off", "overflow", "cap"])
 def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     # each step makes one attempt, and one the test does not certify is
-    # followed by one solve with the SuperLU factor the route rule built:
-    # tripled extrapolation weights leave the start about 2 |x| off, which
-    # rough data do not shed in K products; at 1e307 the |entries| of b
-    # sum past the largest double, so b itself is refused; and a cap
-    # K = 2 below what rough data need leaves their steps from b
-    # uncertified (trusted a priori, that cap missed the solve by 7e4 eps)
+    # followed by one solve with the SuperLU factor, built at the first
+    # such step: tripled extrapolation weights leave the start about
+    # 2 |x| off, which rough data do not shed in K products; at 1e307 the
+    # |entries| of b sum past the largest double, so b itself is refused;
+    # and a cap K = 2 below what rough data need leaves their steps from
+    # b uncertified (trusted a priori, that cap missed the solve by
+    # 7e4 eps)
     gen, _ = rotation_stencil(48)
     u0 = np.random.default_rng(5).standard_normal(gen.dim)
     dt = 1e-3
@@ -1251,13 +1260,19 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     traj = evolve_cayley(gen, u0, dt, nsteps)
     meta = traj.stepper_meta
     assert meta["sparse_solve"] == "neumann"
-    attempts = [e for e in events if e != "solve"]
-    assert len(attempts) == nsteps
-    assert events == [e for a in attempts
-                      for e in ([a] if a else [a, "solve"])]
+    switch = meta["switch_step"]
+    attempts = [e for e in events if e not in ("factor", "solve")]
+    assert len(attempts) == (nsteps if switch is None else switch)
+    expected = [e for a in attempts for e in ([a] if a else [a, "solve"])]
+    expected += ["solve"] * (nsteps - len(attempts))
+    expected.insert(expected.index("solve"), "factor")
+    assert events == expected
     warm = evolution._WARM_DEPTH
     if case == "off":
-        # every warm attempt runs to the cap, and its products count
+        # every warm attempt runs to the cap, and its products count; at
+        # step 2p they cost K products and a solve pair a step, more than
+        # the pair alone, which solves every later step
+        assert switch == 2 * warm
         assert not any(attempts[warm:])
         assert meta["neumann_products"] == meta["neumann_terms"] == 4
         assert meta["neumann_products_mean"] == 4.0
@@ -1267,8 +1282,87 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
             0, 0.0)
     else:
         assert meta["neumann_terms"] == 2 and not any(attempts[:warm])
+    if case != "off":
+        assert switch is None
     assert np.isfinite(traj.states).all()
     assert_steps_solve_to_rounding(gen, traj, dt)
+
+
+def test_rough_steps_switch_to_superlu_at_the_checkpoint(monkeypatch):
+    # white noise on the 64^2 rotation stencil at dt = 2 pi / 400 (q = 0.23,
+    # K = 25): every attempt is certified, but the ring-started steps
+    # 8 .. 15 take about 20 products, more than K/2, so the factor is built
+    # at step 16; their cost, about 20 nnz(S) a step, is above the solve
+    # pair's nnz(L + U), so SuperLU solves every later step, with no attempt
+    events = []
+    spy_on_superlu_solves(monkeypatch, events)
+    gen, _ = rotation_stencil(64)
+    u0 = np.random.default_rng(5).standard_normal(gen.dim)
+    dt, nsteps = 2 * np.pi / 400, 40
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    meta = traj.stepper_meta
+    warm = evolution._WARM_DEPTH
+    assert meta["sparse_solve"] == "neumann"
+    assert meta["switch_step"] == 2 * warm
+    assert meta["neumann_products_mean"] > meta["neumann_terms"] / 2
+    assert events == ["factor"] + ["solve"] * (nsteps - 2 * warm)
+    ref = reference_sparse_cayley(gen, u0, dt, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+def test_smooth_steps_build_no_factor(monkeypatch):
+    # the rotating blob on 64^2 at dt = 2 pi / 2000 (K = 7) certifies every
+    # attempt, about two products a step from the extrapolation, which is
+    # below K/2 at the checkpoint: no step needs the SuperLU factor, and
+    # none is built
+    events = []
+    spy_on_superlu_solves(monkeypatch, events)
+    gen, u0 = rotation_stencil(64)
+    traj = evolve_cayley(gen, u0, 2 * np.pi / 2000, 1000)
+    meta = traj.stepper_meta
+    assert events == []
+    assert meta["sparse_solve"] == "neumann" and meta["switch_step"] is None
+    assert meta["neumann_products_mean"] <= meta["neumann_terms"] / 2
+
+
+def test_interior_golden_stream_steps_by_neumann_attempts():
+    # golden_diff.py's gate case verify-interior-16: the interior -M_s of
+    # the golden 16^2 stream at dt = 0.02 has q = 0.0022 < 1 (K = 6). Its
+    # steps take the certified attempts with no switch, and stay within
+    # 1e-12 of the whole-matrix loop
+    stream = Path(__file__).parent / "golden" / "stream.csv"
+    grid, psi = read_stream_file(stream)
+    op = build_transport_operator(field_from_stream(grid, psi),
+                                  mode="interior_domain")
+    gen = forward_generator(op)
+    u0 = gaussian_blob(grid, (0.65, 0.5), 0.12)
+    dt, nsteps = 0.02, 100
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    meta = traj.stepper_meta
+    assert meta["sparse_solve"] == "neumann" and meta["switch_step"] is None
+    assert meta["neumann_terms"] == 6
+    ref = reference_sparse_cayley(gen, u0, dt, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+def test_sparse_steps_with_every_node_eliminated():
+    # a diagonal action has no off-diagonal pattern, so every node is
+    # eliminated and the rest R is empty: q = 0 and K = 0, and each step is
+    # the diagonal solve alone, u <- (1 + h d) / (1 - h d) u
+    d = np.array([1.9, 0.5, -0.7])
+    gen = RestrictedOperator(space=Space.euclidean(3),
+                             action=sp.diags(d).tocsr(), domain=None)
+    u0 = np.array([1.0, -2.0, 0.5])
+    dt, nsteps = 0.1, 12
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    meta = traj.stepper_meta
+    assert meta["sparse_solve"] == "neumann"
+    assert (meta["schur_norm_inf"], meta["neumann_terms"]) == (0.0, 0)
+    assert (meta["neumann_products"], meta["neumann_products_mean"],
+            meta["switch_step"]) == (0, 0.0, None)
+    ratio = (1 + dt / 2 * d) / (1 - dt / 2 * d)
+    exact = ratio ** np.arange(nsteps + 1)[:, None] * u0
+    np.testing.assert_allclose(traj.states, exact, rtol=1e-14)
 
 
 def test_a_zero_schur_term_steps_exactly(monkeypatch):
