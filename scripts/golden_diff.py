@@ -61,6 +61,14 @@ GATE_CASES = [
                             "stream": str(GOLDEN / "stream.csv"),
                             "mode": "interior_domain"}},
      "flags": ["--dt", "0.02"]},
+    # check_m_dissipative on the same stream's -extend(op, 0.5), whose
+    # sym(G) is nonzero on fewer rows than n: the form and the Cholesky
+    # certificate read that support block
+    {"name": "extend-interior-16", "command": "extend",
+     "input": {"operator": {"kind": "transport",
+                            "stream": str(GOLDEN / "stream.csv"),
+                            "mode": "interior_domain"}},
+     "flags": ["--theta", "0.5"]},
 ]
 
 

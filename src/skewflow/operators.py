@@ -92,6 +92,9 @@ class RestrictedOperator:
     # SkewReport, filled by check_skew_symmetry() or deficiency()
     _skew: Optional[SkewReport] = field(init=False, repr=False,
                                         compare=False, default=None)
+    # max|M U|, filled with _skew: the scale of extend's restriction check
+    _image_scale: Optional[float] = field(init=False, repr=False,
+                                          compare=False, default=None)
     # real Schur factors (Z, plane starts, frequencies) of a W-skew
     # full-domain action, filled by the evolution module's skew paths
     _schur: Optional[tuple] = field(init=False, repr=False, compare=False,
@@ -205,40 +208,78 @@ def _max_abs(A) -> float:
     return float(np.max(np.abs(A), initial=0.0))
 
 
-def _skew_ratio(G) -> float:
-    """max|G + G^T| / max(1, max|G|), the quantity _is_skew cuts at
-    1e-12."""
-    return _max_abs(G + G.T) / max(1.0, _max_abs(G))
+# rows and columns per tile of a dense G + G^T (_symmetrize, _skew_defect)
+_SYM_TILE = 128
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of the _SYM_TILE tiles of an n x n matrix on
+    and above its diagonal."""
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            yield slice(i, i + _SYM_TILE), slice(j, j + _SYM_TILE)
+
+
+def _symmetrize(G: np.ndarray) -> np.ndarray:
+    """G += G^T in place, tile by tile, and return G: numpy would copy
+    the whole overlapping transpose first, this copies at most one
+    diagonal tile at a time."""
+    for rows, cols in _tile_pairs(G.shape[0]):
+        upper = G[rows, cols]
+        upper += G[cols, rows].T
+        if rows != cols:
+            G[cols, rows] = upper.T
+    return G
+
+
+def _skew_defect(G) -> tuple[float, float]:
+    """(max|G + G^T|, that over max(1, max|G|)): the W-skew defect of an
+    action in identity coordinates or of a domain Gram, and the ratio
+    _is_skew cuts at 1e-12. A dense G + G^T is formed tile by tile and
+    only on and above the diagonal, so no n x n sum is allocated."""
+    if sp.issparse(G):
+        defect = _max_abs(G + G.T)
+    else:
+        # np.max keeps a NaN that the builtin max would drop
+        defect = float(np.max([_max_abs(G[r, c] + G[c, r].T)
+                               for r, c in _tile_pairs(G.shape[0])],
+                              initial=0.0))
+    return defect, defect / max(1.0, _max_abs(G))
 
 
 def _is_skew(G) -> bool:
     """Whether G + G^T vanishes to 1e-12 of max(1, max|G|): the W-skew
     test for an action in identity coordinates (dense or sparse)."""
-    return _skew_ratio(G) <= 1e-12
+    return _skew_defect(G)[1] <= 1e-12
 
 
 def _domain_gram(op: RestrictedOperator):
     """(B, S) with B = M U and the domain Gram S = U^T W B on the
     W-orthonormal domain basis U: (Mu, v) for domain vectors u = U a,
     v = U b is b^T S a. On full and pinned domains U is the sparse
-    scaled-unit basis, so a sparse action keeps both sparse."""
+    scaled-unit basis, so a sparse action keeps both sparse. The first
+    call also caches op's skew report (_skew_report of S) and max|B|."""
     U = op._basis
     B = op.action @ U
-    return B, U.T @ (sp.diags(op.space.weights) @ B)
+    S = U.T @ (sp.diags(op.space.weights) @ B)
+    if op._skew is None:
+        op._skew, op._image_scale = _skew_report(S), _max_abs(B)
+    return B, S
 
 
 def _skew_report(S) -> SkewReport:
     """The skewness verdict on a domain Gram S: max|S + S^T|, passed by
-    _is_skew."""
-    return SkewReport(max_defect=_max_abs(S + S.T), passed=_is_skew(S))
+    the ratio of _skew_defect, as _is_skew."""
+    defect, ratio = _skew_defect(S)
+    return SkewReport(max_defect=defect, passed=ratio <= 1e-12)
 
 
 def _skew_action(op: RestrictedOperator):
     """(M_s, ratio): a W-skew action M_s that agrees with op's on the
-    domain, and the _skew_ratio of the branch that gave it; ValueError
-    naming max|S + S^T| when op fails check_skew_symmetry, whose verdict
-    on the domain Gram S (_domain_gram) is formed here when no earlier
-    check has cached it.
+    domain, and the _skew_defect ratio of the branch that gave it;
+    ValueError naming max|S + S^T| when op fails check_skew_symmetry,
+    whose verdict on the domain Gram S (_domain_gram) is formed here when
+    no earlier check has cached it.
 
     M_s is the first that applies, in this order:
 
@@ -259,25 +300,24 @@ def _skew_action(op: RestrictedOperator):
     S = None
     if op._skew is None:
         B, S = _domain_gram(op)
-        op._skew = _skew_report(S)
     if not op._skew.passed:
         raise ValueError("the action is not skew on its domain (max|S + "
                          f"S^T| = {op._skew.max_defect:.3e})")
     M = op.action
-    ratio = _skew_ratio(_identity_coords(op.space, M))
+    ratio = _skew_defect(_identity_coords(op.space, M))[1]
     if ratio > 1e-12 and isinstance(op.domain, PinnedDomain):
         L = op.constraint_columns()
         w = op.space.weights[op.domain.pins]
         M_pp = L.T @ M @ L
         sym = 0.5 * (M_pp + sp.diags(1.0 / w) @ M_pp.T @ sp.diags(w))
         M_s = M - L @ sym @ L.T
-        ratio = _skew_ratio(_identity_coords(op.space, M_s))
+        ratio = _skew_defect(_identity_coords(op.space, M_s))[1]
         M = M_s if ratio <= 1e-12 else M
     if ratio > 1e-12:
         if S is None:
             B, S = _domain_gram(op)
         U, W = op._basis, sp.diags(op.space.weights)
-        ratio = _skew_ratio(S)
+        ratio = _skew_defect(S)[1]
         M = (B @ U.T - U @ B.T - U @ (0.5 * (S - S.T)) @ U.T) @ W
         M = M.tocsr() if sp.issparse(M) else M
     return M, ratio
@@ -296,7 +336,7 @@ def check_skew_symmetry(op: RestrictedOperator) -> SkewReport:
     one without.
     """
     if op._skew is None:
-        op._skew = _skew_report(_domain_gram(op)[1])
+        _domain_gram(op)
     return op._skew
 
 
@@ -333,8 +373,8 @@ class DeficiencyData:
     no column changes sign; the bases are then cached read-only.
 
     skew_completion is that M_s, which extend and extension_coupling
-    read, and completion_residual is the _skew_ratio of the branch
-    _skew_action took (at most 1e-12).
+    read, and completion_residual is the _skew_defect ratio of the
+    branch _skew_action took (at most 1e-12).
     """
 
     d_plus: int
@@ -649,7 +689,8 @@ def extend(op: RestrictedOperator,
               "dissipation_defect": dissipation},
     )
     rdef = restriction_defect(ext, op)
-    if rdef > 1e-10 * (1.0 + _max_abs(op.action @ op._basis)):
+    # max|M U|, cached by the skew check that deficiency ran
+    if rdef > 1e-10 * (1.0 + op._image_scale):
         raise ArithmeticError(
             f"assembled extension failed its restriction check ({rdef:.3e})"
         )
@@ -791,20 +832,13 @@ _RESOLVENT_STEPS = (0.5, 1.0, 2.0)
 _FORM_TOL = 1e-12
 
 
-def _form_max(B: np.ndarray, w: np.ndarray, seed: int) -> float:
-    """Largest Rayleigh value (Bu, u)/(u, u) over 64 seeded probes."""
-    probes = np.random.default_rng(seed).standard_normal((B.shape[0], 64))
-    wp = probes * w[:, None]
-    num = np.einsum("ij,ij->j", wp, B @ probes)
-    den = np.einsum("ij,ij->j", wp, probes)
-    return float(np.max(num / den))
-
-
-def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
-                          h_max: float) -> bool:
+def _resolvents_certified(sym: np.ndarray, n: int, g_max: float,
+                          w: np.ndarray, h_max: float) -> bool:
     """Whether one Cholesky factorization shows E - hB invertible and well
-    conditioned for every 0 < h <= h_max, given G = sqrt(W) B sqrt(W)^-1
-    (overwritten) and g_max = max|G|.
+    conditioned for every 0 < h <= h_max, given sym, the block of G + G^T
+    (G = sqrt(W) B sqrt(W)^-1, n x n) on its support P, the rows where G +
+    G^T has an entry other than exactly zero (sym is overwritten), and
+    g_max = max|G|.
 
     With delta = 1 / (2 h_max), a positive definite delta E - (G + G^T)/2
     gives ((E - hG)u, u) >= (1 - h delta)|u|^2 >= |u|^2 / 2, so
@@ -814,26 +848,20 @@ def _resolvents_certified(G: np.ndarray, g_max: float, w: np.ndarray,
     it, or when dpotrf meets a nonpositive pivot, the answer is False and
     the caller ranks each h.
 
-    Only the support of sym(G) is factored: with P the rows where G + G^T
-    has an entry other than exactly zero, delta E - (G + G^T)/2 is delta
-    E off P, so it is positive definite iff its P x P block is. dpotrf
-    runs on that block (in place on G when P is every row; an empty P is
-    certified).
+    Off P, delta E - (G + G^T)/2 is delta E, so it is positive definite
+    iff its P x P block delta E - sym/2 is: dpotrf factors that block in
+    place, and an empty P is certified.
     """
-    n = G.shape[0]
     cond = (1.0 + h_max * n * g_max) * 2.0 * (w.max() / w.min())
     if not cond * 2.0 * n * np.finfo(float).eps < 1.0:
         return False
-    G += G.T
-    P = np.flatnonzero(G.any(axis=1))
-    block = G if P.size == n else G[np.ix_(P, P)]
-    if P.size == 0:
+    if sym.size == 0:
         return True
-    block *= -0.5
-    block.flat[::P.size + 1] += 0.5 / h_max
+    sym *= -0.5
+    sym.flat[::sym.shape[0] + 1] += 0.5 / h_max
     # symmetric, so the transpose is the same matrix in Fortran order and
     # dpotrf factors it in place
-    _, info = dpotrf(block.T, lower=1, clean=0, overwrite_a=1)
+    _, info = dpotrf(sym.T, lower=1, clean=0, overwrite_a=1)
     return info == 0
 
 
@@ -849,12 +877,20 @@ def check_m_dissipative(gen: RestrictedOperator,
     (_RESOLVENT_STEPS) for the resolvent at 1/h to exist, which at desk
     scale is the whole m-dissipativity story.
 
+    Both read sym(G) = G + G^T, formed once in place on G (_symmetrize),
+    on its support: the rows P where it has an entry other than exactly
+    zero. The probes are one n x 64 standard normal block drawn from
+    default_rng(seed) as before, since the denominators |u|_W^2 need
+    every row, and with u~ = sqrt(W) u each form is (Bu, u) = u~^T G u~
+    = u~_P^T sym(G)_PP u~_P / 2: the skew part, which cancels, is never
+    summed, and form_max is exactly 0.0 when sym(G) vanishes.
+
     The ranks come from one Cholesky certificate first
-    (_resolvents_certified), on the rows where sym(G) is nonzero: when
-    delta E - (G + G^T)/2 with delta = 1 / (2 max h) is positive definite
-    and a condition bound rules out a numerically singular E - hB, every
-    rank is n and no SVD runs. Otherwise each rank is matrix_rank's SVD
-    count of E - hB. Raises ValueError for a restricted or non-finite
+    (_resolvents_certified) of the same P x P block: when delta E -
+    sym(G)/2 with delta = 1 / (2 max h) is positive definite and a
+    condition bound rules out a numerically singular E - hB, every rank
+    is n and no SVD runs. Otherwise each rank is matrix_rank's SVD count
+    of E - hB. Raises ValueError for a restricted or non-finite
     generator.
     """
     if not gen.is_full_domain:
@@ -863,13 +899,20 @@ def check_m_dissipative(gen: RestrictedOperator,
     if not np.all(np.isfinite(B)):
         raise ValueError("generator action has non-finite entries")
     n, W = gen.dim, gen.space.weights
-    form_max = _form_max(B, W, seed)
     G = _identity_coords(gen.space, B)
     g_max = max(float(G.max()), -float(G.min()))
+    P = np.flatnonzero(_symmetrize(G).any(axis=1))
+    sym = G if P.size == n else G[np.ix_(P, P)]
+    del G                       # free the full sym(G) before any per-h SVD
+    probes = np.random.default_rng(seed).standard_normal((n, 64))
+    den = np.einsum("ij,ij->j", probes * W[:, None], probes)
+    up = probes[P] * np.sqrt(W[P])[:, None]
+    num = 0.5 * np.einsum("ij,ij->j", up, sym @ up)
+    form_max = float(np.max(num / den))
     ok = form_max <= _FORM_TOL * max(1.0, g_max)
 
-    certified = _resolvents_certified(G, g_max, W, max(_RESOLVENT_STEPS))
-    del G                       # free the factor before any per-h SVD
+    certified = _resolvents_certified(sym, n, g_max, W, max(_RESOLVENT_STEPS))
+    del sym
     if certified:
         ranks = dict.fromkeys(_RESOLVENT_STEPS, n)
     else:

@@ -260,6 +260,9 @@ def witness_nonuniqueness(op: RestrictedOperator) -> ExponentialWitness:
     Raises when the minus defect space is trivial — then every bounded
     generalized solution of the forward problem coincides with the
     (unique) contractive one and there is nothing to exhibit.
+
+    The witness is column 0 of deficiency(op).n_minus_basis, formed alone:
+    one solve with the held factorization, then its W-normalization.
     """
     dd = deficiency(op)
     if dd.d_minus == 0:
@@ -267,7 +270,8 @@ def witness_nonuniqueness(op: RestrictedOperator) -> ExponentialWitness:
             "forward problem unique: the minus defect space is trivial, "
             "so no exponential witness exists"
         )
-    return ExponentialWitness(u0=dd.n_minus_basis[:, 0], op=op)
+    return ExponentialWitness(u0=dd._basis(dd.c_minus[:, :1], True)[:, 0],
+                              op=op)
 
 
 def splice(witness: ExponentialWitness, gen: RestrictedOperator,

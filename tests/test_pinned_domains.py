@@ -778,6 +778,41 @@ def test_extend_then_coupling_factorizes_once(monkeypatch):
     assert sp.issparse(calls[0])
 
 
+def test_the_witness_forms_one_column_of_n_minus(monkeypatch):
+    # column 0 of N- alone: one solve with the held factorization and its
+    # W-normalization; no k-column basis is formed on the way
+    op = interior_transport(16)
+    dd = deficiency(op)
+    assert dd.d_minus > 1
+    columns = []
+    real = operators.DeficiencyData._basis
+    monkeypatch.setattr(operators.DeficiencyData, "_basis",
+                        lambda self, C, trans: columns.append(C.shape[1])
+                        or real(self, C, trans))
+    u0 = witness_nonuniqueness(op).u0
+    assert columns == [1] and "n_minus_basis" not in vars(dd)
+    ref = dd.n_minus_basis[:, 0]
+    assert np.max(np.abs(u0 - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert op.space.norm(u0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_the_skew_check_holds_the_scale_of_the_restriction_check():
+    # max|M U| is cached beside the skew report, once per operator, for
+    # each domain kind; extend reads it instead of forming M U again
+    w = np.linspace(0.5, 1.5, 10)
+    ops = [minimal_derivative_operator(32), interior_transport(8),
+           RestrictedOperator(space=Space(dim=10, weights=w),
+                              action=weighted_ring(w, np.ones(10)),
+                              domain=np.eye(10)[:, 2:])]
+    for op in ops:
+        assert op._image_scale is None
+        check_skew_symmetry(op)
+        assert op._image_scale == operators._max_abs(op.action @ op._basis)
+    for op in (minimal_derivative_operator(32), ops[2]):
+        extend(op, 0.5)
+        assert op._image_scale == operators._max_abs(op.action @ op._basis)
+
+
 def test_explicit_columns_factorize_and_find_constraints_once(monkeypatch):
     # a W-skew action on explicit columns takes the one-LU route: one
     # factorization of E - M and one constraint-column QR serve
@@ -961,6 +996,113 @@ def test_a_wrapped_extension_is_certified_on_its_pins(monkeypatch):
     rep = check_m_dissipative(neg)
     assert rep.passed and set(rep.ranks.values()) == {512}
     assert shapes == [(2, 2)] and calls == []
+
+
+# ---------------------------------------------------------------------------
+# the form and the certificate read sym(G) on its support
+# ---------------------------------------------------------------------------
+
+def reference_form_max(B, w, seed=0):
+    """The full-probe form: the largest (Bu, u)_W / (u, u)_W over the 64
+    probes of default_rng(seed), summed over every row of the product B u,
+    skew part included."""
+    probes = np.random.default_rng(seed).standard_normal((B.shape[0], 64))
+    wp = probes * w[:, None]
+    num = np.einsum("ij,ij->j", wp, B @ probes)
+    den = np.einsum("ij,ij->j", wp, probes)
+    return float(np.max(num / den))
+
+
+def support_cases():
+    """(name, space, B) for the support-block form: a W-skew generator,
+    a dissipative one on non-uniform weights, a dense generic one whose
+    support is every row, and -extend on the wrapped n = 512 model and the
+    16^2 interior."""
+    rng = np.random.default_rng(11)
+    wrap = seam_extension(minimal_derivative_operator(64), 1.0)
+    yield "W-skew", wrap.space, -wrap.dense_action()
+    n = 48
+    w = rng.uniform(0.1, 4.0, n)
+    K = rng.standard_normal((n, n))
+    K -= K.T
+    P = rng.standard_normal((n, n // 2))
+    yield "dissipative", Space(dim=n, weights=w), (K - P @ P.T) / w[:, None]
+    yield "dense generic", Space(dim=n, weights=w), \
+        rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    for op in (minimal_derivative_operator(512), interior_transport(16)):
+        yield f"-extend n={op.dim}", op.space, \
+            -extend(op, 0.5).dense_action()
+
+
+@pytest.mark.parametrize("name,space,B", list(support_cases()),
+                         ids=[name for name, *_ in support_cases()])
+def test_support_form_matches_the_full_probe_form(name, space, B):
+    n, w = space.dim, space.weights
+    rep = check_m_dissipative(RestrictedOperator(space=space, action=B))
+    ref = reference_form_max(B, w)
+    ranks = reference_ranks(B)
+    sw = np.sqrt(w)
+    G = sw[:, None] * B / sw[None, :]
+    g_max = np.max(np.abs(G))
+    assert rep.ranks == ranks, name
+    assert rep.passed == (ref <= 1e-12 * max(1.0, g_max)
+                          and set(ranks.values()) == {n}), name
+    support = np.count_nonzero((G + G.T).any(axis=1))
+    if name == "W-skew":
+        assert support == 0 and rep.form_max == 0.0
+        assert abs(ref) <= 1e-12 * max(1.0, g_max)
+    else:
+        assert abs(rep.form_max - ref) <= 1e-12 * abs(ref), name
+    if name == "dense generic":
+        assert support == n
+    if name.startswith("-extend"):
+        assert 0 < support < n, name
+
+
+@pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])
+def test_tiled_symmetric_parts_match_the_two_sums(n):
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, n))
+    assert np.array_equal(operators._symmetrize(G.copy()), G + G.T)
+    K = G - G.T
+    S_near = K + 1e-14 * np.triu(G)
+    for S in (G, K, S_near, 1e3 * G,
+              sp.random(n, n, density=0.05, random_state=n, format="csr"),
+              sp.csr_matrix(K)):
+        total = operators._max_abs(S + S.T)
+        want = operators.SkewReport(
+            max_defect=total,
+            passed=total / max(1.0, operators._max_abs(S)) <= 1e-12)
+        assert operators._skew_report(S) == want
+        assert operators._is_skew(S) == want.passed
+
+
+def test_a_nan_keeps_the_skew_defect_nan():
+    S = np.zeros((300, 300))
+    S[200, 10] = np.nan
+    rep = operators._skew_report(S)
+    assert np.isnan(rep.max_defect) and not rep.passed
+
+
+def test_m_dissipative_check_holds_one_temporary_beside_b():
+    # a sparse generator is densified to B inside the check; beside it
+    # the check holds G = sqrt(W) B sqrt(W)^-1, symmetrized in place, and
+    # the 64 probes (n x 64, with one weighted copy), not the n x n
+    # transpose copy that an overlapping G += G^T makes
+    op = minimal_derivative_operator(512)
+    gen = RestrictedOperator(space=op.space, action=-extend(op, 0.4).action)
+    assert sp.issparse(gen.action)
+    n = gen.dim
+    check_m_dissipative(gen)
+    tracemalloc.start()
+    try:
+        rep = check_m_dissipative(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 2 * n * n * 8 + 3 * n * 64 * 8, \
+        f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
