@@ -69,6 +69,16 @@ GATE_CASES = [
                             "stream": str(GOLDEN / "stream.csv"),
                             "mode": "interior_domain"}},
      "flags": ["--theta", "0.5"]},
+    # sparse Cayley steps on the golden 16^2 periodic stream at dt = 0.04:
+    # |S|_inf = 0.0089 (K = 7), above the q of a few 1e-3 below which
+    # one product certifies a start extrapolated from the ring of Schur
+    # images, so the 42 ring-started steps take a product past the first
+    # (3 each, against 4 from the extrapolated solves)
+    {"name": "evolve-transport-dt04", "command": "evolve",
+     "input": {"operator": {"kind": "transport",
+                            "stream": str(GOLDEN / "stream.csv"),
+                            "mode": "periodic_full"}},
+     "flags": ["--dt", "0.04"]},
 ]
 
 

@@ -32,13 +32,10 @@ blocks of rows, with no Python work per row:
   of two such tables of about sqrt(256) rows each (``_turn_table``),
   which adds about 2 ulp, so no phase error grows with the step count.
   Turning the halves costs six elementwise passes over m x n per
-  centre, so the window of 511 rows, against 255 at a half-window of
-  128, halves that cost: at n = 256 the fill of 10^4 Cayley rows took
-  22.3 ms against 25.9 ms, and at n = 1024 326 ms against 403 ms
-  (fastest of 15 and 3 runs, one BLAS thread). At other times each
-  block of ``_ROW_BLOCK`` rows is one GEMM of [cos t b | 1 | sin t b]
-  against both halves, 2m n multiply-adds per row. O(T n^2) either
-  way, with temporaries that do not grow with T;
+  centre, paid once per 511 rows. At other times each block of
+  ``_ROW_BLOCK`` rows is one GEMM of [cos t b | 1 | sin t b] against
+  both halves, 2m n multiply-adds per row. O(T n^2) either way, with
+  temporaries that do not grow with T;
 - non-skew ``evolve_exact``: on a uniform grid of T intervals with
   8 T >= n, one scaling-and-squaring exponential P = e^{dB}, O(n^3),
   then the states by the doubling fill below; otherwise one
@@ -73,11 +70,12 @@ blocks of rows, with no Python work per row:
   built up front: each step makes one attempt of at most K Horner
   products x <- S x + b, O(nnz(S)) each, with K the smallest count for
   which q^(K+1) / (1 - q) <= eps/2, kept once Banach's a-posteriori
-  bound certifies it to eps/2 |b|_inf (``_neumann_sum``). The attempts
-  after the p-th (p = ``_WARM_DEPTH`` = 8) start from the polynomial
-  extrapolation of the last p solves, one GEMV against a p-row ring,
-  which smooth data certify in about two products. A dropped attempt
-  is solved by SuperLU, the factor built at the first one. At step 2p
+  bound certifies it to eps/2 |b|_inf (``_neumann_sum``). After the
+  p-th step (p = ``_WARM_DEPTH`` = 8) an attempt starts from one GEMV,
+  the extrapolation of the images S y of the last p starts plus b: that
+  is S z + b, z the extrapolation of the starts, so one product comes
+  free, its rounding scaled by q. A dropped attempt is solved by
+  SuperLU, the factor built at the first one. At step 2p
   the ring-started steps are measured: the factor is built when they
   averaged more than K/2 products, and once it exists the solve pair
   takes every later step if nnz(L + U) undercuts their cost, mean
@@ -121,14 +119,16 @@ _idamax = sla.blas.idamax
 # non-finite
 _dasum = sla.blas.dasum
 _EPS = float(np.finfo(float).eps)
-# the sparse Cayley steps start their Neumann sums from the value at k of
-# the polynomial through the last p = _WARM_DEPTH solves,
-# sum_{i=1..p} (-1)^(i+1) C(p, i) x_{k-i}; with x_j in row j % p of a
-# ring, row k % p of _WARM_TABLE holds these weights
+# the sparse Cayley steps start their Neumann sums from
+# sum_{i=1..p} (-1)^(i+1) C(p, i) S y_{k-i} + b, the value at k of the
+# polynomial through the images S y of the last p = _WARM_DEPTH starts y,
+# plus b; with S y_j in row j % p of a ring and b in its row p, row k % p
+# of _WARM_TABLE holds these weights
 _WARM_DEPTH = 8
-_WARM_TABLE = np.array([np.roll([(-1) ** (i + 1) * math.comb(_WARM_DEPTH, i)
-                                 for i in range(_WARM_DEPTH, 0, -1)], r)
-                        for r in range(_WARM_DEPTH)], dtype=float)
+_WARM_TABLE = np.array(
+    [[*np.roll([(-1) ** (i + 1) * math.comb(_WARM_DEPTH, i)
+                for i in range(_WARM_DEPTH, 0, -1)], r), 1]
+     for r in range(_WARM_DEPTH)], dtype=float)
 
 
 @dataclass
@@ -569,11 +569,14 @@ def _csr_args(A) -> tuple:
 
 
 def _neumann_sum(S: tuple, q: float, terms: int, b: np.ndarray,
-                 start: np.ndarray, x: np.ndarray, y: np.ndarray):
+                 start: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 p: np.ndarray):
     """One attempt at the solution of (E - S) x = b for |S|_inf = q < 1,
     S given as its _csr_args: at most terms products x <- S x + b from
-    x_0 = start, as (x, j, certified); x and y are work buffers of b's
-    size, start may be b or x, and the result is one of the buffers.
+    x_0 = start, as (x, j, certified); x, y and p are work buffers of
+    b's size, the result is x or y, and start is kept unless it is x.
+    Each product S y is formed alone in p, then b is added: p ends as
+    the image of the last start.
 
     After the j-th product x_j - x* = S (x_{j-1} - x*), so x_j misses the
     solution by at most q/(1 - q) |x_j - x_{j-1}|_inf from any start
@@ -592,21 +595,25 @@ def _neumann_sum(S: tuple, q: float, terms: int, b: np.ndarray,
     """
     if start.size and not math.isfinite(_dasum(start)):
         return x, 0, False
-    if start is not x:
-        np.copyto(x, start)
     if not terms:
+        if start is not x:
+            np.copyto(x, start)
         return x, 0, start is b
     limit = 0.5 * _EPS * (1.0 - q) * abs(b[_idamax(b)])
     j = 0
     while j < terms:
-        np.copyto(y, b)
-        csr_matvec(*S, x, y)
-        x, y = y, x
+        p.fill(0.0)
+        csr_matvec(*S, start, p)
+        # the new iterate goes to the buffer start is not in, and the
+        # step x_j - x_{j-1} to the other one
+        new, step = (y, x) if start is x else (x, y)
+        np.add(p, b, out=new)
         j += 1
-        np.subtract(x, y, out=y)
-        if q * abs(y[_idamax(y)]) <= limit:
-            return x, j, True
-    return x, j, False
+        np.subtract(new, start, out=step)
+        if q * abs(step[_idamax(step)]) <= limit:
+            return new, j, True
+        start = new
+    return start, j, False
 
 
 def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
@@ -636,14 +643,16 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
       is built up front. Each step makes one attempt of at most
       K = _neumann_terms(q) products x <- S x + b, nnz(S) multiply-adds
       each (_neumann_sum), kept only when Banach's a-posteriori bound
-      puts it within eps/2 |b|_inf of the solve. The first
-      p = _WARM_DEPTH attempts start from b; step k >= p starts from the
-      extrapolation of the last p solves x_R (held before they are
-      doubled, in a p-row ring weighed by row k % p of _WARM_TABLE),
-      except at K = 0, where every attempt starts from b, certified with
-      no product. An attempt that K products do not certify, or whose
-      start is refused as not finite, is dropped, and the SuperLU pair
-      solves the step; the factor is built at the first such step.
+      puts it within eps/2 |b|_inf of the solve. A p-row ring
+      (p = _WARM_DEPTH) holds the image S y of each attempt's last start
+      y. The first p attempts start from b, step k >= p from one GEMV
+      (weights in row k % p of _WARM_TABLE, b a last ring row), the
+      extrapolated images plus b, which is S z + b for z the
+      extrapolation of the starts; at K = 0 every attempt starts from b,
+      certified with no product. An attempt that K products do not
+      certify, or whose start is refused as not finite, is dropped: the
+      SuperLU pair solves the step, the factor built at the first such
+      step, and the ring holds x_R - b.
       At step 2p, the one checkpoint, the factor is also built when the
       ring-started steps p .. 2p-1 took more than K/2 products on
       average; and once it exists, their measured cost per step, mean
@@ -651,11 +660,10 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
       nnz(L + U): if the solve pair is cheaper, it solves every later
       step, with no attempt.
 
-    A step's cost is thus O(nnz(S)) per product, about two from the
-    extrapolation for smooth data, against O(nnz(L + U)) per solve,
-    plus two products with the blocks that couple I to R and O(n)
-    vector work; the set-up is the elimination, plus the factorization
-    only where a step needs it.
+    A step's cost is thus O(nnz(S)) per product, against O(nnz(L + U))
+    per solve, plus two products with the blocks that couple I to R and
+    O(n) vector work; the set-up is the elimination, plus the
+    factorization only where a step needs it.
 
     route holds what decided and what ran: {"sparse_solve": "neumann"
     (q < 1) or "superlu", "neumann_terms": K (None when q >= 1),
@@ -667,7 +675,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     exhausted.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
-    running iterate, two buffers of its size and the ring are held, so
+    running iterate, two buffers of x_R's size and the ring are held, so
     callers that keep no states (transport.rotation_benchmark) stay
     O(n) in memory.
     """
@@ -693,15 +701,19 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     v = u[order]
     ni = inv.size
     u_I, u_R = v[:ni], v[ni:]
+    # u_I <- 2 x_I - u_I with x_I = D^-1 u_I + T x_R is (2 D^-1 - 1) u_I
+    # + T (2 x_R); a zero diagonal of B (D = 1) skips the scaling
+    shrink = 2.0 * inv - 1.0
+    if (shrink == 1.0).all():
+        shrink = None
     S, F, T = _csr_args(schur), _csr_args(from_I), _csr_args(to_I)
 
     def steps():
         nonlocal lu
-        # (x_I, x_R) pairs: x_R runs in the tails, the Neumann buffers
-        X, Y = np.empty(v.size), np.empty(v.size)
-        (X_I, x), (Y_I, y) = (X[:ni], X[ni:]), (Y[:ni], Y[ni:])
-        b = np.empty(u_R.size)
-        ring = np.empty((_WARM_DEPTH, u_R.size)) if neumann else None
+        x, y = np.empty(u_R.size), np.empty(u_R.size)
+        # the last p images S y, then b, weighed by a row of _WARM_TABLE
+        ring = np.empty((_WARM_DEPTH + 1 if neumann else 1, u_R.size))
+        images, b = list(ring[:-1]), ring[-1]
         solve_all, switch = not neumann, None
         total = most = dropped = 0
         # the next step at which the checkpoint's counts are read
@@ -732,21 +744,21 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                 start = (b if k < _WARM_DEPTH or not terms
                          else np.dot(_WARM_TABLE[slot], ring, out=x))
                 x_R, used, certified = _neumann_sum(S, q, terms, b, start,
-                                                    x, y)
+                                                    x, y, images[slot])
                 if not certified:
                     if lu is None:
                         lu = sparse_shifted_lu(schur)
                     np.copyto(x_R, lu.solve(b))
+                    np.subtract(x_R, b, out=images[slot])
                     dropped += 1
-                ring[slot] = x_R
                 total += used
                 if used > most:
                     most = used
-            full, x_I = (X, X_I) if x_R is x else (Y, Y_I)
-            np.multiply(inv, u_I, out=x_I)
-            csr_matvec(*T, x_R, x_I)
-            full += full
-            np.subtract(full, v, out=v)
+            if shrink is not None:
+                np.multiply(shrink, u_I, out=u_I)
+            x_R += x_R
+            csr_matvec(*T, x_R, u_I)
+            np.subtract(x_R, u_R, out=u_R)
             yield v
         if neumann and nsteps:
             route.update(neumann_products=most, switch_step=switch,
@@ -787,22 +799,16 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     - sparse: the nodes of an independent set are eliminated first,
       and each step is two sparse products and one solve with the
       half-size Schur complement E - S on the rest (_cayley_steps),
-      scattered into its row of states. With q = |S|_inf >= 1 SuperLU
-      factorizes E - S once and solves every step. With q < 1 each step
-      makes one attempt of at most K products x <- S x + b (K the
-      smallest with q^(K+1) / (1 - q) <= eps/2), kept once Banach's
-      a-posteriori bound puts it within eps/2 |b|_inf of the solve, at
-      any scale of u0; attempts after the 8th start from the
-      extrapolation of the last 8 solves (about 2 products for smooth
-      data). A dropped attempt is solved by SuperLU, its factor built at
-      the first one; at step 16 the measured cost of steps 8 .. 15
-      decides whether the solve pair takes over for the rest of the run.
-      stepper_meta records "sparse_solve" ("neumann" for q < 1, else
-      "superlu"), "neumann_terms" (K, None when q >= 1),
-      "schur_norm_inf" (q), "neumann_products" and
-      "neumann_products_mean" (the most and the mean products per
-      attempt, None when q >= 1) and "switch_step" (the step from which
-      the solve pair took over, else None).
+      scattered into its row of states: SuperLU's solve pair when
+      q = |S|_inf >= 1, else one attempt of at most K products
+      x <- S x + b, kept once Banach's a-posteriori bound puts it within
+      eps/2 |b|_inf of the solve at any scale of u0. After the 8th step
+      an attempt starts from the ring of Schur images, one product
+      free; SuperLU solves a dropped attempt and, from step 16, every
+      step if the measured costs say so. stepper_meta records the keys
+      of _cayley_steps' route ("sparse_solve", "neumann_terms",
+      "schur_norm_inf", "neumann_products", "neumann_products_mean"
+      and "switch_step").
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an

@@ -17,8 +17,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .evolution import (_cayley_steps, _left_finite, adjoint_generator,
-                        steps_to_horizon)
+from .evolution import (_ROW_BLOCK, _cayley_steps, _left_finite,
+                        adjoint_generator, steps_to_horizon)
 from .operators import PinnedDomain, RestrictedOperator
 from .spaces import Space
 
@@ -225,8 +225,9 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     trapezoidal step keeps it at roundoff). neumann_products is the most
     Neumann products any step took and neumann_products_mean their mean
     per attempt (both None when |S|_inf >= 1 puts every step on SuperLU;
-    see evolution._cayley_steps). States are not stored — only
-    running norms and the final state — so large n stays cheap in memory.
+    see evolution._cayley_steps). States are not stored — only the
+    squared norms of up to _ROW_BLOCK steps, checked and reduced once a
+    block, and the final state — so large n stays cheap in memory.
     """
     dt_eff, nsteps = steps_to_horizon(2.0 * np.pi, dt)
     grid = Grid2D(n, n)
@@ -241,13 +242,21 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     u0 = gaussian_blob(grid, *START_BLOB)
     area = grid.hx * grid.hy
     norm0 = float(np.sqrt(area * np.dot(u0, u0)))
-    drift = 0.0
     order, steps, route = _cayley_steps(gen, u0, dt_eff, nsteps)
-    for k, u in enumerate(steps, start=1):
-        norm = float(np.sqrt(area * np.dot(u, u)))
-        if not np.isfinite(norm):
-            raise _left_finite(k)
-        drift = max(drift, abs(norm - norm0))
+    # the squared norms of steps lo .., checked for non-finite values and
+    # reduced once a block
+    sq = np.empty(min(_ROW_BLOCK, nsteps))
+    drift, lo = 0.0, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(steps, start=1):
+            sq[k - lo] = np.dot(u, u)
+            if k - lo + 1 == sq.size or k == nsteps:
+                norms = np.sqrt(area * sq[:k - lo + 1])
+                finite = np.isfinite(norms)
+                if not finite.all():
+                    raise _left_finite(lo + int(np.argmin(finite)))
+                drift = max(drift, float(np.max(np.abs(norms - norm0))))
+                lo = k + 1
     e = u - u0[order]
     final_error = float(np.sqrt(area * np.dot(e, e))) / norm0
     return {

@@ -1085,14 +1085,16 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     m = b.size
     terms = _neumann_terms(q)
     x, used, certified = _neumann_sum(S, q, terms, b, b, np.empty(m),
-                                      np.empty(m))
+                                      np.empty(m), np.empty(m))
     eps = np.finfo(float).eps
-    # the iterates by the kernel the sum uses, so that both round alike;
-    # passes lists every count whose rest is below rounding
+    # the iterates as the sum forms them, each product alone and then b
+    # added, so that both round alike; passes lists every count whose
+    # rest is below rounding
     iterates, passes = [b.copy()], []
     for j in range(1, terms + 1):
-        iterates.append(b.copy())
-        evolution.csr_matvec(*S, iterates[-2], iterates[-1])
+        image = np.zeros(m)
+        evolution.csr_matvec(*S, iterates[-1], image)
+        iterates.append(image + b)
         if q * np.max(np.abs(iterates[-1] - iterates[-2])) <= (
                 0.5 * eps * (1 - q) * np.max(np.abs(b))):
             passes.append(j)
@@ -1105,7 +1107,7 @@ def test_neumann_sum_stops_at_the_first_count_whose_rest_is_below_rounding(q):
     # a cap reached before the test passes is reported uncertified, from
     # b too
     x, used, certified = _neumann_sum(S, q, stop - 1, b, b, np.empty(m),
-                                      np.empty(m))
+                                      np.empty(m), np.empty(m))
     assert (used, certified) == (stop - 1, False)
     assert np.array_equal(x, iterates[stop - 1])
 
@@ -1118,10 +1120,10 @@ def test_neumann_sum_with_no_terms_certifies_b_alone():
     m = b.size
     assert _neumann_terms(1e-17) == _neumann_terms(0.0) == 0
     x, used, certified = _neumann_sum(S, 1e-17, 0, b, b, np.empty(m),
-                                      np.empty(m))
+                                      np.empty(m), np.empty(m))
     assert (used, certified) == (0, True) and np.array_equal(x, b)
     assert _neumann_sum(S, 1e-17, 0, b, b.copy(), np.empty(m),
-                        np.empty(m))[1:] == (0, False)
+                        np.empty(m), np.empty(m))[1:] == (0, False)
 
 
 # starts for the Neumann sum, from the system's b and refined solve
@@ -1152,13 +1154,14 @@ def test_neumann_sum_from_any_start_is_certified_or_says_not(start, q):
     guess = NEUMANN_STARTS[start](b, exact, np.random.default_rng(3))
     kept = guess.copy()
     x, used, certified = _neumann_sum(S, q, terms, b, guess, np.empty(m),
-                                      np.empty(m))
+                                      np.empty(m), np.empty(m))
     assert np.array_equal(guess, kept, equal_nan=True)
     if certified:
         tol = 4 * np.finfo(float).eps * np.max(np.abs(b))
         assert np.max(np.abs(x - exact)) <= tol
         assert 1 <= used <= terms
-    cold = _neumann_sum(S, q, terms, b, b, np.empty(m), np.empty(m))[1]
+    cold = _neumann_sum(S, q, terms, b, b, np.empty(m), np.empty(m),
+                        np.empty(m))[1]
     if start in ("solve", "near"):
         # a start near rounding of the solve is certified in fewer
         # products than b
@@ -1230,7 +1233,7 @@ def test_neumann_steps_solve_to_rounding(case):
 def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     # each step makes one attempt, and one the test does not certify is
     # followed by one solve with the SuperLU factor, built at the first
-    # such step: tripled extrapolation weights leave the start about
+    # such step: tripled weights (b's among them) leave the start about
     # 2 |x| off, which rough data do not shed in K products; at 1e307 the
     # |entries| of b sum past the largest double, so b itself is refused;
     # and a cap K = 2 below what rough data need leaves their steps from
@@ -1288,6 +1291,71 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     assert_steps_solve_to_rounding(gen, traj, dt)
 
 
+@pytest.mark.parametrize("case", ["smooth", "capped"])
+def test_the_ring_holds_the_image_of_each_last_start(case, monkeypatch):
+    # a certified attempt leaves S y in its ring row, y the start of its
+    # last product, formed alone (into zeros) as csr_matvec forms it; a
+    # dropped one leaves x_R - b, x_R the SuperLU solve. The smooth blob
+    # certifies every attempt; rough data under a cap K = 2 drop the
+    # attempts from b and certify some of the extrapolated ones
+    if case == "smooth":
+        gen, u0 = rotation_stencil(64)
+        dt = 2 * np.pi / 2000
+    else:
+        gen, _ = rotation_stencil(48)
+        u0 = np.random.default_rng(5).standard_normal(gen.dim)
+        dt = 1e-3
+        monkeypatch.setattr(evolution, "_neumann_terms", lambda q: 2)
+    attempts, solves = [], []
+    real_sum, real_lu = evolution._neumann_sum, evolution.sparse_shifted_lu
+
+    def attempt(S, q, terms, b, start, x, y, p):
+        if attempts:
+            # the previous step's row is final once the next step begins
+            attempts[-1]["row"] = attempts[-1]["p"].copy()
+        record = {"S": S, "b": b.copy(), "start": start.copy(), "p": p}
+        out = real_sum(S, q, terms, b, start, x, y, p)
+        record.update(used=out[1], certified=out[2])
+        attempts.append(record)
+        return out
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            solves.append((b.copy(), x.copy()))
+            return x
+
+    monkeypatch.setattr(evolution, "_neumann_sum", attempt)
+    monkeypatch.setattr(evolution, "sparse_shifted_lu",
+                        lambda A: Factor(real_lu(A)))
+    traj = evolve_cayley(gen, u0, dt, 40)
+    assert traj.stepper_meta["switch_step"] is None
+    attempts[-1]["row"] = attempts[-1]["p"].copy()
+    dropped = [a for a in attempts if not a["certified"]]
+    assert len(dropped) == len(solves)
+    assert 0 < len(attempts) - len(dropped)
+    if case == "capped":
+        assert dropped
+    for a in dropped:
+        b, x_R = solves.pop(0)
+        assert np.array_equal(b, a["b"])
+        assert np.array_equal(a["row"], x_R - b)
+    for a in attempts:
+        if a["certified"]:
+            last = a["start"]
+            for _ in range(a["used"] - 1):
+                image = np.zeros(last.size)
+                evolution.csr_matvec(*a["S"], last, image)
+                last = image + a["b"]
+            image = np.zeros(last.size)
+            evolution.csr_matvec(*a["S"], last, image)
+            assert a["used"] >= 1
+            assert np.array_equal(a["row"], image)
+
+
 def test_rough_steps_switch_to_superlu_at_the_checkpoint(monkeypatch):
     # white noise on the 64^2 rotation stencil at dt = 2 pi / 400 (q = 0.23,
     # K = 25): every attempt is certified, but the ring-started steps
@@ -1312,7 +1380,7 @@ def test_rough_steps_switch_to_superlu_at_the_checkpoint(monkeypatch):
 
 def test_smooth_steps_build_no_factor(monkeypatch):
     # the rotating blob on 64^2 at dt = 2 pi / 2000 (K = 7) certifies every
-    # attempt, about two products a step from the extrapolation, which is
+    # attempt, one or two products a step from the extrapolated images,
     # below K/2 at the checkpoint: no step needs the SuperLU factor, and
     # none is built
     events = []

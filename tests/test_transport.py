@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from skewflow import evolution
+from skewflow import evolution, transport
 from skewflow.evolution import (_cayley_steps, adjoint_generator,
                                 evolve_cayley, steps_to_horizon)
 from skewflow.operators import check_skew_symmetry, deficiency
@@ -222,8 +222,8 @@ def test_rotation_blobs_stop_the_neumann_sum_before_its_cap(n, steps,
                                                             monkeypatch):
     # the smooth blob's steps need fewer products than the a-priori count
     # K from |S|_inf, and stay isometric to rounding; from the
-    # extrapolation of the previous solves about two certify a step, so
-    # no step needs the SuperLU factor, and none is built
+    # extrapolated images of the previous starts one product certifies
+    # most steps, so no step needs the SuperLU factor, and none is built
     def refuse(A):
         raise AssertionError("the SuperLU factor was built")
     monkeypatch.setattr(evolution, "sparse_shifted_lu", refuse)
@@ -234,8 +234,47 @@ def test_rotation_blobs_stop_the_neumann_sum_before_its_cap(n, steps,
     _, _, route = _cayley_steps(adjoint_generator(op), np.zeros(n * n), dt, 0)
     assert route["sparse_solve"] == "neumann"
     assert 1 <= res["neumann_products"] < route["neumann_terms"]
-    assert 1 <= res["neumann_products_mean"] <= 2.1
+    assert 1 <= res["neumann_products_mean"] <= 1.5
     assert res["energy_drift"] <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [None, 129, 200])
+def test_rotation_benchmark_checks_its_steps_block_by_block(bad,
+                                                             monkeypatch):
+    # the norms are checked and reduced once per _ROW_BLOCK steps: the
+    # drift is the per-step reduction bit for bit, and a step that leaves
+    # the finite numbers (NaN at 200, an |entry| whose square overflows at
+    # 129, the first step of the second block) is named as the first
+    seen = []
+    real = transport._cayley_steps
+
+    def steps(gen, u, dt, nsteps):
+        order, run, route = real(gen, u, dt, nsteps)
+
+        def spoiled():
+            for k, v in enumerate(run, start=1):
+                if k == bad:
+                    v[3] = np.nan if bad == 200 else 1e200
+                seen.append(v.copy())
+                yield v
+        return order, spoiled(), route
+
+    monkeypatch.setattr(transport, "_cayley_steps", steps)
+    dt = 2 * np.pi / 300
+    if bad is not None:
+        with pytest.raises(ValueError, match=f"Cayley step {bad} left"):
+            rotation_benchmark(8, dt)
+        return
+    res = rotation_benchmark(8, dt)
+    assert len(seen) == res["steps"] == 300
+    grid = Grid2D(8, 8)
+    area = grid.hx * grid.hy
+    u0 = gaussian_blob(grid, *transport.START_BLOB)
+    norm0 = float(np.sqrt(area * np.dot(u0, u0)))
+    drift = 0.0
+    for u in seen:
+        drift = max(drift, abs(float(np.sqrt(area * np.dot(u, u))) - norm0))
+    assert res["energy_drift"] == drift / norm0
 
 
 def test_rotation_benchmark_validates_arguments():
