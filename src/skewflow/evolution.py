@@ -702,10 +702,8 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     ni = inv.size
     u_I, u_R = v[:ni], v[ni:]
     # u_I <- 2 x_I - u_I with x_I = D^-1 u_I + T x_R is (2 D^-1 - 1) u_I
-    # + T (2 x_R); a zero diagonal of B (D = 1) skips the scaling
+    # + T (2 x_R)
     shrink = 2.0 * inv - 1.0
-    if (shrink == 1.0).all():
-        shrink = None
     S, F, T = _csr_args(schur), _csr_args(from_I), _csr_args(to_I)
 
     def steps():
@@ -754,8 +752,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                 total += used
                 if used > most:
                     most = used
-            if shrink is not None:
-                np.multiply(shrink, u_I, out=u_I)
+            np.multiply(shrink, u_I, out=u_I)
             x_R += x_R
             csr_matvec(*T, x_R, u_I)
             np.subtract(x_R, u_R, out=u_R)
