@@ -71,11 +71,14 @@ blocks of rows, with no Python work per row:
   products x <- S x + b, O(nnz(S)) each, with K the smallest count for
   which q^(K+1) / (1 - q) <= eps/2, kept once Banach's a-posteriori
   bound certifies it to eps/2 |b|_inf (``_neumann_sum``). After the
-  p-th step (p = ``_WARM_DEPTH`` = 8) an attempt starts from one GEMV,
+  p-th step (p = ``_WARM_DEPTH`` = 9) an attempt starts from one GEMV,
   the extrapolation of the images S y of the last p starts plus b: that
   is S z + b, z the extrapolation of the starts, so one product comes
-  free, its rounding scaled by q. A dropped attempt is solved by
-  SuperLU, the factor built at the first one. At step 2p
+  free, its rounding scaled by q. The weights, from
+  W(z) = 1 - (1 - z)^8 (1 + 255/256 z), are exact through degree 7 with
+  W(-1) = 0, so the start errors fed back through W and S die out while
+  q max |W| < 1 (max |W| = 106.3 on the unit circle). A dropped attempt
+  is solved by SuperLU, the factor built at the first one. At step 2p
   the ring-started steps are measured: the factor is built when they
   averaged more than K/2 products, and once it exists the solve pair
   takes every later step if nnz(L + U) undercuts their cost, mean
@@ -120,15 +123,17 @@ _idamax = sla.blas.idamax
 _dasum = sla.blas.dasum
 _EPS = float(np.finfo(float).eps)
 # the sparse Cayley steps start their Neumann sums from
-# sum_{i=1..p} (-1)^(i+1) C(p, i) S y_{k-i} + b, the value at k of the
-# polynomial through the images S y of the last p = _WARM_DEPTH starts y,
-# plus b; with S y_j in row j % p of a ring and b in its row p, row k % p
-# of _WARM_TABLE holds these weights
-_WARM_DEPTH = 8
-_WARM_TABLE = np.array(
-    [[*np.roll([(-1) ** (i + 1) * math.comb(_WARM_DEPTH, i)
-                for i in range(_WARM_DEPTH, 0, -1)], r), 1]
-     for r in range(_WARM_DEPTH)], dtype=float)
+# sum_{i=1..p} w_i S y_{k-i} + b over the images S y of the last
+# p = _WARM_DEPTH starts y, w_i the coefficients of
+# W(z) = 1 - (1 - z)^8 (1 + 255/256 z): exact on polynomials of degree 7,
+# W(-1) = 0, and max |W| = 106.3 on the unit circle (255 without the last
+# factor). The weights are dyadic, so exact as doubles. With S y_j in row
+# j % p of a ring and b in its row p, row k % p of _WARM_TABLE holds them
+_WARM_DEPTH = 9
+_WARM_WEIGHTS = -np.polynomial.polynomial.polymul(
+    [(-1) ** i * math.comb(8, i) for i in range(9)], [1.0, 255 / 256])[1:]
+_WARM_TABLE = np.array([[*np.roll(_WARM_WEIGHTS[::-1], r), 1]
+                        for r in range(_WARM_DEPTH)])
 
 
 @dataclass
@@ -644,11 +649,16 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
       K = _neumann_terms(q) products x <- S x + b, nnz(S) multiply-adds
       each (_neumann_sum), kept only when Banach's a-posteriori bound
       puts it within eps/2 |b|_inf of the solve. A p-row ring
-      (p = _WARM_DEPTH) holds the image S y of each attempt's last start
-      y. The first p attempts start from b, step k >= p from one GEMV
-      (weights in row k % p of _WARM_TABLE, b a last ring row), the
+      (p = _WARM_DEPTH = 9) holds the image S y of each attempt's last
+      start y. The first p attempts start from b, step k >= p from one
+      GEMV (weights in row k % p of _WARM_TABLE, b a last ring row), the
       extrapolated images plus b, which is S z + b for z the
-      extrapolation of the starts; at K = 0 every attempt starts from b,
+      extrapolation of the starts. The weights, the coefficients of
+      W(z) = 1 - (1 - z)^8 (1 + 255/256 z), are exact through degree 7;
+      the images' errors are fed back through W and S, and W(-1) = 0
+      with max |W| = 106.3 on the unit circle keeps q max |W| < 1 up to
+      q = 0.0094, where the binomial weights' gain of 255 at z = -1 let
+      them grow from q = 0.0039. At K = 0 every attempt starts from b,
       certified with no product. An attempt that K products do not
       certify, or whose start is refused as not finite, is dropped: the
       SuperLU pair solves the step, the factor built at the first such
@@ -799,19 +809,22 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       scattered into its row of states: SuperLU's solve pair when
       q = |S|_inf >= 1, else one attempt of at most K products
       x <- S x + b, kept once Banach's a-posteriori bound puts it within
-      eps/2 |b|_inf of the solve at any scale of u0. After the 8th step
+      eps/2 |b|_inf of the solve at any scale of u0. After the 9th step
       an attempt starts from the ring of Schur images, one product
-      free; SuperLU solves a dropped attempt and, from step 16, every
-      step if the measured costs say so. stepper_meta records the keys
-      of _cayley_steps' route ("sparse_solve", "neumann_terms",
-      "schur_norm_inf", "neumann_products", "neumann_products_mean"
-      and "switch_step").
+      free (weights exact through degree 7 with W(-1) = 0, see
+      _cayley_steps); SuperLU solves a dropped attempt and, from step
+      18, every step if the measured costs say so. stepper_meta records
+      the keys of _cayley_steps' route ("sparse_solve", "neumann_terms",
+      "schur_norm_inf", "neumann_products", "neumann_products_mean" and
+      "switch_step").
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an
     integer >= 1, a singular E - dt/2 B (a failed sparse factorization)
     and a step that leaves the finite numbers, named by its index (the
-    dense and the sparse routes check the states block by block).
+    dense route checks the states block by block, the sparse route each
+    state as it is stored: one sum of its |entries|, and its entries
+    only when that sum is not finite).
     stepper_meta["schur_rotation"] records whether the Schur route ran.
     """
     _require_full_domain(gen)
@@ -826,18 +839,16 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
     if sp.issparse(gen.action):
         order, steps, route = _cayley_steps(gen, u, dt, nsteps)
         back = np.argsort(order)
-        lo = 1
-        # non-finite rows are caught block by block below
         with np.errstate(over="ignore", invalid="ignore"):
             for k, v in enumerate(steps, start=1):
+                # one BLAS pass while the state is hot; only a sum that is
+                # not finite (a NaN or inf entry, or finite entries whose
+                # sum overflows) is read entry by entry
+                if not math.isfinite(_dasum(v)) and not np.isfinite(v).all():
+                    raise _left_finite(k)
                 # back is a permutation, so the clip never acts; under
                 # mode="raise" numpy would buffer the output
                 v.take(back, out=states[k], mode="clip")
-                if k - lo + 1 == _ROW_BLOCK or k == nsteps:
-                    finite = np.isfinite(states[lo:k + 1]).all(axis=1)
-                    if not finite.all():
-                        raise _left_finite(lo + int(np.argmin(finite)))
-                    lo = k + 1
     else:
         sw = np.sqrt(gen.space.weights)
         planes = _dense_planes(gen)[0]

@@ -1060,6 +1060,52 @@ def test_neumann_terms_is_the_smallest_count_within_half_eps(q):
     assert terms == 0 or q ** terms > tol
 
 
+def warm_rows():
+    """(weights, ages) per row of _WARM_TABLE: the row a step k with
+    k % p = slot reads weighs ring row j, the image of step k - ages[j];
+    its last entry weighs b."""
+    p = evolution._WARM_DEPTH
+    table = evolution._WARM_TABLE
+    assert table.shape == (p, p + 1)
+    assert np.all(table[:, p] == 1.0)
+    return [(table[slot, :p], (slot - np.arange(p) - 1) % p + 1)
+            for slot in range(p)]
+
+
+def test_the_warm_start_is_exact_on_polynomials_of_degree_7():
+    # the extrapolated image is the value at age 0 of any polynomial of
+    # degree <= 7 through the ring's images, to rounding
+    rng = np.random.default_rng(3)
+    for weights, ages in warm_rows():
+        assert sorted(ages) == list(range(1, ages.size + 1))
+        for degree in range(8):
+            f = np.polynomial.Polynomial(rng.standard_normal(degree + 1),
+                                         domain=[0, ages.size])
+            values = f(-ages.astype(float))
+            err = abs(weights @ values - f(0.0))
+            assert err <= 8 * np.finfo(float).eps * (
+                np.sum(abs(weights)) * np.max(abs(values)))
+
+
+def test_the_warm_start_weighs_the_alternating_mode_to_zero():
+    # W(-1) = 0: the mode (-1)^age, which the ring's fed-back errors
+    # would otherwise amplify by sum |w|, is not passed on at all; the
+    # weights are dyadic, so the sum is exact
+    for weights, ages in warm_rows():
+        assert weights @ (-1.0) ** ages == 0.0
+
+
+def test_the_warm_start_gain_stays_below_107_on_the_unit_circle():
+    # the ring's errors are fed back through W(z) = sum_i w_i z^age_i and
+    # one product with S, so they shrink while q max |W| < 1; the binomial
+    # extrapolation 1 - (1 - z)^8 peaks at 255 on z = -1
+    theta = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+    z = np.exp(1j * theta)
+    for weights, ages in warm_rows():
+        gain = np.abs(z[:, None] ** ages @ weights)
+        assert np.max(gain) <= 107.0
+
+
 def neumann_system(q, m=300, seed=11):
     """A seeded sparse S with |S|_inf = q (as the _csr_args _neumann_sum
     takes), a right-hand side b, and the solve of (E - S) x = b, refined
@@ -1359,8 +1405,8 @@ def test_the_ring_holds_the_image_of_each_last_start(case, monkeypatch):
 def test_rough_steps_switch_to_superlu_at_the_checkpoint(monkeypatch):
     # white noise on the 64^2 rotation stencil at dt = 2 pi / 400 (q = 0.23,
     # K = 25): every attempt is certified, but the ring-started steps
-    # 8 .. 15 take about 20 products, more than K/2, so the factor is built
-    # at step 16; their cost, about 20 nnz(S) a step, is above the solve
+    # 9 .. 17 take about 20 products, more than K/2, so the factor is built
+    # at step 18; their cost, about 20 nnz(S) a step, is above the solve
     # pair's nnz(L + U), so SuperLU solves every later step, with no attempt
     events = []
     spy_on_superlu_solves(monkeypatch, events)
@@ -1520,6 +1566,22 @@ def test_cayley_overflow_names_the_first_bad_step(sparse):
                            domain=None)
     with pytest.raises(ValueError, match="Cayley step 194 left"):
         evolve_cayley(b, np.ones(2), 1.0, 400)
+
+
+def test_sparse_cayley_keeps_finite_states_whose_sum_overflows():
+    # every entry stays near 1e308, so the sum of a state's |entries|
+    # overflows at each step although none is infinite: the entries are
+    # then read, and no step is refused
+    d = np.array([-0.1, -0.2, -0.3])
+    gen = RestrictedOperator(space=Space.euclidean(3),
+                             action=sp.diags(d).tocsr(), domain=None)
+    u0 = np.full(3, 1e308)
+    dt, nsteps = 0.1, 12
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    assert all(np.isinf(evolution._dasum(u)) for u in traj.states)
+    ratio = (1 + dt / 2 * d) / (1 - dt / 2 * d)
+    exact = ratio ** np.arange(nsteps + 1)[:, None] * u0
+    np.testing.assert_allclose(traj.states, exact, rtol=1e-14)
 
 
 def test_cayley_contracts_for_dissipative_generators():

@@ -224,7 +224,8 @@ def test_rotation_blobs_stop_the_neumann_sum_before_its_cap(n, steps,
     # the smooth blob's steps need fewer products than the a-priori count
     # K from |S|_inf, and stay isometric to rounding; from the
     # extrapolated images of the previous starts one product certifies
-    # most steps, so no step needs the SuperLU factor, and none is built
+    # nearly every step, so no step needs the SuperLU factor, and none is
+    # built
     def refuse(A):
         raise AssertionError("the SuperLU factor was built")
     monkeypatch.setattr(evolution, "sparse_shifted_lu", refuse)
@@ -235,7 +236,7 @@ def test_rotation_blobs_stop_the_neumann_sum_before_its_cap(n, steps,
     _, _, route = _cayley_steps(adjoint_generator(op), np.zeros(n * n), dt, 0)
     assert route["sparse_solve"] == "neumann"
     assert 1 <= res["neumann_products"] < route["neumann_terms"]
-    assert 1 <= res["neumann_products_mean"] <= 1.5
+    assert 1 <= res["neumann_products_mean"] <= 1.1
     assert res["energy_drift"] <= 1e-12
 
 
