@@ -22,13 +22,15 @@ moved.
 gate checks REV out with `git worktree add` into a temporary directory,
 dumps the cases there and in this working tree (both with this tree's
 cases and inputs), together with the gate-only invocations of
-GATE_CASES, prints the diff of the two dumps, the settable-value count
-of both sides (settable_values) and the net line count of
-src/skewflow/*.py (as `wc -l` counts them), removes the worktree, and
-exits as diff does. Named cases may be golden or gate-only ones. It
-needs only the local repository.
+GATE_CASES, prints the diff of the two dumps, the code lines of
+src/skewflow/*.py (code_lines: docstrings, comments and blank lines
+excluded), the settable-value count of both sides (settable_values) and
+the net line count of src/skewflow/*.py (as `wc -l` counts them),
+removes the worktree, and exits as diff does. Named cases may be golden
+or gate-only ones. It needs only the local repository.
 """
 import argparse
+import ast
 import importlib
 import inspect
 import json
@@ -40,8 +42,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+
+
+def _pinned_ring(n: int, pins, seed: int) -> dict:
+    """A matrix descriptor: the W-skew weighted ring W^-1 K (K periodic,
+    antisymmetric and bidiagonal) with seeded weights and coefficients,
+    on the explicit unit columns of every coordinate except pins."""
+    rng = np.random.default_rng(seed)
+    w, c = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    j = np.arange(n)
+    K = np.zeros((n, n))
+    K[j, (j + 1) % n] = -c
+    K[(j + 1) % n, j] = c
+    return {"label": f"weighted-ring-codim{len(pins)}",
+            "operator": {"kind": "matrix", "data": (K / w[:, None]).tolist()},
+            "space": {"weights": w.tolist()},
+            "domain": {"mode": "columns",
+                       "columns": np.delete(np.eye(n), pins, 0).tolist()}}
+
+
 # invocations that only gate runs, on both sides like the golden cases,
 # with no stored report; each input is the descriptor itself, naming a
 # stream file by its absolute path
@@ -79,6 +102,13 @@ GATE_CASES = [
                             "stream": str(GOLDEN / "stream.csv"),
                             "mode": "periodic_full"}},
      "flags": ["--dt", "0.04"]},
+    # explicit columns of codim 3: past the DC column the defect basis is
+    # completed by a turn that depends on the constraint columns L (at
+    # codim 2 it is fixed up to sign), so a change of L's complement
+    # beyond rounding shows in the recovered coupling
+    {"name": "extend-weighted-codim3", "command": "extend",
+     "input": _pinned_ring(14, [2, 7, 11], seed=3),
+     "flags": ["--theta", "0.5"]},
 ]
 
 
@@ -223,6 +253,26 @@ def source_lines(root: Path) -> int:
                for p in (root / "src" / "skewflow").glob("*.py"))
 
 
+def code_lines(root: Path) -> int:
+    """The lines of root/src/skewflow/*.py that are code: not blank, not
+    a comment alone, and not part of a module, class or function
+    docstring."""
+    count = 0
+    for path in (root / "src" / "skewflow").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        doc = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                first = node.body[0]
+                doc.update(range(first.lineno, first.end_lineno + 1))
+        count += sum(1 for i, line in enumerate(text.splitlines(), start=1)
+                     if line.strip() and not line.lstrip().startswith("#")
+                     and i not in doc)
+    return count
+
+
 def _defaulted(func) -> int:
     return sum(p.default is not p.empty
                for p in inspect.signature(func).parameters.values())
@@ -296,10 +346,14 @@ def gate(rev: str, names) -> int:
                     return 1
                 settable.append(_settable_values_of(src))
             before, after = source_lines(checkout), source_lines(ROOT)
+            code_before, code_after = code_lines(checkout), code_lines(ROOT)
         finally:
             subprocess.run([*git, "remove", "--force", str(checkout)],
                            check=True)
         code = diff(tmp / "dump-rev", tmp / "dump-tree")
+    print(f"src/skewflow/*.py code lines (no docstrings, comments or blank "
+          f"lines): {code_before} -> {code_after} "
+          f"({code_after - code_before:+d})")
     print("settable values: {} -> {}".format(*settable))
     print(f"src/skewflow/*.py: {before} -> {after} lines "
           f"({after - before:+d})")

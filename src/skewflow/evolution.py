@@ -103,8 +103,8 @@ import scipy.sparse.linalg as spla
 # already loaded with scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from .operators import (RestrictedOperator, _identity_coords, _is_skew,
-                        _shifted_lu, sparse_shifted_lu)
+from .operators import (RestrictedOperator, _dasum, _identity_coords,
+                        _is_skew, _shifted_lu, sparse_shifted_lu)
 
 _DENSE_EXP_LIMIT = 4096
 # rows (sample times or steps) per GEMM in the dense trajectories; bounds
@@ -118,9 +118,6 @@ _HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
 # the (0-based) index of a vector's largest |entry|, one BLAS pass; it
 # passes over NaN entries
 _idamax = sla.blas.idamax
-# the sum of a vector's |entries|, one BLAS pass; NaN and overflow make it
-# non-finite
-_dasum = sla.blas.dasum
 _EPS = float(np.finfo(float).eps)
 # the sparse Cayley steps start their Neumann sums from
 # sum_{i=1..p} w_i S y_{k-i} + b over the images S y of the last

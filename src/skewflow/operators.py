@@ -10,6 +10,7 @@ defect subspaces.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -18,9 +19,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dormqr, dpotrf, dtrtri
 
 from .spaces import Space, orthonormalize
+
+# the sum of a vector's |entries|, one BLAS pass; NaN and overflow make it
+# non-finite
+_dasum = sla.blas.dasum
 
 
 def _dense(action) -> np.ndarray:
@@ -55,7 +60,8 @@ class RestrictedOperator:
     - a PinnedDomain: every coordinate except a pinned set. A mask with
       no pins is the whole space and is stored as None;
     - an (dim x m) array of basis columns, which the constructor
-      replaces with a W-orthonormal basis of the same span.
+      replaces with a W-orthonormal basis of the same span. Columns that
+      span the whole space are stored as None too.
 
     Every form is stored as one W-orthonormal domain basis U, which the
     domain checks all read: the orthonormalized columns themselves, or
@@ -118,11 +124,13 @@ class RestrictedOperator:
             D = np.atleast_2d(np.asarray(self.domain, dtype=float))
             if D.shape[0] != n:
                 raise ValueError("domain columns do not match space dimension")
-            self.domain = self._basis = orthonormalize(D, self.space,
-                                                       tol=1e-12)
-            if self.domain.shape[1] == 0:
+            Q = orthonormalize(D, self.space, tol=1e-12)
+            if Q.shape[1] == 0:
                 raise ValueError("domain has no nonzero directions")
-            return
+            if Q.shape[1] < n:
+                self.domain = self._basis = Q
+                return
+            self.domain = None
         self._basis = sp.csc_matrix(
             (1.0 / np.sqrt(self.space.weights[free]), free,
              np.arange(free.size + 1)), shape=(n, free.size))
@@ -158,7 +166,7 @@ class RestrictedOperator:
         """Sparse (dim x codim) columns L with domain = {u : L^T u = 0},
         computed once: the unit columns e_p of the pins, no columns for the
         full domain, and for explicit domain columns U an orthonormal
-        basis of ker(U^T) (the complete QR of U)."""
+        basis of ker(U^T) (see _constraint_columns)."""
         if self._constraints is None:
             self._constraints = _constraint_columns(self)
         return self._constraints
@@ -172,12 +180,20 @@ class RestrictedOperator:
 
 
 def _constraint_columns(op: RestrictedOperator) -> sp.csc_matrix:
+    """The unit columns e_p of the pins (none for the full domain), or for
+    explicit columns U (n x m, k = n - m >= 1) the last k columns of the
+    complete Q of U = QR: the reflectors of one QR applied to the k unit
+    columns e_m+1, ..., e_n (dormqr), so no n x n Q is formed."""
     n, k, U = op.dim, op.codim, op._basis
     if not sp.issparse(U):
-        Q = np.linalg.qr(U, mode="complete")[0]
-        return sp.csc_matrix(Q[:, n - k:])
-    pins = np.setdiff1d(np.arange(n), U.indices)
-    return sp.csc_matrix((np.ones(k), (pins, np.arange(k))), shape=(n, k))
+        (qr, tau), _ = sla.qr(U, mode="raw", check_finite=False)
+        tail = np.zeros((n, k), order="F")
+        tail[n - k:] = np.eye(k)
+        lwork = int(dormqr("L", "N", qr, tau, tail, -1)[1][0])
+        return sp.csc_matrix(dormqr("L", "N", qr, tau, tail, lwork,
+                                    overwrite_c=1)[0])
+    pins = getattr(op.domain, "pins", np.arange(0))
+    return sp.csc_matrix((np.ones(k), pins, np.arange(k + 1)), shape=(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +206,40 @@ class SkewReport:
     passed: bool
 
 
+def _scaled(A, s: np.ndarray, axis: int):
+    """A with its rows (axis 0) or columns (axis 1) multiplied by s, in
+    place: a dense array, or a CSR matrix whose stored entries are."""
+    if sp.issparse(A):
+        A.data *= s[A.indices] if axis else np.repeat(s, np.diff(A.indptr))
+    else:
+        A *= s if axis else s[:, None]
+    return A
+
+
+def _image(A, U):
+    """A U for a domain basis U. The sparse scaled-unit basis of a full or
+    pinned domain is read in place: the free columns of A (U.indices),
+    dense or CSR, column j times r_j = 1 / sqrt(w_j) (U.data), the one
+    product per entry that A @ U forms, so the values are the same."""
+    if not sp.issparse(U):
+        return A @ U
+    if sp.issparse(A):
+        cols = sp.csr_matrix(A, dtype=float)[:, U.indices]
+    else:
+        # take copies whole rows; A[:, cols] gathers entry by entry
+        cols = np.asarray(A, dtype=float).take(U.indices, 1)
+    return _scaled(cols, U.data, 1)
+
+
 def _identity_coords(space: Space, action):
     """G = sqrt(W) M sqrt(W)^-1, the action in coordinates where the Gram
-    is the identity (sparse stays sparse). M is W-skew iff G + G^T = 0."""
+    is the identity. M is W-skew iff G + G^T = 0. A sparse action gives a
+    CSR copy, each entry times sqrt(w) of its row, then times 1 / sqrt(w)
+    of its column, as the diagonal matrix products would multiply it."""
     sw = np.sqrt(space.weights)
     if sp.issparse(action):
-        return (sp.diags(sw) @ action @ sp.diags(1.0 / sw)).tocsr()
+        G = sp.csr_matrix(action, dtype=float, copy=True)
+        return _scaled(_scaled(G, sw, 0), 1.0 / sw, 1)
     # one n x n temporary: the product, then divided in place
     G = np.multiply(action, sw[:, None])
     G /= sw
@@ -257,11 +301,17 @@ def _domain_gram(op: RestrictedOperator):
     """(B, S) with B = M U and the domain Gram S = U^T W B on the
     W-orthonormal domain basis U: (Mu, v) for domain vectors u = U a,
     v = U b is b^T S a. On full and pinned domains U is the sparse
-    scaled-unit basis, so a sparse action keeps both sparse. The first
-    call also caches op's skew report (_skew_report of S) and max|B|."""
-    U = op._basis
-    B = op.action @ U
-    S = U.T @ (sp.diags(op.space.weights) @ B)
+    scaled-unit basis, read in place: with r = 1 / sqrt(w) on the free
+    coordinates, B = M[:, free] r (_image) and S = (W B)[free] r, each
+    entry multiplied in the order of the products U^T (W (M U)), in the
+    action's storage. The first call also caches op's skew report
+    (_skew_report of S) and max|B|."""
+    U, w = op._basis, op.space.weights
+    B = _image(op.action, U)
+    if sp.issparse(U):
+        S = _scaled(_scaled(B[U.indices], w[U.indices], 0), U.data, 0)
+    else:
+        S = U.T @ (w[:, None] * B)
     if op._skew is None:
         op._skew, op._image_scale = _skew_report(S), _max_abs(B)
     return B, S
@@ -640,8 +690,9 @@ def extend(op: RestrictedOperator,
     with F and C+- the k x k data of deficiency: no n x k array is formed
     or read. Only L^T Z is decomposed; the ratio of its extreme singular
     values decides density (at most 1e-10 is refused) and is recorded as
-    meta["density_ratio"]. One LU of (L^T Z)^T then gives Y and P below.
-    Y is accurate to about eps / density_ratio relative.
+    meta["density_ratio"]. One inverse X = (L^T Z)^-1 then gives Y = (C+
+    - C- V) X and P = X^T (E - V^T V) X below by k x k products. Y is
+    accurate to about eps / density_ratio relative.
 
     How accurate it came out is recorded as meta["dissipation_defect"],
     also from k x k data. M_s is W-skew, so the symmetric part of W A_ext
@@ -667,10 +718,10 @@ def extend(op: RestrictedOperator,
     sv = np.linalg.svd(LZ, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("extension domain not dense")
-    # one LU of L^T Z^T serves Y and both solves for P
-    lu = sla.lu_factor(LZ.T)
-    Y = sla.lu_solve(lu, (dd.c_plus - CmV).T).T
-    P = sla.lu_solve(lu, sla.lu_solve(lu, np.eye(k) - V.T @ V).T)
+    # one inverse, its conditioning checked above, serves Y and P
+    X = np.linalg.inv(LZ)
+    Y = (dd.c_plus - CmV) @ X
+    P = X.T @ ((np.eye(k) - V.T @ V) @ X)
     scale = max(_max_abs(Y), _max_abs(P))
     dissipation = _max_abs(0.5 * (Y + Y.T) - P) / scale if scale else 0.0
 
@@ -891,12 +942,14 @@ def check_m_dissipative(gen: RestrictedOperator,
     condition bound rules out a numerically singular E - hB, every rank
     is n and no SVD runs. Otherwise each rank is matrix_rank's SVD count
     of E - hB. Raises ValueError for a restricted or non-finite
-    generator.
+    generator: one dasum pass over B, read entry by entry only when that
+    sum is not finite (a NaN or inf entry, or an overflowing sum).
     """
     if not gen.is_full_domain:
         raise ValueError("m-dissipativity applies to full-domain generators")
     B = gen.dense_action()
-    if not np.all(np.isfinite(B)):
+    if (not math.isfinite(_dasum(B.ravel(order="K")))
+            and not np.isfinite(B).all()):
         raise ValueError("generator action has non-finite entries")
     n, W = gen.dim, gen.space.weights
     G = _identity_coords(gen.space, B)
@@ -958,15 +1011,16 @@ def check_inclusion_in_adjoint(gen: RestrictedOperator,
 
 def restriction_defect(ext: RestrictedOperator, op: RestrictedOperator) -> float:
     """Largest W-norm of (A_ext - M) applied to op's domain basis columns
-    (on a full or pinned domain: to e_j / sqrt(w_j), j free). When both
-    actions are stored alike this is one product (A_ext - M) U, which
-    stays sparse when both are sparse; a sparse action beside a dense one
-    gives A_ext U - M U, both densified."""
+    (on a full or pinned domain: to e_j / sqrt(w_j), j free, read in
+    place by _image). When both actions are stored alike this is one
+    product (A_ext - M) U, which stays sparse when both are sparse; a
+    sparse action beside a dense one gives A_ext U - M U, both
+    densified."""
     U, A, M = op._basis, ext.action, op.action
     if sp.issparse(A) == sp.issparse(M):
-        D = (A - M) @ U
+        D = _image(A - M, U)
     else:
-        D = _dense(A @ U) - _dense(M @ U)
+        D = _dense(_image(A, U)) - _dense(_image(M, U))
     if sp.issparse(D):
         return float(np.sqrt(np.max(D.multiply(D).T @ op.space.weights,
                                     initial=0.0)))

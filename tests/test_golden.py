@@ -147,3 +147,15 @@ def test_golden_diff_gate_compares_a_revision_with_the_tree(capsys):
 
     assert script(["gate", "no-such-revision"]) == 1
     assert "cannot check out no-such-revision" in capsys.readouterr().err
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    pkg = tmp_path / "src" / "skewflow"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        '"""Module\ndoc."""\nimport os\n\n# a note\n\nclass A:\n'
+        '    """One."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+        '        return os.sep  # why\n')
+    # import, class, def and return
+    assert GOLDEN_DIFF["code_lines"](tmp_path) == 4
+    assert GOLDEN_DIFF["source_lines"](tmp_path) == 13

@@ -1274,3 +1274,167 @@ def test_multiplicity_on_a_2d_grid_starts_from_the_first_domain_vector(
     first = op.domain_basis()[:, 0]
     np.testing.assert_array_equal(demo.u0, first / op.space.norm(first))
     assert demo.distances.shape == (6,)
+
+
+# ---------------------------------------------------------------------------
+# scaled-unit bases read in place, against the products they replace
+# ---------------------------------------------------------------------------
+
+def product_identity_coords(space, action):
+    """sqrt(W) M sqrt(W)^-1 of a sparse action by diagonal products."""
+    sw = np.sqrt(space.weights)
+    return (sp.diags(sw) @ action @ sp.diags(1.0 / sw)).tocsr()
+
+
+def product_domain_gram(op):
+    """(B, S) = (M U, U^T W M U) by products with the basis U."""
+    U = op._basis
+    B = op.action @ U
+    return B, U.T @ (sp.diags(op.space.weights) @ B)
+
+
+def product_restriction_defect(ext, op):
+    """The restriction defect by products with op's basis U."""
+    U, A, M = op._basis, ext.action, op.action
+    if sp.issparse(A) == sp.issparse(M):
+        D = (A - M) @ U
+    else:
+        D = _as_dense(A @ U) - _as_dense(M @ U)
+    if sp.issparse(D):
+        return float(np.sqrt(np.max(D.multiply(D).T @ op.space.weights,
+                                    initial=0.0)))
+    return float(np.max(op.space.norms(D)))
+
+
+def assert_same_array(got, ref):
+    assert sp.issparse(got) == sp.issparse(ref)
+    assert np.array_equal(_as_dense(got), _as_dense(ref))
+
+
+def assert_unit_reads_match_the_products(op):
+    """_identity_coords, _domain_gram with what it caches, and the
+    restriction defect of a perturbed generator in both storages, each
+    equal to its product form."""
+    if sp.issparse(op.action):
+        assert_same_array(operators._identity_coords(op.space, op.action),
+                          product_identity_coords(op.space, op.action))
+    B_ref, S_ref = product_domain_gram(op)
+    B, S = operators._domain_gram(op)
+    assert_same_array(B, B_ref)
+    assert_same_array(S, S_ref)
+    assert op._image_scale == operators._max_abs(B_ref)
+    assert op._skew == operators._skew_report(S_ref)
+    M = op.dense_action()
+    stray = np.random.default_rng(op.dim).standard_normal(M.shape)
+    stray[np.abs(stray) < 1.0] = 0.0
+    for A in (M + 0.1 * stray, sp.csr_matrix(M + 0.1 * stray)):
+        ext = RestrictedOperator(space=op.space, action=A)
+        assert (restriction_defect(ext, op)
+                == product_restriction_defect(ext, op) > 0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=6, max_value=40),
+       st.integers(min_value=0, max_value=2**31), st.data())
+def test_weighted_rings_with_random_pins_read_their_units_in_place(n, seed,
+                                                                   data):
+    # the sweep of the SVD comparison above, for pinned and full domains
+    # with dense and sparse actions
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n)
+    action = weighted_ring(weights, rng.uniform(0.5, 1.5, n))
+    k = data.draw(st.integers(min_value=1, max_value=max(1, n // 3)))
+    pins = rng.choice(n, size=k, replace=False)
+    space = Space(dim=n, weights=weights)
+    for domain in (PinnedDomain(pins), None):
+        for a in (action, sp.csr_matrix(action)):
+            assert_unit_reads_match_the_products(
+                RestrictedOperator(space=space, action=a, domain=domain))
+
+
+def unit_read_cases():
+    for n in (256, 512):
+        yield f"wrapped {n}", lambda n=n: minimal_derivative_operator(n)
+    for m in (16, 24):
+        yield f"interior {m}x{m}", lambda m=m: interior_transport(m)
+    rng = np.random.default_rng(7)
+    for n in (256, 1024):
+        w = rng.uniform(0.5, 1.5, n)
+        ring = weighted_ring(w, rng.uniform(0.5, 1.5, n))
+        yield f"dense full {n}", lambda w=w, ring=ring: RestrictedOperator(
+            space=Space(dim=w.size, weights=w), action=ring)
+
+
+@pytest.mark.parametrize("name,build", list(unit_read_cases()),
+                         ids=[name for name, _ in unit_read_cases()])
+def test_unit_reads_match_the_products_on_the_models(name, build):
+    op = build()
+    assert_unit_reads_match_the_products(op)
+    if sp.issparse(op.action):
+        dense = RestrictedOperator(space=op.space, action=op.dense_action(),
+                                   domain=op.domain)
+        assert_unit_reads_match_the_products(dense)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_explicit_constraint_columns_are_the_complete_qr_tail(k):
+    # the reflectors of one QR applied to k unit columns give the last k
+    # columns of the complete Q
+    rng = np.random.default_rng(k)
+    for n in (24, 320):
+        w = rng.uniform(0.5, 1.5, n)
+        op = RestrictedOperator(space=Space(dim=n, weights=w),
+                                action=weighted_ring(w, np.ones(n)),
+                                domain=rng.standard_normal((n, n - k)))
+        L = op.constraint_columns()
+        assert sp.issparse(L) and L.shape == (n, k)
+        U = op.domain_basis()
+        ref = np.linalg.qr(U, mode="complete")[0][:, n - k:]
+        assert np.max(np.abs(L.toarray() - ref)) <= 1e-15
+        assert np.max(np.abs(U.T @ L)) <= 1e-14
+
+
+def test_explicit_columns_that_span_the_space_are_the_full_domain(tmp_path):
+    # the operator is the full-domain one, which extend returns as it is,
+    # and the CLI writes the reports of the descriptor without a domain
+    n = 10
+    w = np.linspace(0.5, 1.5, n)
+    action = weighted_ring(w, np.linspace(0.7, 1.3, n))
+    cols = np.random.default_rng(4).standard_normal((n, n))
+    op = RestrictedOperator(space=Space(dim=n, weights=w), action=action,
+                            domain=cols)
+    assert op.is_full_domain and op.codim == 0
+    assert op.constraint_columns().shape == (n, 0)
+    assert extend(op, 0.5).is_full_domain
+    full = {"operator": {"kind": "matrix", "data": action.tolist()},
+            "space": {"weights": w.tolist()}}
+    spanned = {**full, "domain": {"mode": "columns",
+                                  "columns": cols.T.tolist()}}
+    for command in (["extend", "--theta", "0.5"], ["evolve"]):
+        reports = []
+        for name, payload in (("full", full), ("spanned", spanned)):
+            desc = tmp_path / f"{name}.json"
+            desc.write_text(json.dumps(payload))
+            out = tmp_path / f"{command[0]}-{name}"
+            assert main([*command, "--input", str(desc),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("fmt", [np.asarray, sp.csr_matrix, sp.csc_matrix],
+                         ids=["dense", "csr", "csc"])
+def test_integer_actions_read_their_units_as_floats(fmt):
+    # an integer action's scaled-unit reads are float, as its products were
+    j = np.arange(6)
+    K = np.zeros((6, 6), dtype=int)
+    K[j, (j + 1) % 6], K[(j + 1) % 6, j] = -1, 1
+    w = np.linspace(0.5, 1.5, 6)
+    for domain in (None, PinnedDomain([1, 4])):
+        op = RestrictedOperator(space=Space(dim=6, weights=w),
+                                action=fmt(K), domain=domain)
+        ext = RestrictedOperator(space=op.space, action=fmt(2 * K))
+        assert_same_array(operators._domain_gram(op)[1],
+                          product_domain_gram(op)[1])
+        assert (restriction_defect(ext, op)
+                == product_restriction_defect(ext, op) > 0.0)
