@@ -65,6 +65,11 @@ def _pinned_ring(n: int, pins, seed: int) -> dict:
                        "columns": np.delete(np.eye(n), pins, 0).tolist()}}
 
 
+# the golden 16^2 stream's periodic operator as a descriptor
+PERIODIC_STREAM = {"operator": {"kind": "transport",
+                                "stream": str(GOLDEN / "stream.csv"),
+                                "mode": "periodic_full"}}
+
 # invocations that only gate runs, on both sides like the golden cases,
 # with no stored report; each input is the descriptor itself, naming a
 # stream file by its absolute path
@@ -95,13 +100,26 @@ GATE_CASES = [
     # sparse Cayley steps on the golden 16^2 periodic stream at dt = 0.04:
     # |S|_inf = 0.0089 (K = 7), above the q of a few 1e-3 below which
     # one product certifies a start extrapolated from the ring of Schur
-    # images, so the 42 ring-started steps take a product past the first
-    # (3 each, against 4 from the extrapolated solves)
+    # images. The 9 steps from b take 6 products each and the 41
+    # ring-started steps 4 each, above K/2 = 3.5, so step 18 builds the
+    # factor, and the cost comparison keeps the attempts and releases it
     {"name": "evolve-transport-dt04", "command": "evolve",
-     "input": {"operator": {"kind": "transport",
-                            "stream": str(GOLDEN / "stream.csv"),
-                            "mode": "periodic_full"}},
+     "input": PERIODIC_STREAM,
      "flags": ["--dt", "0.04"]},
+    # the same stream over 36 steps at dt = 0.28: q = 0.430 (K = 44), and
+    # the third attempt runs to the cap, so SuperLU solves from there on
+    {"name": "evolve-transport-dt028", "command": "evolve",
+     "input": PERIODIC_STREAM,
+     "flags": ["--dt", "0.28", "--horizon", "10"]},
+    # 33 steps at dt = 0.3: q = 0.512 >= 1/2, so SuperLU solves every
+    # step with no attempt
+    {"name": "evolve-transport-dt03", "command": "evolve",
+     "input": PERIODIC_STREAM,
+     "flags": ["--dt", "0.3", "--horizon", "10"]},
+    # 20 steps at dt = 0.5: q = 1.39, SuperLU from the start
+    {"name": "evolve-transport-dt05", "command": "evolve",
+     "input": PERIODIC_STREAM,
+     "flags": ["--dt", "0.5", "--horizon", "10"]},
     # explicit columns of codim 3: past the DC column the defect basis is
     # completed by a turn that depends on the constraint columns L (at
     # codim 2 it is fixed up to sign), so a change of L's complement

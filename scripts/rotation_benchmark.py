@@ -4,7 +4,7 @@
 Carries a Gaussian blob once around the box center and reports the
 relative error against the exact return to the start, the energy drift
 of the trapezoidal stepper, and the most and the mean Neumann products
-per step ("-" where |S|_inf >= 1 puts every step on SuperLU).
+per step ("-" where |S|_inf >= 1/2 puts every step on SuperLU).
 """
 import argparse
 

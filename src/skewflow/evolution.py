@@ -41,9 +41,9 @@ blocks of rows, with no Python work per row:
   then the states by the doubling fill below; otherwise one
   ``expm_multiply`` per sample interval, carrying the previous sample
   forward, O(T s n^2) with s the Taylor degree that ``expm_multiply``
-  picks for the interval (no dense exponential is formed). One
-  ``expm`` costs as much as 3.5 to 77 of those calls at n = 128 to
-  2048, never more than n/8;
+  picks for the interval (no dense exponential is formed). The
+  threshold rests on one ``expm`` costing no more than n/8 of those
+  calls;
 - non-skew dense ``evolve_cayley``: the step matrix
   C = (E - dt/2 B)^-1 (E + dt/2 B) from one LU factorization and one
   solve against n columns, O(n^3); then, as for P above, the states by
@@ -62,12 +62,12 @@ blocks of rows, with no Python work per row:
   nodes, S the Schur term. Each step is two sparse products with the
   blocks that couple I to the rest, one solve with E - S and O(n)
   vector work, with no product with B (``_cayley_steps``). With
-  q = |S|_inf >= 1 the solve is SuperLU's triangular pair,
+  q = |S|_inf >= 1/2 the solve is SuperLU's triangular pair,
   O(nnz(L) + nnz(U)) a step after one factorization up front
   (``operators.sparse_shifted_lu``: minimum-degree ordering on A^T + A
   in SuperLU's symmetric mode, every nonzero diagonal pivot kept, so
-  the ordering holds at large steps too). With q < 1 no factor is
-  built up front: each step makes one attempt of at most K Horner
+  the ordering holds at large steps too). With q < 1/2 no factor is
+  built up front: each step makes one attempt of at most K <= 53 Horner
   products x <- S x + b, O(nnz(S)) each, with K the smallest count for
   which q^(K+1) / (1 - q) <= eps/2, kept once Banach's a-posteriori
   bound certifies it to eps/2 |b|_inf (``_neumann_sum``). After the
@@ -77,17 +77,15 @@ blocks of rows, with no Python work per row:
   free, its rounding scaled by q. The weights, from
   W(z) = 1 - (1 - z)^8 (1 + 255/256 z), are exact through degree 7 with
   W(-1) = 0, so the start errors fed back through W and S die out while
-  q max |W| < 1 (max |W| = 106.3 on the unit circle). A dropped attempt
-  is solved by SuperLU, the factor built at the first one. At step 2p
-  the ring-started steps are measured: the factor is built when they
-  averaged more than K/2 products, and once it exists the solve pair
-  takes every later step if nnz(L + U) undercuts their cost, mean
-  products x nnz(S) + dropped share x nnz(L + U). So a run of T steps
-  costs O(T (P nnz(S) + n)) on the attempts, P their mean products,
-  and the factorization only where a step needs it or the attempts
-  cost more than half the cap. The three sparse products run scipy's
-  CSR kernel in place with its arguments bound once, since at these
-  sizes the dispatch of ``S @ x`` costs more than the product.
+  q max |W| < 1 on the unit circle. SuperLU takes over once and for
+  good: at the first dropped attempt, or at step 2p if the ring-started
+  steps averaged more than K/2 products and nnz(L + U) undercuts their
+  mean products x nnz(S). So a run of T steps costs O(T (P nnz(S) + n))
+  on the attempts, P their mean products, and the factorization only
+  where an attempt drops or the attempts cost more than half the cap.
+  The three sparse products run scipy's CSR kernel in place with its
+  arguments bound once, since at these sizes the dispatch of ``S @ x``
+  costs more than the product.
 """
 from __future__ import annotations
 
@@ -123,9 +121,10 @@ _EPS = float(np.finfo(float).eps)
 # sum_{i=1..p} w_i S y_{k-i} + b over the images S y of the last
 # p = _WARM_DEPTH starts y, w_i the coefficients of
 # W(z) = 1 - (1 - z)^8 (1 + 255/256 z): exact on polynomials of degree 7,
-# W(-1) = 0, and max |W| = 106.3 on the unit circle (255 without the last
-# factor). The weights are dyadic, so exact as doubles. With S y_j in row
-# j % p of a ring and b in its row p, row k % p of _WARM_TABLE holds them
+# and W(-1) = 0, so the alternating mode, where 1 - (1 - z)^8 alone has
+# its largest gain on the unit circle, is not passed on. The weights are
+# dyadic, so exact as doubles. With S y_j in row j % p of a ring and b in
+# its row p, row k % p of _WARM_TABLE holds them
 _WARM_DEPTH = 9
 _WARM_WEIGHTS = -np.polynomial.polynomial.polymul(
     [(-1) ** i * math.comb(8, i) for i in range(9)], [1.0, 255 / 256])[1:]
@@ -367,11 +366,11 @@ def _skew_schur_states(planes, v0: np.ndarray, sw: np.ndarray, out: np.ndarray,
 
 def _flush_subnormals(A: np.ndarray) -> np.ndarray:
     """A with each subnormal entry replaced by a zero of its sign, in
-    place. Products with subnormal operands take a slow path in the FPU:
-    a lossy seam's step matrix at n = 2048, dt = 1e-3 is 20% subnormal,
-    and its 2000 steps ran about 4x slower than after the flush. Each
-    flushed entry is below 2.3e-308 in magnitude, so a product with a
-    vector x moves by at most n 2.3e-308 max|x|."""
+    place. Products with subnormal operands take a slow path in the FPU,
+    and the step matrices of lossy seams at small dt hold many of them,
+    so every product with such a matrix would pay it. Each flushed entry
+    is below 2.3e-308 in magnitude, so a product with a vector x moves
+    by at most n 2.3e-308 max|x|."""
     A[np.abs(A) < np.finfo(float).tiny] *= 0.0
     return A
 
@@ -452,9 +451,9 @@ def evolve_exact(gen: RestrictedOperator, u0, times) -> Trajectory:
     formed once by scaling and squaring (``scipy.linalg.expm``) and
     stepped as evolve_cayley steps its own: by GEMMs against doubled
     powers. Otherwise by the action of the exponential on a vector over
-    each sample interval (``expm_multiply``), never forming e^{tB}: one
-    expm cost no more than n/8 of those wherever measured (n = 128 to
-    2048).
+    each sample interval (``expm_multiply``), never forming e^{tB}. The
+    threshold 8 T >= n rests on one expm costing no more than n/8 of
+    those.
 
     stepper_meta records "route" ("schur", "step_matrix" or
     "expm_multiply"), "uniform_step" (d, or None off a uniform grid) and
@@ -636,36 +635,37 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     x_R comes by one of two routes, from q = |S|_inf and the measured
     cost of the steps:
 
-    - q >= 1, or q not finite: operators.sparse_shifted_lu factorizes
+    - q >= 1/2, or q not finite: operators.sparse_shifted_lu factorizes
       E - S before the first step (a failure, a non-finite S included,
       raises ValueError), and SuperLU's triangular solve pair solves
       every step, nnz(L) + nnz(U) multiply-adds as SuperLU stores the
-      factors (supernodes included).
-    - q < 1: E - S is strictly diagonally dominant by rows, so no factor
-      is built up front. Each step makes one attempt of at most
-      K = _neumann_terms(q) products x <- S x + b, nnz(S) multiply-adds
-      each (_neumann_sum), kept only when Banach's a-posteriori bound
-      puts it within eps/2 |b|_inf of the solve. A p-row ring
-      (p = _WARM_DEPTH = 9) holds the image S y of each attempt's last
-      start y. The first p attempts start from b, step k >= p from one
-      GEMV (weights in row k % p of _WARM_TABLE, b a last ring row), the
-      extrapolated images plus b, which is S z + b for z the
-      extrapolation of the starts. The weights, the coefficients of
-      W(z) = 1 - (1 - z)^8 (1 + 255/256 z), are exact through degree 7;
-      the images' errors are fed back through W and S, and W(-1) = 0
-      with max |W| = 106.3 on the unit circle keeps q max |W| < 1 up to
-      q = 0.0094, where the binomial weights' gain of 255 at z = -1 let
-      them grow from q = 0.0039. At K = 0 every attempt starts from b,
-      certified with no product. An attempt that K products do not
-      certify, or whose start is refused as not finite, is dropped: the
-      SuperLU pair solves the step, the factor built at the first such
-      step, and the ring holds x_R - b.
-      At step 2p, the one checkpoint, the factor is also built when the
-      ring-started steps p .. 2p-1 took more than K/2 products on
-      average; and once it exists, their measured cost per step, mean
-      products x nnz(S) + dropped share x nnz(L + U), is compared with
-      nnz(L + U): if the solve pair is cheaper, it solves every later
-      step, with no attempt.
+      factors (supernodes included). From q = 1/2 on, q/(1 - q) >= 1, so
+      Banach's test below certifies only an iterate that has all but
+      stopped moving, and K grows without bound as q -> 1.
+    - q < 1/2: E - S is strictly diagonally dominant by rows, so no
+      factor is built up front. Each step makes one attempt of at most
+      K = _neumann_terms(q) <= 53 products x <- S x + b, nnz(S)
+      multiply-adds each (_neumann_sum), kept only when Banach's
+      a-posteriori bound puts it within eps/2 |b|_inf of the solve. A
+      p-row ring (p = _WARM_DEPTH = 9) holds the image S y of each
+      attempt's last start y. The first p attempts start from b, step
+      k >= p from one GEMV (weights in row k % p of _WARM_TABLE, b a
+      last ring row), the extrapolated images plus b, which is S z + b
+      for z the extrapolation of the starts. The weights, the
+      coefficients of W(z) = 1 - (1 - z)^8 (1 + 255/256 z), are exact
+      through degree 7; the images' errors are fed back through W and
+      S, so they die out while q max |W| < 1 on the unit circle, and
+      W(-1) = 0 removes the alternating mode, where the binomial
+      weights alone have their largest gain. At K = 0 every attempt
+      starts from b, certified with no product.
+      SuperLU takes over once, for good. An attempt that K products do
+      not certify, or whose start is refused as not finite, is dropped:
+      the factor is built, and its solve pair solves that step and
+      every later one, with no attempt. At step 2p, the one checkpoint,
+      the factor is built if the ring-started steps p .. 2p-1 took more
+      than K/2 products on average; it solves every step from there if
+      nnz(L + U) is below their mean products x nnz(S), and is released
+      otherwise.
 
     A step's cost is thus O(nnz(S)) per product, against O(nnz(L + U))
     per solve, plus two products with the blocks that couple I to R and
@@ -673,13 +673,13 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     factorization only where a step needs it.
 
     route holds what decided and what ran: {"sparse_solve": "neumann"
-    (q < 1) or "superlu", "neumann_terms": K (None when q >= 1),
+    (q < 1/2) or "superlu", "neumann_terms": K (None when q >= 1/2),
     "schur_norm_inf": q, "neumann_products": the most products an
     attempt took, a dropped one's included, "neumann_products_mean": their
     mean per attempt (both None on the SuperLU route), and
-    "switch_step": the step from which the solve pair replaced the
-    attempts (None when it did not)}. Its counts are final once steps is
-    exhausted.
+    "switch_step": the first step with no attempt, the dropped step's
+    index + 1 or 2p (None when every step made one)}. Its counts are
+    final once steps is exhausted.
 
     order lists I, then R, and the buffer holds (u_I, u_R). Only the
     running iterate, two buffers of x_R's size and the ring are held, so
@@ -696,7 +696,10 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     from_I = sp.csr_array(rows_R[:, elim] @ scale)   # h B_RI D^-1
     schur = sp.csr_array(rows_R[:, keep] + from_I @ rows_I[:, keep])
     q = float(np.max(abs(schur) @ np.ones(schur.shape[1]), initial=0.0))
-    neumann = q < 1.0
+    # from q = 1/2 on, q/(1 - q) >= 1: Banach's test certifies only a last
+    # product that moves no entry by more than eps/2 |b|_inf, an iterate
+    # that has all but stopped, and K grows without bound as q -> 1
+    neumann = q < 0.5
     terms = _neumann_terms(q) if neumann else None
     lu = None if neumann else sparse_shifted_lu(schur)
     route = {"sparse_solve": "neumann" if neumann else "superlu",
@@ -719,29 +722,25 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
         # the last p images S y, then b, weighed by a row of _WARM_TABLE
         ring = np.empty((_WARM_DEPTH + 1 if neumann else 1, u_R.size))
         images, b = list(ring[:-1]), ring[-1]
-        solve_all, switch = not neumann, None
-        total = most = dropped = 0
-        # the next step at which the checkpoint's counts are read
-        check = _WARM_DEPTH if neumann else -1
+        switch, total, most = None, 0, 0
         for k in range(nsteps):
             np.copyto(b, u_R)
             csr_matvec(*F, u_I, b)
-            if k == check:
-                if k == _WARM_DEPTH:
-                    base, check = (total, dropped), 2 * _WARM_DEPTH
-                else:
-                    check = -1
-                    mean = (total - base[0]) / _WARM_DEPTH
-                    share = (dropped - base[1]) / _WARM_DEPTH
-                    if lu is None and mean > terms / 2:
-                        lu = sparse_shifted_lu(schur)
+            if k == _WARM_DEPTH:
+                base = total
+            elif k == 2 * _WARM_DEPTH and lu is None:
+                mean = (total - base) / _WARM_DEPTH
+                if mean > terms / 2:
                     # lu.nnz counts L and U as SuperLU stores them, which
                     # its solve reads; lu.L and lu.U would build CSC
                     # copies of both factors and keep them on lu
-                    if (lu is not None
-                            and lu.nnz < mean * schur.nnz + share * lu.nnz):
-                        solve_all, switch = True, k
-            if solve_all:
+                    lu = sparse_shifted_lu(schur)
+                    if lu.nnz < mean * schur.nnz:
+                        switch = k
+                    else:
+                        # the attempts go on, and no step reads the factor
+                        lu = None
+            if lu is not None:
                 x_R = x
                 np.copyto(x_R, lu.solve(b))
             else:
@@ -750,15 +749,12 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                          else np.dot(_WARM_TABLE[slot], ring, out=x))
                 x_R, used, certified = _neumann_sum(S, q, terms, b, start,
                                                     x, y, images[slot])
-                if not certified:
-                    if lu is None:
-                        lu = sparse_shifted_lu(schur)
-                    np.copyto(x_R, lu.solve(b))
-                    np.subtract(x_R, b, out=images[slot])
-                    dropped += 1
                 total += used
                 if used > most:
                     most = used
+                if not certified:
+                    lu, switch = sparse_shifted_lu(schur), k + 1
+                    np.copyto(x_R, lu.solve(b))
             np.multiply(shrink, u_I, out=u_I)
             x_R += x_R
             csr_matvec(*T, x_R, u_I)
@@ -804,16 +800,16 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
       and each step is two sparse products and one solve with the
       half-size Schur complement E - S on the rest (_cayley_steps),
       scattered into its row of states: SuperLU's solve pair when
-      q = |S|_inf >= 1, else one attempt of at most K products
+      q = |S|_inf >= 1/2, else one attempt of at most K products
       x <- S x + b, kept once Banach's a-posteriori bound puts it within
       eps/2 |b|_inf of the solve at any scale of u0. After the 9th step
       an attempt starts from the ring of Schur images, one product
       free (weights exact through degree 7 with W(-1) = 0, see
-      _cayley_steps); SuperLU solves a dropped attempt and, from step
-      18, every step if the measured costs say so. stepper_meta records
-      the keys of _cayley_steps' route ("sparse_solve", "neumann_terms",
-      "schur_norm_inf", "neumann_products", "neumann_products_mean" and
-      "switch_step").
+      _cayley_steps). SuperLU takes over once and for good: at the first
+      dropped attempt, which it solves, or at step 18 if the measured
+      costs say so. stepper_meta records the keys of _cayley_steps'
+      route ("sparse_solve", "neumann_terms", "schur_norm_inf",
+      "neumann_products", "neumann_products_mean" and "switch_step").
 
     states[0] is u0. A non-finite dt, u0 or B raises ValueError, and so
     do a u0 that is not a vector of length n, an nsteps that is not an

@@ -504,12 +504,10 @@ def sparse_shifted_lu(A) -> spla.SuperLU:
     without pivoting (G. H. Golub and C. Van Loan, "Unsymmetric positive
     definite linear systems", Linear Algebra Appl. 28, 1979). Any nonzero
     threshold makes row exchanges as soon as an entry of A outgrows the
-    diagonal by its inverse, and they destroy the ordering: SuperLU's
-    default (1.0) costs 2.28M L+U nonzeros instead of 107k on the 48^2
-    rotation stencil at dt = 2, and 1e-3 costs 4.3M instead of 25k on the
-    wrapped derivative stencil at n = 4096, whose entries are n/2. A
-    non-finite entry, or a factorization that fails (E - A singular),
-    raises ValueError.
+    diagonal by its inverse, and they destroy the ordering: at large
+    steps, or on stencils whose entries grow with n, the fill of L + U
+    then grows by orders of magnitude. A non-finite entry, or a
+    factorization that fails (E - A singular), raises ValueError.
     """
     A = sp.csc_matrix(A)
     if not np.isfinite(A.data).all():

@@ -224,7 +224,7 @@ def rotation_benchmark(n: int, dt: float) -> dict:
     it and energy_drift the worst norm deviation along the way (the
     trapezoidal step keeps it at roundoff). neumann_products is the most
     Neumann products any step took and neumann_products_mean their mean
-    per attempt (both None when |S|_inf >= 1 puts every step on SuperLU;
+    per attempt (both None when |S|_inf >= 1/2 puts every step on SuperLU;
     see evolution._cayley_steps). States are not stored — only the
     squared norms of up to _ROW_BLOCK steps, checked and reduced once a
     block, and the final state — so large n stays cheap in memory. A step

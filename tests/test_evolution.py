@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from skewflow.operators import (
 from skewflow.oracles import gaussian_profile, minimal_derivative_operator
 from skewflow.spaces import Space
 from skewflow.transport import (
+    START_BLOB,
     Grid2D,
     build_transport_operator,
     field_from_stream,
@@ -1038,12 +1040,12 @@ def test_sparse_cayley_matches_the_whole_matrix_loop(case, dt):
     assert np.array_equal(traj.states[0], u0)
     ref = reference_sparse_cayley(gen, u0, dt, 40)
     assert max_relative_distance(gen, traj.states, ref) <= 1e-12
-    # every case has |S|_inf < 1 at dt = 1e-3 and 1e-2 and takes the
+    # every case has |S|_inf < 1/2 at dt = 1e-3 and 1e-2 and takes the
     # Neumann attempts, whose measured products stay cheaper than the
-    # triangular solves at both; at 0.1 and 2, |S|_inf >= 1 everywhere
+    # triangular solves at both; at 0.1 and 2, |S|_inf >= 1/2 everywhere
     meta = traj.stepper_meta
     assert meta["sparse_solve"] == ("neumann" if dt <= 1e-2 else "superlu")
-    assert (meta["neumann_terms"] is None) == (meta["schur_norm_inf"] >= 1.0)
+    assert (meta["neumann_terms"] is None) == (meta["schur_norm_inf"] >= 0.5)
     assert (meta["neumann_products_mean"] is None) == (dt > 1e-2)
     assert meta["switch_step"] is None
     if dt == 1e-3:
@@ -1275,16 +1277,51 @@ def test_neumann_steps_solve_to_rounding(case):
     assert_steps_solve_to_rounding(gen, traj, dt)
 
 
+def spy_on_attempts(monkeypatch, events):
+    """Append whether it was certified to events after each attempt of
+    the sparse Cayley steps."""
+    real_sum = evolution._neumann_sum
+
+    def attempt(*args):
+        out = real_sum(*args)
+        events.append(out[2])
+        return out
+
+    monkeypatch.setattr(evolution, "_neumann_sum", attempt)
+
+
+def assert_one_hand_over(events, meta, nsteps):
+    """Certified attempts up to the first dropped one, then one
+    factorization and a SuperLU solve for that step and every later one,
+    with no attempt; switch_step is the dropped step's index + 1. Returns
+    that index."""
+    drop = events.index(False)
+    assert events == ([True] * drop + [False, "factor"]
+                      + ["solve"] * (nsteps - drop))
+    assert meta["switch_step"] == drop + 1
+    return drop
+
+
+def golden_stream_run(dt, horizon=10.0):
+    """(gen, u0, dt, nsteps) of `evolve` on the golden 16^2 periodic
+    stream: the operator itself from the unit-norm start blob, at the
+    step that lands on the horizon."""
+    grid, psi = read_stream_file(Path(__file__).parent / "golden"
+                                 / "stream.csv")
+    gen = build_transport_operator(field_from_stream(grid, psi))
+    u0 = gaussian_blob(grid, *START_BLOB)
+    return (gen, u0 / gen.space.norm(u0), *steps_to_horizon(horizon, dt))
+
+
 @pytest.mark.parametrize("case", ["off", "overflow", "cap"])
 def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
-    # each step makes one attempt, and one the test does not certify is
-    # followed by one solve with the SuperLU factor, built at the first
-    # such step: tripled weights (b's among them) leave the start about
-    # 2 |x| off, which rough data do not shed in K products; at 1e307 the
-    # |entries| of b sum past the largest double, so b itself is refused;
-    # and a cap K = 2 below what rough data need leaves their steps from
-    # b uncertified (trusted a priori, that cap missed the solve by
-    # 7e4 eps)
+    # the first attempt the test does not certify hands the run to
+    # SuperLU for good: tripled weights (b's among them) leave the first
+    # ring start about 2 |x| off, which rough data do not shed in K
+    # products; at 1e307 the |entries| of b sum past the largest double,
+    # so b itself is refused; and a cap K = 2 below what rough data need
+    # leaves the first step from b uncertified (trusted a priori, that
+    # cap missed the solve by 7e4 eps)
     gen, _ = rotation_stencil(48)
     u0 = np.random.default_rng(5).standard_normal(gen.dim)
     dt = 1e-3
@@ -1296,62 +1333,43 @@ def test_uncertified_attempts_fall_back_to_superlu(case, monkeypatch):
     else:
         monkeypatch.setattr(evolution, "_neumann_terms", lambda q: 2)
     events = []
-    real_sum = evolution._neumann_sum
-
-    def attempt(*args):
-        out = real_sum(*args)
-        events.append(out[2])
-        return out
-
-    monkeypatch.setattr(evolution, "_neumann_sum", attempt)
+    spy_on_attempts(monkeypatch, events)
     spy_on_superlu_solves(monkeypatch, events)
     nsteps = 30
     traj = evolve_cayley(gen, u0, dt, nsteps)
     meta = traj.stepper_meta
     assert meta["sparse_solve"] == "neumann"
-    switch = meta["switch_step"]
-    attempts = [e for e in events if e not in ("factor", "solve")]
-    assert len(attempts) == (nsteps if switch is None else switch)
-    expected = [e for a in attempts for e in ([a] if a else [a, "solve"])]
-    expected += ["solve"] * (nsteps - len(attempts))
-    expected.insert(expected.index("solve"), "factor")
-    assert events == expected
-    warm = evolution._WARM_DEPTH
+    drop = assert_one_hand_over(events, meta, nsteps)
+    products = (meta["neumann_terms"], meta["neumann_products"],
+                meta["neumann_products_mean"])
     if case == "off":
-        # every warm attempt runs to the cap, and its products count; at
-        # step 2p they cost K products and a solve pair a step, more than
-        # the pair alone, which solves every later step
-        assert switch == 2 * warm
-        assert not any(attempts[warm:])
-        assert meta["neumann_products"] == meta["neumann_terms"] == 4
-        assert meta["neumann_products_mean"] == 4.0
-    elif case == "overflow":
-        assert not any(attempts)
-        assert (meta["neumann_products"], meta["neumann_products_mean"]) == (
-            0, 0.0)
+        # every step from b is certified in K products, and the first
+        # ring start runs to the cap
+        assert drop == evolution._WARM_DEPTH
+        assert products == (4, 4, 4.0)
     else:
-        assert meta["neumann_terms"] == 2 and not any(attempts[:warm])
-    if case != "off":
-        assert switch is None
-    assert np.isfinite(traj.states).all()
+        assert drop == 0
+        assert products == ((2, 2, 2.0) if case == "cap"
+                            else (products[0], 0, 0.0))
+    scale = np.max(np.abs(u0))
+    ref = reference_sparse_cayley(gen, u0 / scale, dt, nsteps)
+    assert max_relative_distance(gen, traj.states / scale, ref) <= 1e-12
     assert_steps_solve_to_rounding(gen, traj, dt)
 
 
 @pytest.mark.parametrize("case", ["smooth", "capped"])
 def test_the_ring_holds_the_image_of_each_last_start(case, monkeypatch):
     # a certified attempt leaves S y in its ring row, y the start of its
-    # last product, formed alone (into zeros) as csr_matvec forms it; a
-    # dropped one leaves x_R - b, x_R the SuperLU solve. The smooth blob
-    # certifies every attempt; rough data under a cap K = 2 drop the
-    # attempts from b and certify some of the extrapolated ones
+    # last product, formed alone (into zeros) as csr_matvec forms it. The
+    # smooth blob certifies every attempt. On the golden 16^2 stream at
+    # dt = 0.26 (q = 0.386, K = 39) the steps from b and the first ring
+    # starts are certified, until one runs to the cap K: that is the
+    # last attempt, and SuperLU solves its b and every later step
     if case == "smooth":
         gen, u0 = rotation_stencil(64)
-        dt = 2 * np.pi / 2000
+        dt, nsteps = 2 * np.pi / 2000, 40
     else:
-        gen, _ = rotation_stencil(48)
-        u0 = np.random.default_rng(5).standard_normal(gen.dim)
-        dt = 1e-3
-        monkeypatch.setattr(evolution, "_neumann_terms", lambda q: 2)
+        gen, u0, dt, nsteps = golden_stream_run(0.26)
     attempts, solves = [], []
     real_sum, real_lu = evolution._neumann_sum, evolution.sparse_shifted_lu
 
@@ -1370,36 +1388,105 @@ def test_the_ring_holds_the_image_of_each_last_start(case, monkeypatch):
             self.lu, self.nnz = lu, lu.nnz
 
         def solve(self, b):
-            x = self.lu.solve(b)
-            solves.append((b.copy(), x.copy()))
-            return x
+            solves.append(b.copy())
+            return self.lu.solve(b)
 
     monkeypatch.setattr(evolution, "_neumann_sum", attempt)
     monkeypatch.setattr(evolution, "sparse_shifted_lu",
                         lambda A: Factor(real_lu(A)))
-    traj = evolve_cayley(gen, u0, dt, 40)
-    assert traj.stepper_meta["switch_step"] is None
-    attempts[-1]["row"] = attempts[-1]["p"].copy()
-    dropped = [a for a in attempts if not a["certified"]]
-    assert len(dropped) == len(solves)
-    assert 0 < len(attempts) - len(dropped)
-    if case == "capped":
-        assert dropped
-    for a in dropped:
-        b, x_R = solves.pop(0)
-        assert np.array_equal(b, a["b"])
-        assert np.array_equal(a["row"], x_R - b)
-    for a in attempts:
-        if a["certified"]:
-            last = a["start"]
-            for _ in range(a["used"] - 1):
-                image = np.zeros(last.size)
-                evolution.csr_matvec(*a["S"], last, image)
-                last = image + a["b"]
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    switch = traj.stepper_meta["switch_step"]
+    certified = [a for a in attempts if a["certified"]]
+    if case == "smooth":
+        assert switch is None and not solves
+        assert len(certified) == nsteps
+        attempts[-1]["row"] = attempts[-1]["p"].copy()
+    else:
+        last = attempts.pop()
+        assert not last["certified"] and len(certified) == len(attempts)
+        assert switch == len(attempts) + 1
+        assert len(solves) == nsteps - len(attempts)
+        assert np.array_equal(solves[0], last["b"])
+        assert len(attempts) > evolution._WARM_DEPTH
+    for a in certified:
+        last = a["start"]
+        for _ in range(a["used"] - 1):
             image = np.zeros(last.size)
             evolution.csr_matvec(*a["S"], last, image)
-            assert a["used"] >= 1
-            assert np.array_equal(a["row"], image)
+            last = image + a["b"]
+        image = np.zeros(last.size)
+        evolution.csr_matvec(*a["S"], last, image)
+        assert a["used"] >= 1
+        assert np.array_equal(a["row"], image)
+
+
+def test_a_mid_run_drop_hands_over_to_superlu_once(monkeypatch):
+    # golden_diff.py's gate case evolve-transport-dt028: on the golden
+    # 16^2 stream at dt = 0.28 (36 steps, q = 0.430, K = 44) the first two
+    # steps from b are certified and the third runs to the cap; SuperLU
+    # solves it and the 33 steps after it
+    events = []
+    spy_on_attempts(monkeypatch, events)
+    spy_on_superlu_solves(monkeypatch, events)
+    gen, u0, dt, nsteps = golden_stream_run(0.28)
+    assert nsteps == 36
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    meta = traj.stepper_meta
+    assert meta["sparse_solve"] == "neumann"
+    assert 0.42 < meta["schur_norm_inf"] < 0.44
+    assert meta["neumann_terms"] == meta["neumann_products"] == 44
+    assert assert_one_hand_over(events, meta, nsteps) == 2
+    assert meta["neumann_products_mean"] < 44
+    ref = reference_sparse_cayley(gen, u0, dt, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+def test_from_q_one_half_superlu_solves_every_step(monkeypatch):
+    # golden_diff.py's gate case evolve-transport-dt03: at q = 0.512 < 1,
+    # Banach's test would certify only an iterate that has all but
+    # stopped, so no attempt is made; one factorization up front, then a
+    # solve a step
+    events = []
+    spy_on_attempts(monkeypatch, events)
+    spy_on_superlu_solves(monkeypatch, events)
+    gen, u0, dt, nsteps = golden_stream_run(0.3)
+    traj = evolve_cayley(gen, u0, dt, nsteps)
+    meta = traj.stepper_meta
+    assert 0.5 <= meta["schur_norm_inf"] < 0.52
+    assert meta["sparse_solve"] == "superlu"
+    assert (meta["neumann_terms"], meta["neumann_products"],
+            meta["neumann_products_mean"], meta["switch_step"]) == (
+                None, None, None, None)
+    assert events == ["factor"] + ["solve"] * nsteps
+    ref = reference_sparse_cayley(gen, u0, dt, nsteps)
+    assert max_relative_distance(gen, traj.states, ref) <= 1e-12
+
+
+def test_a_factor_that_loses_the_comparison_is_released(monkeypatch):
+    # golden_diff.py's gate case evolve-transport-dt04: on the golden
+    # 16^2 stream at dt = 0.04 (K = 7) the ring-started steps 9 .. 17
+    # take 4 products each, above K/2, so step 18 builds the factor; its
+    # nnz(L + U) is above 4 nnz(S), so the attempts go on and the factor
+    # is let go at once, with no solve
+    events = []
+    spy_on_superlu_solves(monkeypatch, events)
+    factors = []
+    real = evolution.sparse_shifted_lu
+    monkeypatch.setattr(evolution, "sparse_shifted_lu",
+                        lambda A: factors.append(real(A)) or factors[-1])
+    gen, u0, dt, nsteps = golden_stream_run(0.04, horizon=2.0)
+    order, steps, route = evolution._cayley_steps(gen, u0, dt, nsteps)
+    warm = evolution._WARM_DEPTH
+    alive = None
+    for k, _ in enumerate(steps):
+        if k == 2 * warm:
+            assert len(factors) == 1
+            alive = weakref.ref(factors.pop())
+        if k > 2 * warm:
+            assert alive() is None
+    assert events == ["factor"] and alive is not None
+    assert route["neumann_terms"] == 7 and route["switch_step"] is None
+    assert route["neumann_products_mean"] > 3.5
 
 
 def test_rough_steps_switch_to_superlu_at_the_checkpoint(monkeypatch):
