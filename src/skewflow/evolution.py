@@ -61,7 +61,12 @@ blocks of rows, with no Python work per row:
   with no Python work per node). What is left is E - S on the other
   nodes, S the Schur term. Each step is two sparse products with the
   blocks that couple I to the rest, one solve with E - S and O(n)
-  vector work, with no product with B (``_cayley_steps``). With
+  vector work, with no product with B (``_cayley_steps``; the steps
+  solve for 2 x_R, so that doubling costs no pass). The independent set
+  comes from one pass over the CSR arrays of dt/2 B and csgraph's
+  colouring (``_eliminated_nodes``), and the sparse metric adjoint,
+  which the transport runs step, is formed by scaling the transpose's
+  CSR arrays twice (``adjoint_generator``), with no sparse product. With
   q = |S|_inf >= 1/2 the solve is SuperLU's triangular pair,
   O(nnz(L) + nnz(U)) a step after one factorization up front
   (``operators.sparse_shifted_lu``: minimum-degree ordering on A^T + A
@@ -519,28 +524,44 @@ def _eliminated_nodes(half) -> np.ndarray:
 
     The candidates are the nodes at even BFS depth from one root per
     connected component (scipy.sparse.csgraph, no Python work per node);
-    an even node with an even neighbour (an odd cycle) is dropped. On
-    bipartite patterns, such as every periodic transport stencil on an
+    an even node with an even neighbour (an odd cycle) is dropped, and so
+    is a node with a non-finite off-diagonal entry in its row or column.
+    On bipartite patterns, such as every periodic transport stencil on an
     even grid, I is one colour: half of the nodes.
+
+    half must be CSR without duplicate entries. One pass over its arrays
+    gives the off-diagonal nonzeros (i, j, |h_ij|): their pattern is the
+    graph, which csgraph reads as undirected, and the same entries give
+    the edge test and each column's largest |h_ij|. No sparse matrix is
+    formed but the graph itself.
     """
     # imported here: only the sparse stepper needs csgraph, and loading it
     # with the module adds about 3 MB to the peak RSS of dense-only runs
     from scipy.sparse import csgraph
 
-    off = half.tocsr(copy=True)
-    off.setdiag(0.0)
-    off.eliminate_zeros()
-    off = abs(off)
-    adj = (off + off.T).tocsr()
-    _, component = csgraph.connected_components(adj, directed=False)
+    n, indptr, cols = half.shape[0], half.indptr, half.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(indptr))
+    off = (rows != cols) & (half.data != 0.0)
+    rows, cols, size = rows[off], cols[off], np.abs(half.data[off])
+    graph = sp.csr_matrix(
+        (np.ones(size.size), cols, np.append(0, np.cumsum(off))[indptr]),
+        shape=(n, n))
+    _, component = csgraph.connected_components(graph, directed=False)
     roots = np.unique(component, return_index=True)[1]
-    depth = csgraph.dijkstra(adj, directed=False, indices=roots,
+    depth = csgraph.dijkstra(graph, directed=False, indices=roots,
                              unweighted=True, min_only=True)
     even = depth % 2 == 0
+    # an edge between two even nodes, or a NaN or inf entry, rules out
+    # both of its nodes
+    bad = (even[rows] & even[cols]) | ~np.isfinite(size)
+    mask = even.copy()
+    mask[rows[bad]] = mask[cols[bad]] = False
+    # fmax passes over NaN entries, whose nodes are already ruled out
+    column = np.zeros(n)
+    np.fmax.at(column, cols, size)
     pivot = np.abs(1.0 - half.diagonal())
-    column = off.max(axis=0).toarray().ravel()
     # strict, so that a zero pivot in an empty column is not eliminated
-    return even & (adj @ even.astype(float) == 0) & (pivot > 1e-3 * column)
+    return mask & (pivot > 1e-3 * column)
 
 
 def _neumann_terms(q: float) -> int:
@@ -631,6 +652,16 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     x_R = (E - S)^-1 b with b = u_R + h B_RI D^-1 u_I, and
     x_I = D^-1 (u_I + h B_IR x_R), then sets u = 2x - u, since
     (E - hB)^-1 (E + hB) = 2 (E - hB)^-1 - E; no product with B is taken.
+    The steps solve for 2 x_R, from 2b = 2 u_R + (2 h B_RI D^-1) u_I,
+    with the coupling block doubled once in the set-up: scaling by 2 is
+    exact through the products, Banach's test, the ring and SuperLU's
+    solve, so 2 x_R costs no pass of its own, and only where 2b
+    overflows or a product is subnormal can it differ from 2 times x_R.
+    Then u_I = (2 D^-1 - 1) u_I + h D^-1 B_IR (2 x_R) and
+    u_R = 2 x_R - u_R; the product with 2 D^-1 - 1 is skipped when every
+    factor is exactly 1: where h diag(B) on I is zero or too small to
+    move 1 - h B_ii off 1, as on the transport stencils, whose diagonals
+    are zero or rounding-level.
 
     x_R comes by one of two routes, from q = |S|_inf and the measured
     cost of the steps:
@@ -669,8 +700,11 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
 
     A step's cost is thus O(nnz(S)) per product, against O(nnz(L + U))
     per solve, plus two products with the blocks that couple I to R and
-    O(n) vector work; the set-up is the elimination, plus the
-    factorization only where a step needs it.
+    O(n) vector work outside the solve: 2 u_R, u_R's update, and the
+    product with 2 D^-1 - 1 unless every factor is 1. The set-up is the
+    elimination (one pass over the arrays of hB, then csgraph's
+    colouring), the blocks of hB and S by scipy's sparse indexing and
+    products, plus the factorization only where a step needs it.
 
     route holds what decided and what ran: {"sparse_solve": "neumann"
     (q < 1/2) or "superlu", "neumann_terms": K (None when q >= 1/2),
@@ -687,6 +721,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     O(n) in memory.
     """
     half = (dt / 2.0) * gen.action.tocsr()
+    half.sum_duplicates()
     elim = _eliminated_nodes(half)
     keep = ~elim
     inv = 1.0 / (1.0 - half.diagonal()[elim])
@@ -712,8 +747,13 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     ni = inv.size
     u_I, u_R = v[:ni], v[ni:]
     # u_I <- 2 x_I - u_I with x_I = D^-1 u_I + T x_R is (2 D^-1 - 1) u_I
-    # + T (2 x_R)
+    # + T (2 x_R); factors that are all exactly 1 are skipped
     shrink = 2.0 * inv - 1.0
+    if np.all(shrink == 1.0):
+        shrink = None
+    # S is formed, so from here F is doubled: the steps solve for 2 x_R
+    # from 2b = 2 u_R + (2F) u_I
+    from_I.data *= 2.0
     S, F, T = _csr_args(schur), _csr_args(from_I), _csr_args(to_I)
 
     def steps():
@@ -724,7 +764,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
         images, b = list(ring[:-1]), ring[-1]
         switch, total, most = None, 0, 0
         for k in range(nsteps):
-            np.copyto(b, u_R)
+            np.add(u_R, u_R, out=b)
             csr_matvec(*F, u_I, b)
             if k == _WARM_DEPTH:
                 base = total
@@ -755,8 +795,8 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                 if not certified:
                     lu, switch = sparse_shifted_lu(schur), k + 1
                     np.copyto(x_R, lu.solve(b))
-            np.multiply(shrink, u_I, out=u_I)
-            x_R += x_R
+            if shrink is not None:
+                np.multiply(shrink, u_I, out=u_I)
             csr_matvec(*T, x_R, u_I)
             np.subtract(x_R, u_R, out=u_R)
             yield v
@@ -865,11 +905,23 @@ def evolve_cayley(gen: RestrictedOperator, u0, dt: float,
 
 
 def adjoint_generator(gen: RestrictedOperator) -> RestrictedOperator:
-    """The metric adjoint B* = W^{-1} B^T W as a full-domain operator."""
+    """The metric adjoint B* = W^{-1} B^T W as a full-domain operator.
+
+    A sparse action gives a CSR matrix: the entry a of B^T in row i and
+    column j becomes (a / w_i) w_j, taken as (a (1/w_i)) w_j, and exact
+    zeros are dropped (stored zeros, and products that underflow). For an
+    action without duplicate entries, those are the arrays that the
+    SpGEMMs diag(1/w) B^T diag(w) would give, with no product formed."""
     _require_full_domain(gen)
     w = gen.space.weights
     if sp.issparse(gen.action):
-        A = sp.diags(1.0 / w) @ gen.action.T @ sp.diags(w)
+        A = sp.csr_matrix(gen.action.T, copy=True)
+        # an entry past the largest double becomes inf, as in the products
+        with np.errstate(over="ignore"):
+            A.data = A.data * (1.0 / w)[
+                np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
+            A.data *= w[A.indices]
+        A.eliminate_zeros()
     else:
         A = (gen.dense_action().T * w[None, :]) / w[:, None]
     return RestrictedOperator(space=gen.space, action=A, domain=None,

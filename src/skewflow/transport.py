@@ -161,21 +161,22 @@ def build_transport_operator(fld: StreamField,
             )
 
     # five entries per cell (east, west, north, south neighbour, then the
-    # cell itself), cells in row-major (i, j) order; on a 2-cell side the
-    # two neighbours coincide and sum_duplicates adds their entries
+    # cell itself), cells in row-major (i, j) order, so row k holds entries
+    # 5k .. 5k+4; sum_duplicates sorts each row and, on a 2-cell side,
+    # where the two neighbours coincide, adds their entries
     I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     k = I * ny + J
     cols = np.stack([((I + 1) % nx) * ny + J, ((I - 1) % nx) * ny + J,
                      I * ny + (J + 1) % ny, I * ny + (J - 1) % ny, k],
                     axis=-1).ravel()
-    rows = np.repeat(k.ravel(), 5)
     aL, aR = ax[:-1, :], ax[1:, :]
     aB, aT = ay[:, :-1], ay[:, 1:]
     vals = np.stack([-aR / (2 * hx), +aL / (2 * hx),
                      -aT / (2 * hy), +aB / (2 * hy),
                      (aL - aR) / (2 * hx) + (aB - aT) / (2 * hy)],
                     axis=-1).ravel()
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells))
+    A = sp.csr_matrix((vals, cols, np.arange(0, cols.size + 1, 5)),
+                      shape=(grid.ncells, grid.ncells))
     A.sum_duplicates()
 
     area = hx * hy

@@ -1017,6 +1017,7 @@ def test_sparse_cayley_keeps_its_ordering_at_large_steps(monkeypatch):
     assert np.max(np.abs(norms - norms[0])) <= 1e-12 * norms[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["singular", "nan"])
 def test_sparse_cayley_failures_are_value_errors(case):
     # E - dt/2 B = diag(0, 0.75) for dt = 0.5; SuperLU itself raises
@@ -1633,6 +1634,97 @@ def test_eliminated_nodes_are_independent(case):
         assert elim.sum() == gen.dim // 2
 
 
+def reference_eliminated_nodes(half):
+    """_eliminated_nodes as scipy sparse-matrix operations: the off-diagonal
+    pattern by setdiag / eliminate_zeros / abs, the graph as off + off.T,
+    the edge test as a product with the even nodes and the column maxima
+    by off.max(axis=0)."""
+    from scipy.sparse import csgraph
+
+    off = half.tocsr(copy=True)
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    off = abs(off)
+    adj = (off + off.T).tocsr()
+    _, component = csgraph.connected_components(adj, directed=False)
+    roots = np.unique(component, return_index=True)[1]
+    depth = csgraph.dijkstra(adj, directed=False, indices=roots,
+                             unweighted=True, min_only=True)
+    even = depth % 2 == 0
+    pivot = np.abs(1.0 - half.diagonal())
+    with np.errstate(invalid="ignore"):
+        column = off.max(axis=0).toarray().ravel()
+    return even & (adj @ even.astype(float) == 0) & (pivot > 1e-3 * column)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.3, 2.0])
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_eliminated_nodes_match_the_matrix_reference(case, dt):
+    gen, _ = SPARSE_CASES[case]()
+    half = (dt / 2.0) * gen.action.tocsr()
+    assert np.array_equal(_eliminated_nodes(half),
+                          reference_eliminated_nodes(half))
+
+
+def symmetric_pattern(seed):
+    """A seeded structurally symmetric matrix: cycles of odd and even
+    length, chords that may join them, isolated nodes, stored zeros and a
+    diagonal whose pivots 1 - h_ii fall on both sides of 1e-3 of their
+    column's largest off-diagonal entry."""
+    rng = np.random.default_rng(seed)
+    rows, cols, start = [], [], 0
+    for length in rng.integers(1, 12, size=rng.integers(2, 6)):
+        ring = start + np.arange(length)
+        if length > 1:
+            rows += [ring, np.roll(ring, -1)]
+            cols += [np.roll(ring, -1), ring]
+        start += length
+    n = start + int(rng.integers(0, 4))          # isolated nodes
+    chords = rng.integers(0, start, size=(2, rng.integers(0, 4)))
+    rows += [chords[0], chords[1]]
+    cols += [chords[1], chords[0]]
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    data = rng.standard_normal(r.size) * 10.0 ** rng.integers(-3, 3, r.size)
+    data[rng.random(r.size) < 0.15] = 0.0         # stored zeros
+    column = np.zeros(n)
+    np.maximum.at(column, c, np.abs(data))
+    # pivots 1 - h_ii of 1e-4, 1e-2 or 1 times the column maximum, or a
+    # stored zero diagonal
+    pick = rng.integers(0, 4, n)
+    factor = np.array([1e-4, 1e-2, 1.0, 0.0])[pick]
+    diag = np.where(pick == 3, 0.0,
+                    1.0 - factor * column * rng.choice([-1.0, 1.0], n))
+    # COO to CSR sums the chords into the ring entries they repeat and
+    # keeps the stored zeros
+    nodes = np.arange(n)
+    return sp.csr_matrix((np.concatenate([data, diag]),
+                          (np.concatenate([r, nodes]),
+                           np.concatenate([c, nodes]))), shape=(n, n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eliminated_nodes_match_the_reference_on_seeded_patterns(seed):
+    half = symmetric_pattern(seed)
+    assert np.array_equal(_eliminated_nodes(half),
+                          reference_eliminated_nodes(half))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eliminated_nodes_rule_out_non_finite_entries_silently(bad):
+    # a 6-ring whose even nodes 0, 2 and 4 are its colour; a non-finite
+    # entry in row 0 and one in column 2 rule those two out
+    ring = np.arange(6)
+    half = sp.csr_matrix((np.ones(12), (np.r_[ring, (ring + 1) % 6],
+                                        np.r_[(ring + 1) % 6, ring])))
+    assert _eliminated_nodes(half).tolist() == [True, False] * 3
+    half[0, 1] = half[3, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        elim = _eliminated_nodes(half)
+    assert elim.tolist() == [False] * 4 + [True, False]
+    assert np.array_equal(elim, reference_eliminated_nodes(half))
+
+
 def test_small_pivots_are_not_eliminated():
     # E - dt/2 B = diag(0, 0.75) for dt = 0.5: the zero pivot stays in
     # the factorized block, which SuperLU then reports as singular
@@ -1705,3 +1797,54 @@ def test_adjoint_generator_uses_the_weights():
     # (W^{-1} B^T W)_{01} = w1/w0 * B_{10}
     assert adj[0, 1] == pytest.approx(4.0 * 0.5 / 1.0)
     assert adj[1, 0] == pytest.approx(1.0 / 4.0)
+
+
+def adjoint_case(fmt, weights, seed):
+    """A seeded 40 x 40 sparse action in format fmt with stored zeros,
+    subnormal entries and entries near 1e-300 and 1e300, and Gram weights
+    that are uniform or spread over 1e-20 .. 1e20, so that some scaled
+    products underflow to 0 and some overflow."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    A = sp.random(n, n, density=0.2, format="coo", random_state=rng)
+    A.data = rng.standard_normal(A.nnz) * rng.choice(
+        [1e-320, 1e-300, 1.0, 1e300], A.nnz)
+    A.data[rng.random(A.nnz) < 0.2] = 0.0
+    w = (np.full(n, 0.37) if weights == "uniform"
+         else 10.0 ** rng.uniform(-20, 20, n))
+    return RestrictedOperator(space=Space(dim=n, weights=w),
+                              action=A.asformat(fmt), domain=None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("weights", ["uniform", "seeded"])
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_sparse_adjoint_generator_matches_the_diagonal_products(fmt, weights,
+                                                                seed):
+    gen = adjoint_case(fmt, weights, seed)
+    w = gen.space.weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = adjoint_generator(gen).action
+    ref = sp.diags(1.0 / w) @ gen.action.T @ sp.diags(w)
+    assert got.format == "csr" and type(got) is type(ref)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    # the case has what it is meant to test: stored zeros, which are
+    # dropped, and, with spread weights, products that underflow to 0 and
+    # products that overflow
+    assert np.count_nonzero(gen.action.data == 0.0) > 0
+    assert np.count_nonzero(got.data == 0.0) == 0
+    if weights == "seeded":
+        assert got.nnz < np.count_nonzero(gen.action.data)
+        assert np.isinf(got.data).any()
+
+
+def test_sparse_adjoint_generator_leaves_the_action_alone():
+    gen = adjoint_case("csc", "seeded", 0)
+    before = [a.copy() for a in (gen.action.indptr, gen.action.indices,
+                                 gen.action.data)]
+    adjoint_generator(gen)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        before, (gen.action.indptr, gen.action.indices, gen.action.data)))
+
