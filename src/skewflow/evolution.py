@@ -658,10 +658,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     solve, so 2 x_R costs no pass of its own, and only where 2b
     overflows or a product is subnormal can it differ from 2 times x_R.
     Then u_I = (2 D^-1 - 1) u_I + h D^-1 B_IR (2 x_R) and
-    u_R = 2 x_R - u_R; the product with 2 D^-1 - 1 is skipped when every
-    factor is exactly 1: where h diag(B) on I is zero or too small to
-    move 1 - h B_ii off 1, as on the transport stencils, whose diagonals
-    are zero or rounding-level.
+    u_R = 2 x_R - u_R.
 
     x_R comes by one of two routes, from q = |S|_inf and the measured
     cost of the steps:
@@ -701,10 +698,10 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     A step's cost is thus O(nnz(S)) per product, against O(nnz(L + U))
     per solve, plus two products with the blocks that couple I to R and
     O(n) vector work outside the solve: 2 u_R, u_R's update, and the
-    product with 2 D^-1 - 1 unless every factor is 1. The set-up is the
-    elimination (one pass over the arrays of hB, then csgraph's
-    colouring), the blocks of hB and S by scipy's sparse indexing and
-    products, plus the factorization only where a step needs it.
+    product with 2 D^-1 - 1. The set-up is the elimination (one pass
+    over the arrays of hB, then csgraph's colouring), the blocks of hB
+    and S by scipy's sparse indexing and products, plus the
+    factorization only where a step needs it.
 
     route holds what decided and what ran: {"sparse_solve": "neumann"
     (q < 1/2) or "superlu", "neumann_terms": K (None when q >= 1/2),
@@ -747,10 +744,8 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
     ni = inv.size
     u_I, u_R = v[:ni], v[ni:]
     # u_I <- 2 x_I - u_I with x_I = D^-1 u_I + T x_R is (2 D^-1 - 1) u_I
-    # + T (2 x_R); factors that are all exactly 1 are skipped
+    # + T (2 x_R)
     shrink = 2.0 * inv - 1.0
-    if np.all(shrink == 1.0):
-        shrink = None
     # S is formed, so from here F is doubled: the steps solve for 2 x_R
     # from 2b = 2 u_R + (2F) u_I
     from_I.data *= 2.0
@@ -795,8 +790,7 @@ def _cayley_steps(gen: RestrictedOperator, u: np.ndarray, dt: float,
                 if not certified:
                     lu, switch = sparse_shifted_lu(schur), k + 1
                     np.copyto(x_R, lu.solve(b))
-            if shrink is not None:
-                np.multiply(shrink, u_I, out=u_I)
+            np.multiply(shrink, u_I, out=u_I)
             csr_matvec(*T, x_R, u_I)
             np.subtract(x_R, u_R, out=u_R)
             yield v
@@ -918,8 +912,7 @@ def adjoint_generator(gen: RestrictedOperator) -> RestrictedOperator:
         A = sp.csr_matrix(gen.action.T, copy=True)
         # an entry past the largest double becomes inf, as in the products
         with np.errstate(over="ignore"):
-            A.data = A.data * (1.0 / w)[
-                np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
+            A.data = A.data * np.repeat(1.0 / w, np.diff(A.indptr))
             A.data *= w[A.indices]
         A.eliminate_zeros()
     else:
